@@ -7,13 +7,14 @@
     lassosat find-bound [--max-bound N] [--solver ...] [--out DIR] spec.zot
 
 Exit status: 0 = SAT (or loop-free bound not reached, or a completeness
-bound was found), 1 = UNSAT, 2 = error.
+bound was found), 1 = UNSAT, 2 = error, internal failures included.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .errors import LassosatError
 from .pipeline import RunConfig, run
@@ -82,11 +83,13 @@ def main(argv=None) -> int:
         )
         print(f"completeness bound: {report.bound}")
         return report.exit_code
-    except LassosatError as exc:
+    except (LassosatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # a defect, not a verdict: exit 2, never 1 (which means UNSAT)
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

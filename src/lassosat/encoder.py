@@ -296,15 +296,28 @@ class _Loopy:
         )
         self.vm.assertion_instant = 1 if engine == "mono" else 0
         self.cons: List = []
+        # block bases of each formula's traversal copies, index 0 being the
+        # primary block, resolved once: R and Lc run for every literal emitted
+        vm = self.vm
+        self.rbases: Dict[Formula, List[int]] = {}
+        self.lbases: Dict[Formula, List[int]] = {}
+        for f, (nr, nl) in self.caps.items():
+            b = vm.base[f]
+            self.rbases[f] = [b] + [vm.copy_base[(f, "r", d)] for d in range(1, nr + 1)]
+            self.lbases[f] = [b] + [vm.copy_base[(f, "l", e)] for e in range(1, nl + 1)]
 
     # copy accessors: d/e are clamped to the formula's own stabilized copy
     def R(self, f: Formula, d: int, t: int):
-        return cvar(self.vm.var_copy(f, "r", min(d, self.caps[f][0]), t))
+        if not 0 <= t <= self.k:
+            raise EncodingError(f"instant {t} outside 0..{self.k}")
+        bases = self.rbases[f]
+        return cvar((bases[d] if d < len(bases) else bases[-1]) + t)
 
     def Lc(self, f: Formula, e: int, t: int):
-        if e <= 0:
-            return cvar(self.vm.var(f, t))
-        return cvar(self.vm.var_copy(f, "l", min(e, self.caps[f][1]), t))
+        if not 0 <= t <= self.k:
+            raise EncodingError(f"instant {t} outside 0..{self.k}")
+        bases = self.lbases[f]
+        return cvar((bases[e] if e < len(bases) else bases[-1]) + t)
 
     def encode(self) -> EncodedProblem:
         vm, k = self.vm, self.k

@@ -9,22 +9,64 @@ Everything else (metric families with endpoint variants, existential and
 universal finite quantification, and-case/or-case, finite-domain variable
 references) is sugar removed by lassosat.desugar.
 
-All nodes are frozen dataclasses, so formulas are immutable, hashable values
-and can be shared freely; identical subtrees compare equal.
+Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
+hash-consing", ML 2006).  A constructor call looks its class and field
+values up in one weak table and returns the node already there, so each
+structure has exactly one live object: equal subtrees are shared, and
+hashing and equality go by identity, O(1) however deep the formula.
+Construct nodes only through their constructors (`Next(f)`, `Atom("p")`,
+...); copy, pickle and `dataclasses.replace` go through them as well.
+Nodes are frozen dataclasses, so formulas are immutable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple, Union
 
 Term = Union[int, str]  # atom arguments, domain elements, offsets (str = symbol or bound var)
 
+# (class, field values...) -> the canonical node; an entry goes when its node dies
+_NODES: "weakref.WeakValueDictionary[tuple, Formula]" = weakref.WeakValueDictionary()
 
-class Formula:
+
+class _Interned(type):
+    """Metaclass whose constructor call returns the canonical node."""
+
+    def __call__(cls, *args, **kwargs):
+        node = None
+        if kwargs or len(args) != len(cls._fields):
+            # defaults or keywords: let the dataclass bind and check them
+            node = super().__call__(*args, **kwargs)
+            args = node._values()
+        key = (cls, *args)
+        canon = _NODES.get(key)
+        if canon is None:
+            canon = node if node is not None else super().__call__(*args)
+            _NODES[key] = canon
+        return canon
+
+
+class Formula(metaclass=_Interned):
     """Marker base class; all nodes derive from this."""
 
     __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+    _depth: Optional[Tuple[int, int]] = None  # temporal_depth, once computed
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __reduce__(self):
+        return (type(self), self._values())
+
+
+def _node(cls):
+    """Make a node class: a frozen dataclass with identity hash and equality."""
+    cls = dataclass(frozen=True, eq=False)(cls)
+    cls._fields = tuple(f.name for f in fields(cls))
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +74,7 @@ class Formula:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class Atom(Formula):
     """Propositional letter, predicate instance, or lowered item/array cell.
 
@@ -65,79 +107,79 @@ class Atom(Formula):
         return self.key
 
 
-@dataclass(frozen=True)
+@_node
 class TrueF(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class FalseF(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     items: Tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     items: Tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Next(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Yesterday(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Zeta(Formula):
     """Weak yesterday: true at the origin of mono-infinite time."""
 
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Until(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Since(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Release(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Trigger(Formula):
     left: Formula
     right: Formula
@@ -148,7 +190,7 @@ class Trigger(Formula):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class Dist(Formula):
     """Signed distance: positive offsets look forward, negative backward."""
 
@@ -156,113 +198,113 @@ class Dist(Formula):
     offset: Term
 
 
-@dataclass(frozen=True)
+@_node
 class Futr(Formula):
     sub: Formula
     offset: Term
 
 
-@dataclass(frozen=True)
+@_node
 class Past(Formula):
     sub: Formula
     offset: Term
 
 
-@dataclass(frozen=True)
+@_node
 class Lasts(Formula):
     sub: Formula
     offset: Term
     variant: str = "ee"  # ee / ei / ie / ii
 
 
-@dataclass(frozen=True)
+@_node
 class Lasted(Formula):
     sub: Formula
     offset: Term
     variant: str = "ee"
 
 
-@dataclass(frozen=True)
+@_node
 class WithinF(Formula):
     sub: Formula
     offset: Term
     variant: str = "ee"
 
 
-@dataclass(frozen=True)
+@_node
 class WithinP(Formula):
     sub: Formula
     offset: Term
     variant: str = "ee"
 
 
-@dataclass(frozen=True)
+@_node
 class NextTime(Formula):
     sub: Formula
     offset: Term
     variant: str = "ee"
 
 
-@dataclass(frozen=True)
+@_node
 class LastTime(Formula):
     sub: Formula
     offset: Term
     variant: str = "ee"
 
 
-@dataclass(frozen=True)
+@_node
 class Somf(Formula):
     sub: Formula
     variant: str = "e"  # e = strict, i = includes now
 
 
-@dataclass(frozen=True)
+@_node
 class Somp(Formula):
     sub: Formula
     variant: str = "e"
 
 
-@dataclass(frozen=True)
+@_node
 class Alwf(Formula):
     sub: Formula
     variant: str = "e"
 
 
-@dataclass(frozen=True)
+@_node
 class Alwp(Formula):
     sub: Formula
     variant: str = "e"
 
 
-@dataclass(frozen=True)
+@_node
 class Som(Formula):
     """Somewhere in time: past, present or future."""
 
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Alw(Formula):
     """Always: every instant of the whole time domain."""
 
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class UntilVar(Formula):
     left: Formula
     right: Formula
     variant: str = "ie"  # plain until == until_ie
 
 
-@dataclass(frozen=True)
+@_node
 class SinceVar(Formula):
     left: Formula
     right: Formula
     variant: str = "ie"
 
 
-@dataclass(frozen=True)
+@_node
 class BoundedUntil(Formula):
     """until_xy_<=_<= (hi set) or until_xy_>= (hi None)."""
 
@@ -273,7 +315,7 @@ class BoundedUntil(Formula):
     variant: str = "ie"
 
 
-@dataclass(frozen=True)
+@_node
 class BoundedSince(Formula):
     left: Formula
     right: Formula
@@ -287,7 +329,7 @@ class BoundedSince(Formula):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class Forall(Formula):
     var: str
     domain: Tuple[Term, ...]
@@ -295,7 +337,7 @@ class Forall(Formula):
     cond: Optional["Cond"] = None
 
 
-@dataclass(frozen=True)
+@_node
 class Exists(Formula):
     var: str
     domain: Tuple[Term, ...]
@@ -303,7 +345,7 @@ class Exists(Formula):
     cond: Optional["Cond"] = None
 
 
-@dataclass(frozen=True)
+@_node
 class Cond(Formula):
     """Expansion-time condition over bound variables and literals.
 
@@ -315,21 +357,21 @@ class Cond(Formula):
     args: tuple
 
 
-@dataclass(frozen=True)
+@_node
 class AndCase(Formula):
     bindings: Tuple[Tuple[str, Tuple[Term, ...]], ...]
     branches: Tuple[Tuple[Formula, Formula], ...]  # (guard, body) pairs
     else_body: Optional[Formula] = None
 
 
-@dataclass(frozen=True)
+@_node
 class OrCase(Formula):
     bindings: Tuple[Tuple[str, Tuple[Term, ...]], ...]
     branches: Tuple[Tuple[Formula, Formula], ...]
     else_body: Optional[Formula] = None
 
 
-@dataclass(frozen=True)
+@_node
 class ItemRef(Formula):
     """(name= value) before lowering to a one-hot Atom."""
 
@@ -337,7 +379,7 @@ class ItemRef(Formula):
     value: Term
 
 
-@dataclass(frozen=True)
+@_node
 class ArrayRef(Formula):
     """(name= index value) before lowering."""
 
@@ -382,19 +424,30 @@ def is_core(f: Formula) -> bool:
     return False
 
 
+def _postorder(root: Formula, seen: set):
+    """Nodes under root not yet in `seen`, children first and left to right.
+
+    Each node is added to `seen` as it is yielded.  The walk keeps its own
+    stack, so formula depth is not limited by Python's recursion limit.
+    """
+    if root in seen:
+        return
+    stack = [(root, iter(children(root)))]
+    while stack:
+        node, pending = stack[-1]
+        for c in pending:
+            if c not in seen:
+                stack.append((c, iter(children(c))))
+                break
+        else:
+            stack.pop()
+            seen.add(node)
+            yield node
+
+
 def subformulas(f: Formula):
     """Postorder iteration over distinct subformulas of a core formula."""
-    seen = set()
-
-    def walk(g):
-        if g in seen:
-            return
-        for c in children(g):
-            yield from walk(c)
-        seen.add(g)
-        yield g
-
-    yield from walk(f)
+    return _postorder(f, set())
 
 
 def closure(formulas) -> list:
@@ -402,10 +455,7 @@ def closure(formulas) -> list:
     out: list = []
     seen: set = set()
     for f in formulas:
-        for g in subformulas(f):
-            if g not in seen:
-                seen.add(g)
-                out.append(g)
+        out.extend(_postorder(f, seen))
     return out
 
 
@@ -423,16 +473,31 @@ def classify(f: Formula) -> str:
 
 
 def temporal_depth(f: Formula) -> Tuple[int, int]:
-    """(future nesting, past nesting) of a core formula."""
-    if isinstance(f, _CORE_LEAF):
-        return (0, 0)
-    futs, pasts = zip(*(temporal_depth(c) for c in children(f)))
-    fut, past = max(futs), max(pasts)
-    if isinstance(f, FUTURE_OPS):
-        fut += 1
-    elif isinstance(f, PAST_OPS):
-        past += 1
-    return (fut, past)
+    """(future nesting, past nesting) of a core formula.
+
+    Computed once per node and kept on it (nodes are immutable and shared),
+    with an explicit stack instead of recursion.
+    """
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if g._depth is not None:
+            stack.pop()
+            continue
+        subs = children(g)
+        todo = [c for c in subs if c._depth is None]
+        if todo:
+            stack.extend(todo)
+            continue
+        fut = max((c._depth[0] for c in subs), default=0)
+        past = max((c._depth[1] for c in subs), default=0)
+        if isinstance(g, FUTURE_OPS):
+            fut += 1
+        elif isinstance(g, PAST_OPS):
+            past += 1
+        object.__setattr__(g, "_depth", (fut, past))
+        stack.pop()
+    return f._depth
 
 
 def conj(items) -> Formula:
@@ -452,21 +517,3 @@ def disj(items) -> Formula:
     if len(items) == 1:
         return items[0]
     return Or(items)
-
-
-def next_chain(f: Formula, n: int) -> Formula:
-    for _ in range(n):
-        f = Next(f)
-    return f
-
-
-def yesterday_chain(f: Formula, n: int) -> Formula:
-    for _ in range(n):
-        f = Yesterday(f)
-    return f
-
-
-def zeta_chain(f: Formula, n: int) -> Formula:
-    for _ in range(n):
-        f = Zeta(f)
-    return f

@@ -43,9 +43,6 @@ class VarMap:
             raise EncodingError("formula is not in the closure")
         return b + t
 
-    # spec names this operation `call`
-    call = var
-
     def var_copy(self, f: Formula, family: str, d: int, t: int) -> int:
         """Traversal-copy variable; copy 0 is the primary block."""
         if d == 0:

@@ -1,3 +1,4 @@
+import copy
 import random
 import warnings
 
@@ -288,6 +289,28 @@ def test_temporal_depth():
     assert temporal_depth(P) == (0, 0)
     assert temporal_depth(Until(P, Yesterday(Q))) == (1, 1)
     assert temporal_depth(Next(Next(Since(P, Q)))) == (2, 1)
+    # far deeper than the recursion limit: the walk keeps its own stack
+    chain = P
+    for _ in range(5000):
+        chain = Next(chain)
+    assert temporal_depth(chain) == (5000, 0)
+    assert len(closure([chain])) == 5001
+
+
+def test_nodes_are_interned(data_dir):
+    from lassosat.pipeline import build_problem
+    from lassosat.specfile import load_spec
+
+    assert Next(Atom("a")) is Next(Atom("a"))
+    assert Atom("x", (1,)) == Atom("x", (1,))
+    assert Atom("x", (1,)) is Atom(name="x", args=(1,), kind="prop")
+    assert Atom("x", (1,)) != Atom("x", (2,))
+    assert copy.deepcopy(Until(P, Q)) is Until(P, Q)
+    roots = [
+        build_problem(load_spec(data_dir / "lamp.zot"), 10, "bi", "bsc").root
+        for _ in range(2)
+    ]
+    assert roots[0] is roots[1]
 
 
 def test_temporal_depth_mutex_property_regression(data_dir):

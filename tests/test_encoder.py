@@ -10,7 +10,7 @@ from lassosat.encoder import CheckProblem, add_loop_free, encode, encode_bi, enc
 from lassosat.errors import EncodingError
 from lassosat.formula import And, Atom, Iff, Next, Not, Yesterday, Zeta
 from lassosat.oracle import eval_lasso
-from lassosat.pipeline import build_problem
+from lassosat.pipeline import RunConfig, build_problem, check_trace_against_root, run
 from lassosat.sat_embedded import solve_embedded
 from lassosat.specfile import load_spec
 from lassosat.trace import LassoTrace, PartialHistory, decode
@@ -230,3 +230,12 @@ def test_bi_transitions_with_past_content_constrain_the_past_loop():
     assert result.verdict == "SAT"
     trace = decode(result, encoded.varmap)
     assert eval_lasso(trace, And((P, past_somewhere_not)), 0)
+
+
+def test_deep_metric_chain_runs_under_the_default_recursion_limit(tmp_path):
+    spec = tmp_path / "deep.zot"
+    spec.write_text("(declare a)\n(property (futr (-P- a) 5000))\n")
+    report = run(RunConfig(spec_path=str(spec), bound=5, out_dir=str(tmp_path)))
+    assert report.verdict == "SAT"
+    problem = build_problem(load_spec(spec), 5, "mono", "bsc")
+    assert check_trace_against_root(problem, report.trace)

@@ -189,6 +189,17 @@ def test_cli_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), RecursionError("deep")])
+def test_cli_internal_failure_exits_2_not_1(monkeypatch, data_dir, out_dir, capsys, exc):
+    def crash(config):
+        raise exc
+
+    monkeypatch.setattr("lassosat.cli.run", crash)
+    code = main(["check", "--out", out_dir, str(data_dir / "lamp.zot")])
+    assert code == 2
+    assert "internal error" in capsys.readouterr().err
+
+
 def test_cli_find_bound(data_dir, out_dir, capsys):
     code = main(["find-bound", "--out", out_dir, str(data_dir / "cycle3.zot")])
     assert code == 0
