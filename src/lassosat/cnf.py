@@ -10,7 +10,7 @@ therefore decode positionally: variables 1..max_var keep their meaning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from .errors import LassosatError, SolverError
 
@@ -31,6 +31,8 @@ class CnfInstance:
 class SatResult:
     verdict: str  # "SAT" or "UNSAT"
     model: Optional[List[bool]] = None  # index 0 unused; length num_vars + 1
+    # solver counters; the embedded solver fills them, external ones leave it empty
+    stats: Dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.verdict == "SAT" and self.model is None:
@@ -39,8 +41,16 @@ class SatResult:
             raise LassosatError("UNSAT result cannot carry a model")
 
 
-def _sanitize(lits: Iterable[int]) -> Optional[List[int]]:
-    """Dedupe literals; None means the clause is a tautology."""
+def _sanitize(lits: List[int]) -> Optional[List[int]]:
+    """Dedupe literals, keeping first occurrences; None means a tautology.
+
+    A two-literal clause with distinct literals comes back as the same list.
+    """
+    if len(lits) == 2:  # most Tseitin clauses
+        a, b = lits
+        if a == b:
+            return [a]
+        return None if a == -b else lits
     seen = set()
     out = []
     for lit in lits:

@@ -46,7 +46,7 @@ class SolverError(LassosatError):
 
 
 class SolverTimeout(SolverError):
-    """The embedded solver exceeded its time limit."""
+    """A solver exceeded its time limit."""
 
 
 class BoundSearchError(LassosatError):

@@ -18,7 +18,7 @@ asserts the root at instant 0 directly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -169,7 +169,7 @@ def _solve(inst: CnfInstance, solver: str, out_dir: str, comments, timeout_s):
     cfg = DEFAULT_SOLVERS.get(solver)
     if cfg is None:
         raise SpecFormatError(f"unknown solver {solver!r}")
-    return solve_external(inst, cfg, out_dir, comments)
+    return solve_external(inst, cfg, out_dir, comments, timeout_s)
 
 
 def _render_finite(vm, model) -> str:
@@ -251,7 +251,7 @@ def find_bound(config: RunConfig, doc: Optional[SpecDocument] = None) -> int:
     """Smallest k whose loop-free encoding is UNSAT (completeness bound)."""
     if doc is None:
         doc = load_spec(config.spec_path)
-    _, engine, solver, _ = _effective(config, doc)
+    _, engine, solver, _ = _effective(replace(config, mode="find-bound"), doc)
     if engine != "mono":
         raise SpecFormatError("find-bound uses the loop-free mono encoding")
     for k in range(1, config.max_bound + 1):

@@ -9,8 +9,9 @@ Two output dialects are supported:
 
 The DIMACS problem is always written to <workdir>/output.cnf.txt and the raw
 solver output to <workdir>/output.sat.txt.  A missing executable, unparsable
-output, or a verdict-free nonzero exit each raise a distinct SolverError;
-UNSAT is never inferred from silence.
+output, or a verdict-free nonzero exit each raise a distinct SolverError,
+and a solver killed at its time limit raises SolverTimeout; UNSAT is never
+inferred from silence.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 from .cnf import CnfInstance, SatResult, check_model, emit_dimacs
-from .errors import SolverError
+from .errors import SolverError, SolverTimeout
 
 CNF_FILENAME = "output.cnf.txt"
 SAT_FILENAME = "output.sat.txt"
@@ -100,9 +101,17 @@ def _parse_picosat(text: str, num_vars: int) -> SatResult:
 
 
 def solve_external(
-    inst: CnfInstance, config: SolverConfig, workdir=".", comments=()
+    inst: CnfInstance,
+    config: SolverConfig,
+    workdir=".",
+    comments=(),
+    timeout_s: Optional[float] = None,
 ) -> SatResult:
-    """Run the configured solver on the instance inside `workdir`."""
+    """Run the configured solver on the instance inside `workdir`.
+
+    With `timeout_s` the solver process is killed after that many seconds
+    and SolverTimeout is raised.
+    """
     if not solver_available(config):
         raise SolverError(f"solver executable {config.exe!r} not found on PATH")
     wd = Path(workdir)
@@ -120,9 +129,11 @@ def solve_external(
         raise SolverError(f"unknown solver dialect {config.dialect!r}")
 
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True)
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout_s)
     except FileNotFoundError as exc:
         raise SolverError(f"cannot execute {config.exe!r}: {exc}") from exc
+    except subprocess.TimeoutExpired:
+        raise SolverTimeout(f"{config.name} exceeded {timeout_s} s") from None
 
     if config.dialect == "minisat":
         try:

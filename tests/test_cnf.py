@@ -130,6 +130,17 @@ def test_no_tautological_clauses():
         assert not any(-lit in clause for lit in clause)
 
 
+def test_clauses_are_deduplicated_in_first_occurrence_order():
+    clauses = [
+        cor((cvar(1), cvar(1))),  # repeated literal: a unit
+        cor((cvar(2), cnot(cvar(2)))),  # tautology: dropped
+        cor((cvar(3), cnot(cvar(1)))),
+        cor((cvar(2), cvar(3), cvar(2))),
+    ]
+    inst = to_cnf(_Fake(cand(tuple(clauses)), 3))
+    assert inst.clauses == [[1], [3, -1], [2, 3]]
+
+
 def test_check_model():
     inst = CnfInstance(2, [[1, -2], [2]])
     assert check_model(inst, [None, True, True])

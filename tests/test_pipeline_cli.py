@@ -107,6 +107,8 @@ def test_find_bound_results(data_dir, out_dir):
     assert find_bound(_cfg(data_dir, out_dir, "cycle3.zot", mode="find-bound")) == 3
     assert find_bound(_cfg(data_dir, out_dir, "stutter.zot", mode="find-bound")) == 1
     assert find_bound(_cfg(data_dir, out_dir, "free1.zot", mode="find-bound")) == 2
+    # the config's default mode is bsc; find_bound needs no bound either way
+    assert find_bound(_cfg(data_dir, out_dir, "cycle3.zot")) == 3
 
 
 def test_find_bound_exhaustion_is_an_error(data_dir, out_dir, tmp_path):

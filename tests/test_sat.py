@@ -1,8 +1,11 @@
+import os
 import random
+import stat
 
 import pytest
 
-from lassosat.cnf import CnfInstance, check_model
+from lassosat import sat_embedded
+from lassosat.cnf import CnfInstance, check_model, to_cnf
 from lassosat.sat_embedded import solve_embedded
 
 
@@ -66,6 +69,17 @@ def test_unconstrained_variables_get_values():
     assert len(result.model) == 6
 
 
+def pigeonhole(n, m):
+    """n pigeons into m holes: var(p, h) = m * p + h + 1."""
+    var = lambda p, h: m * p + h + 1  # noqa: E731
+    clauses = [[var(p, h) for h in range(m)] for p in range(n)]
+    for h in range(m):
+        for p1 in range(n):
+            for p2 in range(p1 + 1, n):
+                clauses.append([-var(p1, h), -var(p2, h)])
+    return CnfInstance(n * m, clauses)
+
+
 def test_random_3cnf_cross_check_against_naive_dpll():
     """100 instances at the hard ratio, 30 variables each."""
     rng = random.Random(42)
@@ -88,28 +102,103 @@ def test_random_3cnf_cross_check_against_naive_dpll():
 
 
 def test_pigeonhole_unsat():
-    # 4 pigeons, 3 holes: var(p, h) = 3 * p + h + 1
-    clauses = [[3 * p + h + 1 for h in range(3)] for p in range(4)]
-    for h in range(3):
-        for p1 in range(4):
-            for p2 in range(p1 + 1, 4):
-                clauses.append([-(3 * p1 + h + 1), -(3 * p2 + h + 1)])
-    assert solve_embedded(CnfInstance(12, clauses)).verdict == "UNSAT"
+    assert solve_embedded(pigeonhole(4, 3)).verdict == "UNSAT"
 
 
 def test_timeout_raises():
     from lassosat.errors import SolverTimeout
 
     # 9 pigeons into 8 holes is far beyond a zero-second budget
-    n, m = 9, 8
-    var = lambda p, h: m * p + h + 1  # noqa: E731
-    clauses = [[var(p, h) for h in range(m)] for p in range(n)]
-    for h in range(m):
-        for p1 in range(n):
-            for p2 in range(p1 + 1, n):
-                clauses.append([-var(p1, h), -var(p2, h)])
     with pytest.raises(SolverTimeout):
-        solve_embedded(CnfInstance(n * m, clauses), timeout_s=0.0)
+        solve_embedded(pigeonhole(9, 8), timeout_s=0.0)
+
+
+@pytest.fixture
+def fast_decay(monkeypatch):
+    # var_inc doubles per conflict and passes the 1e100 rescale threshold
+    # after about 332 conflicts
+    monkeypatch.setattr(sat_embedded, "_VAR_DECAY", 0.5)
+
+
+def test_activity_rescale_keeps_the_search_complete(fast_decay):
+    result = solve_embedded(pigeonhole(7, 6))
+    assert result.verdict == "UNSAT"
+    assert result.stats["conflicts"] > 340
+
+
+def test_rescale_keeps_every_unassigned_variable_decidable(fast_decay):
+    # vars 1..3 conflict at the first decisions and are bumped early; the
+    # satisfiable random 3-CNF on vars 4..103 then needs more than 340
+    # conflicts, so 1..3 are unassigned at the rescale and decided last
+    clauses = [[1, 2, 3], [1, 2, -3]]
+    rng = random.Random(4)
+    for _ in range(420):
+        clauses.append([v * rng.choice((-1, 1)) for v in rng.sample(range(4, 104), 3)])
+    inst = CnfInstance(103, clauses)
+    result = solve_embedded(inst)
+    assert result.verdict == "SAT"
+    assert check_model(inst, result.model)
+    assert result.stats["conflicts"] > 340
+
+
+def test_random_3cnf_cross_check_with_fast_decay(fast_decay):
+    test_random_3cnf_cross_check_against_naive_dpll()
+
+
+def test_solves_are_deterministic():
+    rng = random.Random(7)
+    clauses = [[v * rng.choice((-1, 1)) for v in rng.sample(range(1, 61), 3)]
+               for _ in range(240)]
+    inst = CnfInstance(60, clauses)
+    first, second = solve_embedded(inst), solve_embedded(inst)
+    assert first.stats["conflicts"] > 0
+    assert (first.verdict, first.model, first.stats) == (
+        second.verdict, second.model, second.stats
+    )
+    unsat = pigeonhole(5, 4)
+    assert solve_embedded(unsat).stats == solve_embedded(unsat).stats
+
+
+def test_counters_match_the_reference_search(data_dir):
+    """Pinned counters of the search on mutex3 BMC at k = 10 (UNSAT).
+
+    Speeding up propagation or the heap must leave them as they are; a
+    change to the decisions, conflicts or learnt clauses moves them.
+    """
+    from lassosat.encoder import encode
+    from lassosat.pipeline import build_problem
+    from lassosat.specfile import load_spec
+
+    problem = build_problem(load_spec(data_dir / "mutex3.zot"), 10, "mono", "bmc")
+    result = solve_embedded(to_cnf(encode(problem)))
+    assert result.verdict == "UNSAT"
+    assert result.stats == {
+        "conflicts": 342,
+        "decisions": 1142,
+        "propagations": 105557,
+        "restarts": 2,
+        "learnts": 316,
+    }
+
+
+def test_external_solver_timeout(tmp_path, monkeypatch, data_dir):
+    from lassosat.errors import SolverTimeout
+    from lassosat.pipeline import RunConfig, run
+    from lassosat.sat_external import SolverConfig, solve_external
+
+    exe = tmp_path / "minisat"
+    exe.write_text("#!/bin/sh\nexec sleep 5\n")
+    exe.chmod(exe.stat().st_mode | stat.S_IXUSR)
+    config = SolverConfig("slow", "minisat", executable=str(exe))
+    with pytest.raises(SolverTimeout, match="slow exceeded 0.2 s"):
+        solve_external(CnfInstance(1, [[1]]), config, tmp_path, timeout_s=0.2)
+
+    # a run passes RunConfig.timeout_s to the external backend too
+    monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ['PATH']}")
+    config = RunConfig(spec_path=str(data_dir / "lamp.zot"), solver="minisat",
+                       out_dir=str(tmp_path / "out"), timeout_s=0.2)
+    with pytest.raises(SolverTimeout, match="minisat exceeded 0.2 s"):
+        run(config)
 
 
 def test_external_solver_missing_executable():
