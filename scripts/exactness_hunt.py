@@ -4,7 +4,8 @@
 Draws random sugared formulas (every metric-operator variant family in the pool),
 desugars them, and compares the encoder+embedded-solver verdict against
 exhaustive (valuation x loop) enumeration decided by the trace oracle.
-Any mismatch is printed with a replay recipe.
+Any mismatch is printed with a replay recipe, and the exit status is 1 when
+there is any mismatch or unsound verdict.
 
 Usage: python scripts/exactness_hunt.py [COUNT] [SEED]
 """
@@ -58,7 +59,8 @@ def main():
             print(f"... {n + 1}/{count} checked, {mism} mismatches, "
                   f"{unsound} unsound, {dt:.0f}s", flush=True)
     print(f"DONE {count} formulas, {mism} exactness mismatches, {unsound} unsound")
+    return 1 if mism or unsound else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -10,8 +10,8 @@ from .declarations import (
     lower_array_atom,
     lower_item_atom,
 )
-from .desugar import desugar, expand_case, expand_quantifier, substitute
-from .encoder import CheckProblem, EncodedProblem, add_loop_free, encode, encode_bi, encode_mono
+from .desugar import desugar, expand_case
+from .encoder import CheckProblem, EncodedProblem, encode
 from .errors import (
     BoundSearchError,
     DomainError,

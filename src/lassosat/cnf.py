@@ -19,12 +19,6 @@ from .errors import LassosatError, SolverError
 class CnfInstance:
     num_vars: int
     clauses: List[List[int]]
-    comments: List[str] = field(default_factory=list)
-
-    def __eq__(self, other):
-        if not isinstance(other, CnfInstance):
-            return NotImplemented
-        return self.num_vars == other.num_vars and self.clauses == other.clauses
 
 
 @dataclass
@@ -219,7 +213,7 @@ def to_cnf(problem) -> CnfInstance:
 
 def emit_dimacs(inst: CnfInstance, sink, comments: Iterable[str] = ()) -> None:
     """Write `p cnf V C`, optional `c` lines, then 0-terminated clauses."""
-    lines = [f"c {c}" for c in list(inst.comments) + list(comments)]
+    lines = [f"c {c}" for c in comments]
     lines.append(f"p cnf {inst.num_vars} {len(inst.clauses)}")
     for clause in inst.clauses:
         lines.append(" ".join(str(l) for l in clause) + " 0")

@@ -23,7 +23,6 @@ true beyond the origin).
 from __future__ import annotations
 
 import warnings
-from typing import Optional
 
 from .errors import FormulaError
 from .formula import (
@@ -74,8 +73,6 @@ from .formula import (
     conj,
     disj,
 )
-
-_METRIC = (Lasts, Lasted, WithinF, WithinP, NextTime, LastTime)
 
 
 def _fold_not(f: Formula) -> Formula:
@@ -261,84 +258,8 @@ def _alwp(a: Formula, variant: str) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# quantifier and case expansion (spec-level operations)
+# case expansion (spec-level operation)
 # ---------------------------------------------------------------------------
-
-
-def substitute(f: Formula, env: dict) -> Formula:
-    """Replace bound variables by constants; inner rebindings shadow outer."""
-    if not env:
-        return f
-
-    def sub(g, env):
-        if isinstance(g, Atom):
-            return Atom(g.name, tuple(_resolve(t, env) for t in g.args), g.kind)
-        if isinstance(g, ItemRef):
-            return ItemRef(g.name, _resolve(g.value, env))
-        if isinstance(g, ArrayRef):
-            return ArrayRef(g.name, _resolve(g.index, env), _resolve(g.value, env))
-        if isinstance(g, Cond):
-            args = tuple(
-                sub(x, env) if isinstance(x, Cond) else _resolve(x, env) for x in g.args
-            )
-            return Cond(g.op, args)
-        if isinstance(g, (Forall, Exists)):
-            inner_env = {k: v for k, v in env.items() if k != g.var}
-            dom = tuple(_resolve(t, env) for t in g.domain)
-            cond = sub(g.cond, inner_env) if g.cond is not None else None
-            return type(g)(g.var, dom, sub(g.body, inner_env), cond)
-        if isinstance(g, (AndCase, OrCase)):
-            inner_env = dict(env)
-            bindings = []
-            for var, dom in g.bindings:
-                bindings.append((var, tuple(_resolve(t, inner_env) for t in dom)))
-                inner_env.pop(var, None)
-            branches = tuple(
-                (sub(gd, inner_env), sub(bd, inner_env)) for gd, bd in g.branches
-            )
-            els = sub(g.else_body, inner_env) if g.else_body is not None else None
-            return type(g)(tuple(bindings), branches, els)
-        if isinstance(g, _METRIC):
-            return type(g)(sub(g.sub, env), _resolve(g.offset, env), g.variant)
-        if isinstance(g, (Futr, Past, Dist)):
-            return type(g)(sub(g.sub, env), _resolve(g.offset, env))
-        if isinstance(g, (BoundedUntil, BoundedSince)):
-            hi = _resolve(g.hi, env) if g.hi is not None else None
-            return type(g)(
-                sub(g.left, env), sub(g.right, env), _resolve(g.lo, env), hi, g.variant
-            )
-        if isinstance(g, (UntilVar, SinceVar)):
-            return type(g)(sub(g.left, env), sub(g.right, env), g.variant)
-        if isinstance(g, (TrueF, FalseF)):
-            return g
-        if isinstance(g, (Not, Next, Yesterday, Zeta, Som, Alw)):
-            return type(g)(sub(g.sub, env))
-        if isinstance(g, (Somf, Somp, Alwf, Alwp)):
-            return type(g)(sub(g.sub, env), g.variant)
-        if isinstance(g, (And, Or)):
-            return type(g)(tuple(sub(x, env) for x in g.items))
-        if isinstance(g, (Implies, Iff, Until, Since, Release, Trigger)):
-            return type(g)(sub(g.left, env), sub(g.right, env))
-        raise FormulaError(f"cannot substitute into {type(g).__name__}")
-
-    return sub(f, env)
-
-
-def expand_quantifier(q, warn=True) -> Formula:
-    """One-level expansion of a Forall/Exists into a conjunction/disjunction."""
-    if not isinstance(q, (Forall, Exists)):
-        raise FormulaError("expand_quantifier expects a quantifier node")
-    if not q.domain:
-        raise FormulaError(f"quantifier over {q.var}: empty domain")
-    instances = []
-    for elem in q.domain:
-        env = {q.var: elem}
-        if q.cond is not None and not eval_cond(q.cond, env):
-            continue
-        instances.append(substitute(q.body, env))
-    if isinstance(q, Forall):
-        return conj(instances)
-    return disj(instances)
 
 
 def expand_case(c) -> Formula:

@@ -6,10 +6,16 @@ instant i", so a model denotes the infinite word u[0..i-1] (u[i..k])^w.
 The bi-infinite engine adds exactly one past selector P_p and anchors the
 word ^w(u[0..p]) u[0..k] (u[i..k])^w at absolute instant 0.
 
-Subformula variables are constrained by their fixpoint expansions; Until
-obligations alive at the end of the loop must be discharged inside it (and
-Since obligations inside the past loop, for the bi engine), with the dual
-constraints pinning Release/Trigger.
+Subformula variables are constrained by their fixpoint expansions, one rule
+per operator (`_rec`): a node's value at instant t follows from its operands
+at t and from its recurrence neighbour, the node (or, for next/yesterday/
+zeta, the operand) one instant further in the operator's direction.  Where
+that neighbour lies beyond a finite edge of the word (the mono origin, the
+end of a loop-free window) it is a constant: false for the strong operators
+next, yesterday, until and since, true for the weak duals zeta, release and
+trigger.  Until obligations alive at the end of the loop must be discharged
+inside it (and Since obligations inside the past loop, for the bi engine),
+with the dual constraints pinning Release/Trigger.
 
 Past-dependent subformulas change value between traversals of the loop, so
 one variable per (subformula, instant) cannot be exact.  Such subformulas
@@ -24,9 +30,12 @@ guards soundness without sacrificing completeness.  The bi engine mirrors
 the scheme with backward copies of future-dependent subformulas across the
 past loop.
 
-The loop-free mode drops the selectors and instead forces all k+1 atom
-state vectors to be pairwise distinct, which makes UNSAT mean "no loop-free
-path of this length exists", i.e. the completeness bound is reached.
+The loop-free mode is the same encoder run without selectors and with a
+single copy of every subformula, so instant k has no successor and the
+future operators take their finite-word value there.  It also forces all
+k+1 atom state vectors to be pairwise distinct, which makes UNSAT mean "no
+loop-free path of this length exists", i.e. the completeness bound is
+reached, and asserts transitions only where their lookahead fits the window.
 """
 
 from __future__ import annotations
@@ -152,42 +161,8 @@ class EncodedProblem:
 
 
 def encode(problem: CheckProblem) -> EncodedProblem:
-    if problem.loop_free:
-        return _encode_loop_free(problem)
-    if problem.engine == "mono":
-        return encode_mono(problem)
-    if problem.engine == "bi":
-        return encode_bi(problem)
-    raise EncodingError(f"unknown engine {problem.engine}")
-
-
-def encode_mono(problem: CheckProblem) -> EncodedProblem:
-    if problem.loop_free:
-        return _encode_loop_free(problem)
-    return _Loopy(problem, "mono").encode()
-
-
-def encode_bi(problem: CheckProblem) -> EncodedProblem:
-    return _Loopy(problem, "bi").encode()
-
-
-def add_loop_free(problem: EncodedProblem) -> EncodedProblem:
-    """Re-encode the same problem with the loop machinery replaced."""
-    if problem.engine != "mono":
-        raise EncodingError("loop-free mode is defined for the mono engine only")
-    src = problem.source
-    return _encode_loop_free(
-        CheckProblem(
-            k=src.k,
-            engine="mono",
-            root=src.root,
-            transitions=src.transitions,
-            global_constraints=src.global_constraints,
-            atoms=src.atoms,
-            facts=src.facts,
-            loop_free=True,
-        )
-    )
+    """Compile a problem into one circuit, loopy or loop-free."""
+    return _Encoder(problem).encode()
 
 
 def _all_formulas(problem: CheckProblem):
@@ -255,34 +230,55 @@ def _bool_circuit(f: Formula, operand):
     raise EncodingError(f"not a boolean connective: {type(f).__name__}")
 
 
-def _until_like(f):
-    return isinstance(f, (Until, Since))
+# ---------------------------------------------------------------------------
+# the encoder: one expansion rule per operator, shared by every mode
+# ---------------------------------------------------------------------------
+
+# shift operators: the recurrence neighbour is the operand, not the node
+_SHIFT = frozenset((Next, Yesterday, Zeta))
+# weak duals: the neighbour beyond a finite edge is true (false otherwise)
+_WEAK = frozenset((Zeta, Release, Trigger))
+_UNTIL_LIKE = frozenset((Until, Since))
 
 
-def _step(f, a, b, nxt):
-    """One fixpoint expansion step: operands now, the recurrence neighbour."""
-    if _until_like(f):
+def _rec(acc, f: Formula, d: int, t: int, nd: int, nt: Optional[int]):
+    """The fixpoint expansion of temporal node f at copy d, instant t.
+
+    `acc(g, copy, instant)` is R or Lc; (nd, nt) is the recurrence
+    neighbour, and nt None puts it beyond a finite edge of the word, where
+    it is false for the strong operators and true for the weak duals.
+    """
+    cls = type(f)
+    if cls in _SHIFT:
+        return (cls in _WEAK) if nt is None else acc(f.sub, nd, nt)
+    nxt = (cls in _WEAK) if nt is None else acc(f, nd, nt)
+    a, b = acc(f.left, d, t), acc(f.right, d, t)
+    if cls in _UNTIL_LIKE:
         return cor((b, cand((a, nxt))))
     return cand((b, cor((a, nxt))))
 
 
-# ---------------------------------------------------------------------------
-# the two loopy engines
-# ---------------------------------------------------------------------------
-
-
-class _Loopy:
-    def __init__(self, problem: CheckProblem, engine: str):
-        k = problem.k
-        if k < 2:
-            raise EncodingError(f"{engine} engine needs k >= 2, got {k}")
+class _Encoder:
+    def __init__(self, problem: CheckProblem):
+        k, engine = problem.k, problem.engine
+        self.loop_free = problem.loop_free
+        if self.loop_free:
+            if engine != "mono":
+                raise EncodingError("loop-free mode is defined for the mono engine only")
+            if k < 1:
+                raise EncodingError(f"loop-free mode needs k >= 1, got {k}")
+        else:
+            if engine not in ("mono", "bi"):
+                raise EncodingError(f"unknown engine {engine}")
+            if k < 2:
+                raise EncodingError(f"{engine} engine needs k >= 2, got {k}")
         self.problem = problem
         self.engine = engine
         self.k = k
         forms = _all_formulas(problem)
         self.caps: Dict[Formula, Tuple[int, int]] = {}
         for f in closure(forms):
-            if isinstance(f, Atom):
+            if self.loop_free or isinstance(f, Atom):
                 self.caps[f] = (0, 0)
                 continue
             fd, pd = temporal_depth(f)
@@ -292,7 +288,8 @@ class _Loopy:
         for a in problem.atoms:
             self.caps.setdefault(a, (0, 0))
         self.vm = build_varmap(
-            forms, k, engine, problem.atoms, copies=self.caps
+            forms, k, engine, problem.atoms,
+            with_selectors=not self.loop_free, copies=self.caps,
         )
         self.vm.assertion_instant = 1 if engine == "mono" else 0
         self.cons: List = []
@@ -320,11 +317,10 @@ class _Loopy:
         return cvar((bases[e] if e < len(bases) else bases[-1]) + t)
 
     def encode(self) -> EncodedProblem:
-        vm, k = self.vm, self.k
-        cons = self.cons
-        cons.extend(_exactly_one([vm.loop_selectors[i] for i in range(1, k + 1)]))
-        if self.engine == "bi":
-            cons.extend(_exactly_one([vm.pool_selectors[p] for p in range(1, k + 1)]))
+        vm = self.vm
+        for selectors in (vm.loop_selectors, vm.pool_selectors):
+            if selectors:
+                self.cons.extend(_exactly_one(list(selectors.values())))
 
         for f in vm.partitions["bool"]:
             self._emit_bool(f)
@@ -334,12 +330,14 @@ class _Loopy:
             self._emit_past(f)
 
         self._emit_assertions()
-        cons.extend(_fact_constraints(self.problem, vm))
+        self.cons.extend(_fact_constraints(self.problem, vm))
+        if self.loop_free:
+            self._emit_all_different()
         return EncodedProblem(
             varmap=vm,
-            formula=cand(cons) if cons else True,
+            formula=cand(self.cons) if self.cons else True,
             engine=self.engine,
-            loop_free=False,
+            loop_free=self.loop_free,
             source=self.problem,
         )
 
@@ -361,205 +359,104 @@ class _Loopy:
                 self.cons.append(ciff(self.Lc(f, e, t), circuit))
 
     def _emit_future(self, f: Formula):
-        vm, k, cons = self.vm, self.k, self.cons
+        k, cons, R, Lc, rec = self.k, self.cons, self.R, self.Lc, _rec
+        loops = self.vm.loop_selectors.items()
+        pools = self.vm.pool_selectors.items()
         nr, nl = self.caps[f]
-        is_next = isinstance(f, Next)
         for d in range(nr + 1):
             for t in range(k):
-                if is_next:
-                    rhs = self.R(f.sub, d, t + 1)
-                else:
-                    rhs = _step(
-                        f, self.R(f.left, d, t), self.R(f.right, d, t),
-                        self.R(f, d, t + 1),
-                    )
-                cons.append(ciff(self.R(f, d, t), rhs))
+                cons.append(ciff(R(f, d, t), rec(R, f, d, t, d, t + 1)))
+            if self.loop_free:
+                # instant k has no successor: the finite-word value
+                cons.append(ciff(R(f, d, k), rec(R, f, d, k, d, None)))
             # instant k loops back to the selected position, one pass deeper
-            for i in range(1, k + 1):
-                sel = cvar(vm.loop_selectors[i])
-                if is_next:
-                    wrap = self.R(f.sub, d + 1, i)
-                else:
-                    wrap = _step(
-                        f, self.R(f.left, d, k), self.R(f.right, d, k),
-                        self.R(f, d + 1, i),
-                    )
-                cons.append(cimp(sel, ciff(self.R(f, d, k), wrap)))
+            for i, s in loops:
+                cons.append(cimp(cvar(s), ciff(R(f, d, k), rec(R, f, d, k, d + 1, i))))
         # obligations alive at the end of the top copy are discharged inside
         # the loop (its crossing is a self-cycle)
-        if isinstance(f, Until):
-            for i in range(1, k + 1):
-                witness = cor([self.R(f.right, nr, t) for t in range(i, k + 1)])
-                cons.append(
-                    cimp(cand((cvar(vm.loop_selectors[i]), self.R(f, nr, k))), witness)
-                )
-        elif isinstance(f, Release):
-            for i in range(1, k + 1):
-                always = cand([self.R(f.right, nr, t) for t in range(i, k + 1)])
-                cons.append(
-                    cimp(cand((cvar(vm.loop_selectors[i]), always)), self.R(f, nr, k))
-                )
+        if type(f) is Until:
+            for i, s in loops:
+                witness = cor([R(f.right, nr, t) for t in range(i, k + 1)])
+                cons.append(cimp(cand((cvar(s), R(f, nr, k))), witness))
+        elif type(f) is Release:
+            for i, s in loops:
+                always = cand([R(f.right, nr, t) for t in range(i, k + 1)])
+                cons.append(cimp(cand((cvar(s), always)), R(f, nr, k)))
 
-        if self.engine != "bi":
-            return
+        # bi engine: backward passes through the past loop
         for e in range(1, nl + 1):
-            for p in range(1, k + 1):
-                sel = cvar(vm.pool_selectors[p])
+            for p, s in pools:
+                sel = cvar(s)
                 for t in range(p):
-                    if is_next:
-                        rhs = self.Lc(f.sub, e, t + 1)
-                    else:
-                        rhs = _step(
-                            f, self.Lc(f.left, e, t), self.Lc(f.right, e, t),
-                            self.Lc(f, e, t + 1),
-                        )
-                    cons.append(cimp(sel, ciff(self.Lc(f, e, t), rhs)))
-                if is_next:
-                    rhs = self.Lc(f.sub, e - 1, 0)
-                else:
-                    rhs = _step(
-                        f, self.Lc(f.left, e, p), self.Lc(f.right, e, p),
-                        self.Lc(f, e - 1, 0),
-                    )
-                cons.append(cimp(sel, ciff(self.Lc(f, e, p), rhs)))
+                    cons.append(cimp(sel, ciff(Lc(f, e, t), rec(Lc, f, e, t, e, t + 1))))
+                cons.append(cimp(sel, ciff(Lc(f, e, p), rec(Lc, f, e, p, e - 1, 0))))
         # future values agree at p and at the virtual predecessor of 0
-        for p in range(1, k + 1):
-            sel = cvar(vm.pool_selectors[p])
-            if is_next:
-                virt = self.Lc(f.sub, nl, 0)
-            else:
-                virt = _step(
-                    f, self.Lc(f.left, nl, p), self.Lc(f.right, nl, p),
-                    self.Lc(f, nl, 0),
-                )
-            cons.append(cimp(sel, ciff(self.Lc(f, nl, p), virt)))
+        for p, s in pools:
+            cons.append(cimp(cvar(s), ciff(Lc(f, nl, p), rec(Lc, f, nl, p, nl, 0))))
 
     def _emit_past(self, f: Formula):
-        vm, k, cons = self.vm, self.k, self.cons
+        k, cons, R, Lc, rec = self.k, self.cons, self.R, self.Lc, _rec
+        loops = self.vm.loop_selectors.items()
+        pools = self.vm.pool_selectors.items()
         nr, nl = self.caps[f]
-        is_yest = isinstance(f, (Yesterday, Zeta))
         for t in range(1, k + 1):
-            if is_yest:
-                rhs = self.R(f.sub, 0, t - 1)
-            else:
-                rhs = _step(
-                    f, self.R(f.left, 0, t), self.R(f.right, 0, t),
-                    self.R(f, 0, t - 1),
-                )
-            cons.append(ciff(self.R(f, 0, t), rhs))
-        if self.engine == "mono":
-            # time origin: yesterday is false, its dual true, and since/
-            # trigger collapse to their right argument
-            if isinstance(f, Yesterday):
-                cons.append(cnot(self.R(f, 0, 0)))
-            elif isinstance(f, Zeta):
-                cons.append(self.R(f, 0, 0))
-            else:
-                cons.append(ciff(self.R(f, 0, 0), self.R(f.right, 0, 0)))
-        else:
-            # no origin: instant 0 wraps into the past loop
-            for p in range(1, k + 1):
-                sel = cvar(vm.pool_selectors[p])
-                if is_yest:
-                    wrap = self.Lc(f.sub, 1, p)
-                else:
-                    wrap = _step(
-                        f, self.R(f.left, 0, 0), self.R(f.right, 0, 0),
-                        self.Lc(f, 1, p),
-                    )
-                cons.append(cimp(sel, ciff(self.R(f, 0, 0), wrap)))
+            cons.append(ciff(R(f, 0, t), rec(R, f, 0, t, 0, t - 1)))
+        if not pools:
+            # mono engine: instant 0 is the time origin, a finite edge
+            cons.append(ciff(R(f, 0, 0), rec(R, f, 0, 0, 0, None)))
+        # bi engine: no origin, instant 0 wraps into the past loop (copy 0
+        # of Lc is the primary block)
+        for p, s in pools:
+            cons.append(cimp(cvar(s), ciff(R(f, 0, 0), rec(Lc, f, 0, 0, 1, p))))
 
         # deeper traversals of the future loop (past values shift one pass)
         for d in range(1, nr + 1):
-            for i in range(1, k + 1):
-                sel = cvar(vm.loop_selectors[i])
+            for i, s in loops:
+                sel = cvar(s)
                 for t in range(i + 1, k + 1):
-                    if is_yest:
-                        rhs = self.R(f.sub, d, t - 1)
-                    else:
-                        rhs = _step(
-                            f, self.R(f.left, d, t), self.R(f.right, d, t),
-                            self.R(f, d, t - 1),
-                        )
-                    cons.append(cimp(sel, ciff(self.R(f, d, t), rhs)))
-                if is_yest:
-                    entry = self.R(f.sub, d - 1, k)
-                else:
-                    entry = _step(
-                        f, self.R(f.left, d, i), self.R(f.right, d, i),
-                        self.R(f, d - 1, k),
-                    )
-                cons.append(cimp(sel, ciff(self.R(f, d, i), entry)))
+                    cons.append(cimp(sel, ciff(R(f, d, t), rec(R, f, d, t, d, t - 1))))
+                cons.append(cimp(sel, ciff(R(f, d, i), rec(R, f, d, i, d - 1, k))))
         # the top copy is past-consistent: the loop entry value agrees with
         # the value at the virtual successor of k
-        for i in range(1, k + 1):
-            sel = cvar(vm.loop_selectors[i])
-            if is_yest:
-                virt = self.R(f.sub, nr, k)
-            else:
-                virt = _step(
-                    f, self.R(f.left, nr, i), self.R(f.right, nr, i),
-                    self.R(f, nr, k),
-                )
-            cons.append(cimp(sel, ciff(self.R(f, nr, i), virt)))
+        for i, s in loops:
+            cons.append(cimp(cvar(s), ciff(R(f, nr, i), rec(R, f, nr, i, nr, k))))
 
-        if self.engine != "bi":
-            return
+        # bi engine: backward passes through the past loop
         for e in range(1, nl + 1):
-            for p in range(1, k + 1):
-                sel = cvar(vm.pool_selectors[p])
+            for p, s in pools:
+                sel = cvar(s)
                 for t in range(1, p + 1):
-                    if is_yest:
-                        rhs = self.Lc(f.sub, e, t - 1)
-                    else:
-                        rhs = _step(
-                            f, self.Lc(f.left, e, t), self.Lc(f.right, e, t),
-                            self.Lc(f, e, t - 1),
-                        )
-                    cons.append(cimp(sel, ciff(self.Lc(f, e, t), rhs)))
-                if is_yest:
-                    wrap = self.Lc(f.sub, e + 1, p)
-                else:
-                    wrap = _step(
-                        f, self.Lc(f.left, e, 0), self.Lc(f.right, e, 0),
-                        self.Lc(f, e + 1, p),
-                    )
-                cons.append(cimp(sel, ciff(self.Lc(f, e, 0), wrap)))
+                    cons.append(cimp(sel, ciff(Lc(f, e, t), rec(Lc, f, e, t, e, t - 1))))
+                cons.append(cimp(sel, ciff(Lc(f, e, 0), rec(Lc, f, e, 0, e + 1, p))))
         # since/trigger are cyclic around the past loop at their deepest
         # backward copy: discharge the obligations there
-        if isinstance(f, Since):
-            for p in range(1, k + 1):
-                witness = cor([self.Lc(f.right, nl, t) for t in range(p + 1)])
-                cons.append(
-                    cimp(
-                        cand((cvar(vm.pool_selectors[p]), self.Lc(f, nl, 0))), witness
-                    )
-                )
-        elif isinstance(f, Trigger):
-            for p in range(1, k + 1):
-                always = cand([self.Lc(f.right, nl, t) for t in range(p + 1)])
-                cons.append(
-                    cimp(
-                        cand((cvar(vm.pool_selectors[p]), always)), self.Lc(f, nl, 0)
-                    )
-                )
+        if type(f) is Since:
+            for p, s in pools:
+                witness = cor([Lc(f.right, nl, t) for t in range(p + 1)])
+                cons.append(cimp(cand((cvar(s), Lc(f, nl, 0))), witness))
+        elif type(f) is Trigger:
+            for p, s in pools:
+                always = cand([Lc(f.right, nl, t) for t in range(p + 1)])
+                cons.append(cimp(cand((cvar(s), always)), Lc(f, nl, 0)))
 
     def _emit_assertions(self):
         vm, k, cons = self.vm, self.k, self.cons
         problem = self.problem
         for tr in problem.transitions:
-            for t in range(k + 1):
+            # loop-free: only where the lookahead fits the window
+            last = k - temporal_depth(tr)[0] if self.loop_free else k
+            for t in range(last + 1):
                 cons.append(self.R(tr, 0, t))
             nr, nl = self.caps[tr]
             # constraints with past content must also hold on later passes
             for d in range(1, nr + 1):
-                for i in range(1, k + 1):
-                    sel = cvar(vm.loop_selectors[i])
+                for i, s in vm.loop_selectors.items():
+                    sel = cvar(s)
                     for t in range(i, k + 1):
                         cons.append(cimp(sel, self.R(tr, d, t)))
             for e in range(1, nl + 1):
-                for p in range(1, k + 1):
-                    sel = cvar(vm.pool_selectors[p])
+                for p, s in vm.pool_selectors.items():
+                    sel = cvar(s)
                     for t in range(p + 1):
                         cons.append(cimp(sel, self.Lc(tr, e, t)))
         for gc in problem.global_constraints:
@@ -569,91 +466,10 @@ class _Loopy:
             vm.root_var = vm.var(problem.root, vm.assertion_instant)
             cons.append(cvar(vm.root_var))
 
-
-# ---------------------------------------------------------------------------
-# loop-free (completeness) mode
-# ---------------------------------------------------------------------------
-
-
-def _encode_loop_free(problem: CheckProblem) -> EncodedProblem:
-    k = problem.k
-    if problem.engine != "mono":
-        raise EncodingError("loop-free mode is defined for the mono engine only")
-    if k < 1:
-        raise EncodingError(f"loop-free mode needs k >= 1, got {k}")
-    vm = build_varmap(
-        _all_formulas(problem), k, "mono", problem.atoms, with_selectors=False
-    )
-    vm.assertion_instant = 1
-    V = vm.var
-    cons: List = []
-
-    def rvar(f, t):
-        return cvar(V(f, t))
-
-    for f in vm.partitions["bool"]:
-        if isinstance(f, (TrueF, FalseF)):
-            positive = isinstance(f, TrueF)
-            for t in range(k + 1):
-                cons.append(rvar(f, t) if positive else cnot(rvar(f, t)))
-            continue
-        for t in range(k + 1):
-            cons.append(
-                ciff(rvar(f, t), _bool_circuit(f, lambda c, t=t: rvar(c, t)))
-            )
-
-    # future operators fall back to finite-word semantics at the last instant
-    for f in vm.partitions["future"]:
-        for t in range(k):
-            if isinstance(f, Next):
-                rhs = rvar(f.sub, t + 1)
-            else:
-                rhs = _step(f, rvar(f.left, t), rvar(f.right, t), rvar(f, t + 1))
-            cons.append(ciff(rvar(f, t), rhs))
-        if isinstance(f, Next):
-            cons.append(cnot(rvar(f, k)))
-        else:
-            cons.append(ciff(rvar(f, k), rvar(f.right, k)))
-
-    for f in vm.partitions["past"]:
-        for t in range(1, k + 1):
-            if isinstance(f, (Yesterday, Zeta)):
-                rhs = rvar(f.sub, t - 1)
-            else:
-                rhs = _step(f, rvar(f.left, t), rvar(f.right, t), rvar(f, t - 1))
-            cons.append(ciff(rvar(f, t), rhs))
-        if isinstance(f, Yesterday):
-            cons.append(cnot(rvar(f, 0)))
-        elif isinstance(f, Zeta):
-            cons.append(rvar(f, 0))
-        else:
-            cons.append(ciff(rvar(f, 0), rvar(f.right, 0)))
-
-    # transition constraints only where their lookahead fits the window
-    for tr in problem.transitions:
-        fdepth, _ = temporal_depth(tr)
-        for t in range(0, k - fdepth + 1):
-            cons.append(rvar(tr, t))
-    for gc in problem.global_constraints:
-        for t in range(k + 1):
-            cons.append(rvar(gc, t))
-
-    if problem.root is not None:
-        vm.root_var = V(problem.root, vm.assertion_instant)
-        cons.append(cvar(vm.root_var))
-
-    cons.extend(_fact_constraints(problem, vm))
-
-    # all-different: every pair of instants differs in at least one atom
-    for s in range(k + 1):
-        for t in range(s + 1, k + 1):
-            diffs = [cnot(ciff(rvar(a, s), rvar(a, t))) for a in vm.atoms]
-            cons.append(cor(diffs))
-
-    return EncodedProblem(
-        varmap=vm,
-        formula=cand(cons) if cons else True,
-        engine="mono",
-        loop_free=True,
-        source=problem,
-    )
+    def _emit_all_different(self):
+        # every pair of instants differs in at least one atom
+        k, R = self.k, self.R
+        for s in range(k + 1):
+            for t in range(s + 1, k + 1):
+                diffs = [cnot(ciff(R(a, 0, s), R(a, 0, t))) for a in self.vm.atoms]
+                self.cons.append(cor(diffs))

@@ -150,21 +150,29 @@ def _dimacs_comments(vm) -> List[str]:
     return out
 
 
-def _solve(inst: CnfInstance, solver: str, out_dir: str, comments, timeout_s):
+def _write_cnf(inst: CnfInstance, out_dir: str, comments) -> None:
     outp = Path(out_dir)
     outp.mkdir(parents=True, exist_ok=True)
+    with open(outp / CNF_FILENAME, "w", encoding="utf-8") as fh:
+        emit_dimacs(inst, fh, comments)
+
+
+def _write_sat(inst: CnfInstance, result, out_dir: str) -> None:
+    with open(Path(out_dir) / SAT_FILENAME, "w", encoding="utf-8") as fh:
+        if result.verdict == "SAT":
+            lits = " ".join(
+                str(v if result.model[v] else -v) for v in range(1, inst.num_vars + 1)
+            )
+            fh.write(f"SAT\n{lits} 0\n")
+        else:
+            fh.write("UNSAT\n")
+
+
+def _solve(inst: CnfInstance, solver: str, out_dir: str, comments, timeout_s):
     if solver == "embedded":
-        with open(outp / CNF_FILENAME, "w", encoding="utf-8") as fh:
-            emit_dimacs(inst, fh, comments)
+        _write_cnf(inst, out_dir, comments)
         result = solve_embedded(inst, timeout_s=timeout_s)
-        with open(outp / SAT_FILENAME, "w", encoding="utf-8") as fh:
-            if result.verdict == "SAT":
-                lits = " ".join(
-                    str(v if result.model[v] else -v) for v in range(1, inst.num_vars + 1)
-                )
-                fh.write(f"SAT\n{lits} 0\n")
-            else:
-                fh.write("UNSAT\n")
+        _write_sat(inst, result, out_dir)
         return result
     cfg = DEFAULT_SOLVERS.get(solver)
     if cfg is None:
@@ -256,13 +264,31 @@ def find_bound(config: RunConfig, doc: Optional[SpecDocument] = None) -> int:
         raise SpecFormatError("find-bound uses the loop-free mono encoding")
     for k in range(1, config.max_bound + 1):
         problem = build_problem(doc, k, "mono", "find-bound", None)
-        _, _, result = _run_problem(problem, solver, config.out_dir, config.timeout_s)
+        result = _bound_step(problem, solver, config, last=k == config.max_bound)
         if result.verdict == "UNSAT":
             Path(config.out_dir, HIST_FILENAME).write_text("", encoding="utf-8")
             return k
     raise BoundSearchError(
         f"still satisfiable at the maximum bound {config.max_bound}"
     )
+
+
+def _bound_step(problem: CheckProblem, solver: str, config: RunConfig, last: bool):
+    """One loop-free solve of find_bound.
+
+    An external solver reads the CNF from its file, so it writes the files
+    for every k; the embedded one writes them only for the last k solved.
+    Each k's encoding and CNF are released before the next k is built.
+    """
+    if solver != "embedded":
+        return _run_problem(problem, solver, config.out_dir, config.timeout_s)[2]
+    encoded = encode(problem)
+    inst = to_cnf(encoded)
+    result = solve_embedded(inst, timeout_s=config.timeout_s)
+    if last or result.verdict == "UNSAT":
+        _write_cnf(inst, config.out_dir, _dimacs_comments(encoded.varmap))
+        _write_sat(inst, result, config.out_dir)
+    return result
 
 
 def _run_find_bound(config, doc, engine, solver) -> RunReport:

@@ -45,9 +45,6 @@ DEFAULT_SOLVERS = {
     "picosat": SolverConfig("picosat", "picosat"),
 }
 
-# the default choice among external solvers
-DEFAULT_EXTERNAL = DEFAULT_SOLVERS["minisat"]
-
 
 def solver_available(config: SolverConfig) -> bool:
     return shutil.which(config.exe) is not None

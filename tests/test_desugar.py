@@ -5,13 +5,12 @@ import warnings
 import pytest
 
 from gen import random_core, random_sugared, random_trace
-from lassosat.desugar import desugar, expand_case, expand_quantifier
+from lassosat.desugar import desugar, expand_case
 from lassosat.errors import FormulaError
 from lassosat.formula import (
     And,
     Atom,
     BoundedUntil,
-    Exists,
     Forall,
     Futr,
     Lasts,
@@ -146,12 +145,12 @@ def test_som_alw_expansions():
 
 def test_quantifier_expansion_golden():
     f = _f("(-A- x (1 2) (-P- P x))")
-    assert expand_quantifier(f) == And((Atom("P", (1,)), Atom("P", (2,))))
+    assert desugar(f) == And((Atom("P", (1,)), Atom("P", (2,))))
 
 
 def test_quantifier_four_way_instance():
     f = _f("(-E- x (range 2 5) (-P- P x))")
-    out = expand_quantifier(f)
+    out = desugar(f)
     assert isinstance(out, Or) and len(out.items) == 4
 
 
@@ -165,7 +164,7 @@ def test_nested_quantifier_product():
 
 def test_quantifier_condition_filters_instances():
     f = _f("(-E- x (1 2 3) (< x 3) (-P- P x))")
-    assert expand_quantifier(f) == Or((Atom("P", (1,)), Atom("P", (2,))))
+    assert desugar(f) == Or((Atom("P", (1,)), Atom("P", (2,))))
 
 
 def test_condition_inside_body_evaluates():

@@ -1,19 +1,21 @@
+import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
-from brute import brute_force_sat, trace_from_index
+from brute import brute_force_sat
 from gen import random_core, random_sugared_capped, random_trace
-from lassosat.cnf import to_cnf
+from lassosat.cnf import dimacs_text, to_cnf
 from lassosat.desugar import desugar
-from lassosat.encoder import CheckProblem, add_loop_free, encode, encode_bi, encode_mono
+from lassosat.encoder import CheckProblem, encode
 from lassosat.errors import EncodingError
 from lassosat.formula import And, Atom, Iff, Next, Not, Yesterday, Zeta
 from lassosat.oracle import eval_lasso
 from lassosat.pipeline import RunConfig, build_problem, check_trace_against_root, run
 from lassosat.sat_embedded import solve_embedded
 from lassosat.specfile import load_spec
-from lassosat.trace import LassoTrace, PartialHistory, decode
+from lassosat.trace import PartialHistory, decode, load_history
 
 P, Q = Atom("P"), Atom("Q")
 
@@ -68,9 +70,13 @@ def test_bi_alw_forces_atom_at_every_instant():
 
 def test_small_bounds_rejected():
     with pytest.raises(EncodingError, match="k >= 2"):
-        encode_mono(CheckProblem(k=1, engine="mono", root=P))
+        encode(CheckProblem(k=1, engine="mono", root=P))
     with pytest.raises(EncodingError, match="k >= 2"):
-        encode_bi(CheckProblem(k=1, engine="bi", root=P))
+        encode(CheckProblem(k=1, engine="bi", root=P))
+    with pytest.raises(EncodingError, match="loop-free mode needs k >= 1"):
+        encode(CheckProblem(k=0, engine="mono", root=P, loop_free=True))
+    with pytest.raises(EncodingError, match="unknown engine"):
+        encode(CheckProblem(k=3, engine="tri", root=P))
 
 
 def test_exactly_one_selector_in_models():
@@ -173,18 +179,56 @@ def test_loop_free_distinctness_holds_in_models(data_dir):
     assert len(set(states)) == 3
 
 
-def test_add_loop_free_rederives_from_source():
+def test_loop_free_encoding_has_no_selectors():
     problem = CheckProblem(k=2, engine="mono", root=Yesterday(P), atoms=(P,))
     loopy = encode(problem)
-    free = add_loop_free(loopy)
+    free = encode(replace(problem, loop_free=True))
     assert free.loop_free and not loopy.loop_free
     assert free.varmap.loop_selectors == {}
+    assert loopy.varmap.loop_selectors != {}
 
 
-def test_add_loop_free_rejects_bi():
-    encoded = encode(CheckProblem(k=2, engine="bi", root=P))
-    with pytest.raises(EncodingError, match="mono"):
-        add_loop_free(encoded)
+def test_loop_free_rejects_bi():
+    problem = CheckProblem(k=2, engine="bi", root=P)
+    encode(problem)
+    with pytest.raises(EncodingError, match="defined for the mono engine only"):
+        encode(replace(problem, loop_free=True))
+
+
+# Encoding bytes pinned at a known-good state: spec, k, engine, mode, copy
+# blocks, variables, clauses and the SHA-256 of the DIMACS text.  A change
+# to the encoding must update a row on purpose.
+PINNED = [
+    ("lamp.zot", 5, "mono", "bsc", 147, 1947, 6265,
+     "31ccd44ed977d784f57e0a6cc6e477c0ee69226c8a50c4fbe73fdbbc0c83645e"),
+    ("lamp.zot", 5, "bi", "bsc", 156, 2162, 7102,
+     "272740893de38b7bbec841576dd8c524f617d517a9cf15ee7e3b3b9f79c9a336"),
+    ("mutex3.zot", 4, "mono", "bmc", 16, 1166, 3724,
+     "a808c57d398b9a2b4de5e89edabf21dfdf887d3d9e7699a563e107666b3652b3"),
+    ("mutex3.zot", 4, "bi", "bmc", 213, 2892, 10227,
+     "0c70af6c7552e422afe4864c1b6315d489df1e73014a9fa6a71f1e13b449950c"),
+    ("cycle3.zot", 3, "mono", "loop-free", 0, 90, 254,
+     "970ce46db4d6d20d6db3de67074b3a928f42b199b2593423f521ede9b10bcafb"),
+    ("stutter.zot", 4, "bi", "bsc", 4, 78, 262,
+     "dc3d19a3d3ad3578fd175ee2b7eab1ac12e2bee78ef58604968693e9f9904559"),
+    ("lamp.zot", 10, "bi", "hcc", 156, 4187, 15526,
+     "f74f729357f9941a63e90400405cce003d7735792baa7c41690a307daf5cb9ad"),
+    ("mutex3.zot", 4, "mono", "loop-free", 0, 965, 3053,
+     "9e5399e5e7ff2a4ea2f6014fa515cfff6c9ab54855110ad2c72fcde04947f704"),
+]
+
+
+@pytest.mark.parametrize("spec,k,engine,mode,blocks,nvars,nclauses,digest", PINNED)
+def test_encoding_bytes_are_pinned(
+    data_dir, spec, k, engine, mode, blocks, nvars, nclauses, digest
+):
+    facts = load_history(data_dir / "lamp_history.txt") if mode == "hcc" else None
+    problem = build_problem(load_spec(data_dir / spec), k, engine, mode, facts)
+    encoded = encode(problem)
+    inst = to_cnf(encoded)
+    assert len(encoded.varmap.copy_base) == blocks
+    assert (inst.num_vars, len(inst.clauses)) == (nvars, nclauses)
+    assert hashlib.sha256(dimacs_text(inst).encode()).hexdigest() == digest
 
 
 def test_history_fact_beyond_bound_rejected():

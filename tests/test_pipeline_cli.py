@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from lassosat import pipeline
 from lassosat.cli import main
 from lassosat.errors import BoundSearchError, SpecFormatError
 from lassosat.formula import Atom
@@ -119,6 +120,34 @@ def test_find_bound_exhaustion_is_an_error(data_dir, out_dir, tmp_path):
     with pytest.raises(BoundSearchError, match="maximum bound"):
         find_bound(RunConfig(spec_path=str(spec), out_dir=out_dir,
                              mode="find-bound", max_bound=4))
+
+
+def test_find_bound_writes_the_files_of_the_last_k_once(
+    data_dir, tmp_path, monkeypatch
+):
+    """The embedded path leaves one CNF write, equal to a loop-free run at
+    the last k solved: the bound found, or max_bound when none is."""
+    emitted = []
+    real_emit = pipeline.emit_dimacs
+    monkeypatch.setattr(
+        pipeline, "emit_dimacs", lambda *a, **kw: emitted.append(1) or real_emit(*a, **kw)
+    )
+    counter = tmp_path / "counter.zot"
+    counter.write_text("(define-item c (range 0 40))\n(init (c= 0))\n")
+    for spec, max_bound, last_k in ((data_dir / "cycle3.zot", 50, 3), (counter, 4, 4)):
+        searched, single = tmp_path / f"fb-{last_k}", tmp_path / f"lf-{last_k}"
+        emitted.clear()
+        cfg = RunConfig(spec_path=str(spec), out_dir=str(searched), max_bound=max_bound)
+        if last_k < max_bound:
+            assert find_bound(cfg) == last_k
+        else:
+            with pytest.raises(BoundSearchError):
+                find_bound(cfg)
+        assert len(emitted) == 1
+        run(RunConfig(spec_path=str(spec), out_dir=str(single), mode="loop-free",
+                      bound=last_k))
+        for name in ("output.cnf.txt", "output.sat.txt"):
+            assert (searched / name).read_bytes() == (single / name).read_bytes()
 
 
 def test_loop_free_mode_verdict_texts(data_dir, out_dir):
