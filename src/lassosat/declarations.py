@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from .errors import DomainError, SpecFormatError
-from .formula import And, Atom, Formula, Not, Or, disj
+from .formula import And, Atom, Formula, Not, disj
 
 Term = object  # int | str
 

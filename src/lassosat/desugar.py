@@ -18,11 +18,15 @@ Past chains come in two strengths: withinp and past need an actual witness
 position, so they use yesterday chains (false beyond the origin); lasted is
 the negation-dual of withinp, so it uses weak-yesterday chains (vacuously
 true beyond the origin).
+
+`desugar` is one `formula.fold` with one rule per operator family, so
+nesting depth is not limited by Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import warnings
+from functools import partial
 
 from .errors import FormulaError
 from .formula import (
@@ -72,6 +76,7 @@ from .formula import (
     Zeta,
     conj,
     disj,
+    fold,
 )
 
 
@@ -144,21 +149,10 @@ def _mk_binary(cls, a: Formula, b: Formula) -> Formula:
     return cls(a, b)
 
 
-def _next_chain(f: Formula, n: int) -> Formula:
+def _chain(mk, f: Formula, n: int) -> Formula:
+    """n links of `mk` (_mk_next, _mk_yesterday or _mk_zeta) around f."""
     for _ in range(n):
-        f = _mk_next(f)
-    return f
-
-
-def _yesterday_chain(f: Formula, n: int) -> Formula:
-    for _ in range(n):
-        f = _mk_yesterday(f)
-    return f
-
-
-def _zeta_chain(f: Formula, n: int) -> Formula:
-    for _ in range(n):
-        f = _mk_zeta(f)
+        f = mk(f)
     return f
 
 
@@ -178,24 +172,45 @@ def _offset(term, env, op: str, minimum: int):
 
 
 def eval_cond(c: Cond, env=None) -> bool:
-    """Evaluate an expansion-time condition; unbound symbols are constants."""
+    """Evaluate an expansion-time condition; unbound symbols are constants.
+
+    and/or stop at their first deciding argument, so the arguments after it
+    raise nothing: each node's value is a bool or the error it would raise.
+    """
     env = env or {}
-    op = c.op
+
+    def expand(c):
+        if c.op in ("NOT", "AND", "OR"):
+            return c.args, lambda values: _connective(c.op, values)
+        value = _compare(c.op, *(_resolve(t, env) for t in c.args))
+        return (), lambda _: value
+
+    value = fold(c, expand)
+    if isinstance(value, FormulaError):
+        raise value
+    return value
+
+
+def _compare(op: str, a, b):
     if op in ("EQL", "EQUAL"):
-        a, b = (_resolve(t, env) for t in c.args)
         return a == b
-    if op in ("<", "<="):
-        a, b = (_resolve(t, env) for t in c.args)
-        if not (isinstance(a, int) and isinstance(b, int)):
-            raise FormulaError(f"condition ({op} {a} {b}) compares non-integers")
-        return a < b if op == "<" else a <= b
-    if op == "NOT":
-        return not eval_cond(c.args[0], env)
-    if op == "AND":
-        return all(eval_cond(x, env) for x in c.args)
-    if op == "OR":
-        return any(eval_cond(x, env) for x in c.args)
-    raise FormulaError(f"unknown condition operator {op}")
+    if op not in ("<", "<="):
+        return FormulaError(f"unknown condition operator {op}")
+    if not (isinstance(a, int) and isinstance(b, int)):
+        return FormulaError(f"condition ({op} {a} {b}) compares non-integers")
+    return a < b if op == "<" else a <= b
+
+
+def _connective(op: str, values):
+    decisive = op == "OR"  # the argument value that decides and/or
+    for v in values:
+        if isinstance(v, FormulaError):
+            return v
+        if op == "NOT":
+            return not v
+        if v == decisive:
+            return decisive
+    return not decisive
 
 
 # ---------------------------------------------------------------------------
@@ -209,52 +224,42 @@ def _span(variant: str, t: int) -> range:
     return range(near, far + 1)
 
 
-def _until_variant(a: Formula, b: Formula, variant: str) -> Formula:
+def _until_like(cls, mk, a: Formula, b: Formula, variant: str) -> Formula:
+    """until_xy (cls Until, mk _mk_next) or since_xy (Since, _mk_yesterday)."""
     right = b if variant[1] == "e" else _fold_conj((a, b))
-    body = _mk_binary(Until, a, right)
-    return body if variant[0] == "i" else _mk_next(body)
+    body = _mk_binary(cls, a, right)
+    return body if variant[0] == "i" else mk(body)
 
 
-def _since_variant(a: Formula, b: Formula, variant: str) -> Formula:
-    right = b if variant[1] == "e" else _fold_conj((a, b))
-    body = _mk_binary(Since, a, right)
-    return body if variant[0] == "i" else _mk_yesterday(body)
-
-
-def _bounded(a, b, lo, hi, variant, chain, inner_variant_ctor):
+def _bounded(a, b, lo, hi, variant, cls, mk):
     near = 0 if variant[0] == "i" else 1
     strip = 1 if variant[1] == "e" else 0
     if hi is not None:
         clauses = []
         for d in range(max(lo, near), hi + 1):
-            parts = [chain(b, d)] + [chain(a, dp) for dp in range(near, d - strip + 1)]
+            parts = [_chain(mk, b, d)] + [_chain(mk, a, dp) for dp in range(near, d - strip + 1)]
             clauses.append(_fold_conj(parts))
         return _fold_disj(clauses)
     if lo <= near:
-        return inner_variant_ctor(a, b, variant)
-    prefix = [chain(a, dp) for dp in range(near, lo)]
-    inner = inner_variant_ctor(a, b, "i" + variant[1])
-    return _fold_conj(prefix + [chain(inner, lo)])
+        return _until_like(cls, mk, a, b, variant)
+    prefix = [_chain(mk, a, dp) for dp in range(near, lo)]
+    inner = _until_like(cls, mk, a, b, "i" + variant[1])
+    return _fold_conj(prefix + [_chain(mk, inner, lo)])
 
 
-def _somf(a: Formula, variant: str) -> Formula:
-    body = _mk_binary(Until, TRUE, a)
-    return body if variant == "i" else _mk_next(body)
+# som/alw family -> (core operator, its constant left operand, strict step)
+_SOM = {
+    Somf: (Until, TRUE, _mk_next),
+    Somp: (Since, TRUE, _mk_yesterday),
+    Alwf: (Release, FALSE, _mk_next),
+    Alwp: (Trigger, FALSE, _mk_zeta),
+}
 
 
-def _somp(a: Formula, variant: str) -> Formula:
-    body = _mk_binary(Since, TRUE, a)
-    return body if variant == "i" else _mk_yesterday(body)
-
-
-def _alwf(a: Formula, variant: str) -> Formula:
-    body = _mk_binary(Release, FALSE, a)
-    return body if variant == "i" else _mk_next(body)
-
-
-def _alwp(a: Formula, variant: str) -> Formula:
-    body = _mk_binary(Trigger, FALSE, a)
-    return body if variant == "i" else _mk_zeta(body)
+def _som(family, a: Formula, variant: str) -> Formula:
+    cls, left, mk = _SOM[family]
+    body = _mk_binary(cls, left, a)
+    return body if variant == "i" else mk(body)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +293,7 @@ def expand_case(c) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# the desugarer
+# the desugarer: one fold, one rule per operator family
 # ---------------------------------------------------------------------------
 
 
@@ -299,21 +304,29 @@ def desugar(f: Formula, declarations=None) -> Formula:
     their one-hot atoms as well; otherwise they pass through untouched.
     Idempotent on core formulas.
     """
-    return _ds(f, {}, declarations)
+
+    def expand(task):
+        g, env = task
+        if isinstance(g, _LEAVES):
+            value = _leaf(g, env, declarations)
+            return (), lambda _: value
+        if isinstance(g, (Forall, Exists)):
+            return _instances(g, env), _fold_conj if isinstance(g, Forall) else _fold_disj
+        build = _rule(g, env)
+        return [(x, env) for x in _operands(g)], build
+
+    return fold((f, {}), expand)
 
 
-def _ds(f: Formula, env: dict, decls) -> Formula:
+_LEAVES = (Atom, TrueF, FalseF, ItemRef, ArrayRef, Cond)
+
+
+def _leaf(f, env, decls) -> Formula:
     if isinstance(f, Atom):
-        if not env:
-            return f
-        return Atom(f.name, tuple(_resolve(t, env) for t in f.args), f.kind)
-    if isinstance(f, (TrueF, FalseF)):
-        return f
+        return Atom(f.name, tuple(_resolve(t, env) for t in f.args), f.kind) if env else f
     if isinstance(f, ItemRef):
         value = _resolve(f.value, env)
-        if decls is not None:
-            return decls.lower_item(f.name, value)
-        return ItemRef(f.name, value)
+        return decls.lower_item(f.name, value) if decls is not None else ItemRef(f.name, value)
     if isinstance(f, ArrayRef):
         index, value = _resolve(f.index, env), _resolve(f.value, env)
         if decls is not None:
@@ -321,123 +334,96 @@ def _ds(f: Formula, env: dict, decls) -> Formula:
         return ArrayRef(f.name, index, value)
     if isinstance(f, Cond):
         return TRUE if eval_cond(f, env) else FALSE
+    return f
 
-    if isinstance(f, Not):
-        return _fold_not(_ds(f.sub, env, decls))
-    if isinstance(f, And):
-        return _fold_conj([_ds(x, env, decls) for x in f.items])
-    if isinstance(f, Or):
-        return _fold_disj([_ds(x, env, decls) for x in f.items])
-    if isinstance(f, Implies):
-        return _fold_implies(_ds(f.left, env, decls), _ds(f.right, env, decls))
-    if isinstance(f, Iff):
-        return _fold_iff(_ds(f.left, env, decls), _ds(f.right, env, decls))
 
-    if isinstance(f, Next):
-        sub = _ds(f.sub, env, decls)
-        return sub if isinstance(sub, (TrueF, FalseF)) else Next(sub)
-    if isinstance(f, Yesterday):
-        sub = _ds(f.sub, env, decls)
-        return FALSE if isinstance(sub, FalseF) else Yesterday(sub)
-    if isinstance(f, Zeta):
-        sub = _ds(f.sub, env, decls)
-        return TRUE if isinstance(sub, TrueF) else Zeta(sub)
-    if isinstance(f, (Until, Since, Release, Trigger)):
-        left, right = _ds(f.left, env, decls), _ds(f.right, env, decls)
-        if isinstance(right, (TrueF, FalseF)):
-            return right
-        return type(f)(left, right)
+def _instances(f, env):
+    """Quantifier body tasks, one per domain element that passes the condition."""
+    if not f.domain:
+        raise FormulaError(f"quantifier over {f.var}: empty domain")
+    if f.var in env:
+        warnings.warn(f"quantifier variable {f.var} shadows an enclosing binding", stacklevel=2)
+    for elem in f.domain:
+        inner = {**env, f.var: _resolve(elem, env)}
+        if f.cond is None or eval_cond(f.cond, inner):
+            yield f.body, inner
 
-    if isinstance(f, Dist):
-        t = _resolve(f.offset, env)
-        if not isinstance(t, int):
-            raise FormulaError(f"dist: offset must be an integer literal, got '{t}'")
-        sub = _ds(f.sub, env, decls)
-        return _next_chain(sub, t) if t >= 0 else _yesterday_chain(sub, -t)
-    if isinstance(f, Futr):
-        return _next_chain(_ds(f.sub, env, decls), _offset(f.offset, env, "futr", 0))
-    if isinstance(f, Past):
-        return _yesterday_chain(_ds(f.sub, env, decls), _offset(f.offset, env, "past", 0))
 
-    if isinstance(f, Lasts):
-        t = _offset(f.offset, env, "lasts", 1)
-        sub = _ds(f.sub, env, decls)
-        return _fold_conj([_next_chain(sub, d) for d in _span(f.variant, t)])
-    if isinstance(f, WithinF):
-        t = _offset(f.offset, env, "withinf", 1)
-        sub = _ds(f.sub, env, decls)
-        return _fold_disj([_next_chain(sub, d) for d in _span(f.variant, t)])
-    if isinstance(f, Lasted):
-        t = _offset(f.offset, env, "lasted", 1)
-        sub = _ds(f.sub, env, decls)
-        return _fold_conj([_zeta_chain(sub, d) for d in _span(f.variant, t)])
-    if isinstance(f, WithinP):
-        t = _offset(f.offset, env, "withinp", 1)
-        sub = _ds(f.sub, env, decls)
-        return _fold_disj([_yesterday_chain(sub, d) for d in _span(f.variant, t)])
-    if isinstance(f, NextTime):
-        t = _offset(f.offset, env, "nexttime", 1)
-        sub = _ds(f.sub, env, decls)
-        absent = [_fold_not(_next_chain(sub, d)) for d in _span(f.variant, t) if d < t]
-        return _fold_conj([_next_chain(sub, t)] + absent)
-    if isinstance(f, LastTime):
-        t = _offset(f.offset, env, "lasttime", 1)
-        sub = _ds(f.sub, env, decls)
-        absent = [_fold_not(_yesterday_chain(sub, d)) for d in _span(f.variant, t) if d < t]
-        return _fold_conj([_yesterday_chain(sub, t)] + absent)
-
-    if isinstance(f, Somf):
-        return _somf(_ds(f.sub, env, decls), f.variant)
-    if isinstance(f, Somp):
-        return _somp(_ds(f.sub, env, decls), f.variant)
-    if isinstance(f, Alwf):
-        return _alwf(_ds(f.sub, env, decls), f.variant)
-    if isinstance(f, Alwp):
-        return _alwp(_ds(f.sub, env, decls), f.variant)
-    if isinstance(f, Som):
-        sub = _ds(f.sub, env, decls)
-        return _fold_disj([_somp(sub, "e"), sub, _somf(sub, "e")])
-    if isinstance(f, Alw):
-        sub = _ds(f.sub, env, decls)
-        return _fold_conj([_alwp(sub, "e"), sub, _alwf(sub, "e")])
-
-    if isinstance(f, UntilVar):
-        return _until_variant(_ds(f.left, env, decls), _ds(f.right, env, decls), f.variant)
-    if isinstance(f, SinceVar):
-        return _since_variant(_ds(f.left, env, decls), _ds(f.right, env, decls), f.variant)
-    if isinstance(f, BoundedUntil):
-        lo = _offset(f.lo, env, "bounded until", 0)
-        hi = None if f.hi is None else _offset(f.hi, env, "bounded until", lo)
-        return _bounded(
-            _ds(f.left, env, decls), _ds(f.right, env, decls),
-            lo, hi, f.variant, _next_chain, _until_variant,
-        )
-    if isinstance(f, BoundedSince):
-        lo = _offset(f.lo, env, "bounded since", 0)
-        hi = None if f.hi is None else _offset(f.hi, env, "bounded since", lo)
-        return _bounded(
-            _ds(f.left, env, decls), _ds(f.right, env, decls),
-            lo, hi, f.variant, _yesterday_chain, _since_variant,
-        )
-
-    if isinstance(f, (Forall, Exists)):
-        if not f.domain:
-            raise FormulaError(f"quantifier over {f.var}: empty domain")
-        if f.var in env:
-            warnings.warn(
-                f"quantifier variable {f.var} shadows an enclosing binding",
-                stacklevel=2,
-            )
-        instances = []
-        for elem in f.domain:
-            env2 = dict(env)
-            env2[f.var] = _resolve(elem, env)
-            if f.cond is not None and not eval_cond(f.cond, env2):
-                continue
-            instances.append(_ds(f.body, env2, decls))
-        return _fold_conj(instances) if isinstance(f, Forall) else _fold_disj(instances)
-
+def _operands(f: Formula):
     if isinstance(f, (AndCase, OrCase)):
-        return _ds(expand_case(f), env, decls)
+        return (expand_case(f),)
+    if isinstance(f, (And, Or)):
+        return f.items
+    return [v for v in f._values() if isinstance(v, Formula)]
 
-    raise FormulaError(f"cannot desugar {type(f).__name__}")
+
+# node class -> its expansion from the desugared operands, for the families
+# that check nothing of their own
+_LIFTED = {
+    Not: _fold_not,
+    Implies: _fold_implies,
+    Iff: _fold_iff,
+    Next: _mk_next,
+    Yesterday: _mk_yesterday,
+    Zeta: _mk_zeta,
+    **{cls: partial(_mk_binary, cls) for cls in (Until, Since, Release, Trigger)},
+    Som: lambda a: _fold_disj([_som(Somp, a, "e"), a, _som(Somf, a, "e")]),
+    Alw: lambda a: _fold_conj([_som(Alwp, a, "e"), a, _som(Alwf, a, "e")]),
+    AndCase: lambda expanded: expanded,
+    OrCase: lambda expanded: expanded,
+}
+
+# lasts/withinf/lasted/withinp -> (one-step builder, how the offsets combine)
+_RANGES = {
+    Lasts: (_mk_next, _fold_conj),
+    WithinF: (_mk_next, _fold_disj),
+    Lasted: (_mk_zeta, _fold_conj),
+    WithinP: (_mk_yesterday, _fold_disj),
+}
+
+# the families that shift towards the future or the past -> (core operator,
+# one-step builder)
+_DIRECTION = {
+    **dict.fromkeys((Futr, NextTime, UntilVar, BoundedUntil), (Until, _mk_next)),
+    **dict.fromkeys((Past, LastTime, SinceVar, BoundedSince), (Since, _mk_yesterday)),
+}
+
+
+def _rule(f: Formula, env):
+    """Run the checks that precede f's operands; return the function that
+    builds f's expansion from its desugared operands."""
+    t = type(f)
+    name = t.__name__.lower()
+    if t in _LIFTED:
+        return lambda v: _LIFTED[t](*v)
+    if t is And or t is Or:
+        return _fold_conj if t is And else _fold_disj
+    if t in _SOM:
+        return lambda v: _som(t, v[0], f.variant)
+    if t is Dist:
+        n = _resolve(f.offset, env)
+        if not isinstance(n, int):
+            raise FormulaError(f"dist: offset must be an integer literal, got '{n}'")
+        mk = _mk_next if n >= 0 else _mk_yesterday
+        return lambda v: _chain(mk, v[0], abs(n))
+    if t in _RANGES:
+        mk, combine = _RANGES[t]
+        n = _offset(f.offset, env, name, 1)
+        return lambda v: combine([_chain(mk, v[0], d) for d in _span(f.variant, n)])
+    if t not in _DIRECTION:
+        raise FormulaError(f"cannot desugar {t.__name__}")
+    cls, mk = _DIRECTION[t]
+    if t in (Futr, Past):  # the offset is checked after the operand
+        return lambda v: _chain(mk, v[0], _offset(f.offset, env, name, 0))
+    if t in (NextTime, LastTime):
+        n = _offset(f.offset, env, name, 1)
+        return lambda v: _fold_conj(
+            [_chain(mk, v[0], n)]
+            + [_fold_not(_chain(mk, v[0], d)) for d in _span(f.variant, n) if d < n]
+        )
+    if t in (UntilVar, SinceVar):
+        return lambda v: _until_like(cls, mk, *v, f.variant)
+    op = f"bounded {cls.__name__.lower()}"
+    lo = _offset(f.lo, env, op, 0)
+    hi = None if f.hi is None else _offset(f.hi, env, op, lo)
+    return lambda v: _bounded(*v, lo, hi, f.variant, cls, mk)

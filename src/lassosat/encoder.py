@@ -157,7 +157,6 @@ class EncodedProblem:
     formula: tuple  # circuit, a big conjunction
     engine: str
     loop_free: bool
-    source: CheckProblem
 
 
 def encode(problem: CheckProblem) -> EncodedProblem:
@@ -338,7 +337,6 @@ class _Encoder:
             formula=cand(self.cons) if self.cons else True,
             engine=self.engine,
             loop_free=self.loop_free,
-            source=self.problem,
         )
 
     def _emit_bool(self, f: Formula):

@@ -16,7 +16,10 @@ structure has exactly one live object: equal subtrees are shared, and
 hashing and equality go by identity, O(1) however deep the formula.
 Construct nodes only through their constructors (`Next(f)`, `Atom("p")`,
 ...); copy, pickle and `dataclasses.replace` go through them as well.
-Nodes are frozen dataclasses, so formulas are immutable.
+Nodes are frozen dataclasses, so formulas are immutable; `repr` prints the
+s-expression text (lassosat.pretty).  Tree walks that build a value per
+node (parsing, desugaring, printing) go through `fold`, which keeps its own
+stack; `closure` and `temporal_depth` walk the shared DAG once per node.
 """
 
 from __future__ import annotations
@@ -61,10 +64,15 @@ class Formula(metaclass=_Interned):
     def __reduce__(self):
         return (type(self), self._values())
 
+    def __repr__(self):
+        from .pretty import formula_text
+
+        return formula_text(self)
+
 
 def _node(cls):
     """Make a node class: a frozen dataclass with identity hash and equality."""
-    cls = dataclass(frozen=True, eq=False)(cls)
+    cls = dataclass(frozen=True, eq=False, repr=False)(cls)
     cls._fields = tuple(f.name for f in fields(cls))
     return cls
 
@@ -416,12 +424,32 @@ def children(f: Formula) -> Tuple[Formula, ...]:
     raise TypeError(f"not a core formula node: {type(f).__name__}")
 
 
-def is_core(f: Formula) -> bool:
-    if isinstance(f, _CORE_LEAF):
-        return True
-    if isinstance(f, (_CORE_UNARY, _CORE_BINARY, And, Or)):
-        return all(is_core(c) for c in children(f))
-    return False
+_END = object()
+
+
+def fold(root, expand):
+    """Bottom-up value of `root`, computed with an explicit stack.
+
+    `expand(x)` returns `(children, combine)`: the child tasks of x and a
+    function from the list of their values to the value of x.  Children are
+    drawn one at a time, depth-first and left to right, and each is finished
+    before the next is drawn, so a generator of children can run its checks
+    in source order.  Depth is not limited by Python's recursion limit.
+    """
+    children, combine = expand(root)
+    stack = [(iter(children), combine, [])]
+    while True:
+        pending, combine, values = stack[-1]
+        child = next(pending, _END)
+        if child is _END:
+            stack.pop()
+            value = combine(values)
+            if not stack:
+                return value
+            stack[-1][2].append(value)
+        else:
+            children, combine = expand(child)
+            stack.append((iter(children), combine, []))
 
 
 def _postorder(root: Formula, seen: set):

@@ -51,6 +51,8 @@ class LassoWord:
     """Window layout and per-atom rows for one (batch of) lasso trace(s)."""
 
     def __init__(self, k, engine, loop, pool, atom_rows, batch):
+        if loop is None:
+            raise EncodingError("a loop-free trace has no lasso word to evaluate on")
         if not 1 <= loop <= k:
             raise EncodingError(f"loop start {loop} outside 1..{k}")
         if engine == "bi" and not (pool is not None and 1 <= pool <= k):

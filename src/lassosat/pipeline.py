@@ -180,19 +180,6 @@ def _solve(inst: CnfInstance, solver: str, out_dir: str, comments, timeout_s):
     return solve_external(inst, cfg, out_dir, comments, timeout_s)
 
 
-def _render_finite(vm, model) -> str:
-    """History blocks for a loop-free model (no loop markers)."""
-    lines = []
-    for t in range(vm.k + 1):
-        lines.append(f"------ time {t} ------")
-        for atom in vm.atoms:
-            if model[vm.var(atom, t)]:
-                lines.append(f"  {atom.display}")
-        lines.append("")
-    lines.append("------ end ------")
-    return "\n".join(lines) + "\n"
-
-
 def _run_problem(
     problem: CheckProblem, solver: str, out_dir: str, timeout_s
 ):
@@ -217,11 +204,8 @@ def run(config: RunConfig) -> RunReport:
     trace = None
     history_text = ""
     if result.verdict == "SAT":
-        if problem.loop_free:
-            history_text = _render_finite(encoded.varmap, result.model)
-        else:
-            trace = decode(result, encoded.varmap)
-            history_text = render_history(trace)
+        trace = decode(result, encoded.varmap)
+        history_text = render_history(trace)
     hist_path.write_text(history_text, encoding="utf-8")
 
     if mode == "bmc":

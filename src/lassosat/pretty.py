@@ -1,137 +1,106 @@
-"""Render formulas back to s-expression text (diagnostics, round-trips)."""
+"""Render formulas back to s-expression text (diagnostics, round-trips).
+
+The spellings come from inverting lassosat.specfile.OPERATORS, the table the
+parser reads, so the two cannot disagree.
+"""
 
 from __future__ import annotations
 
 from .errors import FormulaError
 from .formula import (
-    Alw,
-    Alwf,
-    Alwp,
-    And,
     AndCase,
     ArrayRef,
     Atom,
-    BoundedSince,
-    BoundedUntil,
     Cond,
-    Dist,
     Exists,
-    FalseF,
     Forall,
     Formula,
-    Futr,
-    Iff,
-    Implies,
     ItemRef,
-    Lasted,
-    Lasts,
-    LastTime,
-    Next,
-    NextTime,
-    Not,
-    Or,
     OrCase,
-    Past,
-    Release,
-    Since,
-    SinceVar,
-    Som,
-    Somf,
-    Somp,
-    Trigger,
-    TrueF,
-    Until,
-    UntilVar,
-    WithinF,
-    WithinP,
-    Yesterday,
-    Zeta,
+    fold,
 )
 from .sexpr import SAtom, SList, to_text
+from .specfile import OPERATORS
 
-_SIMPLE_UNARY = {Not: "!!", Next: "NEXT", Yesterday: "YESTERDAY", Zeta: "ZETA",
-                 Som: "SOM", Alw: "ALW"}
-_SIMPLE_BINARY = {Implies: "->", Iff: "<->", Until: "UNTIL", Since: "SINCE",
-                  Release: "RELEASE", Trigger: "TRIGGER"}
-_METRIC_FAMILY = {Lasts: "LASTS", Lasted: "LASTED", WithinF: "WITHINF",
-                  WithinP: "WITHINP", NextTime: "NEXTTIME", LastTime: "LASTTIME"}
-_SOM_FAMILY = {Somf: "SOMF", Somp: "SOMP", Alwf: "ALWF", Alwp: "ALWP"}
+# node class -> [(fixed field values, spelling, layout)]: a later spelling
+# with the same fixed values replaces an earlier one (LASTS_EE over LASTS),
+# and entries with more fixed fields come first (UNTIL_EE_>= fixes hi=None)
+_by_class: dict = {}
+for _name, (_cls, _layout, _fixed) in OPERATORS.items():
+    _by_class.setdefault(_cls, {})[tuple(_fixed.items())] = (_name, _layout)
+_SPELLINGS = {
+    cls: sorted([(fixed, name, layout) for fixed, (name, layout) in entries.items()],
+                key=lambda entry: -len(entry[0]))
+    for cls, entries in _by_class.items()
+}
 
 
-def _atom(value) -> SAtom:
-    return SAtom(value)
+def _spelling(f: Formula):
+    for fixed, name, layout in _SPELLINGS.get(type(f), ()):
+        if all(getattr(f, k) == v for k, v in fixed):
+            return SAtom(name), layout
+    raise FormulaError(f"cannot print {type(f).__name__}")
+
+
+def _form(*parts) -> SList:
+    return SList(tuple(p if isinstance(p, (SAtom, SList)) else SAtom(p) for p in parts))
+
+
+def _expand(f: Formula):
+    """Fold step: the subformulas of f, then f's SExpr built from theirs."""
+    if isinstance(f, Atom) and f.kind == "prop":
+        form = _form(_spelling(f)[0], f.name, *f.args)
+    elif isinstance(f, Atom):  # a lowered item/array cell prints as its reference
+        form = _form(f.name + "=", *f.args)
+    elif isinstance(f, ItemRef):
+        form = _form(f.name + "=", f.value)
+    elif isinstance(f, ArrayRef):
+        form = _form(f.name + "=", f.index, f.value)
+    elif isinstance(f, Cond):
+        return _parts(f.op, f.args)
+    else:
+        return _expand_operator(f)
+    return (), lambda _: form
+
+
+def _parts(head, parts):
+    """Fold step of (head part...): the fold prints the formula parts."""
+
+    def build(vals):
+        vals = iter(vals)
+        return _form(head, *(next(vals) if isinstance(p, Formula) else p for p in parts))
+
+    return [p for p in parts if isinstance(p, Formula)], build
+
+
+def _expand_operator(f: Formula):
+    head, layout = _spelling(f)
+    if isinstance(f, (Forall, Exists)):
+        cond = () if f.cond is None else (f.cond,)
+        return _parts(head, (f.var, _form(*f.domain), *cond, f.body))
+    if isinstance(f, (AndCase, OrCase)):
+        subs = [x for branch in f.branches for x in branch]
+        if f.else_body is not None:
+            subs.append(f.else_body)
+
+        def build(vals):
+            bindings = _form(*(p for var, dom in f.bindings for p in (var, _form(*dom))))
+            parts = [_form(*vals[i:i + 2]) for i in range(0, 2 * len(f.branches), 2)]
+            if f.else_body is not None:
+                parts.append(_form("ELSE", vals[-1]))
+            return _form(head, bindings, *parts)
+
+        return subs, build
+    if not layout:
+        return (), lambda _: head
+    if layout == ("items",):
+        return _parts(head, f.items)
+    return _parts(head, [getattr(f, field) for field in layout])
 
 
 def to_sexpr(f: Formula):
     """Formula -> SExpr; parsing the result yields a structurally equal AST."""
-    t = type(f)
-    if isinstance(f, TrueF):
-        return _atom("TRUE")
-    if isinstance(f, FalseF):
-        return _atom("FALSE")
-    if isinstance(f, Atom):
-        if f.kind == "item":
-            return SList((_atom(f.name + "="), _atom(f.args[0])))
-        if f.kind == "array":
-            return SList((_atom(f.name + "="), _atom(f.args[0]), _atom(f.args[1])))
-        return SList((_atom("-P-"), _atom(f.name)) + tuple(_atom(a) for a in f.args))
-    if isinstance(f, ItemRef):
-        return SList((_atom(f.name + "="), _atom(f.value)))
-    if isinstance(f, ArrayRef):
-        return SList((_atom(f.name + "="), _atom(f.index), _atom(f.value)))
-    if t in _SIMPLE_UNARY:
-        return SList((_atom(_SIMPLE_UNARY[t]), to_sexpr(f.sub)))
-    if t in _SIMPLE_BINARY:
-        return SList((_atom(_SIMPLE_BINARY[t]), to_sexpr(f.left), to_sexpr(f.right)))
-    if isinstance(f, And):
-        return SList((_atom("&&"),) + tuple(to_sexpr(x) for x in f.items))
-    if isinstance(f, Or):
-        return SList((_atom("||"),) + tuple(to_sexpr(x) for x in f.items))
-    if isinstance(f, (Futr, Past, Dist)):
-        head = {Futr: "FUTR", Past: "PAST", Dist: "DIST"}[t]
-        return SList((_atom(head), to_sexpr(f.sub), _atom(f.offset)))
-    if t in _METRIC_FAMILY:
-        head = f"{_METRIC_FAMILY[t]}_{f.variant.upper()}"
-        return SList((_atom(head), to_sexpr(f.sub), _atom(f.offset)))
-    if t in _SOM_FAMILY:
-        head = f"{_SOM_FAMILY[t]}_{f.variant.upper()}"
-        return SList((_atom(head), to_sexpr(f.sub)))
-    if isinstance(f, (UntilVar, SinceVar)):
-        head = ("UNTIL" if isinstance(f, UntilVar) else "SINCE") + "_" + f.variant.upper()
-        return SList((_atom(head), to_sexpr(f.left), to_sexpr(f.right)))
-    if isinstance(f, (BoundedUntil, BoundedSince)):
-        base = "UNTIL" if isinstance(f, BoundedUntil) else "SINCE"
-        if f.hi is None:
-            head = f"{base}_{f.variant.upper()}_>="
-            args = (_atom(f.lo),)
-        else:
-            head = f"{base}_{f.variant.upper()}_<=_<="
-            args = (_atom(f.lo), _atom(f.hi))
-        return SList((_atom(head),) + args + (to_sexpr(f.left), to_sexpr(f.right)))
-    if isinstance(f, (Forall, Exists)):
-        head = "-A-" if isinstance(f, Forall) else "-E-"
-        dom = SList(tuple(_atom(d) for d in f.domain))
-        parts = [_atom(head), _atom(f.var), dom]
-        if f.cond is not None:
-            parts.append(to_sexpr(f.cond))
-        parts.append(to_sexpr(f.body))
-        return SList(tuple(parts))
-    if isinstance(f, Cond):
-        args = tuple(to_sexpr(a) if isinstance(a, Cond) else _atom(a) for a in f.args)
-        return SList((_atom(f.op),) + args)
-    if isinstance(f, (AndCase, OrCase)):
-        head = "AND-CASE" if isinstance(f, AndCase) else "OR-CASE"
-        flat = []
-        for var, dom in f.bindings:
-            flat.append(_atom(var))
-            flat.append(SList(tuple(_atom(d) for d in dom)))
-        parts = [_atom(head), SList(tuple(flat))]
-        for guard, body in f.branches:
-            parts.append(SList((to_sexpr(guard), to_sexpr(body))))
-        if f.else_body is not None:
-            parts.append(SList((_atom("ELSE"), to_sexpr(f.else_body))))
-        return SList(tuple(parts))
-    raise FormulaError(f"cannot print {type(f).__name__}")
+    return fold(f, _expand)
 
 
 def formula_text(f: Formula) -> str:

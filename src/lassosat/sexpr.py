@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import SexprSyntaxError
+from .formula import fold
 
 _DELIMS = set("()' \t\r\n;")
 
@@ -131,8 +132,12 @@ def read_sexprs(text: str) -> list:
     return top
 
 
+def _text(node: SExpr):
+    if isinstance(node, SAtom):
+        return (), lambda _: str(node.value)
+    return node.items, lambda parts: "(" + " ".join(parts) + ")"
+
+
 def to_text(node: SExpr) -> str:
     """Print a canonical form: parse(to_text(x)) == x."""
-    if isinstance(node, SAtom):
-        return str(node.value)
-    return "(" + " ".join(to_text(item) for item in node.items) + ")"
+    return fold(node, _text)

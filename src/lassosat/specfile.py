@@ -13,11 +13,17 @@ Top-level sections:
 
 A DOMAIN is a literal list of symbols/integers or (range LO HI), which
 expands to the ascending integer list LO..HI.  Formulas use the operator
-spellings listed in lassosat.specfile.OPERATORS; (name= v) references a
+spellings of OPERATORS below, the one operator table: each spelling maps to
+its node class, the node fields its operands fill in source order, and the
+fields it fixes (endpoint variant, a missing upper bound).  The parser reads
+operands from it and lassosat.pretty prints by inverting it.  Atoms,
+quantifiers and cases have their own small handlers; (name= v) references a
 declared item and (name= i v) a declared array.  Conditions (eql/equal/</<=/
 not/and/or) may appear wherever a formula is expected and are evaluated when
 quantifiers expand; symbols not bound by an enclosing quantifier are treated
-as constants.
+as constants.  Parsing is one explicit-stack fold (lassosat.formula.fold), as
+are desugaring and printing, so nesting depth is not limited by Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .formula import (
     Cond,
     Dist,
     Exists,
-    FALSE,
+    FalseF,
     Forall,
     Formula,
     Futr,
@@ -63,64 +69,70 @@ from .formula import (
     Somf,
     Somp,
     Trigger,
-    TRUE,
+    TrueF,
     Until,
     UntilVar,
     WithinF,
     WithinP,
     Yesterday,
     Zeta,
+    fold,
 )
 from .sexpr import SAtom, SExpr, SList, read_sexprs, to_text
 from .trace import PartialHistory
 
 _VARIANTS4 = ("ee", "ie", "ei", "ii")
 _COND_OPS = {"EQL", "EQUAL", "<", "<=", "NOT", "AND", "OR"}
+_OPERANDS = ("sub", "left", "right")  # formula fields; the other fields are terms
 
-# operator name -> (kind, payload); kinds drive the dispatch in _formula
+# spelling -> (node class, fields in source order, fixed field values).  The
+# layout ("items",) takes any number of operands; None marks the forms with
+# their own handlers, which bind variables or declarations.
 OPERATORS = {
-    "&&": ("nary", And),
-    "||": ("nary", Or),
-    "!!": ("not", None),
-    "->": ("binary", Implies),
-    "<->": ("binary", Iff),
-    "NEXT": ("unary", Next),
-    "YESTERDAY": ("unary", Yesterday),
-    "ZETA": ("unary", Zeta),
-    "UNTIL": ("binary", Until),
-    "SINCE": ("binary", Since),
-    "RELEASE": ("binary", Release),
-    "TRIGGER": ("binary", Trigger),
-    "FUTR": ("offset", Futr),
-    "PAST": ("offset", Past),
-    "DIST": ("offset", Dist),
-    "SOM": ("som", Som),
-    "ALW": ("som", Alw),
-    "-P-": ("atom", None),
-    "-A-": ("quant", Forall),
-    "-E-": ("quant", Exists),
-    "AND-CASE": ("case", AndCase),
-    "OR-CASE": ("case", OrCase),
-    "TRUE": ("const", TRUE),
-    "FALSE": ("const", FALSE),
+    "TRUE": (TrueF, (), {}),
+    "FALSE": (FalseF, (), {}),
+    "&&": (And, ("items",), {}),
+    "||": (Or, ("items",), {}),
+    "!!": (Not, ("sub",), {}),
+    "->": (Implies, ("left", "right"), {}),
+    "<->": (Iff, ("left", "right"), {}),
+    "NEXT": (Next, ("sub",), {}),
+    "YESTERDAY": (Yesterday, ("sub",), {}),
+    "ZETA": (Zeta, ("sub",), {}),
+    "UNTIL": (Until, ("left", "right"), {}),
+    "SINCE": (Since, ("left", "right"), {}),
+    "RELEASE": (Release, ("left", "right"), {}),
+    "TRIGGER": (Trigger, ("left", "right"), {}),
+    "FUTR": (Futr, ("sub", "offset"), {}),
+    "PAST": (Past, ("sub", "offset"), {}),
+    "DIST": (Dist, ("sub", "offset"), {}),
+    "SOM": (Som, ("sub",), {}),
+    "ALW": (Alw, ("sub",), {}),
+    "-P-": (Atom, None, {}),
+    "-A-": (Forall, None, {}),
+    "-E-": (Exists, None, {}),
+    "AND-CASE": (AndCase, None, {}),
+    "OR-CASE": (OrCase, None, {}),
 }
 
+# the bare family names come first, so printing picks the suffixed spelling
 for _fam, _cls in (("LASTS", Lasts), ("LASTED", Lasted), ("WITHINF", WithinF),
                    ("WITHINP", WithinP), ("NEXTTIME", NextTime), ("LASTTIME", LastTime)):
-    OPERATORS[_fam] = ("metric", (_cls, "ee"))
+    OPERATORS[_fam] = (_cls, ("sub", "offset"), {"variant": "ee"})
     for _v in _VARIANTS4:
-        OPERATORS[f"{_fam}_{_v.upper()}"] = ("metric", (_cls, _v))
+        OPERATORS[f"{_fam}_{_v.upper()}"] = (_cls, ("sub", "offset"), {"variant": _v})
 
 for _fam, _cls in (("SOMF", Somf), ("SOMP", Somp), ("ALWF", Alwf), ("ALWP", Alwp)):
-    OPERATORS[_fam] = ("somvar", (_cls, "e"))
-    OPERATORS[f"{_fam}_E"] = ("somvar", (_cls, "e"))
-    OPERATORS[f"{_fam}_I"] = ("somvar", (_cls, "i"))
+    OPERATORS[_fam] = (_cls, ("sub",), {"variant": "e"})
+    for _v in "ei":
+        OPERATORS[f"{_fam}_{_v.upper()}"] = (_cls, ("sub",), {"variant": _v})
 
 for _fam, _cls, _bcls in (("UNTIL", UntilVar, BoundedUntil), ("SINCE", SinceVar, BoundedSince)):
     for _v in _VARIANTS4:
-        OPERATORS[f"{_fam}_{_v.upper()}"] = ("uvariant", (_cls, _v))
-        OPERATORS[f"{_fam}_{_v.upper()}_<=_<="] = ("bounded2", (_bcls, _v))
-        OPERATORS[f"{_fam}_{_v.upper()}_>="] = ("bounded1", (_bcls, _v))
+        _name = f"{_fam}_{_v.upper()}"
+        OPERATORS[_name] = (_cls, ("left", "right"), {"variant": _v})
+        OPERATORS[_name + "_<=_<="] = (_bcls, ("lo", "hi", "left", "right"), {"variant": _v})
+        OPERATORS[_name + "_>="] = (_bcls, ("lo", "left", "right"), {"variant": _v, "hi": None})
 
 
 @dataclass
@@ -170,18 +182,48 @@ def _domain(node: SExpr):
     return tuple(_term(item) for item in node.items)
 
 
+def _operator(name, cls, layout, fixed, node):
+    """Fold step of a table operator: its operands, then the node."""
+    args = node.items[1:]
+    if layout == ("items",):
+        return [(a, False) for a in args], lambda subs: cls(tuple(subs))
+    if len(args) != len(layout):
+        raise _err(f"{name} expects {len(layout)} argument(s), got {len(args)}", node)
+    given = dict(zip(layout, args))
+
+    def build(subs):
+        subs = iter(subs)
+        values = {f: next(subs) if f in _OPERANDS else _term(a) for f, a in given.items()}
+        values.update(fixed)
+        return cls(*(values[f] for f in cls._fields))
+
+    return [(a, False) for f, a in given.items() if f in _OPERANDS], build
+
+
 class _FormulaParser:
-    """Recursive-descent formula parser with inline declaration checks."""
+    """Formula parser over OPERATORS with inline declaration checks.
+
+    One `fold` over (form, is-condition) tasks: a form is checked when the
+    walk reaches it, depth-first and left to right, and its node is built
+    once its operands are.
+    """
 
     def __init__(self, decls: Declarations):
         self.decls = decls
+        self._special = {Atom: self._atom, Forall: self._quant, Exists: self._quant,
+                         AndCase: self._case, OrCase: self._case}
 
-    def parse(self, node: SExpr, scope=frozenset()) -> Formula:
+    def parse(self, node: SExpr) -> Formula:
+        return fold((node, False), self._expand)
+
+    def _expand(self, task):
+        node, is_cond = task
+        if is_cond:
+            return self._cond(node)
         if isinstance(node, SAtom):
-            if node.value == "TRUE":
-                return TRUE
-            if node.value == "FALSE":
-                return FALSE
+            entry = OPERATORS.get(node.value)
+            if entry is not None and entry[1] == ():
+                return (), lambda _: entry[0]()
             raise _err(
                 f"bare symbol {node.value} is not a formula; write (-P- {node.value})",
                 node,
@@ -195,91 +237,38 @@ class _FormulaParser:
 
         entry = OPERATORS.get(name)
         if entry is not None:
-            return self._dispatch(name, entry, node, scope)
+            cls, layout, fixed = entry
+            if layout is None:
+                return self._special[cls](cls, node)
+            return _operator(name, cls, layout, fixed, node)
         if name in _COND_OPS:
-            return self._cond(node, scope)
+            return self._cond(node)
         if name.endswith("=") and len(name) > 1:
-            return self._reference(name[:-1], node, scope)
+            ref = self._reference(name[:-1], node)
+            return (), lambda _: ref
         raise _err(f"unknown operator {name}", head)
 
-    def _args(self, node: SList, n: int, name: str):
-        if len(node) != n + 1:
-            raise _err(f"{name} expects {n} argument(s), got {len(node) - 1}", node)
-        return node.items[1:]
+    def _atom(self, cls, node):
+        if len(node) < 2:
+            raise _err("(-P- ...) needs a proposition name", node)
+        pname = _symbol(node[1], "proposition name")
+        args = tuple(_term(x) for x in node.items[2:])
+        self.decls.register_atom(pname, len(args))
+        atom = cls(pname, args)
+        return (), lambda _: atom
 
-    def _dispatch(self, name, entry, node, scope) -> Formula:
-        kind, payload = entry
-        if kind == "const":
-            self._args(node, 0, name)
-            return payload
-        if kind == "nary":
-            return payload(tuple(self.parse(x, scope) for x in node.items[1:]))
-        if kind == "not":
-            (sub,) = self._args(node, 1, name)
-            return Not(self.parse(sub, scope))
-        if kind == "unary":
-            (sub,) = self._args(node, 1, name)
-            return payload(self.parse(sub, scope))
-        if kind == "som":
-            (sub,) = self._args(node, 1, name)
-            return payload(self.parse(sub, scope))
-        if kind == "binary":
-            a, b = self._args(node, 2, name)
-            return payload(self.parse(a, scope), self.parse(b, scope))
-        if kind == "offset":
-            sub, off = self._args(node, 2, name)
-            return payload(self.parse(sub, scope), _term(off))
-        if kind == "metric":
-            cls, variant = payload
-            sub, off = self._args(node, 2, name)
-            return cls(self.parse(sub, scope), _term(off), variant)
-        if kind == "somvar":
-            cls, variant = payload
-            (sub,) = self._args(node, 1, name)
-            return cls(self.parse(sub, scope), variant)
-        if kind == "uvariant":
-            cls, variant = payload
-            a, b = self._args(node, 2, name)
-            return cls(self.parse(a, scope), self.parse(b, scope), variant)
-        if kind == "bounded2":
-            cls, variant = payload
-            lo, hi, a, b = self._args(node, 4, name)
-            return cls(self.parse(a, scope), self.parse(b, scope),
-                       _term(lo), _term(hi), variant)
-        if kind == "bounded1":
-            cls, variant = payload
-            lo, a, b = self._args(node, 3, name)
-            return cls(self.parse(a, scope), self.parse(b, scope),
-                       _term(lo), None, variant)
-        if kind == "atom":
-            if len(node) < 2:
-                raise _err("(-P- ...) needs a proposition name", node)
-            pname = _symbol(node[1], "proposition name")
-            args = tuple(_term(x) for x in node.items[2:])
-            self.decls.register_atom(pname, len(args))
-            return Atom(pname, args)
-        if kind == "quant":
-            return self._quant(payload, node, scope)
-        if kind == "case":
-            return self._case(payload, node, scope)
-        raise _err(f"unknown operator kind for {name}", node)
-
-    def _quant(self, cls, node, scope) -> Formula:
+    def _quant(self, cls, node):
         if len(node) not in (4, 5):
             raise _err("quantifier expects (var domain [condition] body)", node)
         var = _symbol(node[1], "quantifier variable")
         domain = _domain(node[2])
         if not domain:
             raise _err("quantifier domain is empty", node[2])
-        inner = scope | {var}
         if len(node) == 5:
-            cond = self._cond(node[3], inner)
-            if not isinstance(cond, Cond):
-                raise _err("expected a condition before the quantifier body", node[3])
-            return cls(var, domain, self.parse(node[4], inner), cond)
-        return cls(var, domain, self.parse(node[3], inner), None)
+            return [(node[3], True), (node[4], False)], lambda v: cls(var, domain, v[1], v[0])
+        return [(node[3], False)], lambda v: cls(var, domain, v[0], None)
 
-    def _cond(self, node: SExpr, scope) -> Formula:
+    def _cond(self, node: SExpr):
         if not isinstance(node, SList) or len(node) == 0:
             raise _err(f"expected a condition, got {to_text(node)}", node)
         op = _symbol(node[0], "condition operator")
@@ -288,14 +277,13 @@ class _FormulaParser:
         if op in ("EQL", "EQUAL", "<", "<="):
             if len(node) != 3:
                 raise _err(f"({op} ...) expects 2 terms", node)
-            return Cond(op, (_term(node[1]), _term(node[2])))
-        if op == "NOT":
-            if len(node) != 2:
-                raise _err("(not ...) expects 1 condition", node)
-            return Cond(op, (self._cond(node[1], scope),))
-        return Cond(op, tuple(self._cond(x, scope) for x in node.items[1:]))
+            cond = Cond(op, (_term(node[1]), _term(node[2])))
+            return (), lambda _: cond
+        if op == "NOT" and len(node) != 2:
+            raise _err("(not ...) expects 1 condition", node)
+        return [(x, True) for x in node.items[1:]], lambda args: Cond(op, tuple(args))
 
-    def _reference(self, name, node, scope) -> Formula:
+    def _reference(self, name, node) -> Formula:
         if name in self.decls.items:
             if len(node) != 2:
                 raise _err(f"({name.lower()}= ...) expects one value", node)
@@ -306,36 +294,42 @@ class _FormulaParser:
             return ArrayRef(name, _term(node[1]), _term(node[2]))
         raise _err(f"reference to undeclared item/array {name}", node)
 
-    def _case(self, cls, node, scope) -> Formula:
+    def _case(self, cls, node):
         if len(node) < 2 or not isinstance(node[1], SList):
             raise _err("case construct expects a bindings list first", node)
         raw = node[1].items
         if len(raw) % 2 != 0:
             raise _err("case bindings must alternate variable and domain", node[1])
         bindings = []
-        inner = set(scope)
         for i in range(0, len(raw), 2):
             var = _symbol(raw[i], "case variable")
             dom = _domain(raw[i + 1])
             if not dom:
                 raise _err("case binding domain is empty", raw[i + 1])
             bindings.append((var, dom))
-            inner.add(var)
-        inner = frozenset(inner)
-        branches = []
-        else_body = None
-        for br in node.items[2:]:
-            if not isinstance(br, SList) or len(br) != 2:
-                raise _err("case branch must be (guard body) or (else body)", br)
-            if isinstance(br[0], SAtom) and br[0].value == "ELSE":
-                if else_body is not None:
-                    raise _err("multiple else branches", br)
-                else_body = self.parse(br[1], inner)
-            else:
-                if else_body is not None:
-                    raise _err("else branch must come last", br)
-                branches.append((self.parse(br[0], inner), self.parse(br[1], inner)))
-        return cls(tuple(bindings), tuple(branches), else_body)
+
+        def parts():
+            has_else = False
+            for br in node.items[2:]:
+                if not isinstance(br, SList) or len(br) != 2:
+                    raise _err("case branch must be (guard body) or (else body)", br)
+                if isinstance(br[0], SAtom) and br[0].value == "ELSE":
+                    if has_else:
+                        raise _err("multiple else branches", br)
+                    has_else = True
+                    yield br[1], False
+                else:
+                    if has_else:
+                        raise _err("else branch must come last", br)
+                    yield br[0], False
+                    yield br[1], False
+
+        def build(subs):
+            # each branch gives a guard and a body, an else branch one body
+            else_body = subs.pop() if len(subs) % 2 else None
+            return cls(tuple(bindings), tuple(zip(subs[::2], subs[1::2])), else_body)
+
+        return parts(), build
 
 
 def parse_formula(node: SExpr, decls: Optional[Declarations] = None) -> Formula:

@@ -11,17 +11,17 @@ History file format (one block per instant, two-space indent):
     ------ end ------
 
 Marker lines name the loop selector positions (**LOOP** towards the future,
-**POOL** towards the past).  Atom lines are the upper-cased atom names;
-items render as NAME = VALUE, array cells as NAME[IDX] = VALUE, predicate
-instances as NAME(ARG,...).  When a history is used as an input constraint,
-a `!` prefix asserts the atom false at that instant; atoms that are not
-listed are unconstrained, never false.
+**POOL** towards the past); a loop-free trace has neither.  Atom lines are
+the upper-cased atom names; items render as NAME = VALUE, array cells as
+NAME[IDX] = VALUE, predicate instances as NAME(ARG,...).  When a history
+is used as an input constraint, a `!` prefix asserts the atom false at that
+instant; atoms that are not listed are unconstrained, never false.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import EncodingError, HistoryError
@@ -63,17 +63,20 @@ class PartialHistory:
 
 @dataclass
 class LassoTrace:
-    """An ultimately periodic trace over instants 0..k."""
+    """An ultimately periodic trace over instants 0..k.
+
+    A loop-free model decodes to a finite trace: loop_start is None.
+    """
 
     k: int
     engine: str  # "mono" or "bi"
     atoms: Tuple[Atom, ...]
     valuations: Dict[Atom, Tuple[bool, ...]]
-    loop_start: int
+    loop_start: Optional[int]
     pool_start: Optional[int] = None
 
     def __post_init__(self):
-        if not (1 <= self.loop_start <= self.k):
+        if self.loop_start is not None and not (1 <= self.loop_start <= self.k):
             raise EncodingError(f"loop start {self.loop_start} outside 1..{self.k}")
         if self.engine == "bi" and self.pool_start is None:
             raise EncodingError("bi-infinite trace needs a past loop start")
@@ -85,13 +88,12 @@ class LassoTrace:
     def true_atoms(self, t: int) -> List[Atom]:
         return [a for a in self.atoms if self.valuations[a][t]]
 
-    @property
-    def period(self) -> int:
-        return self.k - self.loop_start + 1
-
 
 def decode(result, vm) -> LassoTrace:
-    """Read a LassoTrace off a SAT model via the variable map."""
+    """Read a LassoTrace off a SAT model via the variable map.
+
+    A loop-free encoding has no loop selectors; its trace has no loop start.
+    """
     if result.verdict != "SAT" or result.model is None:
         raise EncodingError("decode needs a SAT result with a model")
     model = result.model
@@ -100,7 +102,7 @@ def decode(result, vm) -> LassoTrace:
         for atom in vm.atoms
     }
     loop = [i for i, v in vm.loop_selectors.items() if model[v]]
-    if len(loop) != 1:
+    if vm.loop_selectors and len(loop) != 1:
         raise EncodingError(
             f"model selects {len(loop)} future loop positions; encoder invariant broken"
         )
@@ -117,13 +119,13 @@ def decode(result, vm) -> LassoTrace:
         engine=vm.engine,
         atoms=tuple(vm.atoms),
         valuations=valuations,
-        loop_start=loop[0],
+        loop_start=loop[0] if loop else None,
         pool_start=pool_start,
     )
 
 
-def render_history(trace: LassoTrace, sink=None) -> str:
-    """Render the section format; also writes to `sink` when given."""
+def render_history(trace: LassoTrace) -> str:
+    """Render the section format."""
     lines: List[str] = []
     for t in range(trace.k + 1):
         lines.append(f"------ time {t} ------")
@@ -135,10 +137,7 @@ def render_history(trace: LassoTrace, sink=None) -> str:
             lines.append(f"  {atom.display}")
         lines.append("")
     lines.append("------ end ------")
-    text = "\n".join(lines) + "\n"
-    if sink is not None:
-        sink.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 def _parse_atom_line(body: str, lineno: int) -> Atom:

@@ -1,17 +1,17 @@
 """Bijection between (subformula, instant) pairs and solver variables.
 
 Variables are allocated in closure order, atoms first, one contiguous block
-of k+1 instants per subformula, so decoding a model and inverting an id are
-both O(1).  After the primary blocks come the encoder-internal traversal
-copies (higher loop passes of past-dependent subformulas, and for the bi
-engine backward passes of future-dependent ones), then the loop selector
-variables: L1..Lk for the future loop and, for the bi-infinite engine,
-P1..Pk for the past loop.
+of k+1 instants per subformula, so the id of (f, t) is base[f] + t and the
+closure order alone inverts it.  After the primary blocks come the
+encoder-internal traversal copies (higher loop passes of past-dependent
+subformulas, and for the bi engine backward passes of future-dependent
+ones), then the loop selector variables: L1..Lk for the future loop and,
+for the bi-infinite engine, P1..Pk for the past loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import EncodingError
@@ -29,7 +29,6 @@ class VarMap:
     loop_selectors: Dict[int, int]  # loop position i -> variable id
     pool_selectors: Dict[int, int]
     partitions: Dict[str, Tuple[Formula, ...]]
-    num_atoms: int
     max_var: int
     root_var: Optional[int] = None
     assertion_instant: int = 0
@@ -42,27 +41,6 @@ class VarMap:
         if b is None:
             raise EncodingError("formula is not in the closure")
         return b + t
-
-    def var_copy(self, f: Formula, family: str, d: int, t: int) -> int:
-        """Traversal-copy variable; copy 0 is the primary block."""
-        if d == 0:
-            return self.var(f, t)
-        b = self.copy_base.get((f, family, d))
-        if b is None:
-            raise EncodingError(f"no {family}-copy {d} allocated for this formula")
-        if not 0 <= t <= self.k:
-            raise EncodingError(f"instant {t} outside 0..{self.k}")
-        return b + t
-
-    def back_call(self, x: int) -> Tuple[Formula, int]:
-        """Invert var(): which (subformula, instant) produced variable x."""
-        if not 1 <= x <= len(self.closure) * (self.k + 1):
-            raise EncodingError(f"variable {x} was not produced by call")
-        idx, t = divmod(x - 1, self.k + 1)
-        return self.closure[idx], t
-
-    def back_call_time(self, x: int) -> int:
-        return self.back_call(x)[1]
 
 
 def build_varmap(
@@ -144,6 +122,5 @@ def build_varmap(
             "future": futures,
             "past": pasts,
         },
-        num_atoms=len(atoms),
         max_var=nxt - 1,
     )

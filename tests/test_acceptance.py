@@ -21,7 +21,6 @@ from naive_eval import naive_eval
 from lassosat.cnf import check_model, dimacs_text, parse_dimacs, to_cnf
 from lassosat.desugar import desugar, expand_case
 from lassosat.encoder import CheckProblem, encode
-from lassosat.errors import LassosatError
 from lassosat.formula import (
     Alw,
     And,
@@ -40,7 +39,6 @@ from lassosat.formula import (
     Somp,
     WithinF,
     WithinP,
-    closure,
 )
 from lassosat.oracle import eval_lasso
 from lassosat.pipeline import (

@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from gen import random_core, random_sugared, random_trace
-from lassosat.desugar import desugar, expand_case
+from lassosat.desugar import desugar, eval_cond, expand_case
 from lassosat.errors import FormulaError
 from lassosat.formula import (
     And,
@@ -29,8 +29,8 @@ from lassosat.formula import (
     UntilVar,
     WithinF,
     Yesterday,
+    classify,
     closure,
-    is_core,
     temporal_depth,
 )
 from lassosat.oracle import eval_lasso
@@ -173,6 +173,20 @@ def test_condition_inside_body_evaluates():
     assert desugar(f) == Atom("Q", (2,))
 
 
+def test_condition_connectives_stop_at_the_deciding_argument():
+    # x = A makes eql true, so or never compares A with 3
+    cond = _f("(or (eql x a) (< x 3))")
+    assert eval_cond(cond, {"X": "A"}) is True
+    with pytest.raises(FormulaError, match="non-integers"):
+        eval_cond(cond, {"X": "B"})
+    assert eval_cond(_f("(and (eql x 1) (< x b))"), {"X": 2}) is False
+    with pytest.raises(FormulaError, match="non-integers"):
+        eval_cond(_f("(not (and (eql x x) (< x b)))"), {"X": 2})
+    # nested deeper than the recursion limit
+    n = 3001
+    assert eval_cond(_f("(not " * n + "(eql 1 1)" + ")" * n)) is False
+
+
 def test_empty_domain_quantifier_rejected():
     with pytest.raises(FormulaError, match="empty domain"):
         desugar(Forall("X", (), P))
@@ -246,7 +260,8 @@ def test_desugar_idempotent_on_random_formulas():
     rng = random.Random(5)
     for _ in range(150):
         core = desugar(random_sugared(rng, rng.randint(1, 4), ("P", "Q", "R")))
-        assert is_core(core)
+        # classify (like closure's walk) rejects every sugar node
+        assert all(classify(g) for g in closure([core]))
         assert desugar(core) == core
 
 

@@ -14,8 +14,6 @@ from lassosat.formula import (
     Until,
     Yesterday,
     Zeta,
-    classify,
-    closure,
 )
 from lassosat.oracle import closure_table, eval_lasso
 from lassosat.trace import LassoTrace

@@ -6,9 +6,9 @@ import pytest
 
 from lassosat import pipeline
 from lassosat.cli import main
-from lassosat.errors import BoundSearchError, SpecFormatError
+from lassosat.errors import BoundSearchError, EncodingError, SpecFormatError
 from lassosat.formula import Atom
-from lassosat.oracle import eval_lasso
+from lassosat.oracle import LassoWord, eval_lasso
 from lassosat.pipeline import (
     RunConfig,
     build_problem,
@@ -17,7 +17,7 @@ from lassosat.pipeline import (
     run,
 )
 from lassosat.specfile import load_spec
-from lassosat.trace import parse_history
+from lassosat.trace import parse_history, render_history
 
 
 def _cfg(data_dir, out_dir, name, **kw):
@@ -155,6 +155,45 @@ def test_loop_free_mode_verdict_texts(data_dir, out_dir):
     assert report.verdict == "SAT" and "not reached" in report.message
     report = run(_cfg(data_dir, out_dir, "cycle3.zot", mode="loop-free", bound=3))
     assert report.verdict == "UNSAT" and "reached" in report.message
+
+
+# bytes of output.hist.txt for cycle3.zot --loop-free --bound 2
+CYCLE3_LOOP_FREE_K2 = (
+    "------ time 0 ------\n  ST = 0\n\n"
+    "------ time 1 ------\n  ST = 1\n\n"
+    "------ time 2 ------\n  ST = 2\n\n"
+    "------ end ------\n"
+)
+
+
+def test_cli_loop_free_sat_history_is_pinned(data_dir, out_dir, capsys):
+    code = main([
+        "check", "--loop-free", "--bound", "2", "--out", out_dir,
+        str(data_dir / "cycle3.zot"),
+    ])
+    assert code == 0
+    assert (Path(out_dir) / "output.hist.txt").read_bytes() == CYCLE3_LOOP_FREE_K2.encode()
+    assert capsys.readouterr().out.endswith(CYCLE3_LOOP_FREE_K2)
+
+
+def test_loop_free_model_decodes_to_a_trace_without_loop(data_dir, out_dir):
+    report = run(_cfg(data_dir, out_dir, "cycle3.zot", mode="loop-free", bound=2))
+    trace = report.trace
+    assert trace.loop_start is None and trace.pool_start is None
+    assert render_history(trace) == report.history_text == CYCLE3_LOOP_FREE_K2
+    assert trace.holds(Atom("ST", (2,), "item"), 2)
+    # the oracle evaluates lassos only
+    with pytest.raises(EncodingError, match="loop-free"):
+        LassoWord.from_trace(trace)
+
+
+def test_cli_deep_next_nesting_is_satisfiable(tmp_path, out_dir, capsys):
+    n = 3000
+    spec = tmp_path / "deep.zot"
+    spec.write_text(f"(declare a)\n(property {'(next ' * n}(-P- a){')' * n})\n")
+    code = main(["check", "--bound", "5", "--out", out_dir, str(spec)])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("SAT (k=5, engine=mono)")
 
 
 def test_missing_bound_is_an_error(data_dir, out_dir):

@@ -1,9 +1,11 @@
 import pytest
 
+from lassosat.desugar import desugar
 from lassosat.errors import SpecFormatError
 from lassosat.formula import (
     And,
     Atom,
+    BoundedSince,
     BoundedUntil,
     Cond,
     Exists,
@@ -16,9 +18,9 @@ from lassosat.formula import (
     UntilVar,
     Yesterday,
 )
-from lassosat.pretty import to_sexpr
+from lassosat.pretty import formula_text, to_sexpr
 from lassosat.sexpr import read_sexprs, to_text
-from lassosat.specfile import parse_formula, parse_spec, parse_spec_text
+from lassosat.specfile import parse_formula, parse_spec_text
 
 
 def _f(text, decls=None):
@@ -174,3 +176,48 @@ def test_formula_print_parse_round_trip():
         ast = _f(text)
         again = parse_formula(read_sexprs(to_text(to_sexpr(ast)))[0])
         assert again == ast, text
+
+
+# The tests below nest far deeper than Python's default recursion limit:
+# parse, desugar and print keep their own stacks.
+
+
+def test_deep_conjunction_parses_and_desugars():
+    n = 3000
+    f = _f("(&& (-P- a) " * n + "(-P- a)" + ")" * n)
+    assert desugar(f) is f  # already core
+    links = 0
+    while isinstance(f, And):
+        f = f.items[1]
+        links += 1
+    assert (links, f) == (n, Atom("A"))
+
+
+def test_deep_quantifier_nesting_parses_and_desugars():
+    n = 3000
+    f = _f("(-A- x (1) " * n + "(-P- p x)" + ")" * n)
+    with pytest.warns(UserWarning, match="shadows"):
+        assert desugar(f) == Atom("P", (1,))
+
+
+def test_deep_sugared_chain_prints_and_round_trips():
+    a, b = Atom("A"), Atom("B", (1,))
+    steps = (
+        lambda f: Lasts(f, 2, "ie"),
+        lambda f: Somf(f, "i"),
+        lambda f: UntilVar(b, f, "ei"),
+        lambda f: BoundedSince(f, a, 1, None, "ee"),
+        lambda f: Forall("X", (1, 2), f, Cond("<", ("X", 3))),
+        lambda f: Not(f),
+        lambda f: And((a, f)),
+    )
+    f = a
+    for i in range(5000):
+        f = steps[i % len(steps)](f)
+    text = formula_text(f)
+    assert repr(f) == text
+    assert text.startswith(
+        "(SOMF_I (LASTS_IE (&& (-P- A) (!! (-A- X (1 2) (< X 3) "
+        "(SINCE_EE_>= 1 (UNTIL_EI (-P- B 1) (SOMF_I "
+    )
+    assert parse_formula(read_sexprs(text)[0]) is f

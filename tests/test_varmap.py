@@ -19,12 +19,13 @@ def test_call_is_deterministic_and_injective():
     assert len(seen) == len(vm.closure) * 4
 
 
-def test_back_call_inverts_call():
+def test_var_blocks_follow_closure_order():
+    # the closure order inverts an id: block index, then instant
     vm = build_varmap([ROOT], 3, "mono")
     for f in (P, ROOT, Next(Yesterday(Q))):
         for t in (0, 2, 3):
-            assert vm.back_call(vm.var(f, t)) == (f, t)
-            assert vm.back_call_time(vm.var(f, t)) == t
+            idx, instant = divmod(vm.var(f, t) - 1, 4)
+            assert (vm.closure[idx], instant) == (f, t)
 
 
 def test_instant_out_of_range():
@@ -39,8 +40,7 @@ def test_unknown_formula_and_unknown_id():
     vm = build_varmap([ROOT], 3, "mono")
     with pytest.raises(EncodingError, match="not in the closure"):
         vm.var(Atom("ZZZ"), 0)
-    with pytest.raises(EncodingError, match="not produced"):
-        vm.back_call(vm.max_var + 1)
+    assert max(vm.var(f, t) for f in vm.closure for t in range(4)) <= vm.max_var
 
 
 def test_partitions_disjoint_and_cover():
@@ -68,16 +68,15 @@ def test_extra_atoms_lead_ordering():
     vm = build_varmap([ROOT], 2, "mono", extra_atoms=(Atom("Z"), P))
     assert vm.atoms[0] == Atom("Z")
     assert vm.atoms[1] == P
-    assert vm.num_atoms == 3  # Z, P, Q
+    assert len(vm.atoms) == 3  # Z, P, Q
 
 
 def test_copy_blocks():
     caps = {Yesterday(Q): (2, 0)}
     vm = build_varmap([Yesterday(Q)], 3, "mono", copies=caps)
     base = vm.var(Yesterday(Q), 0)
-    c1 = vm.var_copy(Yesterday(Q), "r", 1, 0)
-    c2 = vm.var_copy(Yesterday(Q), "r", 2, 0)
+    c1 = vm.copy_base[(Yesterday(Q), "r", 1)]
+    c2 = vm.copy_base[(Yesterday(Q), "r", 2)]
     assert len({base, c1, c2}) == 3
-    assert vm.var_copy(Yesterday(Q), "r", 0, 2) == base + 2
-    with pytest.raises(EncodingError, match="no r-copy"):
-        vm.var_copy(Yesterday(Q), "r", 3, 0)
+    assert c2 + 3 < min(vm.loop_selectors.values())  # k+1 instants per copy block
+    assert (Yesterday(Q), "r", 3) not in vm.copy_base
