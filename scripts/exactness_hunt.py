@@ -3,7 +3,9 @@
 
 Draws random sugared formulas (every metric-operator variant family in the pool),
 desugars them, and compares the encoder+embedded-solver verdict against
-exhaustive (valuation x loop) enumeration decided by the trace oracle.
+exhaustive (valuation x loop, x pool on the bi engine) enumeration decided by
+the trace oracle.  Each formula draws its engine: mono, asserted at instant 1,
+or bi, asserted at instant 0.
 Any mismatch is printed with a replay recipe, and the exit status is 1 when
 there is any mismatch or unsound verdict.
 
@@ -38,22 +40,24 @@ def main():
     for n in range(count):
         f, core = random_sugared_capped(rng, rng.randint(1, 4), ("P", "Q", "R"))
         k = rng.choice((3, 4))
-        prob = CheckProblem(k=k, engine="mono", root=core)
+        engine = rng.choice(("mono", "bi"))
+        pos = 1 if engine == "mono" else 0
+        prob = CheckProblem(k=k, engine=engine, root=core)
         enc = encode(prob)
         res = solve_embedded(to_cnf(enc))
         if res.verdict == "SAT":
             tr = decode(res, enc.varmap)
-            if not eval_lasso(tr, core, 1):
+            if not eval_lasso(tr, core, pos):
                 unsound += 1
-                print(f"[{n}] UNSOUND k={k} {formula_text(f)}")
+                print(f"[{n}] UNSOUND k={k} {engine} {formula_text(f)}")
                 continue
             # a verified witness exists, so brute force would find one too
             continue
-        bf, wit = brute_force_sat(core, k, "mono", 1)
+        bf, wit = brute_force_sat(core, k, engine, pos)
         if bf:
             mism += 1
-            print(f"[{n}] INCOMPLETE k={k} sugared={formula_text(f)}")
-            print(f"     witness={wit} trace={trace_from_index(core, k, 'mono', wit)}")
+            print(f"[{n}] INCOMPLETE k={k} {engine} sugared={formula_text(f)}")
+            print(f"     witness={wit} trace={trace_from_index(core, k, engine, wit)}")
         if n % 200 == 199:
             dt = time.time() - t0
             print(f"... {n + 1}/{count} checked, {mism} mismatches, "

@@ -1,10 +1,11 @@
-"""CNF conversion and the DIMACS reader/writer.
+"""Clauses: the encoder's clause sink, and the DIMACS reader/writer.
 
-to_cnf is a structural (Tseitin-style) transformation.  Subformula variables
-already name most gate outputs (the encoder emits var <-> gate definitions),
-so those become clauses directly; fresh definition variables are introduced
-only for gates without a name, one per gate, above VarMap's last id.  Models
-therefore decode positionally: variables 1..max_var keep their meaning.
+The encoder writes its clauses straight into a ClauseSink.  Subformula
+variables already name most gate outputs, so their `var <-> gate`
+definitions become clauses directly; fresh Tseitin variables are taken only
+for unnamed inner gates, one per distinct gate, above VarMap's last id.
+Models therefore decode positionally: variables 1..max_var keep their
+meaning.
 """
 
 from __future__ import annotations
@@ -56,159 +57,65 @@ def _sanitize(lits: List[int]) -> Optional[List[int]]:
     return out
 
 
-class _Builder:
-    def __init__(self, first_free: int):
-        self.next_var = first_free
+class ClauseSink:
+    """Clauses written straight from the encoder, Tseitin gates on demand.
+
+    Unnamed inner gates get fresh variables above VarMap's last id, one per
+    distinct (op, operand literals), each issued after its operands' gates.
+    """
+
+    def __init__(self, max_var: int):
+        self.next_var = max_var + 1
         self.clauses: List[List[int]] = []
-        self.memo = {}
+        self.memo: Dict[tuple, int] = {}
 
-    def add(self, lits) -> None:
-        clause = _sanitize(lits)
-        if clause is not None:
-            self.clauses.append(clause)
+    def clause(self, lits: List[int]) -> None:
+        """Add a clause; repeated literals go, tautologies are dropped."""
+        lits = _sanitize(lits)
+        if lits is not None:
+            self.clauses.append(lits)
 
-    def fresh(self) -> int:
-        v = self.next_var
-        self.next_var += 1
-        return v
+    def define(self, v: int, op: str, lits: List[int]) -> None:
+        """Clauses for v <-> op(lits), op being "and", "or" or two-operand
+        "iff" (through a gate); a single operand makes v <-> lits[0]."""
+        if op == "iff":
+            lits = [self.gate("iff", lits)]
+        elif op == "or" and len(lits) != 1:
+            v, lits = -v, [-l for l in lits]  # v <-> or(ls)  is  -v <-> and(-ls)
+        add = self.clause
+        for l in lits:
+            add([-v, l])
+        add([v] + [-l for l in lits])
 
-    def lit(self, c) -> int:
-        """Literal equisatisfiably equivalent to circuit c (gates memoized)."""
-        if c is True or c is False:
-            # a constant literal: one fresh var pinned by a unit clause
-            key = c
-            got = self.memo.get(key)
-            if got is None:
-                got = self.fresh()
-                self.add([got] if c is True else [-got])
-                self.memo[key] = got
-            return got
-        op = c[0]
-        if op == "v":
-            return c[1]
-        if op == "not":
-            return -self.lit(c[1])
-        got = self.memo.get(c)
-        if got is not None:
-            return got
-        if op == "and":
-            lits = [self.lit(x) for x in c[1]]
-            g = self.fresh()
-            for l in lits:
-                self.add([-g, l])
-            self.add([g] + [-l for l in lits])
-        elif op == "or":
-            lits = [self.lit(x) for x in c[1]]
-            g = self.fresh()
-            for l in lits:
-                self.add([g, -l])
-            self.add([-g] + lits)
-        elif op == "iff":
-            a, b = self.lit(c[1]), self.lit(c[2])
-            g = self.fresh()
-            self.add([-g, -a, b])
-            self.add([-g, a, -b])
-            self.add([g, a, b])
-            self.add([g, -a, -b])
-        else:
-            raise LassosatError(f"unknown circuit op {op}")
-        self.memo[c] = g
+    def gate(self, op: str, lits: List[int]) -> int:
+        """A literal equivalent to op(lits); one operand is its own gate."""
+        if len(lits) == 1:
+            return lits[0]
+        key = (op, tuple(lits))
+        g = self.memo.get(key)
+        if g is None:
+            g = self.next_var
+            self.next_var += 1
+            if op == "iff":
+                a, b = lits
+                for clause in ([-g, -a, b], [-g, a, -b], [g, a, b], [g, -a, -b]):
+                    self.clause(clause)
+            else:
+                self.define(g, op, lits)
+            self.memo[key] = g
         return g
 
-    # -- polarity-aware assertion of top-level constraints ------------------
-
-    def assert_true(self, c) -> None:
-        if c is True:
-            return
-        if c is False:
-            self.clauses.append([])
-            return
-        op = c[0]
-        if op == "v":
-            self.add([c[1]])
-        elif op == "not":
-            self.assert_false(c[1])
-        elif op == "and":
-            for x in c[1]:
-                self.assert_true(x)
-        elif op == "or":
-            self.add(self._clause_of_or(c))
-        elif op == "iff":
-            self._assert_iff(c[1], c[2])
-        else:
-            raise LassosatError(f"unknown circuit op {op}")
-
-    def assert_false(self, c) -> None:
-        if c is True:
-            self.clauses.append([])
-            return
-        if c is False:
-            return
-        op = c[0]
-        if op == "v":
-            self.add([-c[1]])
-        elif op == "not":
-            self.assert_true(c[1])
-        elif op == "or":
-            for x in c[1]:
-                self.assert_false(x)
-        elif op == "and":
-            self.add([-self.lit(x) for x in c[1]])
-        elif op == "iff":
-            self._assert_iff(c[1], ("not", c[2]))
-        else:
-            raise LassosatError(f"unknown circuit op {op}")
-
-    def _clause_of_or(self, c) -> List[int]:
-        lits = []
-        for x in c[1]:
-            if isinstance(x, tuple) and x[0] == "or":
-                lits.extend(self._clause_of_or(x))
-            else:
-                lits.append(self.lit(x))
-        return lits
-
-    def _is_literal(self, c) -> bool:
-        return isinstance(c, tuple) and (
-            c[0] == "v" or (c[0] == "not" and self._is_literal(c[1]))
-        )
-
-    def _assert_iff(self, a, b) -> None:
-        # encoder definitions have a literal on the left; expand the right
-        # side in place so subformula variables act as the gate outputs
-        if not self._is_literal(a):
-            a, b = b, a
-        if not self._is_literal(a):
-            g1, g2 = self.lit(a), self.lit(b)
-            self.add([-g1, g2])
-            self.add([g1, -g2])
-            return
-        la = self.lit(a)
-        if isinstance(b, tuple) and b[0] == "and":
-            lits = [self.lit(x) for x in b[1]]
-            for l in lits:
-                self.add([-la, l])
-            self.add([la] + [-l for l in lits])
-        elif isinstance(b, tuple) and b[0] == "or":
-            lits = [self.lit(x) for x in b[1]]
-            for l in lits:
-                self.add([la, -l])
-            self.add([-la] + lits)
-        elif b is True:
-            self.add([la])
-        elif b is False:
-            self.add([-la])
-        else:
-            lb = self.lit(b)
-            self.add([-la, lb])
-            self.add([la, -lb])
+    def instance(self) -> CnfInstance:
+        return CnfInstance(num_vars=self.next_var - 1, clauses=self.clauses)
 
 
 def to_cnf(problem) -> CnfInstance:
-    """Equisatisfiable clauses for an EncodedProblem's circuit."""
-    builder = _Builder(problem.varmap.max_var + 1)
-    builder.assert_true(problem.formula)
-    return CnfInstance(num_vars=builder.next_var - 1, clauses=builder.clauses)
+    """The clauses of an EncodedProblem, which the encoder wrote.
+
+    Kept as the pipeline's CNF step: the benchmark's span recorder wraps
+    `pipeline.to_cnf` and fails when it is missing.
+    """
+    return problem.cnf
 
 
 def emit_dimacs(inst: CnfInstance, sink, comments: Iterable[str] = ()) -> None:

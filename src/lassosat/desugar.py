@@ -342,7 +342,15 @@ def _instances(f, env):
     if not f.domain:
         raise FormulaError(f"quantifier over {f.var}: empty domain")
     if f.var in env:
-        warnings.warn(f"quantifier variable {f.var} shadows an enclosing binding", stacklevel=2)
+        # the quantifier without its body: printing the body at every level
+        # of a deep shadowing nest would take time quadratic in its depth
+        head = repr(type(f)(f.var, f.domain, TRUE, f.cond))[: -len("TRUE)")] + "...)"
+        # the frames above are fold (which draws this generator), desugar
+        # and desugar's caller: the warning names the caller's line
+        warnings.warn(
+            f"quantifier variable {f.var} shadows an enclosing binding in {head}",
+            stacklevel=4,
+        )
     for elem in f.domain:
         inner = {**env, f.var: _resolve(elem, env)}
         if f.cond is None or eval_cond(f.cond, inner):

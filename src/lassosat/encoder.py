@@ -1,4 +1,4 @@
-"""Compile core formulas at bound k into a propositional circuit.
+"""Compile core formulas at bound k straight into CNF clauses.
 
 Instants run 0..k.  The mono-infinite engine requires exactly one future
 loop selector L_i (1 <= i <= k), read as "the successor of instant k is
@@ -36,6 +36,12 @@ future operators take their finite-word value there.  It also forces all
 k+1 atom state vectors to be pairwise distinct, which makes UNSAT mean "no
 loop-free path of this length exists", i.e. the completeness bound is
 reached, and asserts transitions only where their lookahead fits the window.
+
+Every rule writes its clauses into one cnf.ClauseSink as it goes, in a
+single pass.  A subformula variable is defined by `var <-> and/or(...)`
+clauses; a selector-guarded definition becomes `-sel | iff-gate(var, ...)`;
+unnamed inner gates get memoized Tseitin variables above the VarMap's last
+id, so models decode positionally.
 """
 
 from __future__ import annotations
@@ -43,13 +49,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from .cnf import ClauseSink, CnfInstance
 from .errors import EncodingError
 from .formula import (
     And,
     Atom,
     FalseF,
     Formula,
-    Iff,
     Implies,
     Next,
     Not,
@@ -66,71 +72,6 @@ from .formula import (
 )
 from .trace import PartialHistory
 from .varmap import VarMap, build_varmap
-
-# ---------------------------------------------------------------------------
-# circuits: True/False, ("v", id), ("not", c), ("and", cs), ("or", cs),
-# ("iff", a, b) -- iff kept explicit because definitional constraints are
-# exactly var <-> gate and translate to clauses without fresh variables.
-# ---------------------------------------------------------------------------
-
-
-def cvar(vid: int):
-    return ("v", vid)
-
-
-def cnot(c):
-    if c is True:
-        return False
-    if c is False:
-        return True
-    if isinstance(c, tuple) and c[0] == "not":
-        return c[1]
-    return ("not", c)
-
-
-def cand(items):
-    out = []
-    for c in items:
-        if c is False:
-            return False
-        if c is not True:
-            out.append(c)
-    if not out:
-        return True
-    if len(out) == 1:
-        return out[0]
-    return ("and", tuple(out))
-
-
-def cor(items):
-    out = []
-    for c in items:
-        if c is True:
-            return True
-        if c is not False:
-            out.append(c)
-    if not out:
-        return False
-    if len(out) == 1:
-        return out[0]
-    return ("or", tuple(out))
-
-
-def ciff(a, b):
-    if a is True:
-        return b
-    if b is True:
-        return a
-    if a is False:
-        return cnot(b)
-    if b is False:
-        return cnot(a)
-    return ("iff", a, b)
-
-
-def cimp(a, b):
-    return cor((cnot(a), b))
-
 
 # ---------------------------------------------------------------------------
 # encoder input / output
@@ -154,13 +95,13 @@ class CheckProblem:
 @dataclass
 class EncodedProblem:
     varmap: VarMap
-    formula: tuple  # circuit, a big conjunction
+    cnf: CnfInstance
     engine: str
     loop_free: bool
 
 
 def encode(problem: CheckProblem) -> EncodedProblem:
-    """Compile a problem into one circuit, loopy or loop-free."""
+    """Compile a problem into clauses, loopy or loop-free."""
     return _Encoder(problem).encode()
 
 
@@ -173,15 +114,14 @@ def _all_formulas(problem: CheckProblem):
     return forms
 
 
-def _exactly_one(vs: List[int]):
-    out = [cor([cvar(v) for v in vs])]
+def _exactly_one(sink: ClauseSink, vs: List[int]) -> None:
+    sink.clause(vs)
     for i in range(len(vs)):
         for j in range(i + 1, len(vs)):
-            out.append(cor((cnot(cvar(vs[i])), cnot(cvar(vs[j])))))
-    return out
+            sink.clause([-vs[i], -vs[j]])
 
 
-def _fact_constraints(problem: CheckProblem, vm: VarMap):
+def _fact_literals(problem: CheckProblem, vm: VarMap) -> List[int]:
     facts = problem.facts
     if facts is None:
         return []
@@ -193,8 +133,8 @@ def _fact_constraints(problem: CheckProblem, vm: VarMap):
             )
         if atom not in vm.base:
             raise EncodingError(f"history atom {atom.display} is not registered")
-        x = cvar(vm.var(atom, instant))
-        out.append(x if polarity else cnot(x))
+        x = vm.var(atom, instant)
+        out.append(x if polarity else -x)
     if facts.loop_at is not None:
         if not vm.loop_selectors:
             raise EncodingError("**LOOP** marker is meaningless in loop-free mode")
@@ -202,7 +142,7 @@ def _fact_constraints(problem: CheckProblem, vm: VarMap):
             raise EncodingError(
                 f"history loop marker at {facts.loop_at} outside 1..{vm.k}"
             )
-        out.append(cvar(vm.loop_selectors[facts.loop_at]))
+        out.append(vm.loop_selectors[facts.loop_at])
     if facts.pool_at is not None:
         if vm.engine != "bi":
             raise EncodingError("**POOL** marker requires the bi engine")
@@ -210,23 +150,21 @@ def _fact_constraints(problem: CheckProblem, vm: VarMap):
             raise EncodingError(
                 f"history pool marker at {facts.pool_at} outside 1..{vm.k}"
             )
-        out.append(cvar(vm.pool_selectors[facts.pool_at]))
+        out.append(vm.pool_selectors[facts.pool_at])
     return out
 
 
-def _bool_circuit(f: Formula, operand):
-    """Circuit for a boolean node given a child -> circuit accessor."""
+def _connective(f: Formula, operand):
+    """(op, operand literals) of a boolean node, given a child -> literal map."""
     if isinstance(f, Not):
-        return cnot(operand(f.sub))
+        return "and", [-operand(f.sub)]
     if isinstance(f, And):
-        return cand([operand(c) for c in f.items])
+        return "and", [operand(c) for c in f.items]
     if isinstance(f, Or):
-        return cor([operand(c) for c in f.items])
+        return "or", [operand(c) for c in f.items]
     if isinstance(f, Implies):
-        return cor((cnot(operand(f.left)), operand(f.right)))
-    if isinstance(f, Iff):
-        return ciff(operand(f.left), operand(f.right))
-    raise EncodingError(f"not a boolean connective: {type(f).__name__}")
+        return "or", [-operand(f.left), operand(f.right)]
+    return "iff", [operand(f.left), operand(f.right)]
 
 
 # ---------------------------------------------------------------------------
@@ -238,23 +176,6 @@ _SHIFT = frozenset((Next, Yesterday, Zeta))
 # weak duals: the neighbour beyond a finite edge is true (false otherwise)
 _WEAK = frozenset((Zeta, Release, Trigger))
 _UNTIL_LIKE = frozenset((Until, Since))
-
-
-def _rec(acc, f: Formula, d: int, t: int, nd: int, nt: Optional[int]):
-    """The fixpoint expansion of temporal node f at copy d, instant t.
-
-    `acc(g, copy, instant)` is R or Lc; (nd, nt) is the recurrence
-    neighbour, and nt None puts it beyond a finite edge of the word, where
-    it is false for the strong operators and true for the weak duals.
-    """
-    cls = type(f)
-    if cls in _SHIFT:
-        return (cls in _WEAK) if nt is None else acc(f.sub, nd, nt)
-    nxt = (cls in _WEAK) if nt is None else acc(f, nd, nt)
-    a, b = acc(f.left, d, t), acc(f.right, d, t)
-    if cls in _UNTIL_LIKE:
-        return cor((b, cand((a, nxt))))
-    return cand((b, cor((a, nxt))))
 
 
 class _Encoder:
@@ -291,7 +212,7 @@ class _Encoder:
             with_selectors=not self.loop_free, copies=self.caps,
         )
         self.vm.assertion_instant = 1 if engine == "mono" else 0
-        self.cons: List = []
+        self.sink = ClauseSink(self.vm.max_var)
         # block bases of each formula's traversal copies, index 0 being the
         # primary block, resolved once: R and Lc run for every literal emitted
         vm = self.vm
@@ -303,23 +224,50 @@ class _Encoder:
             self.lbases[f] = [b] + [vm.copy_base[(f, "l", e)] for e in range(1, nl + 1)]
 
     # copy accessors: d/e are clamped to the formula's own stabilized copy
-    def R(self, f: Formula, d: int, t: int):
+    def R(self, f: Formula, d: int, t: int) -> int:
         if not 0 <= t <= self.k:
             raise EncodingError(f"instant {t} outside 0..{self.k}")
         bases = self.rbases[f]
-        return cvar((bases[d] if d < len(bases) else bases[-1]) + t)
+        return (bases[d] if d < len(bases) else bases[-1]) + t
 
-    def Lc(self, f: Formula, e: int, t: int):
+    def Lc(self, f: Formula, e: int, t: int) -> int:
         if not 0 <= t <= self.k:
             raise EncodingError(f"instant {t} outside 0..{self.k}")
         bases = self.lbases[f]
-        return cvar((bases[e] if e < len(bases) else bases[-1]) + t)
+        return (bases[e] if e < len(bases) else bases[-1]) + t
+
+    def _rec(self, acc, f: Formula, d: int, t: int, nd: int, nt: Optional[int]):
+        """The fixpoint expansion of temporal node f at copy d, instant t.
+
+        Returns (op, operand literals), op being "and" or "or"; an empty
+        "and" is true and an empty "or" false.  `acc(g, copy, instant)` is R
+        or Lc; (nd, nt) is the recurrence neighbour, and nt None puts it
+        beyond a finite edge of the word, where it is false for the strong
+        operators and true for the weak duals.
+        """
+        cls = type(f)
+        if cls in _SHIFT:
+            if nt is None:
+                return ("and" if cls in _WEAK else "or"), []
+            return "and", [acc(f.sub, nd, nt)]
+        b = acc(f.right, d, t)
+        if nt is None:  # until/since are strong, release/trigger weak: both give b
+            return "and", [b]
+        a, nxt = acc(f.left, d, t), acc(f, nd, nt)
+        if cls in _UNTIL_LIKE:
+            return "or", [b, self.sink.gate("and", [a, nxt])]
+        return "and", [b, self.sink.gate("or", [a, nxt])]
+
+    def _guarded(self, s: int, v: int, expansion) -> None:
+        """Selector s implies v <-> expansion, through an iff gate."""
+        gate = self.sink.gate
+        self.sink.clause([-s, gate("iff", [v, gate(*expansion)])])
 
     def encode(self) -> EncodedProblem:
-        vm = self.vm
+        vm, sink = self.vm, self.sink
         for selectors in (vm.loop_selectors, vm.pool_selectors):
             if selectors:
-                self.cons.extend(_exactly_one(list(selectors.values())))
+                _exactly_one(sink, list(selectors.values()))
 
         for f in vm.partitions["bool"]:
             self._emit_bool(f)
@@ -329,145 +277,145 @@ class _Encoder:
             self._emit_past(f)
 
         self._emit_assertions()
-        self.cons.extend(_fact_constraints(self.problem, vm))
+        for lit in _fact_literals(self.problem, vm):
+            sink.clause([lit])
         if self.loop_free:
             self._emit_all_different()
         return EncodedProblem(
             varmap=vm,
-            formula=cand(self.cons) if self.cons else True,
+            cnf=sink.instance(),
             engine=self.engine,
             loop_free=self.loop_free,
         )
 
     def _emit_bool(self, f: Formula):
-        k = self.k
+        k, define = self.k, self.sink.define
         if isinstance(f, (TrueF, FalseF)):
             positive = isinstance(f, TrueF)
             for t in range(k + 1):
                 x = self.R(f, 0, t)
-                self.cons.append(x if positive else cnot(x))
+                self.sink.clause([x if positive else -x])
             return
         for d in range(self.caps[f][0] + 1):
             for t in range(k + 1):
-                circuit = _bool_circuit(f, lambda c, d=d, t=t: self.R(c, d, t))
-                self.cons.append(ciff(self.R(f, d, t), circuit))
+                define(self.R(f, d, t), *_connective(f, lambda c: self.R(c, d, t)))
         for e in range(1, self.caps[f][1] + 1):
             for t in range(k + 1):
-                circuit = _bool_circuit(f, lambda c, e=e, t=t: self.Lc(c, e, t))
-                self.cons.append(ciff(self.Lc(f, e, t), circuit))
+                define(self.Lc(f, e, t), *_connective(f, lambda c: self.Lc(c, e, t)))
 
     def _emit_future(self, f: Formula):
-        k, cons, R, Lc, rec = self.k, self.cons, self.R, self.Lc, _rec
+        k, R, Lc, rec = self.k, self.R, self.Lc, self._rec
+        sink, define, guarded, gate = self.sink, self.sink.define, self._guarded, self.sink.gate
         loops = self.vm.loop_selectors.items()
         pools = self.vm.pool_selectors.items()
         nr, nl = self.caps[f]
         for d in range(nr + 1):
             for t in range(k):
-                cons.append(ciff(R(f, d, t), rec(R, f, d, t, d, t + 1)))
+                define(R(f, d, t), *rec(R, f, d, t, d, t + 1))
             if self.loop_free:
                 # instant k has no successor: the finite-word value
-                cons.append(ciff(R(f, d, k), rec(R, f, d, k, d, None)))
+                define(R(f, d, k), *rec(R, f, d, k, d, None))
             # instant k loops back to the selected position, one pass deeper
             for i, s in loops:
-                cons.append(cimp(cvar(s), ciff(R(f, d, k), rec(R, f, d, k, d + 1, i))))
+                guarded(s, R(f, d, k), rec(R, f, d, k, d + 1, i))
         # obligations alive at the end of the top copy are discharged inside
         # the loop (its crossing is a self-cycle)
         if type(f) is Until:
             for i, s in loops:
-                witness = cor([R(f.right, nr, t) for t in range(i, k + 1)])
-                cons.append(cimp(cand((cvar(s), R(f, nr, k))), witness))
+                witness = [R(f.right, nr, t) for t in range(i, k + 1)]
+                sink.clause([-gate("and", [s, R(f, nr, k)])] + witness)
         elif type(f) is Release:
             for i, s in loops:
-                always = cand([R(f.right, nr, t) for t in range(i, k + 1)])
-                cons.append(cimp(cand((cvar(s), always)), R(f, nr, k)))
+                always = gate("and", [R(f.right, nr, t) for t in range(i, k + 1)])
+                sink.clause([-gate("and", [s, always]), R(f, nr, k)])
 
         # bi engine: backward passes through the past loop
         for e in range(1, nl + 1):
             for p, s in pools:
-                sel = cvar(s)
                 for t in range(p):
-                    cons.append(cimp(sel, ciff(Lc(f, e, t), rec(Lc, f, e, t, e, t + 1))))
-                cons.append(cimp(sel, ciff(Lc(f, e, p), rec(Lc, f, e, p, e - 1, 0))))
+                    guarded(s, Lc(f, e, t), rec(Lc, f, e, t, e, t + 1))
+                guarded(s, Lc(f, e, p), rec(Lc, f, e, p, e - 1, 0))
         # future values agree at p and at the virtual predecessor of 0
         for p, s in pools:
-            cons.append(cimp(cvar(s), ciff(Lc(f, nl, p), rec(Lc, f, nl, p, nl, 0))))
+            guarded(s, Lc(f, nl, p), rec(Lc, f, nl, p, nl, 0))
 
     def _emit_past(self, f: Formula):
-        k, cons, R, Lc, rec = self.k, self.cons, self.R, self.Lc, _rec
+        k, R, Lc, rec = self.k, self.R, self.Lc, self._rec
+        sink, define, guarded, gate = self.sink, self.sink.define, self._guarded, self.sink.gate
         loops = self.vm.loop_selectors.items()
         pools = self.vm.pool_selectors.items()
         nr, nl = self.caps[f]
         for t in range(1, k + 1):
-            cons.append(ciff(R(f, 0, t), rec(R, f, 0, t, 0, t - 1)))
+            define(R(f, 0, t), *rec(R, f, 0, t, 0, t - 1))
         if not pools:
             # mono engine: instant 0 is the time origin, a finite edge
-            cons.append(ciff(R(f, 0, 0), rec(R, f, 0, 0, 0, None)))
+            define(R(f, 0, 0), *rec(R, f, 0, 0, 0, None))
         # bi engine: no origin, instant 0 wraps into the past loop (copy 0
         # of Lc is the primary block)
         for p, s in pools:
-            cons.append(cimp(cvar(s), ciff(R(f, 0, 0), rec(Lc, f, 0, 0, 1, p))))
+            guarded(s, R(f, 0, 0), rec(Lc, f, 0, 0, 1, p))
 
         # deeper traversals of the future loop (past values shift one pass)
         for d in range(1, nr + 1):
             for i, s in loops:
-                sel = cvar(s)
                 for t in range(i + 1, k + 1):
-                    cons.append(cimp(sel, ciff(R(f, d, t), rec(R, f, d, t, d, t - 1))))
-                cons.append(cimp(sel, ciff(R(f, d, i), rec(R, f, d, i, d - 1, k))))
+                    guarded(s, R(f, d, t), rec(R, f, d, t, d, t - 1))
+                guarded(s, R(f, d, i), rec(R, f, d, i, d - 1, k))
         # the top copy is past-consistent: the loop entry value agrees with
         # the value at the virtual successor of k
         for i, s in loops:
-            cons.append(cimp(cvar(s), ciff(R(f, nr, i), rec(R, f, nr, i, nr, k))))
+            guarded(s, R(f, nr, i), rec(R, f, nr, i, nr, k))
 
         # bi engine: backward passes through the past loop
         for e in range(1, nl + 1):
             for p, s in pools:
-                sel = cvar(s)
                 for t in range(1, p + 1):
-                    cons.append(cimp(sel, ciff(Lc(f, e, t), rec(Lc, f, e, t, e, t - 1))))
-                cons.append(cimp(sel, ciff(Lc(f, e, 0), rec(Lc, f, e, 0, e + 1, p))))
+                    guarded(s, Lc(f, e, t), rec(Lc, f, e, t, e, t - 1))
+                guarded(s, Lc(f, e, 0), rec(Lc, f, e, 0, e + 1, p))
         # since/trigger are cyclic around the past loop at their deepest
         # backward copy: discharge the obligations there
         if type(f) is Since:
             for p, s in pools:
-                witness = cor([Lc(f.right, nl, t) for t in range(p + 1)])
-                cons.append(cimp(cand((cvar(s), Lc(f, nl, 0))), witness))
+                witness = [Lc(f.right, nl, t) for t in range(p + 1)]
+                sink.clause([-gate("and", [s, Lc(f, nl, 0)])] + witness)
         elif type(f) is Trigger:
             for p, s in pools:
-                always = cand([Lc(f.right, nl, t) for t in range(p + 1)])
-                cons.append(cimp(cand((cvar(s), always)), Lc(f, nl, 0)))
+                always = gate("and", [Lc(f.right, nl, t) for t in range(p + 1)])
+                sink.clause([-gate("and", [s, always]), Lc(f, nl, 0)])
 
     def _emit_assertions(self):
-        vm, k, cons = self.vm, self.k, self.cons
+        vm, k, clause = self.vm, self.k, self.sink.clause
         problem = self.problem
         for tr in problem.transitions:
             # loop-free: only where the lookahead fits the window
             last = k - temporal_depth(tr)[0] if self.loop_free else k
             for t in range(last + 1):
-                cons.append(self.R(tr, 0, t))
+                clause([self.R(tr, 0, t)])
             nr, nl = self.caps[tr]
             # constraints with past content must also hold on later passes
             for d in range(1, nr + 1):
                 for i, s in vm.loop_selectors.items():
-                    sel = cvar(s)
                     for t in range(i, k + 1):
-                        cons.append(cimp(sel, self.R(tr, d, t)))
+                        clause([-s, self.R(tr, d, t)])
             for e in range(1, nl + 1):
                 for p, s in vm.pool_selectors.items():
-                    sel = cvar(s)
                     for t in range(p + 1):
-                        cons.append(cimp(sel, self.Lc(tr, e, t)))
+                        clause([-s, self.Lc(tr, e, t)])
         for gc in problem.global_constraints:
             for t in range(k + 1):
-                cons.append(self.R(gc, 0, t))
+                clause([self.R(gc, 0, t)])
         if problem.root is not None:
             vm.root_var = vm.var(problem.root, vm.assertion_instant)
-            cons.append(cvar(vm.root_var))
+            clause([vm.root_var])
 
     def _emit_all_different(self):
-        # every pair of instants differs in at least one atom
-        k, R = self.k, self.R
+        # every pair of instants differs in at least one atom; with no atoms
+        # that is the empty clause
+        k, R, sink = self.k, self.R, self.sink
+        atoms = self.vm.atoms
         for s in range(k + 1):
             for t in range(s + 1, k + 1):
-                diffs = [cnot(ciff(R(a, 0, s), R(a, 0, t))) for a in self.vm.atoms]
-                self.cons.append(cor(diffs))
+                if len(atoms) == 1:  # a_s <-> -a_t: two clauses, no gate
+                    sink.define(R(atoms[0], 0, s), "and", [-R(atoms[0], 0, t)])
+                else:
+                    sink.clause([-sink.gate("iff", [R(a, 0, s), R(a, 0, t)]) for a in atoms])

@@ -15,7 +15,9 @@ values up in one weak table and returns the node already there, so each
 structure has exactly one live object: equal subtrees are shared, and
 hashing and equality go by identity, O(1) however deep the formula.
 Construct nodes only through their constructors (`Next(f)`, `Atom("p")`,
-...); copy, pickle and `dataclasses.replace` go through them as well.
+...); copy, pickle and `dataclasses.replace` go through them as well, and
+copy and pickle see a formula as a flat postorder list of its nodes, so
+they work at any depth.
 Nodes are frozen dataclasses, so formulas are immutable; `repr` prints the
 s-expression text (lassosat.pretty).  Tree walks that build a value per
 node (parsing, desugaring, printing) go through `fold`, which keeps its own
@@ -62,7 +64,11 @@ class Formula(metaclass=_Interned):
         return tuple(getattr(self, name) for name in self._fields)
 
     def __reduce__(self):
-        return (type(self), self._values())
+        # a flat postorder node list, so copy and pickle do not recurse
+        # once per nesting level
+        nodes = list(_postorder(self, set(), _subnodes))
+        index = {node: i for i, node in enumerate(nodes)}
+        return _rebuild, ([(type(n), _refs(n._values(), index)) for n in nodes],)
 
     def __repr__(self):
         from .pretty import formula_text
@@ -452,20 +458,62 @@ def fold(root, expand):
             stack.append((iter(children), combine, []))
 
 
-def _postorder(root: Formula, seen: set):
+def _subnodes(f: Formula) -> list:
+    """The nodes among f's field values, tuples searched, in field order
+    (sugar nodes included)."""
+    out = []
+    stack = [f._values()]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, Formula):
+            out.append(value)
+        elif isinstance(value, tuple):
+            stack.extend(reversed(value))
+    return out
+
+
+# Field values are hashable, so they hold no lists: in a reduced formula a
+# one-element list [i] stands for the i-th node of its postorder list.
+def _refs(value, index):
+    if isinstance(value, Formula):
+        return [index[value]]
+    if isinstance(value, tuple):
+        return tuple(_refs(v, index) for v in value)
+    return value
+
+
+def _deref(value, built):
+    if isinstance(value, list):
+        return built[value[0]]
+    if isinstance(value, tuple):
+        return tuple(_deref(v, built) for v in value)
+    return value
+
+
+def _rebuild(table):
+    """The root of a reduced formula, every node built through its
+    (interning) constructor."""
+    built = []
+    for cls, values in table:
+        built.append(cls(*_deref(values, built)))
+    return built[-1]
+
+
+def _postorder(root: Formula, seen: set, subs=children):
     """Nodes under root not yet in `seen`, children first and left to right.
 
-    Each node is added to `seen` as it is yielded.  The walk keeps its own
-    stack, so formula depth is not limited by Python's recursion limit.
+    `subs(node)` lists a node's children (by default core nodes only).  Each
+    node is added to `seen` as it is yielded.  The walk keeps its own stack,
+    so formula depth is not limited by Python's recursion limit.
     """
     if root in seen:
         return
-    stack = [(root, iter(children(root)))]
+    stack = [(root, iter(subs(root)))]
     while stack:
         node, pending = stack[-1]
         for c in pending:
             if c not in seen:
-                stack.append((c, iter(children(c))))
+                stack.append((c, iter(subs(c))))
                 break
         else:
             stack.pop()

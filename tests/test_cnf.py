@@ -2,85 +2,138 @@ import itertools
 import random
 
 from lassosat.cnf import (
+    ClauseSink,
     CnfInstance,
     check_model,
     dimacs_text,
     parse_dimacs,
     to_cnf,
 )
-from lassosat.encoder import CheckProblem, cand, cnot, cor, cvar, encode
+from lassosat.encoder import CheckProblem, encode
 from lassosat.formula import Atom
 from lassosat.sat_embedded import solve_embedded
 
 
-class _Fake:
-    """Minimal EncodedProblem stand-in for direct circuit tests."""
-
-    def __init__(self, formula, num_vars):
-        class VM:
-            max_var = num_vars
-
-        self.varmap = VM()
-        self.formula = formula
-
-
-def _eval_circuit(c, assign):
-    if c is True or c is False:
-        return c
-    op = c[0]
-    if op == "v":
-        return assign[c[1]]
-    if op == "not":
-        return not _eval_circuit(c[1], assign)
+def _apply(op, values):
     if op == "and":
-        return all(_eval_circuit(x, assign) for x in c[1])
+        return all(values)
     if op == "or":
-        return any(_eval_circuit(x, assign) for x in c[1])
-    if op == "iff":
-        return _eval_circuit(c[1], assign) == _eval_circuit(c[2], assign)
-    raise ValueError(op)
+        return any(values)
+    a, b = values
+    return a == b
 
 
-def _random_circuit(rng, depth, num_vars):
-    if depth == 0 or rng.random() < 0.3:
-        lit = cvar(rng.randint(1, num_vars))
-        return cnot(lit) if rng.random() < 0.4 else lit
-    op = rng.randrange(4)
-    if op == 0:
-        return cnot(_random_circuit(rng, depth - 1, num_vars))
-    if op == 1:
-        return cand([_random_circuit(rng, depth - 1, num_vars) for _ in range(rng.randint(2, 3))])
-    if op == 2:
-        return cor([_random_circuit(rng, depth - 1, num_vars) for _ in range(rng.randint(2, 3))])
-    return ("iff", _random_circuit(rng, depth - 1, num_vars),
-            _random_circuit(rng, depth - 1, num_vars))
+def _value(lit, assign):
+    return assign[lit] if lit > 0 else not assign[-lit]
+
+
+def _random_program(rng, num_vars):
+    """A random run of gate/define/clause calls on a fresh sink.
+
+    Returns the sink and the calls, each ("gate", op, lits, g),
+    ("define", v, op, lits) or ("clause", lits), over literals of the
+    variables 1..num_vars and of earlier gates.
+    """
+    sink = ClauseSink(num_vars)
+    pool = list(range(1, num_vars + 1))
+    calls = []
+
+    def lits(n):
+        return [rng.choice(pool) * rng.choice((1, -1)) for _ in range(n)]
+
+    for _ in range(rng.randint(1, 6)):
+        op = rng.choice(("and", "or", "iff"))
+        operands = lits(2 if op == "iff" else rng.randint(0, 3))
+        kind = rng.random()
+        if kind < 0.5:
+            g = sink.gate(op, operands)
+            calls.append(("gate", op, operands, g))
+            pool.append(abs(g))
+        elif kind < 0.75:
+            v = lits(1)[0]
+            sink.define(v, op, operands)
+            calls.append(("define", v, op, operands))
+        else:
+            operands = lits(rng.randint(0, 3))
+            sink.clause(operands)
+            calls.append(("clause", operands))
+    return sink, calls
+
+
+def _run_program(calls, bits):
+    """Whether the program holds when variables 1..len(bits) take `bits`;
+    gate variables take their gate's value.  Returns (holds, assignment)."""
+    assign = dict(enumerate(bits, 1))
+    for call in calls:
+        if call[0] == "gate":
+            _, op, operands, g = call
+            if g not in assign and g > 0:  # a fresh gate, not an operand
+                assign[g] = _apply(op, [_value(l, assign) for l in operands])
+    for call in calls:
+        if call[0] == "define":
+            _, v, op, operands = call
+            if _value(v, assign) != _apply(op, [_value(l, assign) for l in operands]):
+                return False, assign
+        elif call[0] == "clause":
+            if not any(_value(l, assign) for l in call[1]):
+                return False, assign
+    return True, assign
 
 
 def test_and_gate_units():
-    inst = to_cnf(_Fake(cand((cvar(1), cvar(2))), 2))
-    assert [1] in inst.clauses and [2] in inst.clauses
+    sink = ClauseSink(2)
+    sink.clause([sink.gate("and", [1, 2])])
+    inst = sink.instance()
+    assert inst.num_vars == 3
+    result = solve_embedded(inst)
+    assert result.verdict == "SAT" and result.model[1] and result.model[2]
+    # a one-operand gate is its operand; no variable is taken
+    assert sink.gate("and", [-2]) == -2 and sink.next_var == 4
+
+
+def test_gates_are_memoized_on_their_operand_literals():
+    sink = ClauseSink(3)
+    inner = sink.gate("or", [1, -2])
+    outer = sink.gate("iff", [inner, 3])
+    assert outer == inner + 1  # operand gates come first
+    size = len(sink.clauses)
+    assert sink.gate("iff", [sink.gate("or", [1, -2]), 3]) == outer
+    assert len(sink.clauses) == size
+    assert sink.gate("or", [-2, 1]) != inner  # operand order is part of the key
 
 
 def test_constant_false_circuit_is_unsat():
-    inst = to_cnf(_Fake(False, 2))
-    assert solve_embedded(inst).verdict == "UNSAT"
+    sink = ClauseSink(2)
+    sink.clause([])
+    assert solve_embedded(sink.instance()).verdict == "UNSAT"
+    # an empty or-gate is false, an empty and-gate true
+    sink = ClauseSink(2)
+    sink.clause([sink.gate("or", [])])
+    assert solve_embedded(sink.instance()).verdict == "UNSAT"
+    sink = ClauseSink(2)
+    sink.define(1, "and", [])
+    sink.define(2, "or", [])
+    assert sink.instance().clauses == [[1], [-2]]
 
 
 def test_equisatisfiability_against_circuit_enumeration():
     rng = random.Random(3)
-    for _ in range(120):
-        num_vars = rng.randint(1, 6)
-        circuit = _random_circuit(rng, rng.randint(1, 4), num_vars)
-        inst = to_cnf(_Fake(circuit, num_vars))
+    for _ in range(300):
+        num_vars = rng.randint(1, 5)
+        sink, calls = _random_program(rng, num_vars)
+        inst = sink.instance()
         brute = any(
-            _eval_circuit(circuit, (None,) + bits)
+            _run_program(calls, bits)[0]
             for bits in itertools.product((False, True), repeat=num_vars)
         )
         result = solve_embedded(inst)
-        assert (result.verdict == "SAT") == brute
+        assert (result.verdict == "SAT") == brute, calls
         if result.verdict == "SAT":
-            # model fidelity: the original circuit evaluates true
-            assert _eval_circuit(circuit, result.model)
+            # model fidelity: on the model's first num_vars values the
+            # program holds and every gate variable carries its gate's value
+            holds, assign = _run_program(calls, result.model[1:num_vars + 1])
+            assert holds, calls
+            assert all(result.model[v] == value for v, value in assign.items()), calls
 
 
 def test_subformula_variables_keep_their_meaning():
@@ -124,20 +177,21 @@ def test_parse_dimacs_detects_header_mismatch():
 
 
 def test_no_tautological_clauses():
-    inst = to_cnf(_Fake(cor((cvar(1), cnot(cvar(1)), cvar(2))), 2))
-    for clause in inst.clauses:
+    sink = ClauseSink(2)
+    sink.clause([1, -1, 2])
+    sink.define(1, "or", [1, 2])
+    sink.gate("and", [2, -2])
+    for clause in sink.instance().clauses:
         assert not any(-lit in clause for lit in clause)
 
 
 def test_clauses_are_deduplicated_in_first_occurrence_order():
-    clauses = [
-        cor((cvar(1), cvar(1))),  # repeated literal: a unit
-        cor((cvar(2), cnot(cvar(2)))),  # tautology: dropped
-        cor((cvar(3), cnot(cvar(1)))),
-        cor((cvar(2), cvar(3), cvar(2))),
-    ]
-    inst = to_cnf(_Fake(cand(tuple(clauses)), 3))
-    assert inst.clauses == [[1], [3, -1], [2, 3]]
+    sink = ClauseSink(3)
+    sink.clause([1, 1])  # repeated literal: a unit
+    sink.clause([2, -2])  # tautology: dropped
+    sink.clause([3, -1])
+    sink.clause([2, 3, 2])
+    assert sink.instance().clauses == [[1], [3, -1], [2, 3]]
 
 
 def test_check_model():

@@ -1,4 +1,5 @@
 import copy
+import pickle
 import random
 import warnings
 
@@ -197,7 +198,12 @@ def test_shadowing_warns_and_inner_wins():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         out = desugar(f)
-    assert any("shadow" in str(w.message) for w in caught)
+    shadowing = [w for w in caught if "shadow" in str(w.message)]
+    assert shadowing
+    for w in shadowing:
+        # reported at this call of desugar, naming the shadowing quantifier
+        assert w.filename == __file__
+        assert str(w.message).endswith("in (-E- X (3 4) ...)")
     atoms = {a for a in closure([out]) if isinstance(a, Atom)}
     assert atoms == {Atom("P", (3,)), Atom("P", (4,))}
 
@@ -325,6 +331,22 @@ def test_nodes_are_interned(data_dir):
         for _ in range(2)
     ]
     assert roots[0] is roots[1]
+
+
+def test_deep_formulas_copy_and_pickle_to_the_interned_node():
+    chain = P
+    for _ in range(5000):
+        chain = Next(chain)
+    assert copy.deepcopy(chain) is chain
+    assert pickle.loads(pickle.dumps(chain)) is chain
+    # sugar nodes keep nodes inside tuples: branches, conditions, items
+    for text in (
+        "(-A- x (1 2) (-E- y (3 4) (EQUAL x y) (&& (-P- P x) (-P- Q y))))",
+        "(and-case (x (1 2)) ((-P- P x) (-P- Q x)) (else (-P- R x)))",
+    ):
+        f = _f(text)
+        assert copy.deepcopy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
 
 
 def test_temporal_depth_mutex_property_regression(data_dir):

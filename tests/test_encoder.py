@@ -10,9 +10,15 @@ from lassosat.cnf import dimacs_text, to_cnf
 from lassosat.desugar import desugar
 from lassosat.encoder import CheckProblem, encode
 from lassosat.errors import EncodingError
-from lassosat.formula import And, Atom, Iff, Next, Not, Yesterday, Zeta
+from lassosat.formula import And, Atom, Iff, Next, Not, TrueF, Yesterday, Zeta
 from lassosat.oracle import eval_lasso
-from lassosat.pipeline import RunConfig, build_problem, check_trace_against_root, run
+from lassosat.pipeline import (
+    RunConfig,
+    build_problem,
+    check_trace_against_root,
+    find_bound,
+    run,
+)
 from lassosat.sat_embedded import solve_embedded
 from lassosat.specfile import load_spec
 from lassosat.trace import PartialHistory, decode, load_history
@@ -229,6 +235,17 @@ def test_encoding_bytes_are_pinned(
     assert len(encoded.varmap.copy_base) == blocks
     assert (inst.num_vars, len(inst.clauses)) == (nvars, nclauses)
     assert hashlib.sha256(dimacs_text(inst).encode()).hexdigest() == digest
+
+
+def test_atomless_loop_free_windows_are_unsat(tmp_path):
+    # no atoms: no two instants can differ, so the all-different constraint
+    # is the empty clause and the completeness bound is 1
+    inst = to_cnf(encode(CheckProblem(k=1, engine="mono", root=TrueF(), loop_free=True)))
+    assert [] in inst.clauses
+    assert solve_embedded(inst).verdict == "UNSAT"
+    spec = tmp_path / "atomless.zot"
+    spec.write_text("(property (TRUE))\n")
+    assert find_bound(RunConfig(spec_path=str(spec), out_dir=str(tmp_path))) == 1
 
 
 def test_history_fact_beyond_bound_rejected():
