@@ -5,7 +5,8 @@ Draws random sugared formulas (every metric-operator variant family in the pool)
 desugars them, and compares the encoder+embedded-solver verdict against
 exhaustive (valuation x loop, x pool on the bi engine) enumeration decided by
 the trace oracle.  Each formula draws its engine: mono, asserted at instant 1,
-or bi, asserted at instant 0.
+bi, asserted at instant 0, or loop-free: mono with a random core transition,
+decided by enumerating the finite words of pairwise distinct states.
 Any mismatch is printed with a replay recipe, and the exit status is 1 when
 there is any mismatch or unsound verdict.
 
@@ -19,8 +20,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from gen import random_sugared_capped  # noqa: E402
-from brute import brute_force_sat, trace_from_index  # noqa: E402
+from gen import random_core, random_sugared_capped  # noqa: E402
+from brute import (  # noqa: E402
+    accepts_loop_free,
+    brute_force_loop_free,
+    brute_force_sat,
+    trace_from_index,
+)
 
 from lassosat.cnf import to_cnf  # noqa: E402
 from lassosat.encoder import CheckProblem, encode  # noqa: E402
@@ -28,6 +34,17 @@ from lassosat.oracle import eval_lasso  # noqa: E402
 from lassosat.pretty import formula_text  # noqa: E402
 from lassosat.sat_embedded import solve_embedded  # noqa: E402
 from lassosat.trace import decode  # noqa: E402
+
+
+def _loop_free_mismatch(prob):
+    """None, or how the loop-free verdict disagrees with the enumeration."""
+    enc = encode(prob)
+    res = solve_embedded(to_cnf(enc))
+    if res.verdict == "SAT":
+        tr = decode(res, enc.varmap)
+        word = [{a: tr.holds(a, t) for a in tr.atoms} for t in range(prob.k + 1)]
+        return None if accepts_loop_free(prob, word) else "UNSOUND"
+    return "INCOMPLETE" if brute_force_loop_free(prob)[0] else None
 
 
 def main():
@@ -40,7 +57,19 @@ def main():
     for n in range(count):
         f, core = random_sugared_capped(rng, rng.randint(1, 4), ("P", "Q", "R"))
         k = rng.choice((3, 4))
-        engine = rng.choice(("mono", "bi"))
+        engine = rng.choice(("mono", "bi", "loop-free"))
+        if engine == "loop-free":
+            trans = random_core(rng, rng.randint(1, 2), ("P", "Q", "R"))
+            k = rng.choice((2, 3))
+            found = _loop_free_mismatch(CheckProblem(
+                k=k, engine="mono", root=core, transitions=(trans,), loop_free=True
+            ))
+            if found:
+                mism += found == "INCOMPLETE"
+                unsound += found == "UNSOUND"
+                print(f"[{n}] {found} k={k} loop-free {formula_text(f)} "
+                      f"trans={formula_text(trans)}")
+            continue
         pos = 1 if engine == "mono" else 0
         prob = CheckProblem(k=k, engine=engine, root=core)
         enc = encode(prob)

@@ -5,7 +5,9 @@ variables already name most gate outputs, so their `var <-> gate`
 definitions become clauses directly; fresh Tseitin variables are taken only
 for unnamed inner gates, one per distinct gate, above VarMap's last id.
 Models therefore decode positionally: variables 1..max_var keep their
-meaning.
+meaning.  A loop-free window instead takes each instant's variable block
+from the sink (`fresh`) as the instant enters, so its gates sit between the
+blocks, and models decode through VarMap.var.
 """
 
 from __future__ import annotations
@@ -69,6 +71,12 @@ class ClauseSink:
         self.clauses: List[List[int]] = []
         self.memo: Dict[tuple, int] = {}
 
+    def fresh(self, count: int = 1) -> int:
+        """The first of `count` new consecutive variables."""
+        first = self.next_var
+        self.next_var += count
+        return first
+
     def clause(self, lits: List[int]) -> None:
         """Add a clause; repeated literals go, tautologies are dropped."""
         lits = _sanitize(lits)
@@ -110,12 +118,11 @@ class ClauseSink:
 
 
 def to_cnf(problem) -> CnfInstance:
-    """The clauses of an EncodedProblem, which the encoder wrote.
-
-    Kept as the pipeline's CNF step: the benchmark's span recorder wraps
-    `pipeline.to_cnf` and fails when it is missing.
-    """
-    return problem.cnf
+    """The CNF of an EncodedProblem at its bound: the clauses the encoder
+    wrote, plus the unit of a loop-free window's activation literal."""
+    if problem.activation is None:
+        return problem.cnf
+    return CnfInstance(problem.cnf.num_vars, problem.cnf.clauses + [[problem.activation]])
 
 
 def emit_dimacs(inst: CnfInstance, sink, comments: Iterable[str] = ()) -> None:

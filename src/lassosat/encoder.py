@@ -37,16 +37,35 @@ k+1 atom state vectors to be pairwise distinct, which makes UNSAT mean "no
 loop-free path of this length exists", i.e. the completeness bound is
 reached, and asserts transitions only where their lookahead fits the window.
 
+The loop-free encoding grows one instant at a time, after Een & Sorensson,
+Temporal Induction by Incremental SAT Solving (BMC 2003), and Heljanko,
+Junttila & Latvala, Incremental and Complete BMC for Full PLTL (CAV 2005).
+When instant t enters the window it takes its variable block (VarMap's
+instant layout) and appends, and never retracts:
+
+- the boolean and past definitions at t (past at 0: the time origin);
+- the future definitions at t-1, which now has a successor;
+- the transitions whose lookahead now fits, the global constraints at t,
+  the root when t is the assertion instant, and the history facts at t;
+- the distinctness of instant t from each earlier one.
+
+Only the future operators' finite-edge definitions at the last instant do
+not last: they hold under an activation literal E_t, and the step to t+1
+adds the unit -E_t.  The problem at bound k is the grown clauses plus the
+unit E_k (`cnf.to_cnf`); find_bound instead keeps one live solver and
+assumes E_k, so each clause is built and loaded once.
+
 Every rule writes its clauses into one cnf.ClauseSink as it goes, in a
 single pass.  A subformula variable is defined by `var <-> and/or(...)`
 clauses; a selector-guarded definition becomes `-sel | iff-gate(var, ...)`;
 unnamed inner gates get memoized Tseitin variables above the VarMap's last
-id, so models decode positionally.
+id (in a loop-free window: above the newest instant block), so models
+decode through VarMap.var.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from .cnf import ClauseSink, CnfInstance
@@ -98,11 +117,30 @@ class EncodedProblem:
     cnf: CnfInstance
     engine: str
     loop_free: bool
+    # loop-free: E_k, which switches on the finite-edge definitions at the
+    # last instant; the problem at k is `cnf` plus the unit [E_k]
+    activation: Optional[int] = None
+    encoder: Optional["_Encoder"] = field(default=None, repr=False, compare=False)
 
 
-def encode(problem: CheckProblem) -> EncodedProblem:
-    """Compile a problem into clauses, loopy or loop-free."""
-    return _Encoder(problem).encode()
+def encode(problem: CheckProblem, prefix: Optional[EncodedProblem] = None) -> EncodedProblem:
+    """Compile a problem into clauses, loopy or loop-free.
+
+    Given `prefix`, the loop-free encoding of the same problem at a bound no
+    larger than problem.k, grow that encoding to problem.k instead: its
+    varmap and clause list grow in place and are shared with the result.
+    """
+    if prefix is None:
+        return _Encoder(problem).encode()
+    encoder = prefix.encoder
+    if (
+        encoder is None
+        or replace(problem, k=encoder.problem.k) != encoder.problem
+        or problem.k < encoder.k
+    ):
+        raise EncodingError("only a loop-free encoding of the same problem grows")
+    encoder.problem = problem
+    return encoder.encode()
 
 
 def _all_formulas(problem: CheckProblem):
@@ -121,20 +159,20 @@ def _exactly_one(sink: ClauseSink, vs: List[int]) -> None:
             sink.clause([-vs[i], -vs[j]])
 
 
-def _fact_literals(problem: CheckProblem, vm: VarMap) -> List[int]:
+def _history(problem: CheckProblem, vm: VarMap):
+    """The history facts (instant, atom, polarity), checked against the
+    problem, and the selector literals its loop and pool markers pin."""
     facts = problem.facts
     if facts is None:
-        return []
-    out = []
-    for instant, atom, polarity in facts.facts:
-        if instant > vm.k:
+        return [], []
+    for instant, atom, _ in facts.facts:
+        if instant > problem.k:
             raise EncodingError(
-                f"history fact at time {instant} exceeds the bound k={vm.k}"
+                f"history fact at time {instant} exceeds the bound k={problem.k}"
             )
         if atom not in vm.base:
             raise EncodingError(f"history atom {atom.display} is not registered")
-        x = vm.var(atom, instant)
-        out.append(x if polarity else -x)
+    out = []
     if facts.loop_at is not None:
         if not vm.loop_selectors:
             raise EncodingError("**LOOP** marker is meaningless in loop-free mode")
@@ -151,7 +189,7 @@ def _fact_literals(problem: CheckProblem, vm: VarMap) -> List[int]:
                 f"history pool marker at {facts.pool_at} outside 1..{vm.k}"
             )
         out.append(vm.pool_selectors[facts.pool_at])
-    return out
+    return facts.facts, out
 
 
 def _connective(f: Formula, operand):
@@ -194,7 +232,6 @@ class _Encoder:
                 raise EncodingError(f"{engine} engine needs k >= 2, got {k}")
         self.problem = problem
         self.engine = engine
-        self.k = k
         forms = _all_formulas(problem)
         self.caps: Dict[Formula, Tuple[int, int]] = {}
         for f in closure(forms):
@@ -208,10 +245,12 @@ class _Encoder:
         for a in problem.atoms:
             self.caps.setdefault(a, (0, 0))
         self.vm = build_varmap(
-            forms, k, engine, problem.atoms,
-            with_selectors=not self.loop_free, copies=self.caps,
+            forms, k, engine, problem.atoms, copies=self.caps, loop_free=self.loop_free
         )
         self.vm.assertion_instant = 1 if engine == "mono" else 0
+        # the loop-free window starts empty, and instants enter it one by one
+        self.k = self.vm.k
+        self.offsets = self.vm.offsets
         self.sink = ClauseSink(self.vm.max_var)
         # block bases of each formula's traversal copies, index 0 being the
         # primary block, resolved once: R and Lc run for every literal emitted
@@ -222,19 +261,21 @@ class _Encoder:
             b = vm.base[f]
             self.rbases[f] = [b] + [vm.copy_base[(f, "r", d)] for d in range(1, nr + 1)]
             self.lbases[f] = [b] + [vm.copy_base[(f, "l", e)] for e in range(1, nl + 1)]
+        self.facts, self.markers = _history(problem, vm)
+        self.activation: Optional[int] = None
 
     # copy accessors: d/e are clamped to the formula's own stabilized copy
     def R(self, f: Formula, d: int, t: int) -> int:
         if not 0 <= t <= self.k:
             raise EncodingError(f"instant {t} outside 0..{self.k}")
         bases = self.rbases[f]
-        return (bases[d] if d < len(bases) else bases[-1]) + t
+        return (bases[d] if d < len(bases) else bases[-1]) + self.offsets[t]
 
     def Lc(self, f: Formula, e: int, t: int) -> int:
         if not 0 <= t <= self.k:
             raise EncodingError(f"instant {t} outside 0..{self.k}")
         bases = self.lbases[f]
-        return (bases[e] if e < len(bases) else bases[-1]) + t
+        return (bases[e] if e < len(bases) else bases[-1]) + self.offsets[t]
 
     def _rec(self, acc, f: Formula, d: int, t: int, nd: int, nt: Optional[int]):
         """The fixpoint expansion of temporal node f at copy d, instant t.
@@ -265,42 +306,103 @@ class _Encoder:
 
     def encode(self) -> EncodedProblem:
         vm, sink = self.vm, self.sink
+        if self.loop_free:
+            while self.k < self.problem.k:
+                self._enter_instant()
+            return EncodedProblem(
+                varmap=vm, cnf=sink.instance(), engine=self.engine, loop_free=True,
+                activation=self.activation, encoder=self,
+            )
+
         for selectors in (vm.loop_selectors, vm.pool_selectors):
             if selectors:
                 _exactly_one(sink, list(selectors.values()))
 
+        instants = range(self.k + 1)
         for f in vm.partitions["bool"]:
-            self._emit_bool(f)
+            self._emit_bool(f, instants)
         for f in vm.partitions["future"]:
             self._emit_future(f)
         for f in vm.partitions["past"]:
             self._emit_past(f)
 
         self._emit_assertions()
-        for lit in _fact_literals(self.problem, vm):
+        for t, atom, polarity in self.facts:
+            x = vm.var(atom, t)
+            sink.clause([x if polarity else -x])
+        for lit in self.markers:
             sink.clause([lit])
-        if self.loop_free:
-            self._emit_all_different()
         return EncodedProblem(
             varmap=vm,
             cnf=sink.instance(),
             engine=self.engine,
-            loop_free=self.loop_free,
+            loop_free=False,
         )
 
-    def _emit_bool(self, f: Formula):
-        k, define = self.k, self.sink.define
+    def _enter_instant(self):
+        """Loop-free: instant k+1 enters the window; append its clauses."""
+        vm, sink, R, rec = self.vm, self.sink, self.R, self._rec
+        clause, define = sink.clause, sink.define
+        vm.add_instant(sink.fresh(len(vm.closure)))
+        t = self.k = vm.k
+        if t:  # instant t-1 gets a successor: its finite edge is gone
+            clause([-self.activation])
+        edge = self.activation = sink.fresh()
+
+        for f in vm.partitions["bool"]:
+            self._emit_bool(f, (t,))
+        for f in vm.partitions["future"]:
+            if t:
+                define(R(f, 0, t - 1), *rec(R, f, 0, t - 1, 0, t))
+            # edge -> (f at t <-> its finite-word value: false, true or b)
+            op, lits = rec(R, f, 0, t, 0, None)
+            v = R(f, 0, t)
+            if lits:
+                clause([-edge, -v, lits[0]])
+                clause([-edge, v, -lits[0]])
+            else:
+                clause([-edge, v if op == "and" else -v])
+        for f in vm.partitions["past"]:
+            # instant 0 is the time origin, a finite edge for good
+            define(R(f, 0, t), *rec(R, f, 0, t, 0, t - 1 if t else None))
+
+        problem = self.problem
+        for tr in problem.transitions:
+            start = t - temporal_depth(tr)[0]  # the instant whose lookahead ends at t
+            if start >= 0:
+                clause([R(tr, 0, start)])
+        for gc in problem.global_constraints:
+            clause([R(gc, 0, t)])
+        if t == vm.assertion_instant and problem.root is not None:
+            vm.root_var = vm.var(problem.root, t)
+            clause([vm.root_var])
+        for instant, atom, polarity in self.facts:
+            if instant == t:
+                x = vm.var(atom, t)
+                clause([x if polarity else -x])
+
+        # instant t differs from every earlier one in at least one atom;
+        # with no atoms that is the empty clause
+        atoms = vm.atoms
+        for s in range(t):
+            if len(atoms) == 1:  # a_s <-> -a_t: two clauses, no gate
+                define(R(atoms[0], 0, s), "and", [-R(atoms[0], 0, t)])
+            else:
+                clause([-sink.gate("iff", [R(a, 0, s), R(a, 0, t)]) for a in atoms])
+
+    def _emit_bool(self, f: Formula, instants):
+        define = self.sink.define
         if isinstance(f, (TrueF, FalseF)):
             positive = isinstance(f, TrueF)
-            for t in range(k + 1):
+            for t in instants:
                 x = self.R(f, 0, t)
                 self.sink.clause([x if positive else -x])
             return
         for d in range(self.caps[f][0] + 1):
-            for t in range(k + 1):
+            for t in instants:
                 define(self.R(f, d, t), *_connective(f, lambda c: self.R(c, d, t)))
         for e in range(1, self.caps[f][1] + 1):
-            for t in range(k + 1):
+            for t in instants:
                 define(self.Lc(f, e, t), *_connective(f, lambda c: self.Lc(c, e, t)))
 
     def _emit_future(self, f: Formula):
@@ -312,9 +414,6 @@ class _Encoder:
         for d in range(nr + 1):
             for t in range(k):
                 define(R(f, d, t), *rec(R, f, d, t, d, t + 1))
-            if self.loop_free:
-                # instant k has no successor: the finite-word value
-                define(R(f, d, k), *rec(R, f, d, k, d, None))
             # instant k loops back to the selected position, one pass deeper
             for i, s in loops:
                 guarded(s, R(f, d, k), rec(R, f, d, k, d + 1, i))
@@ -387,9 +486,7 @@ class _Encoder:
         vm, k, clause = self.vm, self.k, self.sink.clause
         problem = self.problem
         for tr in problem.transitions:
-            # loop-free: only where the lookahead fits the window
-            last = k - temporal_depth(tr)[0] if self.loop_free else k
-            for t in range(last + 1):
+            for t in range(k + 1):
                 clause([self.R(tr, 0, t)])
             nr, nl = self.caps[tr]
             # constraints with past content must also hold on later passes
@@ -407,15 +504,3 @@ class _Encoder:
         if problem.root is not None:
             vm.root_var = vm.var(problem.root, vm.assertion_instant)
             clause([vm.root_var])
-
-    def _emit_all_different(self):
-        # every pair of instants differs in at least one atom; with no atoms
-        # that is the empty clause
-        k, R, sink = self.k, self.R, self.sink
-        atoms = self.vm.atoms
-        for s in range(k + 1):
-            for t in range(s + 1, k + 1):
-                if len(atoms) == 1:  # a_s <-> -a_t: two clauses, no gate
-                    sink.define(R(atoms[0], 0, s), "and", [-R(atoms[0], 0, t)])
-                else:
-                    sink.clause([-sink.gate("iff", [R(a, 0, s), R(a, 0, t)]) for a in atoms])

@@ -8,7 +8,8 @@ Modes:
   hcc         history checking/completion: bsc plus the facts of a partial
               (or total) history; UNSAT leaves the history file empty
   loop-free   completeness check: UNSAT means the bound is reached
-  find-bound  iterate loop-free k = 1, 2, ... until the first UNSAT
+  find-bound  iterate loop-free k = 1, 2, ... until the first UNSAT, growing
+              one encoding into one live embedded solver
 
 For the mono engine init is asserted through the yesterday idiom (the root
 formula lives at instant 1, so init is pinned at instant 0); the bi engine
@@ -29,7 +30,7 @@ from .encoder import CheckProblem, encode
 from .errors import BoundSearchError, SpecFormatError
 from .formula import Atom, Not, Yesterday, conj
 from .oracle import eval_lasso
-from .sat_embedded import solve_embedded
+from .sat_embedded import Solver, solve_embedded
 from .sat_external import CNF_FILENAME, DEFAULT_SOLVERS, SAT_FILENAME, solve_external
 from .specfile import SpecDocument, load_spec
 from .trace import LassoTrace, PartialHistory, decode, load_history, render_history
@@ -240,39 +241,61 @@ def run(config: RunConfig) -> RunReport:
 
 
 def find_bound(config: RunConfig, doc: Optional[SpecDocument] = None) -> int:
-    """Smallest k whose loop-free encoding is UNSAT (completeness bound)."""
+    """Smallest k whose loop-free encoding is UNSAT (completeness bound).
+
+    One loop-free encoding grows from k to k+1.  The embedded solver is one
+    live solver that receives only the appended clauses and solves each k
+    under the assumption E_k; the files are written once, for the last k
+    solved, byte-equal to a loop-free run at that k (when the search is
+    exhausted, the model is that of the same fresh solve such a run makes).
+    An external solver reads the CNF from its file, so it is handed the
+    grown clauses plus the unit E_k, and writes the files, for every k.
+    """
     if doc is None:
         doc = load_spec(config.spec_path)
     _, engine, solver, _ = _effective(replace(config, mode="find-bound"), doc)
     if engine != "mono":
         raise SpecFormatError("find-bound uses the loop-free mono encoding")
-    for k in range(1, config.max_bound + 1):
-        problem = build_problem(doc, k, "mono", "find-bound", None)
-        result = _bound_step(problem, solver, config, last=k == config.max_bound)
-        if result.verdict == "UNSAT":
-            Path(config.out_dir, HIST_FILENAME).write_text("", encoding="utf-8")
-            return k
-    raise BoundSearchError(
-        f"still satisfiable at the maximum bound {config.max_bound}"
-    )
+    problem = build_problem(doc, 1, "mono", "find-bound", None)
+    encoded, result = _search_bound(problem, solver, config)
+    found = result is not None and result.verdict == "UNSAT"
+    if solver == "embedded" and encoded is not None:
+        inst = to_cnf(encoded)
+        comments = _dimacs_comments(encoded.varmap)
+        if found:
+            _write_cnf(inst, config.out_dir, comments)
+            _write_sat(inst, result, config.out_dir)
+        else:
+            _solve(inst, solver, config.out_dir, comments, config.timeout_s)
+    if not found:
+        raise BoundSearchError(
+            f"still satisfiable at the maximum bound {config.max_bound}"
+        )
+    Path(config.out_dir, HIST_FILENAME).write_text("", encoding="utf-8")
+    return encoded.varmap.k
 
 
-def _bound_step(problem: CheckProblem, solver: str, config: RunConfig, last: bool):
-    """One loop-free solve of find_bound.
+def _search_bound(problem: CheckProblem, solver: str, config: RunConfig):
+    """Grow and solve k = 1..max_bound up to the first UNSAT.
 
-    An external solver reads the CNF from its file, so it writes the files
-    for every k; the embedded one writes them only for the last k solved.
-    Each k's encoding and CNF are released before the next k is built.
+    Returns the last encoding and its result.  The live solver is dropped
+    on return, so the files are written without its clause copies.
     """
-    if solver != "embedded":
-        return _run_problem(problem, solver, config.out_dir, config.timeout_s)[2]
-    encoded = encode(problem)
-    inst = to_cnf(encoded)
-    result = solve_embedded(inst, timeout_s=config.timeout_s)
-    if last or result.verdict == "UNSAT":
-        _write_cnf(inst, config.out_dir, _dimacs_comments(encoded.varmap))
-        _write_sat(inst, result, config.out_dir)
-    return result
+    live = Solver()
+    encoded = result = None
+    for k in range(1, config.max_bound + 1):
+        encoded = encode(replace(problem, k=k), encoded)
+        if solver == "embedded":
+            result = solve_embedded(
+                encoded.cnf, timeout_s=config.timeout_s,
+                assumptions=[encoded.activation], live=live,
+            )
+        else:
+            comments = _dimacs_comments(encoded.varmap)
+            result = _solve(to_cnf(encoded), solver, config.out_dir, comments, config.timeout_s)
+        if result.verdict == "UNSAT":
+            break
+    return encoded, result
 
 
 def _run_find_bound(config, doc, engine, solver) -> RunReport:

@@ -1,4 +1,4 @@
-"""Embedded CDCL SAT solver.
+"""Embedded CDCL SAT solver, one-shot or live.
 
 A complete decision procedure: two-watched-literal propagation, first-UIP
 conflict learning, VSIDS-style activities with decay, phase saving and Luby
@@ -11,7 +11,8 @@ Representation (after MiniSat; Een & Sorensson, SAT 2003):
   2n + 1 slots, and Python's negative indexing gives `l` and `-l` distinct
   ones: assigning `l` sets `lv[l] = 1` and `lv[-l] = -1`, so reading a
   literal's value is one list access.  Level, reason and saved phase are
-  indexed by variable.
+  indexed by variable.  New variables are spliced in between the positive
+  and the negative halves, so every existing literal keeps its slot.
 - Each decision takes the unassigned variable with the highest activity,
   the lowest index on ties.  The activity heap holds at most one live entry
   per variable, `(-activity, var)`; `inheap[var]` says whether it has one.
@@ -20,17 +21,34 @@ Representation (after MiniSat; Een & Sorensson, SAT 2003):
   the heap when a decision is made.  An activity rescale invalidates every
   entry and rebuilds the heap from the unassigned variables.
 
-The result's `stats` count conflicts (the final level-0 conflict of an
-UNSAT answer included), decisions, propagations (literals taken off the
-trail by unit propagation), restarts and learnts (learnt clauses of two or
-more literals added to the clause set).
+The live solver (`Solver`) follows MiniSat's incremental interface.  Clauses
+are appended between searches, and each search runs under assumption
+literals, which are decided first, one decision level each; an assumption
+found false ends the search UNSAT for those assumptions only.  Every append
+and every search starts from decision level 0, and the solver keeps its
+level-0 trail, learnt clauses (they follow from the clauses alone, never
+from the assumptions), activities and saved phases from call to call.  A
+clause appended once level-0 assignments exist is simplified against them
+first; a clause that is contradictory at level 0 makes every later search
+UNSAT.  The one-shot `solve_embedded(inst)` is a fresh solver given every
+clause at once, so it searches exactly as a solver without the live
+interface would.  Cyclic garbage collection is paused while the solver
+runs: its clause lists are many small containers, and a collection would
+walk them all.
+
+The result's `stats` count, per search, conflicts (the final level-0
+conflict of an UNSAT answer included), decisions (assumptions excluded),
+propagations (literals taken off the trail by unit propagation), restarts
+and learnts (learnt clauses of two or more literals added to the clause
+set).
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from heapq import heapify, heappop, heappush
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from .cnf import CnfInstance, SatResult, check_model
 from .errors import LassosatError, SolverTimeout
@@ -53,173 +71,84 @@ def _luby(i: int) -> int:
 
 
 def solve_embedded(
-    inst: CnfInstance, timeout_s: Optional[float] = None, verify: bool = True
+    inst: CnfInstance,
+    timeout_s: Optional[float] = None,
+    verify: bool = True,
+    assumptions: Sequence[int] = (),
+    live: Optional["Solver"] = None,
 ) -> SatResult:
-    """Decide the instance; raises SolverTimeout when a limit is given and hit."""
-    n = inst.num_vars
-    conflicts = decisions = propagations = restarts = learnts = 0
+    """Decide the instance under the assumption literals.
 
-    def result(verdict: str, model=None) -> SatResult:
-        stats = {
-            "conflicts": conflicts,
-            "decisions": decisions,
-            "propagations": propagations,
-            "restarts": restarts,
-            "learnts": learnts,
-        }
-        return SatResult(verdict, model, stats)
+    With `live`, the clauses of `inst` beyond those `live` already holds are
+    appended to it first, so `inst.clauses` must extend the clauses it was
+    given before.  Raises SolverTimeout when a limit is given and hit.
+    """
+    if live is None:
+        solver, clauses = Solver(), inst.clauses
+    else:
+        solver, clauses = live, inst.clauses[live.num_given:]
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        solver.add_clauses(clauses, inst.num_vars)
+        return solver.solve(assumptions, timeout_s, verify)
+    finally:
+        if collecting:
+            gc.enable()
 
-    clauses: List[List[int]] = []
-    units: List[int] = []
-    for clause in inst.clauses:
-        if not clause:
-            return result("UNSAT")
-        if len(clause) == 1:
-            units.append(clause[0])
-        else:
-            clauses.append(list(clause))
 
-    lv = [0] * (2 * n + 1)  # by literal: 0 unknown, 1 true, -1 false
-    level = [0] * (n + 1)
-    reason = [-1] * (n + 1)
-    saved = [False] * (n + 1)
-    activity = [0.0] * (n + 1)
-    seen = [False] * (n + 1)
-    trail: List[int] = []
-    trail_lim: List[int] = []
-    qhead = 0
-    var_inc = 1.0
-    heap: List[tuple] = [(0.0, v) for v in range(1, n + 1)]
-    inheap = [True] * (n + 1)
+class Solver:
+    """A live CDCL solver: append clauses, then search under assumptions."""
 
-    watches: List[List[int]] = [[] for _ in range(2 * n + 1)]
-    for ci, cl in enumerate(clauses):
-        watches[cl[0]].append(ci)
-        watches[cl[1]].append(ci)
+    def __init__(self):
+        self.n = 0
+        self.ok = True  # False once the clauses alone are contradictory
+        # the appended clause lists as given, for the model check
+        self.given: List[Sequence[List[int]]] = []
+        self.num_given = 0
+        self.clauses: List[List[int]] = []  # attached copies, then learnts
+        self.units: List[int] = []  # unit clauses not yet on the trail
+        self.lv = [0]  # by literal: 0 unknown, 1 true, -1 false
+        self.watches: List[List[int]] = [[]]  # by literal
+        self.level = [0]
+        self.reason = [-1]
+        self.saved = [False]
+        self.activity = [0.0]
+        self.seen = [False]
+        self.inheap = [False]
+        self.heap: List[tuple] = []
+        self.trail: List[int] = []
+        self.trail_lim: List[int] = []
+        self.qhead = 0
+        self.var_inc = 1.0
 
-    def enqueue(lit: int, cref: int) -> bool:
-        v = lv[lit]
-        if v:
-            return v == 1
-        lv[lit] = 1
-        lv[-lit] = -1
-        var = lit if lit > 0 else -lit
-        level[var] = len(trail_lim)
-        reason[var] = cref
-        trail.append(lit)
-        return True
+    def _grow(self, num_vars: int) -> None:
+        n, new = self.n, num_vars - self.n
+        if new <= 0:
+            return
+        if n:
+            self.lv[n + 1:n + 1] = [0] * (2 * new)
+            self.watches[n + 1:n + 1] = [[] for _ in range(2 * new)]
+        else:  # a fresh solver: no slot to keep, and no splice to pay for
+            self.lv = [0] * (2 * new + 1)
+            self.watches = [[] for _ in range(2 * new + 1)]
+        self.level.extend([0] * new)
+        self.reason.extend([-1] * new)
+        self.saved.extend([False] * new)
+        self.activity.extend([0.0] * new)
+        self.seen.extend([False] * new)
+        self.inheap.extend([True] * new)
+        # every entry is (-activity <= 0, var < n + 1): the heap stays a heap
+        self.heap.extend((0.0, v) for v in range(n + 1, num_vars + 1))
+        self.n = num_vars
 
-    def propagate() -> int:
-        nonlocal qhead, propagations
-        lv_, level_, reason_, clauses_, watches_ = lv, level, reason, clauses, watches
-        push = trail.append
-        dl = len(trail_lim)
-        q = start = qhead
-        while q < len(trail):
-            neg = -trail[q]
-            q += 1
-            ws = watches_[neg]
-            j = moved = 0
-            # compact ws in place: entries [0, j) stay, a moved watch leaves a gap
-            for ci in ws:
-                cl = clauses_[ci]
-                first = cl[0]
-                if first == neg:  # keep the false literal at position 1
-                    first = cl[1]
-                    cl[0] = first
-                    cl[1] = neg
-                fv = lv_[first]
-                if fv == 1:
-                    ws[j] = ci
-                    j += 1
-                    continue
-                for idx in range(2, len(cl)):
-                    other = cl[idx]
-                    if lv_[other] != -1:
-                        cl[1] = other
-                        cl[idx] = neg
-                        watches_[other].append(ci)
-                        moved += 1
-                        break
-                else:
-                    ws[j] = ci
-                    j += 1
-                    if fv:  # first is false: conflict; keep the unvisited rest
-                        del ws[j:j + moved]
-                        qhead = q
-                        propagations += q - start
-                        return ci
-                    lv_[first] = 1
-                    lv_[-first] = -1
-                    var = first if first > 0 else -first
-                    level_[var] = dl
-                    reason_[var] = ci
-                    push(first)
-            del ws[j:]
-        qhead = q
-        propagations += q - start
-        return -1
-
-    def rescale():
-        nonlocal var_inc
-        for v in range(1, n + 1):
-            activity[v] *= 1e-100
-        var_inc *= 1e-100
-        # every heap entry now holds an old activity
-        heap[:] = [(-activity[v], v) for v in range(1, n + 1) if not lv[v]]
-        heapify(heap)
-        for v in range(1, n + 1):
-            inheap[v] = not lv[v]
-
-    def analyze(confl: int):
-        learnt = [0]  # placeholder for the asserting literal
-        counter = 0
-        p = 0
-        idx = len(trail) - 1
-        cur_level = len(trail_lim)
-        cl = clauses[confl]
-        while True:
-            start = 1 if p else 0
-            for q in cl[start:]:
-                v = abs(q)
-                if not seen[v] and level[v] > 0:
-                    seen[v] = True
-                    # bump; v is assigned, so backtracking re-enters it
-                    activity[v] += var_inc
-                    inheap[v] = False
-                    if activity[v] > 1e100:
-                        rescale()
-                    if level[v] == cur_level:
-                        counter += 1
-                    else:
-                        learnt.append(q)
-            while not seen[abs(trail[idx])]:
-                idx -= 1
-            p = trail[idx]
-            idx -= 1
-            v = abs(p)
-            seen[v] = False
-            counter -= 1
-            if counter == 0:
-                break
-            cl = clauses[reason[v]]
-        learnt[0] = -p
-        for q in learnt[1:]:
-            seen[abs(q)] = False
-        if len(learnt) == 1:
-            return learnt, 0
-        # watch a literal from the backtrack level at position 1
-        max_i = 1
-        for i in range(2, len(learnt)):
-            if level[abs(learnt[i])] > level[abs(learnt[max_i])]:
-                max_i = i
-        learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-        return learnt, level[abs(learnt[1])]
-
-    def backtrack(blevel: int):
-        nonlocal qhead
+    def _backtrack(self, blevel: int) -> None:
+        trail, trail_lim = self.trail, self.trail_lim
         if len(trail_lim) <= blevel:
             return
+        lv, saved, heap, inheap, activity = (
+            self.lv, self.saved, self.heap, self.inheap, self.activity
+        )
         limit = trail_lim[blevel]
         for lit in trail[limit:]:
             lv[lit] = lv[-lit] = 0
@@ -230,65 +159,272 @@ def solve_embedded(
                 inheap[var] = True
         del trail[limit:]
         del trail_lim[blevel:]
-        qhead = len(trail)
+        self.qhead = len(trail)
 
-    def pick_var() -> int:
-        # every unassigned variable has a live entry, so the heap cannot run dry
-        while True:
-            act, var = heappop(heap)
-            if -act != activity[var]:
-                continue  # stale: the variable's live entry, if any, is another
-            inheap[var] = False
-            if not lv[var]:
-                return var
+    def add_clauses(self, clauses: Sequence[List[int]], num_vars: int) -> None:
+        """Append clauses over variables 1..num_vars.
 
-    for u in units:
-        if not enqueue(u, -1):
-            return result("UNSAT")
-    if propagate() >= 0:
-        return result("UNSAT")
-
-    restart_budget = _LUBY_BASE * _luby(0)
-    started = time.monotonic()
-
-    while True:
-        confl = propagate()
-        if confl >= 0:
-            conflicts += 1
-            if not trail_lim:
-                return result("UNSAT")
-            learnt, blevel = analyze(confl)
-            backtrack(blevel)
-            if len(learnt) == 1:
-                if not enqueue(learnt[0], -1):
-                    return result("UNSAT")
+        The list itself is kept for the model check, so it must not change.
+        """
+        self._backtrack(0)
+        self._grow(num_vars)
+        self.given.append(clauses)
+        self.num_given += len(clauses)
+        if not self.ok:
+            return
+        lv, attached, watches, units = self.lv, self.clauses, self.watches, self.units
+        simplify = bool(self.trail)  # level-0 assignments of earlier searches
+        for clause in clauses:
+            if simplify:
+                if any(lv[lit] == 1 for lit in clause):
+                    continue
+                clause = [lit for lit in clause if not lv[lit]]
             else:
-                clauses.append(learnt)
-                ci = len(clauses) - 1
-                watches[learnt[0]].append(ci)
-                watches[learnt[1]].append(ci)
-                enqueue(learnt[0], ci)
-                learnts += 1
-            var_inc /= _VAR_DECAY
-            if conflicts % 256 == 0 and timeout_s is not None:
-                if time.monotonic() - started > timeout_s:
-                    raise SolverTimeout(
-                        f"embedded solver exceeded {timeout_s} s "
-                        f"after {conflicts} conflicts"
-                    )
-            if conflicts >= restart_budget:
-                restarts += 1
-                restart_budget = conflicts + _LUBY_BASE * _luby(restarts)
-                backtrack(0)
-        else:
-            if len(trail) == n:
-                model = [False] * (n + 1)
-                for var in range(1, n + 1):
-                    model[var] = lv[var] == 1
-                if verify and not check_model(inst, model):
-                    raise LassosatError("internal error: model fails clause check")
-                return result("SAT", model)
-            var = pick_var()
-            decisions += 1
-            trail_lim.append(len(trail))
-            enqueue(var if saved[var] else -var, -1)
+                clause = list(clause)
+            if not clause:
+                self.ok = False
+                return
+            if len(clause) == 1:
+                units.append(clause[0])
+            else:
+                ci = len(attached)
+                attached.append(clause)
+                watches[clause[0]].append(ci)
+                watches[clause[1]].append(ci)
+
+    def solve(
+        self,
+        assumptions: Sequence[int] = (),
+        timeout_s: Optional[float] = None,
+        verify: bool = True,
+    ) -> SatResult:
+        """Search under the assumptions.
+
+        The trail of the answer stays until the next append or search, which
+        first returns to level 0; a one-shot solver never pays for that.
+        """
+        n = self.n
+        conflicts = decisions = propagations = restarts = learnts = 0
+
+        def result(verdict: str, model=None) -> SatResult:
+            stats = {
+                "conflicts": conflicts,
+                "decisions": decisions,
+                "propagations": propagations,
+                "restarts": restarts,
+                "learnts": learnts,
+            }
+            return SatResult(verdict, model, stats)
+
+        for lit in assumptions:
+            if not 0 < abs(lit) <= n:
+                raise LassosatError(f"assumption {lit} names no variable of 1..{n}")
+        if not self.ok:
+            return result("UNSAT")
+        self._backtrack(0)
+        backtrack = self._backtrack
+
+        lv, level, reason, saved = self.lv, self.level, self.reason, self.saved
+        activity, seen, heap, inheap = self.activity, self.seen, self.heap, self.inheap
+        clauses, watches = self.clauses, self.watches
+        trail, trail_lim = self.trail, self.trail_lim
+        var_inc = self.var_inc
+        nassume = len(assumptions)
+
+        def enqueue(lit: int, cref: int) -> bool:
+            v = lv[lit]
+            if v:
+                return v == 1
+            lv[lit] = 1
+            lv[-lit] = -1
+            var = lit if lit > 0 else -lit
+            level[var] = len(trail_lim)
+            reason[var] = cref
+            trail.append(lit)
+            return True
+
+        def propagate() -> int:
+            nonlocal propagations
+            lv_, level_, reason_, clauses_, watches_ = lv, level, reason, clauses, watches
+            push = trail.append
+            dl = len(trail_lim)
+            q = start = self.qhead
+            while q < len(trail):
+                neg = -trail[q]
+                q += 1
+                ws = watches_[neg]
+                j = moved = 0
+                # compact ws in place: entries [0, j) stay, a moved watch leaves a gap
+                for ci in ws:
+                    cl = clauses_[ci]
+                    first = cl[0]
+                    if first == neg:  # keep the false literal at position 1
+                        first = cl[1]
+                        cl[0] = first
+                        cl[1] = neg
+                    fv = lv_[first]
+                    if fv == 1:
+                        ws[j] = ci
+                        j += 1
+                        continue
+                    for idx in range(2, len(cl)):
+                        other = cl[idx]
+                        if lv_[other] != -1:
+                            cl[1] = other
+                            cl[idx] = neg
+                            watches_[other].append(ci)
+                            moved += 1
+                            break
+                    else:
+                        ws[j] = ci
+                        j += 1
+                        if fv:  # first is false: conflict; keep the unvisited rest
+                            del ws[j:j + moved]
+                            self.qhead = q
+                            propagations += q - start
+                            return ci
+                        lv_[first] = 1
+                        lv_[-first] = -1
+                        var = first if first > 0 else -first
+                        level_[var] = dl
+                        reason_[var] = ci
+                        push(first)
+                del ws[j:]
+            self.qhead = q
+            propagations += q - start
+            return -1
+
+        def rescale():
+            nonlocal var_inc
+            for v in range(1, n + 1):
+                activity[v] *= 1e-100
+            var_inc *= 1e-100
+            # every heap entry now holds an old activity
+            heap[:] = [(-activity[v], v) for v in range(1, n + 1) if not lv[v]]
+            heapify(heap)
+            for v in range(1, n + 1):
+                inheap[v] = not lv[v]
+
+        def analyze(confl: int):
+            learnt = [0]  # placeholder for the asserting literal
+            counter = 0
+            p = 0
+            idx = len(trail) - 1
+            cur_level = len(trail_lim)
+            cl = clauses[confl]
+            while True:
+                start = 1 if p else 0
+                for q in cl[start:]:
+                    v = abs(q)
+                    if not seen[v] and level[v] > 0:
+                        seen[v] = True
+                        # bump; v is assigned, so backtracking re-enters it
+                        activity[v] += var_inc
+                        inheap[v] = False
+                        if activity[v] > 1e100:
+                            rescale()
+                        if level[v] == cur_level:
+                            counter += 1
+                        else:
+                            learnt.append(q)
+                while not seen[abs(trail[idx])]:
+                    idx -= 1
+                p = trail[idx]
+                idx -= 1
+                v = abs(p)
+                seen[v] = False
+                counter -= 1
+                if counter == 0:
+                    break
+                cl = clauses[reason[v]]
+            learnt[0] = -p
+            for q in learnt[1:]:
+                seen[abs(q)] = False
+            if len(learnt) == 1:
+                return learnt, 0
+            # watch a literal from the backtrack level at position 1
+            max_i = 1
+            for i in range(2, len(learnt)):
+                if level[abs(learnt[i])] > level[abs(learnt[max_i])]:
+                    max_i = i
+            learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
+            return learnt, level[abs(learnt[1])]
+
+        def pick_var() -> int:
+            # every unassigned variable has a live entry, so the heap cannot run dry
+            while True:
+                act, var = heappop(heap)
+                if -act != activity[var]:
+                    continue  # stale: the variable's live entry, if any, is another
+                inheap[var] = False
+                if not lv[var]:
+                    return var
+
+        try:
+            units, self.units = self.units, []
+            for u in units:
+                if not enqueue(u, -1):
+                    self.ok = False
+                    return result("UNSAT")
+            if propagate() >= 0:
+                self.ok = False
+                return result("UNSAT")
+
+            restart_budget = _LUBY_BASE * _luby(0)
+            started = time.monotonic()
+
+            while True:
+                confl = propagate()
+                if confl >= 0:
+                    conflicts += 1
+                    if not trail_lim:
+                        self.ok = False
+                        return result("UNSAT")
+                    learnt, blevel = analyze(confl)
+                    backtrack(blevel)
+                    if len(learnt) == 1:
+                        if not enqueue(learnt[0], -1):
+                            self.ok = False
+                            return result("UNSAT")
+                    else:
+                        clauses.append(learnt)
+                        ci = len(clauses) - 1
+                        watches[learnt[0]].append(ci)
+                        watches[learnt[1]].append(ci)
+                        enqueue(learnt[0], ci)
+                        learnts += 1
+                    var_inc /= _VAR_DECAY
+                    if conflicts % 256 == 0 and timeout_s is not None:
+                        if time.monotonic() - started > timeout_s:
+                            raise SolverTimeout(
+                                f"embedded solver exceeded {timeout_s} s "
+                                f"after {conflicts} conflicts"
+                            )
+                    if conflicts >= restart_budget:
+                        restarts += 1
+                        restart_budget = conflicts + _LUBY_BASE * _luby(restarts)
+                        backtrack(0)
+                elif len(trail_lim) < nassume:
+                    # the next assumption opens its own level, even when it holds
+                    lit = assumptions[len(trail_lim)]
+                    if lv[lit] == -1:
+                        return result("UNSAT")
+                    trail_lim.append(len(trail))
+                    enqueue(lit, -1)
+                elif len(trail) == n:
+                    model = [False] * (n + 1)
+                    for var in range(1, n + 1):
+                        model[var] = lv[var] == 1
+                    if verify and not (
+                        all(check_model(CnfInstance(n, chunk), model) for chunk in self.given)
+                        and all(model[abs(a)] == (a > 0) for a in assumptions)
+                    ):
+                        raise LassosatError("internal error: model fails clause check")
+                    return result("SAT", model)
+                else:
+                    var = pick_var()
+                    decisions += 1
+                    trail_lim.append(len(trail))
+                    enqueue(var if saved[var] else -var, -1)
+        finally:
+            self.var_inc = var_inc

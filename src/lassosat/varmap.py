@@ -1,12 +1,22 @@
 """Bijection between (subformula, instant) pairs and solver variables.
 
-Variables are allocated in closure order, atoms first, one contiguous block
-of k+1 instants per subformula, so the id of (f, t) is base[f] + t and the
-closure order alone inverts it.  After the primary blocks come the
-encoder-internal traversal copies (higher loop passes of past-dependent
-subformulas, and for the bi engine backward passes of future-dependent
-ones), then the loop selector variables: L1..Lk for the future loop and,
-for the bi-infinite engine, P1..Pk for the past loop.
+The id of (f, t) is base[f] + offsets[t], in one of two layouts.
+
+Lasso encodings (the bsc/bmc/hcc modes) allocate by subformula: in closure
+order, atoms first, one contiguous block of k+1 instants per subformula, so
+base[f] is the block's first id, offsets[t] = t, and the closure order alone
+inverts an id.  After the primary blocks come the encoder-internal traversal
+copies (higher loop passes of past-dependent subformulas, and for the bi
+engine backward passes of future-dependent ones), then the loop selector
+variables: L1..Lk for the future loop and, for the bi-infinite engine,
+P1..Pk for the past loop.
+
+A loop-free window allocates by instant, so that it can grow: it starts
+empty, and `add_instant` gives instant k+1 one block with a slot per closure
+member, in closure order; base[f] is f's slot and offsets[t] the first id of
+instant t's block.  The encoder takes each block from its clause sink when
+the instant enters the window, so Tseitin gates and activation literals sit
+between the blocks, and max_var is the last id of the newest block.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ class VarMap:
     closure: Tuple[Formula, ...]
     atoms: Tuple[Atom, ...]
     base: Dict[Formula, int]
+    offsets: List[int]  # instant -> what base[f] is offset by
     copy_base: Dict[tuple, int]  # (formula, family "r"/"l", copy >= 1) -> id
     loop_selectors: Dict[int, int]  # loop position i -> variable id
     pool_selectors: Dict[int, int]
@@ -40,7 +51,13 @@ class VarMap:
         b = self.base.get(f)
         if b is None:
             raise EncodingError("formula is not in the closure")
-        return b + t
+        return b + self.offsets[t]
+
+    def add_instant(self, first: int) -> None:
+        """Grow a loop-free window by one instant, its block starting at `first`."""
+        self.offsets.append(first)
+        self.k += 1
+        self.max_var = first + len(self.closure) - 1
 
 
 def build_varmap(
@@ -48,13 +65,15 @@ def build_varmap(
     k: int,
     engine: str,
     extra_atoms=(),
-    with_selectors: bool = True,
     copies: Optional[Dict[Formula, Tuple[int, int]]] = None,
+    loop_free: bool = False,
 ) -> VarMap:
     """Allocate variables for the closure of `formulas` plus `extra_atoms`.
 
     `copies` maps a closure member to its (right, left) traversal copy
-    counts; copy variables are allocated after every primary block.
+    counts; copy variables are allocated after every primary block.  A
+    loop-free map has no copies and no selectors, and its window is empty
+    (k = -1) until instants are added.
     """
     if k < 1:
         raise EncodingError(f"bound k={k} must be >= 1")
@@ -79,6 +98,15 @@ def build_varmap(
     pasts = tuple(f for f in rest if classify(f) == "past")
     ordered: Tuple[Formula, ...] = tuple(atoms) + bools + futures + pasts
 
+    partitions = {"prop": tuple(atoms), "bool": bools, "future": futures, "past": pasts}
+    if loop_free:
+        return VarMap(
+            k=-1, engine=engine, closure=ordered, atoms=tuple(atoms),
+            base={f: slot for slot, f in enumerate(ordered)}, offsets=[],
+            copy_base={}, loop_selectors={}, pool_selectors={},
+            partitions=partitions, max_var=0,
+        )
+
     base: Dict[Formula, int] = {}
     nxt = 1
     for f in ordered:
@@ -98,14 +126,13 @@ def build_varmap(
 
     loop_selectors: Dict[int, int] = {}
     pool_selectors: Dict[int, int] = {}
-    if with_selectors:
-        for i in range(1, k + 1):
-            loop_selectors[i] = nxt
+    for i in range(1, k + 1):
+        loop_selectors[i] = nxt
+        nxt += 1
+    if engine == "bi":
+        for p in range(1, k + 1):
+            pool_selectors[p] = nxt
             nxt += 1
-        if engine == "bi":
-            for p in range(1, k + 1):
-                pool_selectors[p] = nxt
-                nxt += 1
 
     return VarMap(
         k=k,
@@ -113,14 +140,10 @@ def build_varmap(
         closure=ordered,
         atoms=tuple(atoms),
         base=base,
+        offsets=list(range(k + 1)),
         copy_base=copy_base,
         loop_selectors=loop_selectors,
         pool_selectors=pool_selectors,
-        partitions={
-            "prop": tuple(atoms),
-            "bool": bools,
-            "future": futures,
-            "past": pasts,
-        },
+        partitions=partitions,
         max_var=nxt - 1,
     )

@@ -1,4 +1,5 @@
-"""Brute-force lasso enumeration, decided by the trace oracle.
+"""Brute-force enumeration: lasso words by the trace oracle, and finite
+loop-free words by a small evaluator of their own.
 
 The reference side of the exactness checks: a formula is satisfiable at
 bound k iff some valuation of all (atom, instant) bits together with some
@@ -6,15 +7,40 @@ loop choice (and pool choice, for the bi engine) makes eval_lasso true at
 the assertion instant.  Valuations are enumerated in chunks and handed to
 the oracle's batch entry point, which runs the identical decision procedure
 as the scalar eval_lasso.
+
+A loop-free problem at bound k is satisfiable iff some word of k+1 pairwise
+distinct atom vectors satisfies the root at instant 1, every transition at
+each instant whose lookahead fits the word, and every global constraint at
+every instant.  `finite_values` decides a formula on such a word by direct
+scans, sharing nothing with the encoder: next, yesterday, until and since
+are false beyond an edge of the word, zeta, release and trigger true.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
-from lassosat.formula import Atom, closure
+from lassosat.formula import (
+    And,
+    Atom,
+    FalseF,
+    Iff,
+    Implies,
+    Next,
+    Not,
+    Or,
+    Release,
+    Since,
+    Trigger,
+    TrueF,
+    Until,
+    Yesterday,
+    Zeta,
+    closure,
+    temporal_depth,
+)
 from lassosat.oracle import LassoWord, eval_lasso_batch
 
 from gen import atom_bit_rows
@@ -68,3 +94,87 @@ def trace_from_index(f, k: int, engine: str, witness):
         loop_start=loop,
         pool_start=pool,
     )
+
+
+def finite_values(f, word, memo) -> list:
+    """f's value at every instant of a finite word, a sequence of {atom:
+    bool} maps, by direct scans; `memo` maps the nodes done to theirs."""
+    got = memo.get(f)
+    if got is not None:
+        return got
+    n = len(word)
+    cls = type(f)
+    if cls is Atom:
+        out = [v[f] for v in word]
+    elif cls in (TrueF, FalseF):
+        out = [cls is TrueF] * n
+    elif cls in (Next, Yesterday, Zeta):
+        s = finite_values(f.sub, word, memo)
+        if cls is Next:
+            out = [t + 1 < n and s[t + 1] for t in range(n)]
+        else:
+            out = [s[t - 1] if t else cls is Zeta for t in range(n)]
+    elif cls in (Not, And, Or):
+        cols = [finite_values(g, word, memo) for g in (f.items if cls is not Not else (f.sub,))]
+        if cls is Not:
+            out = [not x for x in cols[0]]
+        else:
+            out = [(all if cls is And else any)(row) for row in zip(*cols)]
+    else:
+        a = finite_values(f.left, word, memo)
+        b = finite_values(f.right, word, memo)
+        if cls is Implies:
+            out = [not x or y for x, y in zip(a, b)]
+        elif cls is Iff:
+            out = [x == y for x, y in zip(a, b)]
+        elif cls is Until:  # some j >= t has b, a holds on [t, j)
+            out = [any(b[j] and all(a[t:j]) for j in range(t, n)) for t in range(n)]
+        elif cls is Release:  # every j >= t has b, or a somewhere on [t, j)
+            out = [all(b[j] or any(a[t:j]) for j in range(t, n)) for t in range(n)]
+        elif cls is Since:  # some j <= t has b, a holds on (j, t]
+            out = [any(b[j] and all(a[j + 1:t + 1]) for j in range(t + 1)) for t in range(n)]
+        elif cls is Trigger:  # every j <= t has b, or a somewhere on (j, t]
+            out = [all(b[j] or any(a[j + 1:t + 1]) for j in range(t + 1)) for t in range(n)]
+        else:
+            raise TypeError(f"not a core formula node: {cls.__name__}")
+    memo[f] = out
+    return out
+
+
+def loop_free_atoms(problem):
+    """The problem's atoms, registered ones first, then those it mentions."""
+    forms = [problem.root, *problem.transitions, *problem.global_constraints]
+    atoms = list(problem.atoms)
+    for g in closure([f for f in forms if f is not None]):
+        if isinstance(g, Atom) and g not in atoms:
+            atoms.append(g)
+    return atoms
+
+
+def _satisfies(problem, word) -> bool:
+    k, memo = len(word) - 1, {}
+    if problem.root is not None and not finite_values(problem.root, word, memo)[1]:
+        return False
+    for tr in problem.transitions:
+        values = finite_values(tr, word, memo)
+        if not all(values[:max(0, k - temporal_depth(tr)[0] + 1)]):
+            return False
+    return all(all(finite_values(g, word, memo)) for g in problem.global_constraints)
+
+
+def accepts_loop_free(problem, word) -> bool:
+    """Whether a finite word of k+1 atom vectors is a loop-free model."""
+    atoms = loop_free_atoms(problem)
+    distinct = len({tuple(v[a] for a in atoms) for v in word}) == len(word)
+    return distinct and _satisfies(problem, word)
+
+
+def brute_force_loop_free(problem):
+    """(verdict, witness word or None) over every word of problem.k + 1
+    pairwise distinct atom vectors."""
+    atoms = loop_free_atoms(problem)
+    vectors = [dict(zip(atoms, bits)) for bits in product((False, True), repeat=len(atoms))]
+    for word in permutations(vectors, problem.k + 1):
+        if _satisfies(problem, word):
+            return True, word
+    return False, None

@@ -4,12 +4,12 @@ from dataclasses import replace
 
 import pytest
 
-from brute import brute_force_sat
+from brute import accepts_loop_free, brute_force_loop_free, brute_force_sat
 from gen import random_core, random_sugared_capped, random_trace
 from lassosat.cnf import dimacs_text, to_cnf
 from lassosat.desugar import desugar
 from lassosat.encoder import CheckProblem, encode
-from lassosat.errors import EncodingError
+from lassosat.errors import BoundSearchError, EncodingError
 from lassosat.formula import And, Atom, Iff, Next, Not, TrueF, Yesterday, Zeta
 from lassosat.oracle import eval_lasso
 from lassosat.pipeline import (
@@ -19,6 +19,7 @@ from lassosat.pipeline import (
     find_bound,
     run,
 )
+from lassosat.pretty import formula_text
 from lassosat.sat_embedded import solve_embedded
 from lassosat.specfile import load_spec
 from lassosat.trace import PartialHistory, decode, load_history
@@ -185,6 +186,56 @@ def test_loop_free_distinctness_holds_in_models(data_dir):
     assert len(set(states)) == 3
 
 
+def test_loop_free_runs_and_bounds_match_the_finite_word_brute_force(tmp_path):
+    """Random systems (a root and a transition over 2-3 atoms): loop-free
+    verdicts at k = 1..4 and find_bound up to 4 equal the enumeration of
+    every word of pairwise distinct states, and SAT models are such words."""
+    rng = random.Random(81)
+    out = str(tmp_path / "out")
+    for n in range(40):
+        names = ("P", "Q", "R")[: rng.choice((2, 3))]
+        root = random_core(rng, rng.randint(1, 3), names)
+        trans = random_core(rng, rng.randint(1, 3), names)
+        spec = tmp_path / f"system{n}.zot"
+        spec.write_text(
+            f"(declare {' '.join(names)})\n(property {formula_text(root)})\n"
+            f"(trans {formula_text(trans)})\n"
+        )
+        doc = load_spec(spec)
+        bound = None
+        for k in range(1, 5):
+            problem = build_problem(doc, k, "mono", "loop-free")
+            accepted, _ = brute_force_loop_free(problem)
+            report = run(RunConfig(spec_path=str(spec), out_dir=out, mode="loop-free", bound=k))
+            assert (report.verdict == "SAT") == accepted, (k, spec.read_text())
+            if accepted:
+                trace = report.trace
+                word = [{a: trace.holds(a, t) for a in trace.atoms} for t in range(k + 1)]
+                assert accepts_loop_free(problem, word), (k, spec.read_text())
+            elif bound is None:
+                bound = k
+        config = RunConfig(spec_path=str(spec), out_dir=out, max_bound=4)
+        if bound is None:
+            with pytest.raises(BoundSearchError):
+                find_bound(config)
+        else:
+            assert find_bound(config) == bound, spec.read_text()
+
+
+def test_loop_free_encoding_grows_only_the_same_problem():
+    problem = CheckProblem(k=2, engine="mono", root=Yesterday(P), atoms=(P, Q), loop_free=True)
+    encoded = encode(problem)
+    grown = encode(replace(problem, k=4), encoded)
+    assert grown.varmap is encoded.varmap and grown.varmap.k == 4
+    assert grown.activation != encoded.activation
+    with pytest.raises(EncodingError, match="same problem"):
+        encode(replace(problem, k=5, root=P), grown)
+    with pytest.raises(EncodingError, match="same problem"):
+        encode(replace(problem, k=3), grown)
+    with pytest.raises(EncodingError, match="same problem"):
+        encode(replace(problem, loop_free=False, k=5), encode(replace(problem, loop_free=False)))
+
+
 def test_loop_free_encoding_has_no_selectors():
     problem = CheckProblem(k=2, engine="mono", root=Yesterday(P), atoms=(P,))
     loopy = encode(problem)
@@ -213,14 +264,14 @@ PINNED = [
      "a808c57d398b9a2b4de5e89edabf21dfdf887d3d9e7699a563e107666b3652b3"),
     ("mutex3.zot", 4, "bi", "bmc", 213, 2892, 10227,
      "0c70af6c7552e422afe4864c1b6315d489df1e73014a9fa6a71f1e13b449950c"),
-    ("cycle3.zot", 3, "mono", "loop-free", 0, 90, 254,
-     "970ce46db4d6d20d6db3de67074b3a928f42b199b2593423f521ede9b10bcafb"),
+    ("cycle3.zot", 3, "mono", "loop-free", 0, 94, 267,
+     "6338f39d33ec1e87c7d0b248a8e75e43479393a7580215313387e4190dbf6a9c"),
     ("stutter.zot", 4, "bi", "bsc", 4, 78, 262,
      "dc3d19a3d3ad3578fd175ee2b7eab1ac12e2bee78ef58604968693e9f9904559"),
     ("lamp.zot", 10, "bi", "hcc", 156, 4187, 15526,
      "f74f729357f9941a63e90400405cce003d7735792baa7c41690a307daf5cb9ad"),
-    ("mutex3.zot", 4, "mono", "loop-free", 0, 965, 3053,
-     "9e5399e5e7ff2a4ea2f6014fa515cfff6c9ab54855110ad2c72fcde04947f704"),
+    ("mutex3.zot", 4, "mono", "loop-free", 0, 970, 3166,
+     "f45fd911a7ee0f14dc40d0521375e7910577e3233f60d847d32352095fe57304"),
 ]
 
 

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -285,10 +286,14 @@ def test_cli_loop_free_flag(data_dir, out_dir, capsys):
 
 
 def test_console_entry_point_runs(data_dir, out_dir):
+    src = Path(pipeline.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "lassosat.cli", "check", "--out", out_dir,
          str(data_dir / "lamp.zot")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.returncode == 0
-    assert "SAT" in proc.stdout
+    seen = f"exit {proc.returncode}\nstdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
+    assert proc.returncode == 0, seen
+    assert "SAT" in proc.stdout, seen

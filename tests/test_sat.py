@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 import stat
@@ -6,7 +7,8 @@ import pytest
 
 from lassosat import sat_embedded
 from lassosat.cnf import CnfInstance, check_model, to_cnf
-from lassosat.sat_embedded import solve_embedded
+from lassosat.errors import SolverTimeout
+from lassosat.sat_embedded import Solver, solve_embedded
 
 
 def naive_dpll(clauses, num_vars):
@@ -179,6 +181,98 @@ def test_counters_match_the_reference_search(data_dir):
         "restarts": 2,
         "learnts": 316,
     }
+
+
+def _random_clause(rng, num_vars, width=3):
+    return [v * rng.choice((-1, 1)) for v in rng.sample(range(1, num_vars + 1), width)]
+
+
+def test_live_solver_agrees_with_naive_dpll_on_appends_and_assumptions():
+    """Random append/solve sequences on one live solver: every verdict is
+    naive_dpll's on the clauses so far plus the assumptions as units, and
+    every model satisfies both."""
+    rng = random.Random(43)
+    verdicts = set()
+    for _ in range(60):
+        live, num_vars = Solver(), rng.randint(6, 10)
+        inst = CnfInstance(num_vars, [])
+        for _ in range(6):
+            num_vars += rng.randint(0, 4)  # later appends bring new variables
+            inst = CnfInstance(num_vars, inst.clauses)
+            for _ in range(rng.randint(2, 12)):
+                inst.clauses.append(_random_clause(rng, num_vars, rng.choice((1, 2, 3, 3, 3))))
+            assumptions = [v * rng.choice((-1, 1))
+                           for v in rng.sample(range(1, num_vars + 1), rng.randint(0, 3))]
+            result = solve_embedded(inst, assumptions=assumptions, live=live)
+            expected = naive_dpll(inst.clauses + [[a] for a in assumptions], num_vars)
+            assert (result.verdict == "SAT") == expected
+            verdicts.add(result.verdict)
+            if result.verdict == "SAT":
+                assert check_model(inst, result.model)
+                assert all(result.model[abs(a)] == (a > 0) for a in assumptions)
+    assert verdicts == {"SAT", "UNSAT"}
+
+
+def test_live_solver_stays_unsat_after_a_level_0_conflict():
+    live = Solver()
+    inst = CnfInstance(3, [[1, 2], [-1, 3]])
+    assert solve_embedded(inst, assumptions=[-3], live=live).verdict == "SAT"
+    assert solve_embedded(inst, assumptions=[1, -3], live=live).verdict == "UNSAT"
+    inst.clauses.extend([[-2], [-3]])  # -3 forces -1, so [1, 2] fails at level 0
+    assert solve_embedded(inst, live=live).verdict == "UNSAT"
+    inst.clauses.append([4, 5])
+    for assumptions in ((), (4,), (-5,)):
+        assert solve_embedded(CnfInstance(5, inst.clauses), assumptions=assumptions,
+                              live=live).verdict == "UNSAT"
+
+
+def test_live_solver_keeps_learnt_clauses_between_calls():
+    rng = random.Random(11)
+    inst = CnfInstance(60, [_random_clause(rng, 60) for _ in range(250)])
+    live = Solver()
+    first = solve_embedded(inst, live=live)
+    assert first.verdict == "SAT" and first.stats["learnts"] > 0
+    learnt = live.clauses[-first.stats["learnts"]:]
+    # the saved phases replay the model, so the same problem costs nothing
+    again = solve_embedded(inst, live=live)
+    assert again.verdict == "SAT" and again.stats["conflicts"] == 0
+    inst.clauses.append([-v if first.model[v] else v for v in (1, 2, 3)])
+    solve_embedded(inst, live=live)
+    attached = {id(c) for c in live.clauses}
+    assert all(id(c) in attached for c in learnt)
+
+
+def test_live_solver_honours_the_time_limit():
+    live = Solver()
+    inst = CnfInstance(2, [[1, 2]])
+    assert solve_embedded(inst, live=live).verdict == "SAT"
+    hard = pigeonhole(9, 8)
+    inst = CnfInstance(2 + hard.num_vars,
+                       inst.clauses + [[l + 2 if l > 0 else l - 2 for l in c] for c in hard.clauses])
+    with pytest.raises(SolverTimeout):
+        solve_embedded(inst, timeout_s=0.0, live=live)
+
+
+def test_solves_pause_cyclic_gc_and_restore_the_callers_setting(monkeypatch):
+    during = []
+    real = sat_embedded.check_model
+    monkeypatch.setattr(
+        sat_embedded, "check_model", lambda *a: during.append(gc.isenabled()) or real(*a)
+    )
+    collecting = gc.isenabled()
+    try:
+        for setting in (gc.enable, gc.disable):
+            setting()
+            before = gc.isenabled()
+            assert solve_embedded(CnfInstance(2, [[1, 2]])).verdict == "SAT"
+            assert solve_embedded(CnfInstance(2, [[1, 2]]), live=Solver()).verdict == "SAT"
+            assert solve_embedded(pigeonhole(3, 2)).verdict == "UNSAT"
+            with pytest.raises(SolverTimeout):
+                solve_embedded(pigeonhole(9, 8), timeout_s=0.0)
+            assert gc.isenabled() == before
+        assert during == [False] * 4
+    finally:
+        (gc.enable if collecting else gc.disable)()
 
 
 def test_external_solver_timeout(tmp_path, monkeypatch, data_dir):

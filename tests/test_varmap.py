@@ -80,3 +80,18 @@ def test_copy_blocks():
     assert len({base, c1, c2}) == 3
     assert c2 + 3 < min(vm.loop_selectors.values())  # k+1 instants per copy block
     assert (Yesterday(Q), "r", 3) not in vm.copy_base
+
+
+def test_loop_free_window_grows_by_instant_blocks():
+    vm = build_varmap([ROOT], 3, "mono", loop_free=True)
+    assert vm.k == -1 and not vm.loop_selectors and not vm.copy_base
+    with pytest.raises(EncodingError, match="outside"):
+        vm.var(P, 0)
+    n = len(vm.closure)
+    vm.add_instant(1)
+    vm.add_instant(n + 5)  # ids n+1..n+4 are taken by others in between
+    assert vm.k == 1 and vm.max_var == 2 * n + 4
+    for slot, f in enumerate(vm.closure):
+        assert (vm.var(f, 0), vm.var(f, 1)) == (1 + slot, n + 5 + slot)
+    with pytest.raises(EncodingError, match="outside"):
+        vm.var(P, 2)
