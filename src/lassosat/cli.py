@@ -2,12 +2,18 @@
 
     lassosat check --bound K [--engine mono|bi] [--mode bsc|bmc|hcc]
                    [--solver embedded|minisat|picosat] [--loop-free]
-                   [--history FILE] [--out DIR] spec.zot
+                   [--history FILE] [--timeout SECONDS] [--out DIR] spec.zot
 
-    lassosat find-bound [--max-bound N] [--solver ...] [--out DIR] spec.zot
+    lassosat find-bound [--max-bound N] [--solver ...] [--timeout SECONDS]
+                        [--out DIR] spec.zot
+
+--timeout limits each solver call (find-bound makes one per bound tried);
+encoding is not counted.  A call that runs out prints `error: ... timed
+out` and exits with 2.
 
 Exit status: 0 = SAT (or loop-free bound not reached, or a completeness
-bound was found), 1 = UNSAT, 2 = error, internal failures included.
+bound was found), 1 = UNSAT, 2 = error, internal failures and timeouts
+included.
 """
 
 from __future__ import annotations
@@ -16,8 +22,15 @@ import argparse
 import sys
 import traceback
 
-from .errors import LassosatError
+from .errors import LassosatError, SolverTimeout
 from .pipeline import RunConfig, run
+
+
+def _seconds(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number of seconds, got {text}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,6 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="completeness check (replaces the loop machinery)")
     check.add_argument("--history", default=None, metavar="FILE",
                        help="partial history file (hcc mode)")
+    check.add_argument("--timeout", type=_seconds, default=None, metavar="SECONDS",
+                       help="time limit of the solver call")
     check.add_argument("--out", default=".", metavar="DIR",
                        help="directory for output.cnf.txt/output.sat.txt/output.hist.txt")
 
@@ -47,6 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fb.add_argument("--max-bound", type=int, default=50, metavar="N")
     fb.add_argument("--solver", choices=("embedded", "minisat", "picosat"),
                     default=None)
+    fb.add_argument("--timeout", type=_seconds, default=None, metavar="SECONDS",
+                    help="time limit of each solver call")
     fb.add_argument("--out", default=".", metavar="DIR")
     return parser
 
@@ -65,6 +82,7 @@ def main(argv=None) -> int:
                     solver=args.solver,
                     history_path=args.history,
                     out_dir=args.out,
+                    timeout_s=args.timeout,
                 )
             )
             print(f"{report.verdict} (k={report.k}, engine={report.engine})")
@@ -79,10 +97,14 @@ def main(argv=None) -> int:
                 solver=args.solver,
                 out_dir=args.out,
                 max_bound=args.max_bound,
+                timeout_s=args.timeout,
             )
         )
         print(f"completeness bound: {report.bound}")
         return report.exit_code
+    except SolverTimeout as exc:
+        print(f"error: {args.command} timed out ({exc})", file=sys.stderr)
+        return 2
     except (LassosatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -64,6 +64,8 @@ class ClauseSink:
 
     Unnamed inner gates get fresh variables above VarMap's last id, one per
     distinct (op, operand literals), each issued after its operands' gates.
+    A gate is "and" or "or" over any number of operands, two-operand "iff",
+    or "ite" over [s, a, b]: a where s holds, b elsewhere.
     """
 
     def __init__(self, max_var: int):
@@ -96,20 +98,31 @@ class ClauseSink:
         add([v] + [-l for l in lits])
 
     def gate(self, op: str, lits: List[int]) -> int:
-        """A literal equivalent to op(lits); one operand is its own gate."""
+        """A literal equivalent to op(lits); one operand, or an ite whose
+        branches agree, is its own gate."""
         if len(lits) == 1:
             return lits[0]
         key = (op, tuple(lits))
         g = self.memo.get(key)
         if g is None:
+            if op == "ite" and lits[1] == lits[2]:
+                return lits[1]
             g = self.next_var
             self.next_var += 1
             if op == "iff":
                 a, b = lits
-                for clause in ([-g, -a, b], [-g, a, -b], [g, a, b], [g, -a, -b]):
-                    self.clause(clause)
+                clauses = ([-g, -a, b], [-g, a, -b], [g, a, b], [g, -a, -b])
+            elif op == "ite":
+                s, a, b = lits
+                # the last two are implied; they let agreeing branches set g
+                # before s is known
+                clauses = ([-g, -s, a], [-g, s, b], [g, -s, -a], [g, s, -b],
+                           [-g, a, b], [g, -a, -b])
             else:
                 self.define(g, op, lits)
+                clauses = ()
+            for clause in clauses:
+                self.clause(clause)
             self.memo[key] = g
         return g
 
@@ -125,13 +138,23 @@ def to_cnf(problem) -> CnfInstance:
     return CnfInstance(problem.cnf.num_vars, problem.cnf.clauses + [[problem.activation]])
 
 
+_EMIT_CHUNK = 4096  # clauses per write
+
+
 def emit_dimacs(inst: CnfInstance, sink, comments: Iterable[str] = ()) -> None:
-    """Write `p cnf V C`, optional `c` lines, then 0-terminated clauses."""
-    lines = [f"c {c}" for c in comments]
-    lines.append(f"p cnf {inst.num_vars} {len(inst.clauses)}")
-    for clause in inst.clauses:
-        lines.append(" ".join(str(l) for l in clause) + " 0")
-    sink.write("\n".join(lines) + "\n")
+    """Write optional `c` lines, `p cnf V C`, then 0-terminated clauses.
+
+    The clauses go out in bounded chunks, so writing never holds more than
+    one chunk's text on top of the clauses themselves.
+    """
+    head = [f"c {c}\n" for c in comments]
+    head.append(f"p cnf {inst.num_vars} {len(inst.clauses)}\n")
+    sink.write("".join(head))
+    clauses = inst.clauses
+    for lo in range(0, len(clauses), _EMIT_CHUNK):
+        sink.write("".join([
+            " ".join(map(str, clause)) + " 0\n" for clause in clauses[lo:lo + _EMIT_CHUNK]
+        ]))
 
 
 def dimacs_text(inst: CnfInstance, comments: Iterable[str] = ()) -> str:

@@ -13,9 +13,21 @@ zeta, the operand) one instant further in the operator's direction.  Where
 that neighbour lies beyond a finite edge of the word (the mono origin, the
 end of a loop-free window) it is a constant: false for the strong operators
 next, yesterday, until and since, true for the weak duals zeta, release and
-trigger.  Until obligations alive at the end of the loop must be discharged
-inside it (and Since obligations inside the past loop, for the bi engine),
-with the dual constraints pinning Release/Trigger.
+trigger.
+
+The encoding is linear in k, after Biere, Heljanko, Junttila, Latvala &
+Schuppan, Linear Encodings of Bounded LTL Model Checking (LMCS 2006), with
+the bounded past unrolling of Latvala, Biere, Heljanko & Junttila, Simple
+Is Better: Efficient Bounded Model Checking for Past LTL (VMCAI 2005).
+Exactly one selector is chosen through the chain InLoop_t <-> InLoop_{t-1}
+| L_t with L_t -> -InLoop_{t-1} and the unit InLoop_k (InLoop_1 is L_1),
+so InLoop_t holds exactly on the loop i..k; on the bi engine the mirror
+chain InPool_t <-> InPool_{t+1} | P_t marks 1..p.  The chain literals are
+Tseitin variables above VarMap's last id, so models decode positionally
+from the selectors.  Until obligations alive at the end of the loop are
+discharged inside it, `-v | OR_t (InLoop_t & b_t)`, and Release is pinned
+by the dual `v | OR_t (InLoop_t & -b_t)`; Since and Trigger do the same
+around the past loop through InPool.
 
 Past-dependent subformulas change value between traversals of the loop, so
 one variable per (subformula, instant) cannot be exact.  Such subformulas
@@ -23,12 +35,18 @@ are virtually unrolled: copy d of a variable tracks the d-th traversal,
 capped at past-depth + 1, from where the traversal values provably repeat
 (each level's loop-entry value follows a monotone boolean recurrence, and a
 monotone function on {0,1} satisfies f(f(x)) = f(x)).  Atoms, temporal-free
-and pure-future subformulas keep a single copy.  The top copy still asserts
+and pure-future subformulas keep a single copy.  A deeper copy has one
+unguarded definition per instant, whose recurrence neighbour is
+ite(L_t, R(f, d-1, k), R(f, d, t-1)): the previous traversal's last instant
+at the loop start, the previous instant inside the loop.  Its values before
+the loop start are don't-cares that nothing reads, since constraints on
+deeper copies hold only where InLoop_t does.  The top copy still asserts
 that the value at the loop entry equals the value at the virtual successor
 of k; stabilization makes that a tautology for true traversal values, so it
 guards soundness without sacrificing completeness.  The bi engine mirrors
 the scheme with backward copies of future-dependent subformulas across the
-past loop.
+past loop, neighbour ite(P_t, Lc(f, e-1, 0), Lc(f, e, t+1)), don't-cares
+after the pool start and constraints under InPool_t.
 
 The loop-free mode is the same encoder run without selectors and with a
 single copy of every subformula, so instant k has no successor and the
@@ -57,10 +75,14 @@ assumes E_k, so each clause is built and loaded once.
 
 Every rule writes its clauses into one cnf.ClauseSink as it goes, in a
 single pass.  A subformula variable is defined by `var <-> and/or(...)`
-clauses; a selector-guarded definition becomes `-sel | iff-gate(var, ...)`;
-unnamed inner gates get memoized Tseitin variables above the VarMap's last
-id (in a loop-free window: above the newest instant block), so models
-decode through VarMap.var.
+clauses.  Only three rows depend on the selected position itself, each
+O(k) per subformula and copy: the future copy at k (whose successor is the
+loop start), the top-copy consistency at the loop start and the bi wrap at
+instant 0 (whose predecessor is the pool start).  They are guarded by
+their selector, one per position, as `-sel | iff-gate(var, ...)`.  Unnamed
+inner gates (and/or, iff, ite) get memoized Tseitin variables above the
+VarMap's last id (in a loop-free window: above the newest instant block),
+so models decode through VarMap.var.
 """
 
 from __future__ import annotations
@@ -152,11 +174,25 @@ def _all_formulas(problem: CheckProblem):
     return forms
 
 
-def _exactly_one(sink: ClauseSink, vs: List[int]) -> None:
-    sink.clause(vs)
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            sink.clause([-vs[i], -vs[j]])
+def _selector_chain(sink: ClauseSink, selectors: Dict[int, int], order) -> Dict[int, int]:
+    """Exactly one selector, in O(k) clauses: position -> chain literal.
+
+    Along `order`, c_t <-> c_{t'} | s_t with t' the previous position (c
+    of the first is its selector), s_t -> -c_{t'}, and the unit c of the
+    last: a chain literal holds from the selected position on.
+    """
+    chain: Dict[int, int] = {}
+    prev = None
+    for t in order:
+        s = selectors[t]
+        if prev is None:
+            prev = s
+        else:
+            sink.clause([-s, -prev])
+            prev = sink.gate("or", [prev, s])
+        chain[t] = prev
+    sink.clause([prev])
+    return chain
 
 
 def _history(problem: CheckProblem, vm: VarMap):
@@ -277,27 +313,45 @@ class _Encoder:
         bases = self.lbases[f]
         return (bases[e] if e < len(bases) else bases[-1]) + self.offsets[t]
 
-    def _rec(self, acc, f: Formula, d: int, t: int, nd: int, nt: Optional[int]):
+    def _rec(self, acc, f: Formula, d: int, t: int, nb):
         """The fixpoint expansion of temporal node f at copy d, instant t.
 
         Returns (op, operand literals), op being "and" or "or"; an empty
         "and" is true and an empty "or" false.  `acc(g, copy, instant)` is R
-        or Lc; (nd, nt) is the recurrence neighbour, and nt None puts it
-        beyond a finite edge of the word, where it is false for the strong
-        operators and true for the weak duals.
+        or Lc, and `nb(g)` is g's literal at the recurrence neighbour (see
+        `_at` and `_step`); nb None puts the neighbour beyond a finite edge
+        of the word, where it is false for the strong operators and true for
+        the weak duals.
         """
         cls = type(f)
         if cls in _SHIFT:
-            if nt is None:
+            if nb is None:
                 return ("and" if cls in _WEAK else "or"), []
-            return "and", [acc(f.sub, nd, nt)]
+            return "and", [nb(f.sub)]
         b = acc(f.right, d, t)
-        if nt is None:  # until/since are strong, release/trigger weak: both give b
+        if nb is None:  # until/since are strong, release/trigger weak: both give b
             return "and", [b]
-        a, nxt = acc(f.left, d, t), acc(f, nd, nt)
+        a, nxt = acc(f.left, d, t), nb(f)
         if cls in _UNTIL_LIKE:
             return "or", [b, self.sink.gate("and", [a, nxt])]
         return "and", [b, self.sink.gate("or", [a, nxt])]
+
+    @staticmethod
+    def _at(acc, d: int, t: int):
+        """The neighbour copy d at instant t."""
+        return lambda g: acc(g, d, t)
+
+    def _step(self, acc, s: Optional[int], wrap, step):
+        """The neighbour (copy, instant) `wrap` where selector s holds, and
+        `step` elsewhere.  s None never holds; step None lies outside the
+        word, where only a position that wraps is read."""
+        if s is None:
+            return self._at(acc, *step)
+        if step is None:
+            return self._at(acc, *wrap)
+        (wd, wt), (sd, st) = wrap, step
+        gate = self.sink.gate
+        return lambda g: gate("ite", [s, acc(g, wd, wt), acc(g, sd, st)])
 
     def _guarded(self, s: int, v: int, expansion) -> None:
         """Selector s implies v <-> expansion, through an iff gate."""
@@ -314,9 +368,14 @@ class _Encoder:
                 activation=self.activation, encoder=self,
             )
 
-        for selectors in (vm.loop_selectors, vm.pool_selectors):
-            if selectors:
-                _exactly_one(sink, list(selectors.values()))
+        # InLoop_t holds from the loop start to k, InPool_t from 1 to the
+        # pool start (instant 0 is always in the past loop)
+        positions = range(1, self.k + 1)
+        self.in_loop = _selector_chain(sink, vm.loop_selectors, positions)
+        self.in_pool = (
+            _selector_chain(sink, vm.pool_selectors, reversed(positions))
+            if vm.pool_selectors else {}
+        )
 
         instants = range(self.k + 1)
         for f in vm.partitions["bool"]:
@@ -341,7 +400,7 @@ class _Encoder:
 
     def _enter_instant(self):
         """Loop-free: instant k+1 enters the window; append its clauses."""
-        vm, sink, R, rec = self.vm, self.sink, self.R, self._rec
+        vm, sink, R, rec, at = self.vm, self.sink, self.R, self._rec, self._at
         clause, define = sink.clause, sink.define
         vm.add_instant(sink.fresh(len(vm.closure)))
         t = self.k = vm.k
@@ -353,9 +412,9 @@ class _Encoder:
             self._emit_bool(f, (t,))
         for f in vm.partitions["future"]:
             if t:
-                define(R(f, 0, t - 1), *rec(R, f, 0, t - 1, 0, t))
+                define(R(f, 0, t - 1), *rec(R, f, 0, t - 1, at(R, 0, t)))
             # edge -> (f at t <-> its finite-word value: false, true or b)
-            op, lits = rec(R, f, 0, t, 0, None)
+            op, lits = rec(R, f, 0, t, None)
             v = R(f, 0, t)
             if lits:
                 clause([-edge, -v, lits[0]])
@@ -364,7 +423,7 @@ class _Encoder:
                 clause([-edge, v if op == "and" else -v])
         for f in vm.partitions["past"]:
             # instant 0 is the time origin, a finite edge for good
-            define(R(f, 0, t), *rec(R, f, 0, t, 0, t - 1 if t else None))
+            define(R(f, 0, t), *rec(R, f, 0, t, at(R, 0, t - 1) if t else None))
 
         problem = self.problem
         for tr in problem.transitions:
@@ -406,101 +465,94 @@ class _Encoder:
                 define(self.Lc(f, e, t), *_connective(f, lambda c: self.Lc(c, e, t)))
 
     def _emit_future(self, f: Formula):
-        k, R, Lc, rec = self.k, self.R, self.Lc, self._rec
+        k, R, Lc, rec, at, step = self.k, self.R, self.Lc, self._rec, self._at, self._step
         sink, define, guarded, gate = self.sink, self.sink.define, self._guarded, self.sink.gate
-        loops = self.vm.loop_selectors.items()
-        pools = self.vm.pool_selectors.items()
         nr, nl = self.caps[f]
         for d in range(nr + 1):
             for t in range(k):
-                define(R(f, d, t), *rec(R, f, d, t, d, t + 1))
+                define(R(f, d, t), *rec(R, f, d, t, at(R, d, t + 1)))
             # instant k loops back to the selected position, one pass deeper
-            for i, s in loops:
-                guarded(s, R(f, d, k), rec(R, f, d, k, d + 1, i))
+            for i, s in self.vm.loop_selectors.items():
+                guarded(s, R(f, d, k), rec(R, f, d, k, at(R, d + 1, i)))
         # obligations alive at the end of the top copy are discharged inside
-        # the loop (its crossing is a self-cycle)
-        if type(f) is Until:
-            for i, s in loops:
-                witness = [R(f.right, nr, t) for t in range(i, k + 1)]
-                sink.clause([-gate("and", [s, R(f, nr, k)])] + witness)
-        elif type(f) is Release:
-            for i, s in loops:
-                always = gate("and", [R(f.right, nr, t) for t in range(i, k + 1)])
-                sink.clause([-gate("and", [s, always]), R(f, nr, k)])
+        # the loop (its crossing is a self-cycle): some looping instant has
+        # the until's right operand, or one lacks the release's
+        if type(f) in (Until, Release):
+            sign = 1 if type(f) is Until else -1
+            sink.clause([-sign * R(f, nr, k)] + [
+                gate("and", [c, sign * R(f.right, nr, t)]) for t, c in self.in_loop.items()
+            ])
 
-        # bi engine: backward passes through the past loop
+        # bi engine: backward passes through the past loop; values after the
+        # pool start are don't-cares that nothing reads
+        pools = self.vm.pool_selectors
         for e in range(1, nl + 1):
-            for p, s in pools:
-                for t in range(p):
-                    guarded(s, Lc(f, e, t), rec(Lc, f, e, t, e, t + 1))
-                guarded(s, Lc(f, e, p), rec(Lc, f, e, p, e - 1, 0))
+            for t in range(k + 1):
+                nb = step(Lc, pools.get(t), (e - 1, 0), (e, t + 1) if t < k else None)
+                define(Lc(f, e, t), *rec(Lc, f, e, t, nb))
         # future values agree at p and at the virtual predecessor of 0
-        for p, s in pools:
-            guarded(s, Lc(f, nl, p), rec(Lc, f, nl, p, nl, 0))
+        for p, s in pools.items():
+            guarded(s, Lc(f, nl, p), rec(Lc, f, nl, p, at(Lc, nl, 0)))
 
     def _emit_past(self, f: Formula):
-        k, R, Lc, rec = self.k, self.R, self.Lc, self._rec
+        k, R, Lc, rec, at, step = self.k, self.R, self.Lc, self._rec, self._at, self._step
         sink, define, guarded, gate = self.sink, self.sink.define, self._guarded, self.sink.gate
-        loops = self.vm.loop_selectors.items()
-        pools = self.vm.pool_selectors.items()
+        loops, pools = self.vm.loop_selectors, self.vm.pool_selectors
         nr, nl = self.caps[f]
         for t in range(1, k + 1):
-            define(R(f, 0, t), *rec(R, f, 0, t, 0, t - 1))
+            define(R(f, 0, t), *rec(R, f, 0, t, at(R, 0, t - 1)))
         if not pools:
             # mono engine: instant 0 is the time origin, a finite edge
-            define(R(f, 0, 0), *rec(R, f, 0, 0, 0, None))
+            define(R(f, 0, 0), *rec(R, f, 0, 0, None))
         # bi engine: no origin, instant 0 wraps into the past loop (copy 0
         # of Lc is the primary block)
-        for p, s in pools:
-            guarded(s, R(f, 0, 0), rec(Lc, f, 0, 0, 1, p))
+        for p, s in pools.items():
+            guarded(s, R(f, 0, 0), rec(Lc, f, 0, 0, at(Lc, 1, p)))
 
-        # deeper traversals of the future loop (past values shift one pass)
+        # deeper traversals of the future loop (past values shift one pass);
+        # values before the loop start are don't-cares that nothing reads
         for d in range(1, nr + 1):
-            for i, s in loops:
-                for t in range(i + 1, k + 1):
-                    guarded(s, R(f, d, t), rec(R, f, d, t, d, t - 1))
-                guarded(s, R(f, d, i), rec(R, f, d, i, d - 1, k))
+            for t in range(1, k + 1):
+                nb = step(R, loops[t], (d - 1, k), (d, t - 1) if t > 1 else None)
+                define(R(f, d, t), *rec(R, f, d, t, nb))
         # the top copy is past-consistent: the loop entry value agrees with
         # the value at the virtual successor of k
-        for i, s in loops:
-            guarded(s, R(f, nr, i), rec(R, f, nr, i, nr, k))
+        for i, s in loops.items():
+            guarded(s, R(f, nr, i), rec(R, f, nr, i, at(R, nr, k)))
 
         # bi engine: backward passes through the past loop
         for e in range(1, nl + 1):
-            for p, s in pools:
-                for t in range(1, p + 1):
-                    guarded(s, Lc(f, e, t), rec(Lc, f, e, t, e, t - 1))
-                guarded(s, Lc(f, e, 0), rec(Lc, f, e, 0, e + 1, p))
+            for t in range(1, k + 1):
+                define(Lc(f, e, t), *rec(Lc, f, e, t, at(Lc, e, t - 1)))
+            for p, s in pools.items():
+                guarded(s, Lc(f, e, 0), rec(Lc, f, e, 0, at(Lc, e + 1, p)))
         # since/trigger are cyclic around the past loop at their deepest
-        # backward copy: discharge the obligations there
-        if type(f) is Since:
-            for p, s in pools:
-                witness = [Lc(f.right, nl, t) for t in range(p + 1)]
-                sink.clause([-gate("and", [s, Lc(f, nl, 0)])] + witness)
-        elif type(f) is Trigger:
-            for p, s in pools:
-                always = gate("and", [Lc(f.right, nl, t) for t in range(p + 1)])
-                sink.clause([-gate("and", [s, always]), Lc(f, nl, 0)])
+        # backward copy: some instant of the past loop has the since's right
+        # operand, or one lacks the trigger's
+        if type(f) in (Since, Trigger):
+            sign = 1 if type(f) is Since else -1
+            sink.clause([-sign * Lc(f, nl, 0), sign * Lc(f.right, nl, 0)] + [
+                gate("and", [c, sign * Lc(f.right, nl, t)]) for t, c in self.in_pool.items()
+            ])
 
     def _emit_assertions(self):
-        vm, k, clause = self.vm, self.k, self.sink.clause
+        vm, k, clause, R, Lc = self.vm, self.k, self.sink.clause, self.R, self.Lc
         problem = self.problem
         for tr in problem.transitions:
             for t in range(k + 1):
-                clause([self.R(tr, 0, t)])
+                clause([R(tr, 0, t)])
             nr, nl = self.caps[tr]
             # constraints with past content must also hold on later passes
             for d in range(1, nr + 1):
-                for i, s in vm.loop_selectors.items():
-                    for t in range(i, k + 1):
-                        clause([-s, self.R(tr, d, t)])
+                for t, c in self.in_loop.items():
+                    clause([-c, R(tr, d, t)])
             for e in range(1, nl + 1):
-                for p, s in vm.pool_selectors.items():
-                    for t in range(p + 1):
-                        clause([-s, self.Lc(tr, e, t)])
+                clause([Lc(tr, e, 0)])
+                for t, c in self.in_pool.items():
+                    clause([-c, Lc(tr, e, t)])
         for gc in problem.global_constraints:
             for t in range(k + 1):
-                clause([self.R(gc, 0, t)])
+                clause([R(gc, 0, t)])
         if problem.root is not None:
             vm.root_var = vm.var(problem.root, vm.assertion_instant)
             clause([vm.root_var])

@@ -54,25 +54,38 @@ def formula_atoms(f):
     )
 
 
+def _valuation_count(atoms, k: int) -> int:
+    bits = len(atoms) * (k + 1)
+    if bits > _MAX_BITS:
+        raise ValueError(f"{bits} valuation bits is too many to enumerate")
+    return 1 << bits
+
+
+def _hits(f, atoms, k, engine, position, loop, pool, lo, hi):
+    rows = atom_bit_rows(atoms, k, lo, hi)
+    return eval_lasso_batch(LassoWord(k, engine, loop, pool, rows, hi - lo), f, position)
+
+
 def brute_force_sat(f, k: int, engine: str, position: int, chunk: int = 4096):
     """(verdict, witness) by exhaustive enumeration; witness is a LassoWord
     index triple (valuation index, loop, pool) or None."""
     atoms = formula_atoms(f)
-    bits = len(atoms) * (k + 1)
-    if bits > _MAX_BITS:
-        raise ValueError(f"{bits} valuation bits is too many to enumerate")
-    total = 1 << bits
+    total = _valuation_count(atoms, k)
     loops = range(1, k + 1)
     pools = range(1, k + 1) if engine == "bi" else (None,)
     for loop, pool in product(loops, pools):
         for lo in range(0, total, chunk):
-            hi = min(lo + chunk, total)
-            rows = atom_bit_rows(atoms, k, lo, hi)
-            word = LassoWord(k, engine, loop, pool, rows, hi - lo)
-            hits = eval_lasso_batch(word, f, position)
+            hits = _hits(f, atoms, k, engine, position, loop, pool, lo, min(lo + chunk, total))
             if hits.any():
                 return True, (lo + int(np.argmax(hits)), loop, pool)
     return False, None
+
+
+def accepted(f, k: int, engine: str, position: int, loop: int, pool=None):
+    """Per valuation index (as in trace_from_index): whether the word of that
+    valuation with this loop and pool satisfies f at `position`."""
+    atoms = formula_atoms(f)
+    return _hits(f, atoms, k, engine, position, loop, pool, 0, _valuation_count(atoms, k))
 
 
 def trace_from_index(f, k: int, engine: str, witness):

@@ -2,15 +2,34 @@ import hashlib
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from brute import accepts_loop_free, brute_force_loop_free, brute_force_sat
+from brute import (
+    accepted,
+    accepts_loop_free,
+    brute_force_loop_free,
+    brute_force_sat,
+    trace_from_index,
+)
 from gen import random_core, random_sugared_capped, random_trace
 from lassosat.cnf import dimacs_text, to_cnf
 from lassosat.desugar import desugar
 from lassosat.encoder import CheckProblem, encode
 from lassosat.errors import BoundSearchError, EncodingError
-from lassosat.formula import And, Atom, Iff, Next, Not, TrueF, Yesterday, Zeta
+from lassosat.formula import (
+    And,
+    Atom,
+    FalseF,
+    Iff,
+    Next,
+    Not,
+    Release,
+    Trigger,
+    TrueF,
+    Yesterday,
+    Zeta,
+)
 from lassosat.oracle import eval_lasso
 from lassosat.pipeline import (
     RunConfig,
@@ -105,6 +124,81 @@ def test_exactness_small_scale_mono_and_bi():
         _, result = _solve(CheckProblem(k=k, engine=engine, root=f))
         expected, _ = brute_force_sat(f, k, engine, pos)
         assert (result.verdict == "SAT") == expected, (engine, k, f)
+
+
+def test_every_loop_and_pool_position_matches_brute_force():
+    """Each loop position (and pool position, on the bi engine) pinned
+    through the history markers at k = 4, for random cores over 2 atoms.
+
+    The traversal copies are defined at every instant, so their values
+    before the loop start (or after the pool start) are don't-cares that
+    must never decide a verdict; the random transition, asserted on every
+    pass, reads them too.  Per lasso shape, the free verdict equals the
+    enumeration of that shape, and one accepted and one rejected valuation
+    of it, pinned in full, are SAT and UNSAT.
+    """
+    rng = random.Random(81)
+    k = 4
+    for n in range(60):
+        engine = "mono" if n % 2 == 0 else "bi"
+        root = random_core(rng, 3, ("P", "Q"))
+        tr = random_core(rng, 2, ("P", "Q"))
+        # the transition holds at every instant of the word: G tr, plus H tr
+        # on the bi-infinite word; mono asserts the root at instant 1
+        if engine == "mono":
+            pos, every = 1, Yesterday(Release(FalseF(), tr))
+        else:
+            pos, every = 0, And((Release(FalseF(), tr), Trigger(FalseF(), tr)))
+        reference = And((root, every))
+        pools = range(1, k + 1) if engine == "bi" else (None,)
+        for loop in range(1, k + 1):
+            for pool in pools:
+                shape = (engine, loop, pool, formula_text(root), formula_text(tr))
+                hits = accepted(reference, k, engine, pos, loop, pool)
+                encoded, result = _solve(CheckProblem(
+                    k=k, engine=engine, root=root, transitions=(tr,),
+                    facts=PartialHistory(loop_at=loop, pool_at=pool),
+                ))
+                assert (result.verdict == "SAT") == hits.any(), shape
+                if hits.any():
+                    trace = decode(result, encoded.varmap)
+                    assert (trace.loop_start, trace.pool_start) == (loop, pool), shape
+                    assert eval_lasso(trace, reference, pos), shape
+                for want in (True, False):
+                    indices = np.flatnonzero(hits == want)
+                    if not len(indices):
+                        continue
+                    index = int(rng.choice(indices))
+                    word = trace_from_index(reference, k, engine, (index, loop, pool))
+                    facts = tuple(
+                        (t, a, word.valuations[a][t]) for a in word.atoms for t in range(k + 1)
+                    )
+                    _, result = _solve(CheckProblem(
+                        k=k, engine=engine, root=root, transitions=(tr,), atoms=word.atoms,
+                        facts=PartialHistory(facts, loop_at=loop, pool_at=pool),
+                    ))
+                    assert (result.verdict == "SAT") == want, shape + (index,)
+
+
+def _clause_count(spec, k, engine):
+    return len(to_cnf(encode(build_problem(load_spec(spec), k, engine, "bsc"))).clauses)
+
+
+@pytest.mark.parametrize("spec,engine,k", [("past.zot", "mono", 40), ("lamp.zot", "bi", 20)])
+def test_clauses_grow_linearly_in_k(data_dir, tmp_path, spec, engine, k):
+    """Doubling k at most a little more than doubles the clauses: the
+    pure-past probe covers the future loop's copies and selectors, lamp on
+    the bi engine the past loop's."""
+    if spec == "past.zot":
+        path = tmp_path / spec
+        path.write_text(
+            "(declare a b)\n"
+            "(property (alw (-> (-P- a) (since (-P- a) (yesterday (-P- b))))))\n"
+        )
+    else:
+        path = data_dir / spec
+    small, large = _clause_count(path, k, engine), _clause_count(path, 2 * k, engine)
+    assert large <= 2.2 * small, (small, large)
 
 
 def test_soundness_random_sample():
@@ -256,20 +350,20 @@ def test_loop_free_rejects_bi():
 # blocks, variables, clauses and the SHA-256 of the DIMACS text.  A change
 # to the encoding must update a row on purpose.
 PINNED = [
-    ("lamp.zot", 5, "mono", "bsc", 147, 1947, 6265,
-     "31ccd44ed977d784f57e0a6cc6e477c0ee69226c8a50c4fbe73fdbbc0c83645e"),
-    ("lamp.zot", 5, "bi", "bsc", 156, 2162, 7102,
-     "272740893de38b7bbec841576dd8c524f617d517a9cf15ee7e3b3b9f79c9a336"),
-    ("mutex3.zot", 4, "mono", "bmc", 16, 1166, 3724,
-     "a808c57d398b9a2b4de5e89edabf21dfdf887d3d9e7699a563e107666b3652b3"),
-    ("mutex3.zot", 4, "bi", "bmc", 213, 2892, 10227,
-     "0c70af6c7552e422afe4864c1b6315d489df1e73014a9fa6a71f1e13b449950c"),
+    ("lamp.zot", 5, "mono", "bsc", 147, 1616, 5125,
+     "3da72544e1f5e4942be74958197a69ba202c7c36896a02b16d7d7f237656857c"),
+    ("lamp.zot", 5, "bi", "bsc", 156, 1778, 5756,
+     "14a95d40c91ab31b619149a083ee9fc709fceb65b41e10ddf357a3b7ef866d9c"),
+    ("mutex3.zot", 4, "mono", "bmc", 16, 1117, 3549,
+     "73d876a20b14bd3820dfe31fd72a2c768456d8fb85ef0d724530c6d0f1822c97"),
+    ("mutex3.zot", 4, "bi", "bmc", 213, 2434, 8496,
+     "06b95e01973c13c3103c13dde9122d9f9a785f4657da59510a7302c7cac854b3"),
     ("cycle3.zot", 3, "mono", "loop-free", 0, 94, 267,
      "6338f39d33ec1e87c7d0b248a8e75e43479393a7580215313387e4190dbf6a9c"),
-    ("stutter.zot", 4, "bi", "bsc", 4, 78, 262,
-     "dc3d19a3d3ad3578fd175ee2b7eab1ac12e2bee78ef58604968693e9f9904559"),
-    ("lamp.zot", 10, "bi", "hcc", 156, 4187, 15526,
-     "f74f729357f9941a63e90400405cce003d7735792baa7c41690a307daf5cb9ad"),
+    ("stutter.zot", 4, "bi", "bsc", 4, 75, 218,
+     "269c665326db7b619ef32a4a8ddf2dabaefbc315d43b11b9fc3afcd5b9bd0342"),
+    ("lamp.zot", 10, "bi", "hcc", 156, 3398, 11390,
+     "744afad63eed5054fb8edd08f3430c18ebad0304f1bb4abd548227e6ad71e3cb"),
     ("mutex3.zot", 4, "mono", "loop-free", 0, 970, 3166,
      "f45fd911a7ee0f14dc40d0521375e7910577e3233f60d847d32352095fe57304"),
 ]

@@ -7,7 +7,7 @@ import pytest
 
 from lassosat import pipeline
 from lassosat.cli import main
-from lassosat.errors import BoundSearchError, EncodingError, SpecFormatError
+from lassosat.errors import BoundSearchError, EncodingError, SolverTimeout, SpecFormatError
 from lassosat.formula import Atom
 from lassosat.oracle import LassoWord, eval_lasso
 from lassosat.pipeline import (
@@ -225,7 +225,7 @@ def test_decoded_items_have_exactly_one_value_everywhere(data_dir, out_dir):
 def test_lamp_instance_size_regression(data_dir, out_dir):
     # frozen after the first verified build; guarded by the soundness suite
     report = run(_cfg(data_dir, out_dir, "lamp.zot"))
-    assert (report.num_vars, report.num_clauses) == (4187, 15512)
+    assert (report.num_vars, report.num_clauses) == (3398, 11376)
 
 
 def test_lamp_is_satisfiable_on_mono_engine_too(data_dir, out_dir):
@@ -269,6 +269,35 @@ def test_cli_internal_failure_exits_2_not_1(monkeypatch, data_dir, out_dir, caps
     code = main(["check", "--out", out_dir, str(data_dir / "lamp.zot")])
     assert code == 2
     assert "internal error" in capsys.readouterr().err
+
+
+def test_cli_timeout_exits_2_not_1(data_dir, out_dir, capsys):
+    # mutex3 BMC at k = 30 is UNSAT after hundreds of conflicts; the limit
+    # runs out at the first check, so the run must not report UNSAT (1)
+    code = main([
+        "check", "--bound", "30", "--mode", "bmc", "--engine", "mono",
+        "--timeout", "0.001", "--out", out_dir, str(data_dir / "mutex3.zot"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: check timed out"), err
+
+
+def test_cli_timeout_reaches_find_bound_and_must_be_positive(monkeypatch, data_dir, out_dir):
+    limits = []
+
+    def timed_out(config):
+        limits.append(config.timeout_s)
+        raise SolverTimeout("embedded solver exceeded 2.5 s")
+
+    monkeypatch.setattr("lassosat.cli.run", timed_out)
+    spec = str(data_dir / "cycle3.zot")
+    assert main(["find-bound", "--timeout", "2.5", "--out", out_dir, spec]) == 2
+    assert limits == [2.5]
+    for bad in ("0", "-1", "soon"):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--timeout", bad, "--out", out_dir, spec])
+        assert exc.value.code == 2
 
 
 def test_cli_find_bound(data_dir, out_dir, capsys):
