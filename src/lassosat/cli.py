@@ -7,9 +7,11 @@
     lassosat find-bound [--max-bound N] [--solver ...] [--timeout SECONDS]
                         [--out DIR] spec.zot
 
---timeout limits each solver call (find-bound makes one per bound tried);
-encoding is not counted.  A call that runs out prints `error: ... timed
-out` and exits with 2.
+--timeout limits each solver call (find-bound makes one per bound tried):
+loading the clauses into the solver and the search count toward it,
+encoding does not.  The limit is checked once loading is done and then every
+256 conflicts and every 256 decisions.  A call that runs out prints `error:
+... timed out` and exits with 2.
 
 Exit status: 0 = SAT (or loop-free bound not reached, or a completeness
 bound was found), 1 = UNSAT, 2 = error, internal failures and timeouts

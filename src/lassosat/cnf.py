@@ -3,9 +3,10 @@
 The encoder writes its clauses straight into a ClauseSink.  Subformula
 variables already name most gate outputs, so their `var <-> gate`
 definitions become clauses directly; fresh Tseitin variables are taken only
-for unnamed inner gates, one per distinct gate, above VarMap's last id.
-Models therefore decode positionally: variables 1..max_var keep their
-meaning.  A loop-free window instead takes each instant's variable block
+for unnamed inner gates, one per distinct gate, above VarMap's last id (a
+subformula entry that is such a gate, like an iff node, takes the gate's
+literal and no variable of its own).  Models therefore decode positionally:
+variables 1..max_var keep their meaning.  A loop-free window instead takes each instant's variable block
 from the sink (`fresh`) as the instant enters, so its gates sit between the
 blocks, and models decode through VarMap.var.
 """
@@ -86,11 +87,9 @@ class ClauseSink:
             self.clauses.append(lits)
 
     def define(self, v: int, op: str, lits: List[int]) -> None:
-        """Clauses for v <-> op(lits), op being "and", "or" or two-operand
-        "iff" (through a gate); a single operand makes v <-> lits[0]."""
-        if op == "iff":
-            lits = [self.gate("iff", lits)]
-        elif op == "or" and len(lits) != 1:
+        """Clauses for v <-> op(lits), op being "and" or "or"; a single
+        operand makes v <-> lits[0]."""
+        if op == "or" and len(lits) != 1:
             v, lits = -v, [-l for l in lits]  # v <-> or(ls)  is  -v <-> and(-ls)
         add = self.clause
         for l in lits:

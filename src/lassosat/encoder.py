@@ -59,7 +59,7 @@ The loop-free encoding grows one instant at a time, after Een & Sorensson,
 Temporal Induction by Incremental SAT Solving (BMC 2003), and Heljanko,
 Junttila & Latvala, Incremental and Complete BMC for Full PLTL (CAV 2005).
 When instant t enters the window it takes its variable block (VarMap's
-instant layout) and appends, and never retracts:
+instant layout), resolves the aliases at t and appends, and never retracts:
 
 - the boolean and past definitions at t (past at 0: the time origin);
 - the future definitions at t-1, which now has a successor;
@@ -73,22 +73,50 @@ adds the unit -E_t.  The problem at bound k is the grown clauses plus the
 unit E_k (`cnf.to_cnf`); find_bound instead keeps one live solver and
 assumes E_k, so each clause is built and loaded once.
 
+Each value is named once.  The literal table (VarMap) holds one literal per
+(subformula, copy, instant) entry, and an entry whose expansion folds to a
+single literal, or to a gate the encoder builds anyway, is that literal and
+owns no variable and no defining clauses:
+
+- `not g` is -g, and `iff` is its iff gate, at every copy and instant; a
+  true/false node is the one shared constant literal, or its negation;
+- `next g` at copy d and t < k is g(d, t+1);
+- `yesterday g` and `zeta g` at copy 0 and t >= 1 are g(0, t-1), and on a
+  deeper copy the ite neighbour itself (g(d-1, k) at t = 1);
+- at the mono origin yesterday and zeta are the constant (false, true) and
+  since and trigger their right operand;
+- the bi engine's backward copies mirror these rules.
+
+Allocation gives ids only to the other entries (`_aliased` says which), in
+closure order, and the table is filled afterwards in postorder (`_fill`),
+so every operand is resolved before its parents, with no recursion.  A
+loop-free window aliases what is known when an instant enters (negations,
+iffs, yesterday and zeta, the origin); its `next` nodes keep their
+variables, since their successor enters after them.
+
+The successor of instant k is the loop start.  For each (operand g, copy
+c) that a future entry reads there, one loop-start literal y has
+`-L_i | -y | g(c, i)` and `-L_i | y | -g(c, i)` for i = 1..k, so the future
+copy at k is one unguarded definition whose neighbour is y, and `next` at k
+is y itself.  The bi engine mirrors it: one pool-start literal z(g, e)
+under P_p is the predecessor of instant 0, read by the past nodes at
+instant 0 of the primary row and of the backward copies.
+
 Every rule writes its clauses into one cnf.ClauseSink as it goes, in a
 single pass.  A subformula variable is defined by `var <-> and/or(...)`
-clauses.  Only three rows depend on the selected position itself, each
-O(k) per subformula and copy: the future copy at k (whose successor is the
-loop start), the top-copy consistency at the loop start and the bi wrap at
-instant 0 (whose predecessor is the pool start).  They are guarded by
-their selector, one per position, as `-sel | iff-gate(var, ...)`.  Unnamed
-inner gates (and/or, iff, ite) get memoized Tseitin variables above the
-VarMap's last id (in a loop-free window: above the newest instant block),
-so models decode through VarMap.var.
+clauses.  Only two rows stay guarded by their selector, one per position,
+as `-sel | iff-gate(var, ...)` (`_guarded`), each O(k) per subformula and
+copy: the past top-copy consistency at the loop start and the bi future
+consistency at the pool start.  Unnamed inner gates (and/or, iff, ite),
+the loop- and pool-start literals and the constant get memoized Tseitin
+variables above the VarMap's last id (in a loop-free window: above the
+newest instant block), so models decode through VarMap.lit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .cnf import ClauseSink, CnfInstance
 from .errors import EncodingError
@@ -97,6 +125,7 @@ from .formula import (
     Atom,
     FalseF,
     Formula,
+    Iff,
     Implies,
     Next,
     Not,
@@ -206,7 +235,7 @@ def _history(problem: CheckProblem, vm: VarMap):
             raise EncodingError(
                 f"history fact at time {instant} exceeds the bound k={problem.k}"
             )
-        if atom not in vm.base:
+        if atom not in vm.rrows:
             raise EncodingError(f"history atom {atom.display} is not registered")
     out = []
     if facts.loop_at is not None:
@@ -232,6 +261,8 @@ def _connective(f: Formula, operand):
     """(op, operand literals) of a boolean node, given a child -> literal map."""
     if isinstance(f, Not):
         return "and", [-operand(f.sub)]
+    if isinstance(f, (TrueF, FalseF)):
+        return ("and" if isinstance(f, TrueF) else "or"), []
     if isinstance(f, And):
         return "and", [operand(c) for c in f.items]
     if isinstance(f, Or):
@@ -250,6 +281,10 @@ _SHIFT = frozenset((Next, Yesterday, Zeta))
 # weak duals: the neighbour beyond a finite edge is true (false otherwise)
 _WEAK = frozenset((Zeta, Release, Trigger))
 _UNTIL_LIKE = frozenset((Until, Since))
+_FUTURE = frozenset((Next, Until, Release))
+_TEMPORAL = _FUTURE | frozenset((Yesterday, Zeta, Since, Trigger))
+# boolean nodes that are one literal of their operands, or a gate over them
+_BOOL_ALIASES = frozenset((Not, Iff, TrueF, FalseF))
 
 
 class _Encoder:
@@ -269,8 +304,10 @@ class _Encoder:
         self.problem = problem
         self.engine = engine
         forms = _all_formulas(problem)
+        # operands before their parents: the order the aliases are resolved in
+        self.postorder = closure(forms)
         self.caps: Dict[Formula, Tuple[int, int]] = {}
-        for f in closure(forms):
+        for f in self.postorder:
             if self.loop_free or isinstance(f, Atom):
                 self.caps[f] = (0, 0)
                 continue
@@ -281,37 +318,81 @@ class _Encoder:
         for a in problem.atoms:
             self.caps.setdefault(a, (0, 0))
         self.vm = build_varmap(
-            forms, k, engine, problem.atoms, copies=self.caps, loop_free=self.loop_free
+            forms, k, engine, problem.atoms, copies=self.caps,
+            loop_free=self.loop_free, aliased=self._aliased,
         )
         self.vm.assertion_instant = 1 if engine == "mono" else 0
         # the loop-free window starts empty, and instants enter it one by one
         self.k = self.vm.k
-        self.offsets = self.vm.offsets
+        self.rrows, self.lrows = self.vm.rrows, self.vm.lrows
         self.sink = ClauseSink(self.vm.max_var)
-        # block bases of each formula's traversal copies, index 0 being the
-        # primary block, resolved once: R and Lc run for every literal emitted
-        vm = self.vm
-        self.rbases: Dict[Formula, List[int]] = {}
-        self.lbases: Dict[Formula, List[int]] = {}
-        for f, (nr, nl) in self.caps.items():
-            b = vm.base[f]
-            self.rbases[f] = [b] + [vm.copy_base[(f, "r", d)] for d in range(1, nr + 1)]
-            self.lbases[f] = [b] + [vm.copy_base[(f, "l", e)] for e in range(1, nl + 1)]
-        self.facts, self.markers = _history(problem, vm)
+        self.starts: Dict[tuple, int] = {}  # loop- and pool-start literals
+        self.true: Optional[int] = None  # the shared constant literal
+        self.facts, self.markers = _history(problem, self.vm)
         self.activation: Optional[int] = None
 
     # copy accessors: d/e are clamped to the formula's own stabilized copy
     def R(self, f: Formula, d: int, t: int) -> int:
         if not 0 <= t <= self.k:
             raise EncodingError(f"instant {t} outside 0..{self.k}")
-        bases = self.rbases[f]
-        return (bases[d] if d < len(bases) else bases[-1]) + self.offsets[t]
+        rows = self.rrows[f]
+        return (rows[d] if d < len(rows) else rows[-1])[t]
 
     def Lc(self, f: Formula, e: int, t: int) -> int:
         if not 0 <= t <= self.k:
             raise EncodingError(f"instant {t} outside 0..{self.k}")
-        bases = self.lbases[f]
-        return (bases[e] if e < len(bases) else bases[-1]) + self.offsets[t]
+        rows = self.lrows[f]
+        return (rows[e] if e < len(rows) else rows[-1])[t]
+
+    def _aliased(self, f: Formula, family: str, copy: int, t: int) -> bool:
+        """Whether entry (f, copy, t) is a literal of other entries, or a
+        gate the encoder builds anyway, and so owns no variable."""
+        cls = type(f)
+        if cls in _BOOL_ALIASES:
+            return True
+        if cls is And or cls is Or:
+            return len(f.items) < 2
+        if cls is Next:
+            # in a loop-free window the successor enters after the node
+            return not self.loop_free
+        if cls is Yesterday or cls is Zeta:
+            # instant 0 of a deeper loop pass precedes every loop start: a
+            # don't-care that keeps its id
+            return t > 0 or copy == 0 or family == "l"
+        if cls is Since or cls is Trigger:
+            return t == 0 and copy == 0 and self.engine == "mono"  # the origin: b
+        return False
+
+    def _alias(self, f: Formula, family: str, c: int, t: int) -> int:
+        """The literal an aliased entry stands for: its expansion folded to
+        one literal (a gate for iff, the constant for an empty expansion)."""
+        acc = self.R if family == "r" else self.Lc
+        if type(f) in _TEMPORAL:
+            op, lits = self._rec(acc, f, c, t, self._neighbour(f, family, c, t))
+        else:
+            op, lits = _connective(f, lambda g: acc(g, c, t))
+            if op == "iff":
+                return self.sink.gate("iff", lits)
+        if len(lits) > 1:
+            raise EncodingError(f"internal error: {f!r} aliased to {op} of {len(lits)} operands")
+        if lits:
+            return lits[0]
+        if self.true is None:
+            self.true = self.sink.fresh()
+            self.sink.clause([self.true])
+        return self.true if op == "and" else -self.true
+
+    def _fill(self, instants) -> None:
+        """Write the aliases at `instants` into the literal table, each
+        operand's rows before its parents'."""
+        for f in self.postorder:
+            # lrows[f][0] is the primary row, filled as rrows[f][0]
+            for family, rows, first in (("r", self.rrows[f], 0), ("l", self.lrows[f], 1)):
+                for c in range(first, len(rows)):
+                    row = rows[c]
+                    for t in instants:
+                        if not row[t]:
+                            row[t] = self._alias(f, family, c, t)
 
     def _rec(self, acc, f: Formula, d: int, t: int, nb):
         """The fixpoint expansion of temporal node f at copy d, instant t.
@@ -319,9 +400,9 @@ class _Encoder:
         Returns (op, operand literals), op being "and" or "or"; an empty
         "and" is true and an empty "or" false.  `acc(g, copy, instant)` is R
         or Lc, and `nb(g)` is g's literal at the recurrence neighbour (see
-        `_at` and `_step`); nb None puts the neighbour beyond a finite edge
-        of the word, where it is false for the strong operators and true for
-        the weak duals.
+        `_neighbour`); nb None puts the neighbour beyond a finite edge of the
+        word, where it is false for the strong operators and true for the
+        weak duals.
         """
         cls = type(f)
         if cls in _SHIFT:
@@ -353,6 +434,59 @@ class _Encoder:
         gate = self.sink.gate
         return lambda g: gate("ite", [s, acc(g, wd, wt), acc(g, sd, st)])
 
+    def _start(self, family: str, g: Formula, c: int) -> int:
+        """One literal for g's copy c at the loop start (family "r": the
+        successor of instant k) or at the pool start ("l": the predecessor
+        of instant 0): -sel | -y | g(c, i) and -sel | y | -g(c, i) for each
+        position i and its selector."""
+        rows = self.rrows[g] if family == "r" else self.lrows[g]
+        c = min(c, len(rows) - 1)
+        key = (family, g, c)
+        y = self.starts.get(key)
+        if y is None:
+            y = self.starts[key] = self.sink.fresh()
+            row, clause = rows[c], self.sink.clause
+            vm = self.vm
+            for i, s in (vm.loop_selectors if family == "r" else vm.pool_selectors).items():
+                clause([-s, -y, row[i]])
+                clause([-s, y, -row[i]])
+        return y
+
+    def _neighbour(self, f: Formula, family: str, c: int, t: int):
+        """The recurrence neighbour of temporal entry (f, copy c, instant
+        t), as `_rec` takes it; past entries of a loop-free window included."""
+        k, R, Lc, vm = self.k, self.R, self.Lc, self.vm
+        if type(f) in _FUTURE:
+            if family == "l":
+                # backward passes: the pool start wraps to instant 0 of the
+                # previous pass, and instant k has no other successor there
+                return self._step(
+                    Lc, vm.pool_selectors.get(t), (c - 1, 0), (c, t + 1) if t < k else None
+                )
+            if t < k:
+                return self._at(R, c, t + 1)
+            # instant k loops back to the loop start, one pass deeper
+            return lambda g: self._start("r", g, c + 1)
+        if family == "r" and c:
+            # deeper traversals of the future loop (past values shift one
+            # pass); values before the loop start are don't-cares
+            return self._step(R, vm.loop_selectors[t], (c - 1, k), (c, t - 1) if t > 1 else None)
+        if t:
+            return self._at(R if family == "r" else Lc, c, t - 1)
+        if not vm.pool_selectors:
+            return None  # the mono origin, a finite edge
+        # bi engine: instant 0 wraps into the past loop, one pass deeper
+        return lambda g: self._start("l", g, c + 1)
+
+    def _define(self, f: Formula, family: str, c: int, t: int) -> None:
+        """The unguarded definition of temporal entry (f, copy c, instant
+        t), unless the entry is an alias."""
+        if not self._aliased(f, family, c, t):
+            acc = self.R if family == "r" else self.Lc
+            self.sink.define(
+                acc(f, c, t), *self._rec(acc, f, c, t, self._neighbour(f, family, c, t))
+            )
+
     def _guarded(self, s: int, v: int, expansion) -> None:
         """Selector s implies v <-> expansion, through an iff gate."""
         gate = self.sink.gate
@@ -378,6 +512,7 @@ class _Encoder:
         )
 
         instants = range(self.k + 1)
+        self._fill(instants)
         for f in vm.partitions["bool"]:
             self._emit_bool(f, instants)
         for f in vm.partitions["future"]:
@@ -387,7 +522,7 @@ class _Encoder:
 
         self._emit_assertions()
         for t, atom, polarity in self.facts:
-            x = vm.var(atom, t)
+            x = vm.lit(atom, t)
             sink.clause([x if polarity else -x])
         for lit in self.markers:
             sink.clause([lit])
@@ -402,11 +537,12 @@ class _Encoder:
         """Loop-free: instant k+1 enters the window; append its clauses."""
         vm, sink, R, rec, at = self.vm, self.sink, self.R, self._rec, self._at
         clause, define = sink.clause, sink.define
-        vm.add_instant(sink.fresh(len(vm.closure)))
+        sink.fresh(vm.add_instant(sink.next_var, self._aliased))
         t = self.k = vm.k
         if t:  # instant t-1 gets a successor: its finite edge is gone
             clause([-self.activation])
         edge = self.activation = sink.fresh()
+        self._fill((t,))
 
         for f in vm.partitions["bool"]:
             self._emit_bool(f, (t,))
@@ -423,7 +559,7 @@ class _Encoder:
                 clause([-edge, v if op == "and" else -v])
         for f in vm.partitions["past"]:
             # instant 0 is the time origin, a finite edge for good
-            define(R(f, 0, t), *rec(R, f, 0, t, at(R, 0, t - 1) if t else None))
+            self._define(f, "r", 0, t)
 
         problem = self.problem
         for tr in problem.transitions:
@@ -433,11 +569,11 @@ class _Encoder:
         for gc in problem.global_constraints:
             clause([R(gc, 0, t)])
         if t == vm.assertion_instant and problem.root is not None:
-            vm.root_var = vm.var(problem.root, t)
-            clause([vm.root_var])
+            vm.root_lit = vm.lit(problem.root, t)
+            clause([vm.root_lit])
         for instant, atom, polarity in self.facts:
             if instant == t:
-                x = vm.var(atom, t)
+                x = vm.lit(atom, t)
                 clause([x if polarity else -x])
 
         # instant t differs from every earlier one in at least one atom;
@@ -450,30 +586,24 @@ class _Encoder:
                 clause([-sink.gate("iff", [R(a, 0, s), R(a, 0, t)]) for a in atoms])
 
     def _emit_bool(self, f: Formula, instants):
-        define = self.sink.define
-        if isinstance(f, (TrueF, FalseF)):
-            positive = isinstance(f, TrueF)
-            for t in instants:
-                x = self.R(f, 0, t)
-                self.sink.clause([x if positive else -x])
+        if self._aliased(f, "r", 0, 0):  # a boolean node aliases everywhere or nowhere
             return
-        for d in range(self.caps[f][0] + 1):
-            for t in instants:
-                define(self.R(f, d, t), *_connective(f, lambda c: self.R(c, d, t)))
-        for e in range(1, self.caps[f][1] + 1):
-            for t in instants:
-                define(self.Lc(f, e, t), *_connective(f, lambda c: self.Lc(c, e, t)))
-
-    def _emit_future(self, f: Formula):
-        k, R, Lc, rec, at, step = self.k, self.R, self.Lc, self._rec, self._at, self._step
-        sink, define, guarded, gate = self.sink, self.sink.define, self._guarded, self.sink.gate
+        define, R, Lc = self.sink.define, self.R, self.Lc
         nr, nl = self.caps[f]
         for d in range(nr + 1):
-            for t in range(k):
-                define(R(f, d, t), *rec(R, f, d, t, at(R, d, t + 1)))
-            # instant k loops back to the selected position, one pass deeper
-            for i, s in self.vm.loop_selectors.items():
-                guarded(s, R(f, d, k), rec(R, f, d, k, at(R, d + 1, i)))
+            for t in instants:
+                define(R(f, d, t), *_connective(f, lambda c: R(c, d, t)))
+        for e in range(1, nl + 1):
+            for t in instants:
+                define(Lc(f, e, t), *_connective(f, lambda c: Lc(c, e, t)))
+
+    def _emit_future(self, f: Formula):
+        k, R, Lc, rec, at = self.k, self.R, self.Lc, self._rec, self._at
+        sink, define, guarded, gate = self.sink, self._define, self._guarded, self.sink.gate
+        nr, nl = self.caps[f]
+        for d in range(nr + 1):
+            for t in range(k + 1):
+                define(f, "r", d, t)
         # obligations alive at the end of the top copy are discharged inside
         # the loop (its crossing is a self-cycle): some looping instant has
         # the until's right operand, or one lacks the release's
@@ -485,47 +615,33 @@ class _Encoder:
 
         # bi engine: backward passes through the past loop; values after the
         # pool start are don't-cares that nothing reads
-        pools = self.vm.pool_selectors
         for e in range(1, nl + 1):
             for t in range(k + 1):
-                nb = step(Lc, pools.get(t), (e - 1, 0), (e, t + 1) if t < k else None)
-                define(Lc(f, e, t), *rec(Lc, f, e, t, nb))
+                define(f, "l", e, t)
         # future values agree at p and at the virtual predecessor of 0
-        for p, s in pools.items():
+        for p, s in self.vm.pool_selectors.items():
             guarded(s, Lc(f, nl, p), rec(Lc, f, nl, p, at(Lc, nl, 0)))
 
     def _emit_past(self, f: Formula):
-        k, R, Lc, rec, at, step = self.k, self.R, self.Lc, self._rec, self._at, self._step
-        sink, define, guarded, gate = self.sink, self.sink.define, self._guarded, self.sink.gate
-        loops, pools = self.vm.loop_selectors, self.vm.pool_selectors
+        k, R, Lc, rec, at = self.k, self.R, self.Lc, self._rec, self._at
+        sink, define, guarded, gate = self.sink, self._define, self._guarded, self.sink.gate
         nr, nl = self.caps[f]
-        for t in range(1, k + 1):
-            define(R(f, 0, t), *rec(R, f, 0, t, at(R, 0, t - 1)))
-        if not pools:
-            # mono engine: instant 0 is the time origin, a finite edge
-            define(R(f, 0, 0), *rec(R, f, 0, 0, None))
-        # bi engine: no origin, instant 0 wraps into the past loop (copy 0
-        # of Lc is the primary block)
-        for p, s in pools.items():
-            guarded(s, R(f, 0, 0), rec(Lc, f, 0, 0, at(Lc, 1, p)))
-
-        # deeper traversals of the future loop (past values shift one pass);
-        # values before the loop start are don't-cares that nothing reads
+        # instant 0 has no predecessor in the word's window: it is the mono
+        # origin, or on the bi engine it wraps into the past loop
+        for t in (*range(1, k + 1), 0):
+            define(f, "r", 0, t)
         for d in range(1, nr + 1):
             for t in range(1, k + 1):
-                nb = step(R, loops[t], (d - 1, k), (d, t - 1) if t > 1 else None)
-                define(R(f, d, t), *rec(R, f, d, t, nb))
+                define(f, "r", d, t)
         # the top copy is past-consistent: the loop entry value agrees with
         # the value at the virtual successor of k
-        for i, s in loops.items():
+        for i, s in self.vm.loop_selectors.items():
             guarded(s, R(f, nr, i), rec(R, f, nr, i, at(R, nr, k)))
 
         # bi engine: backward passes through the past loop
         for e in range(1, nl + 1):
-            for t in range(1, k + 1):
-                define(Lc(f, e, t), *rec(Lc, f, e, t, at(Lc, e, t - 1)))
-            for p, s in pools.items():
-                guarded(s, Lc(f, e, 0), rec(Lc, f, e, 0, at(Lc, e + 1, p)))
+            for t in (*range(1, k + 1), 0):
+                define(f, "l", e, t)
         # since/trigger are cyclic around the past loop at their deepest
         # backward copy: some instant of the past loop has the since's right
         # operand, or one lacks the trigger's
@@ -554,5 +670,5 @@ class _Encoder:
             for t in range(k + 1):
                 clause([R(gc, 0, t)])
         if problem.root is not None:
-            vm.root_var = vm.var(problem.root, vm.assertion_instant)
-            clause([vm.root_var])
+            vm.root_lit = vm.lit(problem.root, vm.assertion_instant)
+            clause([vm.root_lit])

@@ -81,8 +81,10 @@ def solve_embedded(
 
     With `live`, the clauses of `inst` beyond those `live` already holds are
     appended to it first, so `inst.clauses` must extend the clauses it was
-    given before.  Raises SolverTimeout when a limit is given and hit.
+    given before.  Raises SolverTimeout when a limit is given and hit; the
+    limit runs from this call, so loading the clauses counts toward it.
     """
+    started = time.monotonic()
     if live is None:
         solver, clauses = Solver(), inst.clauses
     else:
@@ -91,7 +93,7 @@ def solve_embedded(
     gc.disable()
     try:
         solver.add_clauses(clauses, inst.num_vars)
-        return solver.solve(assumptions, timeout_s, verify)
+        return solver.solve(assumptions, timeout_s, verify, started)
     finally:
         if collecting:
             gc.enable()
@@ -197,12 +199,18 @@ class Solver:
         assumptions: Sequence[int] = (),
         timeout_s: Optional[float] = None,
         verify: bool = True,
+        started: Optional[float] = None,
     ) -> SatResult:
         """Search under the assumptions.
 
-        The trail of the answer stays until the next append or search, which
-        first returns to level 0; a one-shot solver never pays for that.
+        The time limit runs from `started` (a time.monotonic() reading, by
+        default now) and is checked before the search and then every 256
+        conflicts and every 256 decisions.  The trail of the answer stays
+        until the next append or search, which first returns to level 0; a
+        one-shot solver never pays for that.
         """
+        if started is None:
+            started = time.monotonic()
         n = self.n
         conflicts = decisions = propagations = restarts = learnts = 0
 
@@ -350,6 +358,13 @@ class Solver:
             learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
             return learnt, level[abs(learnt[1])]
 
+        def check_time():
+            if time.monotonic() - started > timeout_s:
+                raise SolverTimeout(
+                    f"embedded solver exceeded {timeout_s} s after {conflicts} "
+                    f"conflicts and {decisions} decisions"
+                )
+
         def pick_var() -> int:
             # every unassigned variable has a live entry, so the heap cannot run dry
             while True:
@@ -371,7 +386,8 @@ class Solver:
                 return result("UNSAT")
 
             restart_budget = _LUBY_BASE * _luby(0)
-            started = time.monotonic()
+            if timeout_s is not None:
+                check_time()
 
             while True:
                 confl = propagate()
@@ -395,11 +411,7 @@ class Solver:
                         learnts += 1
                     var_inc /= _VAR_DECAY
                     if conflicts % 256 == 0 and timeout_s is not None:
-                        if time.monotonic() - started > timeout_s:
-                            raise SolverTimeout(
-                                f"embedded solver exceeded {timeout_s} s "
-                                f"after {conflicts} conflicts"
-                            )
+                        check_time()
                     if conflicts >= restart_budget:
                         restarts += 1
                         restart_budget = conflicts + _LUBY_BASE * _luby(restarts)
@@ -424,6 +436,8 @@ class Solver:
                 else:
                     var = pick_var()
                     decisions += 1
+                    if decisions % 256 == 0 and timeout_s is not None:
+                        check_time()
                     trail_lim.append(len(trail))
                     enqueue(var if saved[var] else -var, -1)
         finally:

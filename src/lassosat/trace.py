@@ -98,7 +98,7 @@ def decode(result, vm) -> LassoTrace:
         raise EncodingError("decode needs a SAT result with a model")
     model = result.model
     valuations = {
-        atom: tuple(bool(model[vm.var(atom, t)]) for t in range(vm.k + 1))
+        atom: tuple(bool(model[vm.lit(atom, t)]) for t in range(vm.k + 1))
         for atom in vm.atoms
     }
     loop = [i for i, v in vm.loop_selectors.items() if model[v]]

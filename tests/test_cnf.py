@@ -49,7 +49,7 @@ def _random_program(rng, num_vars):
             g = sink.gate(op, operands)
             calls.append(("gate", op, operands, g))
             pool.append(abs(g))
-        elif kind < 0.75:
+        elif kind < 0.75 and op != "iff":  # an iff is defined through its gate
             v = lits(1)[0]
             sink.define(v, op, operands)
             calls.append(("define", v, op, operands))
@@ -142,8 +142,9 @@ def test_subformula_variables_keep_their_meaning():
     inst = to_cnf(encoded)
     result = solve_embedded(inst)
     assert result.verdict == "SAT"
-    # the root variable is asserted as a unit and must be true in the model
-    assert result.model[encoded.varmap.root_var]
+    # the root literal is asserted as a unit and must be true in the model
+    root = encoded.varmap.root_lit
+    assert result.model[abs(root)] == (root > 0)
 
 
 def test_emit_dimacs_golden():

@@ -225,7 +225,15 @@ def test_decoded_items_have_exactly_one_value_everywhere(data_dir, out_dir):
 def test_lamp_instance_size_regression(data_dir, out_dir):
     # frozen after the first verified build; guarded by the soundness suite
     report = run(_cfg(data_dir, out_dir, "lamp.zot"))
-    assert (report.num_vars, report.num_clauses) == (3398, 11376)
+    assert (report.num_vars, report.num_clauses) == (1993, 7737)
+
+
+def test_mutex3_bmc_instance_size_regression(data_dir, out_dir):
+    # one loop-start literal per (operand, copy) read at k, not one
+    # selector-guarded row per loop position; aliases own no variable
+    report = run(_cfg(data_dir, out_dir, "mutex3.zot", bound=10, engine="mono", mode="bmc"))
+    assert report.verdict == "UNSAT"
+    assert (report.num_vars, report.num_clauses) == (1587, 5936)
 
 
 def test_lamp_is_satisfiable_on_mono_engine_too(data_dir, out_dir):
@@ -283,6 +291,18 @@ def test_cli_timeout_exits_2_not_1(data_dir, out_dir, capsys):
     assert err.startswith("error: check timed out"), err
 
 
+def test_cli_timeout_binds_on_a_short_search(data_dir, out_dir, capsys):
+    # lamp bi at k = 40 is SAT after a few dozen conflicts, fewer than the
+    # 256 between clock reads in the search; the limit runs from the solver
+    # call, loading included, and is checked before the search starts
+    code = main([
+        "check", "--bound", "40", "--engine", "bi", "--timeout", "0.001",
+        "--out", out_dir, str(data_dir / "lamp.zot"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: check timed out")
+
+
 def test_cli_timeout_reaches_find_bound_and_must_be_positive(monkeypatch, data_dir, out_dir):
     limits = []
 
@@ -326,3 +346,24 @@ def test_console_entry_point_runs(data_dir, out_dir):
     seen = f"exit {proc.returncode}\nstdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
     assert proc.returncode == 0, seen
     assert "SAT" in proc.stdout, seen
+
+
+def test_checking_a_spec_does_not_import_numpy(data_dir, out_dir):
+    # numpy is the oracle's; `import lassosat` and a check run never need it
+    src = Path(pipeline.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    script = (
+        "import sys\n"
+        "import lassosat, lassosat.cli\n"
+        "assert 'numpy' not in sys.modules, 'after import lassosat'\n"
+        f"code = lassosat.cli.main(['check', '--bound', '5', '--out', {out_dir!r}, "
+        f"{str(data_dir / 'lamp.zot')!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy' not in sys.modules, 'after check'\n"
+        "assert callable(lassosat.eval_lasso) and 'numpy' in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, f"stdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"

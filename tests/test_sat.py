@@ -175,11 +175,11 @@ def test_counters_match_the_reference_search(data_dir):
     result = solve_embedded(to_cnf(encode(problem)))
     assert result.verdict == "UNSAT"
     assert result.stats == {
-        "conflicts": 446,
-        "decisions": 1273,
-        "propagations": 122213,
-        "restarts": 3,
-        "learnts": 419,
+        "conflicts": 322,
+        "decisions": 920,
+        "propagations": 56209,
+        "restarts": 2,
+        "learnts": 299,
     }
 
 
