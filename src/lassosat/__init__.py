@@ -1,10 +1,5 @@
 """Bounded satisfiability and model checking for PLTL with past and metric
-operators, compiled to SAT over lasso-shaped (ultimately periodic) traces.
-
-The numpy oracle (`eval_lasso`, `eval_lasso_batch`, `LassoWord`,
-`closure_table`) is imported on first use, so checking a spec does not load
-numpy.
-"""
+operators, compiled to SAT over lasso-shaped (ultimately periodic) traces."""
 
 from .cnf import CnfInstance, SatResult, emit_dimacs, parse_dimacs, to_cnf
 from .declarations import (
@@ -29,6 +24,7 @@ from .errors import (
     SolverTimeout,
     SpecFormatError,
 )
+from .oracle import LassoWord, closure_table, eval_lasso, eval_lasso_batch
 from .pipeline import RunConfig, RunReport, build_problem, find_bound, run
 from .pretty import formula_text, to_sexpr
 from .sat_embedded import solve_embedded
@@ -46,13 +42,3 @@ from .trace import (
 from .varmap import VarMap, build_varmap
 
 __version__ = "0.1.0"
-
-_ORACLE_NAMES = ("LassoWord", "closure_table", "eval_lasso", "eval_lasso_batch")
-
-
-def __getattr__(name):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -29,6 +29,7 @@ from .desugar import desugar
 from .encoder import CheckProblem, encode
 from .errors import BoundSearchError, SpecFormatError
 from .formula import Atom, Not, Yesterday, conj
+from .oracle import eval_lasso
 from .sat_embedded import Solver, solve_embedded
 from .sat_external import CNF_FILENAME, DEFAULT_SOLVERS, SAT_FILENAME, solve_external
 from .specfile import SpecDocument, load_spec
@@ -312,8 +313,6 @@ def _run_find_bound(config, doc, engine, solver) -> RunReport:
 
 def check_trace_against_root(problem: CheckProblem, trace: LassoTrace) -> bool:
     """Oracle check: the decoded trace satisfies the asserted root formula."""
-    from .oracle import eval_lasso  # numpy loads only when a trace is checked
-
     if problem.root is None:
         return True
     pos = 1 if problem.engine == "mono" else 0

@@ -348,22 +348,3 @@ def test_console_entry_point_runs(data_dir, out_dir):
     assert "SAT" in proc.stdout, seen
 
 
-def test_checking_a_spec_does_not_import_numpy(data_dir, out_dir):
-    # numpy is the oracle's; `import lassosat` and a check run never need it
-    src = Path(pipeline.__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
-    script = (
-        "import sys\n"
-        "import lassosat, lassosat.cli\n"
-        "assert 'numpy' not in sys.modules, 'after import lassosat'\n"
-        f"code = lassosat.cli.main(['check', '--bound', '5', '--out', {out_dir!r}, "
-        f"{str(data_dir / 'lamp.zot')!r}])\n"
-        "assert code == 0, code\n"
-        "assert 'numpy' not in sys.modules, 'after check'\n"
-        "assert callable(lassosat.eval_lasso) and 'numpy' in sys.modules\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, f"stdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
