@@ -6,9 +6,10 @@ definitions become clauses directly; fresh Tseitin variables are taken only
 for unnamed inner gates, one per distinct gate, above VarMap's last id (a
 subformula entry that is such a gate, like an iff node, takes the gate's
 literal and no variable of its own).  Models therefore decode positionally:
-variables 1..max_var keep their meaning.  A loop-free window instead takes each instant's variable block
-from the sink (`fresh`) as the instant enters, so its gates sit between the
-blocks, and models decode through VarMap.var.
+variables 1..max_var keep their meaning.  A loop-free window instead takes
+each instant's variable block from the sink (`fresh`) as the instant
+enters, so its gates sit between the blocks, and models decode through
+VarMap.lit.
 """
 
 from __future__ import annotations

@@ -31,22 +31,26 @@ around the past loop through InPool.
 
 Past-dependent subformulas change value between traversals of the loop, so
 one variable per (subformula, instant) cannot be exact.  Such subformulas
-are virtually unrolled: copy d of a variable tracks the d-th traversal,
-capped at past-depth + 1, from where the traversal values provably repeat
-(each level's loop-entry value follows a monotone boolean recurrence, and a
-monotone function on {0,1} satisfies f(f(x)) = f(x)).  Atoms, temporal-free
-and pure-future subformulas keep a single copy.  A deeper copy has one
-unguarded definition per instant, whose recurrence neighbour is
-ite(L_t, R(f, d-1, k), R(f, d, t-1)): the previous traversal's last instant
-at the loop start, the previous instant inside the loop.  Its values before
-the loop start are don't-cares that nothing reads, since constraints on
-deeper copies hold only where InLoop_t does.  The top copy still asserts
-that the value at the loop entry equals the value at the virtual successor
-of k; stabilization makes that a tautology for true traversal values, so it
-guards soundness without sacrificing completeness.  The bi engine mirrors
-the scheme with backward copies of future-dependent subformulas across the
-past loop, neighbour ite(P_t, Lc(f, e-1, 0), Lc(f, e, t+1)), don't-cares
-after the pool start and constraints under InPool_t.
+are virtually unrolled: copy d of a variable tracks the d-th traversal, up
+to copy pd, the past depth, and a read of a deeper traversal reads copy pd.
+Atoms, temporal-free and pure-future subformulas keep a single copy.  A
+deeper copy has one unguarded definition per instant, whose recurrence
+neighbour is ite(L_t, R(f, d-1, k), R(f, d, t-1)): the previous traversal's
+last instant at the loop start, the previous instant inside the loop.  Its
+values before the loop start are don't-cares that nothing reads, since
+constraints on deeper copies hold only where InLoop_t does.
+
+Copy pd is the last one that differs, by induction on pd.  The operands of
+f have past depth below pd, so they repeat from copy pd-1 on.  f's loop
+entry value in copy n+1 is then x_{n+1} = G(x_n) for every n >= pd-1, with
+one monotone G on {0,1}: a constant or the identity, so G(G(x)) = G(x).
+Hence x_{pd+1} = G(G(x_{pd-1})) = G(x_{pd-1}) = x_pd, and copy pd+1 repeats
+copy pd at every instant of the loop.  The same step shows that the top
+copy needs no row tying its loop entry to its own value at k: x_pd =
+G(x_pd) is implied.  The bi engine mirrors the scheme with backward copies
+of future-dependent subformulas across the past loop, up to copy fd, the
+future depth, with neighbour ite(P_t, Lc(f, e-1, 0), Lc(f, e, t+1)),
+don't-cares after the pool start and constraints under InPool_t.
 
 The loop-free mode is the same encoder run without selectors and with a
 single copy of every subformula, so instant k has no successor and the
@@ -104,13 +108,12 @@ instant 0 of the primary row and of the backward copies.
 
 Every rule writes its clauses into one cnf.ClauseSink as it goes, in a
 single pass.  A subformula variable is defined by `var <-> and/or(...)`
-clauses.  Only two rows stay guarded by their selector, one per position,
-as `-sel | iff-gate(var, ...)` (`_guarded`), each O(k) per subformula and
-copy: the past top-copy consistency at the loop start and the bi future
-consistency at the pool start.  Unnamed inner gates (and/or, iff, ite),
-the loop- and pool-start literals and the constant get memoized Tseitin
-variables above the VarMap's last id (in a loop-free window: above the
-newest instant block), so models decode through VarMap.lit.
+clauses, and no definition is guarded by a selector: the selectors enter
+only through their chains, the ite neighbours and the loop- and pool-start
+literals.  Unnamed inner gates (and/or, iff, ite), the loop- and pool-start
+literals and the constant get memoized Tseitin variables above the VarMap's
+last id (in a loop-free window: above the newest instant block), so models
+decode through VarMap.lit.
 """
 
 from __future__ import annotations
@@ -306,17 +309,11 @@ class _Encoder:
         forms = _all_formulas(problem)
         # operands before their parents: the order the aliases are resolved in
         self.postorder = closure(forms)
+        # the top copy of each family: traversal values repeat from there
         self.caps: Dict[Formula, Tuple[int, int]] = {}
         for f in self.postorder:
-            if self.loop_free or isinstance(f, Atom):
-                self.caps[f] = (0, 0)
-                continue
             fd, pd = temporal_depth(f)
-            nr = 0 if pd == 0 else pd + 1
-            nl = 0 if (engine != "bi" or fd == 0) else fd + 1
-            self.caps[f] = (nr, nl)
-        for a in problem.atoms:
-            self.caps.setdefault(a, (0, 0))
+            self.caps[f] = (0, 0) if self.loop_free else (pd, fd if engine == "bi" else 0)
         self.vm = build_varmap(
             forms, k, engine, problem.atoms, copies=self.caps,
             loop_free=self.loop_free, aliased=self._aliased,
@@ -487,11 +484,6 @@ class _Encoder:
                 acc(f, c, t), *self._rec(acc, f, c, t, self._neighbour(f, family, c, t))
             )
 
-    def _guarded(self, s: int, v: int, expansion) -> None:
-        """Selector s implies v <-> expansion, through an iff gate."""
-        gate = self.sink.gate
-        self.sink.clause([-s, gate("iff", [v, gate(*expansion)])])
-
     def encode(self) -> EncodedProblem:
         vm, sink = self.vm, self.sink
         if self.loop_free:
@@ -535,7 +527,7 @@ class _Encoder:
 
     def _enter_instant(self):
         """Loop-free: instant k+1 enters the window; append its clauses."""
-        vm, sink, R, rec, at = self.vm, self.sink, self.R, self._rec, self._at
+        vm, sink, R = self.vm, self.sink, self.R
         clause, define = sink.clause, sink.define
         sink.fresh(vm.add_instant(sink.next_var, self._aliased))
         t = self.k = vm.k
@@ -548,9 +540,9 @@ class _Encoder:
             self._emit_bool(f, (t,))
         for f in vm.partitions["future"]:
             if t:
-                define(R(f, 0, t - 1), *rec(R, f, 0, t - 1, at(R, 0, t)))
+                self._define(f, "r", 0, t - 1)
             # edge -> (f at t <-> its finite-word value: false, true or b)
-            op, lits = rec(R, f, 0, t, None)
+            op, lits = self._rec(R, f, 0, t, None)
             v = R(f, 0, t)
             if lits:
                 clause([-edge, -v, lits[0]])
@@ -598,8 +590,7 @@ class _Encoder:
                 define(Lc(f, e, t), *_connective(f, lambda c: Lc(c, e, t)))
 
     def _emit_future(self, f: Formula):
-        k, R, Lc, rec, at = self.k, self.R, self.Lc, self._rec, self._at
-        sink, define, guarded, gate = self.sink, self._define, self._guarded, self.sink.gate
+        k, R, sink, define = self.k, self.R, self.sink, self._define
         nr, nl = self.caps[f]
         for d in range(nr + 1):
             for t in range(k + 1):
@@ -610,7 +601,7 @@ class _Encoder:
         if type(f) in (Until, Release):
             sign = 1 if type(f) is Until else -1
             sink.clause([-sign * R(f, nr, k)] + [
-                gate("and", [c, sign * R(f.right, nr, t)]) for t, c in self.in_loop.items()
+                sink.gate("and", [c, sign * R(f.right, nr, t)]) for t, c in self.in_loop.items()
             ])
 
         # bi engine: backward passes through the past loop; values after the
@@ -618,13 +609,9 @@ class _Encoder:
         for e in range(1, nl + 1):
             for t in range(k + 1):
                 define(f, "l", e, t)
-        # future values agree at p and at the virtual predecessor of 0
-        for p, s in self.vm.pool_selectors.items():
-            guarded(s, Lc(f, nl, p), rec(Lc, f, nl, p, at(Lc, nl, 0)))
 
     def _emit_past(self, f: Formula):
-        k, R, Lc, rec, at = self.k, self.R, self.Lc, self._rec, self._at
-        sink, define, guarded, gate = self.sink, self._define, self._guarded, self.sink.gate
+        k, Lc, sink, define = self.k, self.Lc, self.sink, self._define
         nr, nl = self.caps[f]
         # instant 0 has no predecessor in the word's window: it is the mono
         # origin, or on the bi engine it wraps into the past loop
@@ -633,10 +620,6 @@ class _Encoder:
         for d in range(1, nr + 1):
             for t in range(1, k + 1):
                 define(f, "r", d, t)
-        # the top copy is past-consistent: the loop entry value agrees with
-        # the value at the virtual successor of k
-        for i, s in self.vm.loop_selectors.items():
-            guarded(s, R(f, nr, i), rec(R, f, nr, i, at(R, nr, k)))
 
         # bi engine: backward passes through the past loop
         for e in range(1, nl + 1):
@@ -648,7 +631,7 @@ class _Encoder:
         if type(f) in (Since, Trigger):
             sign = 1 if type(f) is Since else -1
             sink.clause([-sign * Lc(f, nl, 0), sign * Lc(f.right, nl, 0)] + [
-                gate("and", [c, sign * Lc(f.right, nl, t)]) for t, c in self.in_pool.items()
+                sink.gate("and", [c, sign * Lc(f.right, nl, t)]) for t, c in self.in_pool.items()
             ])
 
     def _emit_assertions(self):

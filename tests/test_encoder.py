@@ -180,6 +180,45 @@ def test_every_loop_and_pool_position_matches_brute_force():
                     assert (result.verdict == "SAT") == want, shape + (index,)
 
 
+def _nest(op, n, f):
+    for _ in range(n):
+        f = op(f)
+    return f
+
+
+@pytest.mark.parametrize("engine,n", [
+    ("mono", 1), ("mono", 2), ("mono", 3), ("bi", 1), ("bi", 3), ("bi", 5),
+])
+def test_copy_caps_reach_every_pass_a_shift_chain_reads(engine, n):
+    """Every valuation of Q at k = 3, pinned in full with each loop (and
+    pool) position, is SAT exactly where the enumeration accepts it.
+
+    mono: G(zeta^n Q) reads Q(m - n) at every position m >= 1.  Around a
+    one-instant loop each loop pass reads one instant more, and pass n is
+    the first to read Q(k): a past copy cap below the nesting depth n
+    accepts the word that leaves Q(k) false.  bi: H(X^n Q) reads Q at every
+    position <= n.  Around a two-instant pool each backward pass reads two
+    instants more, so pass ceil(n/2) is the first to read Q(0), and a
+    backward cap of min(n, 1) fails at n = 3, min(n, 2) at n = 5.
+    """
+    k = 3
+    if engine == "mono":
+        pos, root, pools = 1, Release(FalseF(), _nest(Zeta, n, Q)), (None,)
+    else:
+        pos, root, pools = 0, Trigger(FalseF(), _nest(Next, n, Q)), range(1, k + 1)
+    for loop in range(1, k + 1):
+        for pool in pools:
+            hits = accepted(root, k, engine, pos, loop, pool)
+            for index, want in enumerate(hits):
+                word = trace_from_index(root, k, engine, (index, loop, pool))
+                facts = tuple((t, Q, word.valuations[Q][t]) for t in range(k + 1))
+                _, result = _solve(CheckProblem(
+                    k=k, engine=engine, root=root,
+                    facts=PartialHistory(facts, loop_at=loop, pool_at=pool),
+                ))
+                assert (result.verdict == "SAT") == want, (loop, pool, index)
+
+
 def _clause_count(spec, k, engine):
     return len(to_cnf(encode(build_problem(load_spec(spec), k, engine, "bsc"))).clauses)
 
@@ -351,20 +390,20 @@ def test_loop_free_rejects_bi():
 # to the encoding must update a row on purpose; a row's test id names only
 # its problem, so it stays the same when the row is re-pinned.
 PINNED = [
-    ("lamp.zot", 5, "mono", "bsc", 121, 965, 3513,
-     "70b288b213d370a90e09681e074dd5a845c926f50f81ab55212cba4ad1c8099d"),
-    ("lamp.zot", 5, "bi", "bsc", 127, 1068, 3942,
-     "f4d185cc314a1372342f9616493920e864d1b32203470fcaf0508bc710510752"),
-    ("mutex3.zot", 4, "mono", "bmc", 13, 723, 2624,
-     "207bda293d3e9b3bcbf87b6d6f164d2b25ea737eae4775c7e259a4a540afaad2"),
-    ("mutex3.zot", 4, "bi", "bmc", 158, 1728, 6815,
-     "23eee1dd9989388067d9b30a307641d90056d36f460c80cc3f679320251fe0ef"),
+    ("lamp.zot", 5, "mono", "bsc", 96, 782, 2841,
+     "8cc2b0b0732be2882c1da65e3c4dfc635e83faf277d12d82e10beda1cbf1ae7e"),
+    ("lamp.zot", 5, "bi", "bsc", 100, 847, 3125,
+     "699e54184a467af644bec7a86491d9910eb2c9549f7b6027d7069d527de4c61e"),
+    ("mutex3.zot", 4, "mono", "bmc", 8, 682, 2476,
+     "25e4858da5b7c512dfd020f5101f86ece604f7f0b51cd4eac42a21b25b76150d"),
+    ("mutex3.zot", 4, "bi", "bmc", 87, 1207, 4668,
+     "77b772eca0e38b4bc67cec0a816dea725a8a10696f1ad1954941de2c6c879d07"),
     ("cycle3.zot", 3, "mono", "loop-free", 0, 79, 237,
      "d1fc7644381466f479a305d2f3dbb1368dff6786d2c0707855d101e2cd534c8f"),
-    ("stutter.zot", 4, "bi", "bsc", 0, 36, 122,
-     "d2da88ecb5ca88a6ddb5ce191f983fbb3c5b24dc93b8c5e73a1f1c2503450751"),
-    ("lamp.zot", 10, "bi", "hcc", 127, 1993, 7751,
-     "f31e73156710f7058ed0fb7c11745c5c264b7b978650f64ef64e68cc6c623c3f"),
+    ("stutter.zot", 4, "bi", "bsc", 0, 32, 99,
+     "b170cc547898a8ba4a8663d2d2c72aca974285d4a0627c318d1e15ed96534ea9"),
+    ("lamp.zot", 10, "bi", "hcc", 100, 1582, 6154,
+     "718a09956feeee3b6d916535b31dfb055fe720c94a829e8e3c252ab34cadb7a9"),
     ("mutex3.zot", 4, "mono", "loop-free", 0, 815, 2867,
      "0506bd1c87c8fabde91c3c5aa5d3563cf2043ea9b14495b4ce2719f225fc6185"),
 ]

@@ -177,7 +177,7 @@ def test_counters_match_the_reference_search(data_dir):
     assert result.stats == {
         "conflicts": 322,
         "decisions": 920,
-        "propagations": 56209,
+        "propagations": 52094,
         "restarts": 2,
         "learnts": 299,
     }
