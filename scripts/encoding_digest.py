@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Digest of the encoder's output: one SHA-256 per group and a total.
+
+A refactor that means to keep the encoding byte-identical prints the same
+total before and after.  Each encoding is hashed as its DIMACS text (the
+loop-free problem at k, with the unit E_k), its max_var, its root literal
+and its number of copy blocks; an encoding that fails is hashed as its
+error message.
+
+- corpus: every `tests/data` spec x mono/bi x bsc/bmc/hcc/loop-free x
+  k = 1, 2, 3, 5, 8; hcc reads the spec's history section and its
+  `<spec>_history.txt` file, where they exist;
+- random: seeded `random_core` and `random_sugared_capped` roots, with no
+  transition and with a random core one, on mono, bi and loop-free.
+
+The output does not depend on PYTHONHASHSEED.
+
+Usage: PYTHONPATH=src python scripts/encoding_digest.py [COUNT] [SEED]
+(COUNT random draws, default 300; SEED default 1).  To compare with another
+checkout, run the same script with PYTHONPATH at that checkout's src.
+"""
+
+import hashlib
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+
+from gen import random_core, random_sugared_capped  # noqa: E402
+
+from lassosat.cnf import dimacs_text, to_cnf  # noqa: E402
+from lassosat.encoder import CheckProblem, encode  # noqa: E402
+from lassosat.errors import LassosatError  # noqa: E402
+from lassosat.pipeline import build_problem  # noqa: E402
+from lassosat.specfile import load_spec  # noqa: E402
+from lassosat.trace import load_history  # noqa: E402
+
+ATOMS = ("P", "Q", "R")
+
+
+def _record(make) -> bytes:
+    """The bytes hashed for one encoding: `make()` builds its problem."""
+    try:
+        encoded = encode(make())
+    except LassosatError as exc:
+        return f"error {type(exc).__name__}: {exc}\n".encode()
+    vm = encoded.varmap
+    head = f"{vm.max_var} {vm.root_lit} {len(vm.copy_base)}\n"
+    return (head + dimacs_text(to_cnf(encoded))).encode()
+
+
+def _facts(spec: Path, doc):
+    facts = doc.history
+    path = spec.with_name(f"{spec.stem}_history.txt")
+    if path.exists():
+        file_facts = load_history(str(path))
+        facts = file_facts if facts is None else facts.merged_with(file_facts)
+    return facts
+
+
+def corpus(h) -> int:
+    n = 0
+    for spec in sorted((ROOT / "tests" / "data").glob("*.zot")):
+        try:
+            doc = load_spec(str(spec))
+        except LassosatError as exc:
+            h.update(f"{spec.name} error {exc}\n".encode())
+            continue
+        for engine in ("mono", "bi"):
+            for mode in ("bsc", "bmc", "hcc", "loop-free"):
+                facts = _facts(spec, doc) if mode == "hcc" else None
+                for k in (1, 2, 3, 5, 8):
+                    h.update(f"{spec.name} {engine} {mode} {k}\n".encode())
+                    h.update(_record(lambda: build_problem(doc, k, engine, mode, facts)))
+                    n += 1
+    return n
+
+
+def randoms(h, count: int, seed: int) -> int:
+    rng = random.Random(seed)
+    n = 0
+    for i in range(count):
+        if i % 2:
+            _, root = random_sugared_capped(rng, rng.randint(1, 4), ATOMS)
+        else:
+            root = random_core(rng, rng.randint(1, 4), ATOMS)
+        trans = random_core(rng, rng.randint(1, 2), ATOMS)
+        k = rng.choice((2, 3, 4))
+        for transitions in ((), (trans,)):
+            for engine in ("mono", "bi", "loop-free"):
+                problem = CheckProblem(
+                    k=k, engine="mono" if engine == "loop-free" else engine,
+                    root=root, transitions=transitions, loop_free=engine == "loop-free",
+                )
+                h.update(f"{i} {engine} {len(transitions)}\n".encode())
+                h.update(_record(lambda: problem))
+                n += 1
+    return n
+
+
+def main() -> int:
+    count = int(sys.argv[1]) if len(sys.argv) > 1 else 300
+    seed = int(sys.argv[2]) if len(sys.argv) > 2 else 1
+    total = hashlib.sha256()
+    for name, fill in (("corpus", corpus), ("random", lambda h: randoms(h, count, seed))):
+        h = hashlib.sha256()
+        n = fill(h)
+        print(f"{name:8s} {n:6d} encodings  {h.hexdigest()}")
+        total.update(h.digest())
+    print(f"{'total':8s} {'':18s}{total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -33,12 +33,24 @@ Past-dependent subformulas change value between traversals of the loop, so
 one variable per (subformula, instant) cannot be exact.  Such subformulas
 are virtually unrolled: copy d of a variable tracks the d-th traversal, up
 to copy pd, the past depth, and a read of a deeper traversal reads copy pd.
-Atoms, temporal-free and pure-future subformulas keep a single copy.  A
-deeper copy has one unguarded definition per instant, whose recurrence
-neighbour is ite(L_t, R(f, d-1, k), R(f, d, t-1)): the previous traversal's
-last instant at the loop start, the previous instant inside the loop.  Its
-values before the loop start are don't-cares that nothing reads, since
-constraints on deeper copies hold only where InLoop_t does.
+Atoms, temporal-free and pure-future subformulas keep a single copy.  The
+bi engine mirrors this across the origin with backward copies of
+future-dependent subformulas over the past loop, up to copy fd, the future
+depth.  A copy is thus a loop pass (family "r") or a pool pass ("l"), copy
+0 being both, and one rule per direction gives every recurrence neighbour
+(`_neighbour`):
+
+- a future node steps to t+1 and wraps from k through the loop start, a
+  past node steps to t-1 and wraps from 0 through the pool start (or meets
+  the mono origin), one pass deeper: at copy 0 and on the node's own
+  family, loop passes for a future node and pool passes for a past one;
+- a deeper copy of the other family reads ite(s_t, f(c-1, e), f(c, t+-1)),
+  s_t being that loop's selector at t (L_t, P_t) and e the previous pass's
+  edge instant (k for a loop pass, 0 for a pool pass); a step that leaves
+  the selector positions 1..k is a don't-care and reads e.  Such a copy's
+  values off its loop (before the loop start, after the pool start) are
+  don't-cares that nothing reads, since constraints on deeper copies hold
+  only where InLoop_t (InPool_t) does.
 
 Copy pd is the last one that differs, by induction on pd.  The operands of
 f have past depth below pd, so they repeat from copy pd-1 on.  f's loop
@@ -47,10 +59,8 @@ one monotone G on {0,1}: a constant or the identity, so G(G(x)) = G(x).
 Hence x_{pd+1} = G(G(x_{pd-1})) = G(x_{pd-1}) = x_pd, and copy pd+1 repeats
 copy pd at every instant of the loop.  The same step shows that the top
 copy needs no row tying its loop entry to its own value at k: x_pd =
-G(x_pd) is implied.  The bi engine mirrors the scheme with backward copies
-of future-dependent subformulas across the past loop, up to copy fd, the
-future depth, with neighbour ite(P_t, Lc(f, e-1, 0), Lc(f, e, t+1)),
-don't-cares after the pool start and constraints under InPool_t.
+G(x_pd) is implied.  The backward copies stabilize at fd by the mirror
+argument.
 
 The loop-free mode is the same encoder run without selectors and with a
 single copy of every subformula, so instant k has no successor and the
@@ -67,8 +77,8 @@ instant layout), resolves the aliases at t and appends, and never retracts:
 
 - the boolean and past definitions at t (past at 0: the time origin);
 - the future definitions at t-1, which now has a successor;
-- the transitions whose lookahead now fits, the global constraints at t,
-  the root when t is the assertion instant, and the history facts at t;
+- the transitions whose lookahead now fits, the global constraints at t
+  and the root when t is the assertion instant (a window takes no history);
 - the distinctness of instant t from each earlier one.
 
 Only the future operators' finite-edge definitions at the last instant do
@@ -126,6 +136,8 @@ from .errors import EncodingError
 from .formula import (
     And,
     Atom,
+    FUTURE_OPS,
+    PAST_OPS,
     FalseF,
     Formula,
     Iff,
@@ -233,6 +245,8 @@ def _history(problem: CheckProblem, vm: VarMap):
     facts = problem.facts
     if facts is None:
         return [], []
+    if problem.loop_free and facts.facts:
+        raise EncodingError("history facts are meaningless in loop-free mode")
     for instant, atom, _ in facts.facts:
         if instant > problem.k:
             raise EncodingError(
@@ -260,6 +274,18 @@ def _history(problem: CheckProblem, vm: VarMap):
     return facts.facts, out
 
 
+def _accessor(rows):
+    """acc(f, c, t): f's literal at copy c, clamped to f's top copy, and
+    instant t; it holds no encoder, so no reference cycle keeps one alive."""
+    def acc(f: Formula, c: int, t: int) -> int:
+        r = rows[f]
+        row = r[c] if c < len(r) else r[-1]
+        if not 0 <= t < len(row):
+            raise EncodingError(f"instant {t} outside 0..{len(row) - 1}")
+        return row[t]
+    return acc
+
+
 def _connective(f: Formula, operand):
     """(op, operand literals) of a boolean node, given a child -> literal map."""
     if isinstance(f, Not):
@@ -284,8 +310,8 @@ _SHIFT = frozenset((Next, Yesterday, Zeta))
 # weak duals: the neighbour beyond a finite edge is true (false otherwise)
 _WEAK = frozenset((Zeta, Release, Trigger))
 _UNTIL_LIKE = frozenset((Until, Since))
-_FUTURE = frozenset((Next, Until, Release))
-_TEMPORAL = _FUTURE | frozenset((Yesterday, Zeta, Since, Trigger))
+_FUTURE = frozenset(FUTURE_OPS)
+_TEMPORAL = _FUTURE | frozenset(PAST_OPS)
 # boolean nodes that are one literal of their operands, or a gate over them
 _BOOL_ALIASES = frozenset((Not, Iff, TrueF, FalseF))
 
@@ -314,32 +340,29 @@ class _Encoder:
         for f in self.postorder:
             fd, pd = temporal_depth(f)
             self.caps[f] = (0, 0) if self.loop_free else (pd, fd if engine == "bi" else 0)
-        self.vm = build_varmap(
+        vm = self.vm = build_varmap(
             forms, k, engine, problem.atoms, copies=self.caps,
             loop_free=self.loop_free, aliased=self._aliased,
         )
-        self.vm.assertion_instant = 1 if engine == "mono" else 0
+        vm.assertion_instant = 1 if engine == "mono" else 0
         # the loop-free window starts empty, and instants enter it one by one
-        self.k = self.vm.k
-        self.rrows, self.lrows = self.vm.rrows, self.vm.lrows
-        self.sink = ClauseSink(self.vm.max_var)
+        self.k = vm.k
+        # per family, "r" for the loop passes and "l" for the pool passes:
+        # the literal rows, their accessor and the selectors of the loop
+        self.rows = {"r": vm.rrows, "l": vm.lrows}
+        self.acc = {family: _accessor(rows) for family, rows in self.rows.items()}
+        self.selectors = {"r": vm.loop_selectors, "l": vm.pool_selectors}
+        self.sink = ClauseSink(vm.max_var)
         self.starts: Dict[tuple, int] = {}  # loop- and pool-start literals
         self.true: Optional[int] = None  # the shared constant literal
-        self.facts, self.markers = _history(problem, self.vm)
+        self.facts, self.markers = _history(problem, vm)
         self.activation: Optional[int] = None
 
-    # copy accessors: d/e are clamped to the formula's own stabilized copy
-    def R(self, f: Formula, d: int, t: int) -> int:
-        if not 0 <= t <= self.k:
-            raise EncodingError(f"instant {t} outside 0..{self.k}")
-        rows = self.rrows[f]
-        return (rows[d] if d < len(rows) else rows[-1])[t]
-
-    def Lc(self, f: Formula, e: int, t: int) -> int:
-        if not 0 <= t <= self.k:
-            raise EncodingError(f"instant {t} outside 0..{self.k}")
-        rows = self.lrows[f]
-        return (rows[e] if e < len(rows) else rows[-1])[t]
+    def _passes(self, f: Formula):
+        """(family, first copy, top copy) of f's loop and pool passes; the
+        pool passes start at copy 1, as lrows[f][0] is rrows[f][0]."""
+        nr, nl = self.caps[f]
+        return ("r", 0, nr), ("l", 1, nl)
 
     def _aliased(self, f: Formula, family: str, copy: int, t: int) -> bool:
         """Whether entry (f, copy, t) is a literal of other entries, or a
@@ -363,10 +386,10 @@ class _Encoder:
     def _alias(self, f: Formula, family: str, c: int, t: int) -> int:
         """The literal an aliased entry stands for: its expansion folded to
         one literal (a gate for iff, the constant for an empty expansion)."""
-        acc = self.R if family == "r" else self.Lc
         if type(f) in _TEMPORAL:
-            op, lits = self._rec(acc, f, c, t, self._neighbour(f, family, c, t))
+            op, lits = self._rec(f, family, c, t)
         else:
+            acc = self.acc[family]
             op, lits = _connective(f, lambda g: acc(g, c, t))
             if op == "iff":
                 return self.sink.gate("iff", lits)
@@ -383,106 +406,81 @@ class _Encoder:
         """Write the aliases at `instants` into the literal table, each
         operand's rows before its parents'."""
         for f in self.postorder:
-            # lrows[f][0] is the primary row, filled as rrows[f][0]
-            for family, rows, first in (("r", self.rrows[f], 0), ("l", self.lrows[f], 1)):
-                for c in range(first, len(rows)):
+            for family, first, top in self._passes(f):
+                rows = self.rows[family][f]
+                for c in range(first, top + 1):
                     row = rows[c]
                     for t in instants:
                         if not row[t]:
                             row[t] = self._alias(f, family, c, t)
 
-    def _rec(self, acc, f: Formula, d: int, t: int, nb):
-        """The fixpoint expansion of temporal node f at copy d, instant t.
+    def _rec(self, f: Formula, family: str, c: int, t: int):
+        """The fixpoint expansion of temporal entry (f, copy c, instant t).
 
         Returns (op, operand literals), op being "and" or "or"; an empty
-        "and" is true and an empty "or" false.  `acc(g, copy, instant)` is R
-        or Lc, and `nb(g)` is g's literal at the recurrence neighbour (see
-        `_neighbour`); nb None puts the neighbour beyond a finite edge of the
-        word, where it is false for the strong operators and true for the
-        weak duals.
+        "and" is true and an empty "or" false.
         """
+        nb = self._neighbour(f, family, c, t)
         cls = type(f)
         if cls in _SHIFT:
             if nb is None:
                 return ("and" if cls in _WEAK else "or"), []
-            return "and", [nb(f.sub)]
-        b = acc(f.right, d, t)
+            return "and", [nb]
+        acc = self.acc[family]
+        b = acc(f.right, c, t)
         if nb is None:  # until/since are strong, release/trigger weak: both give b
             return "and", [b]
-        a, nxt = acc(f.left, d, t), nb(f)
+        a = acc(f.left, c, t)
         if cls in _UNTIL_LIKE:
-            return "or", [b, self.sink.gate("and", [a, nxt])]
-        return "and", [b, self.sink.gate("or", [a, nxt])]
-
-    @staticmethod
-    def _at(acc, d: int, t: int):
-        """The neighbour copy d at instant t."""
-        return lambda g: acc(g, d, t)
-
-    def _step(self, acc, s: Optional[int], wrap, step):
-        """The neighbour (copy, instant) `wrap` where selector s holds, and
-        `step` elsewhere.  s None never holds; step None lies outside the
-        word, where only a position that wraps is read."""
-        if s is None:
-            return self._at(acc, *step)
-        if step is None:
-            return self._at(acc, *wrap)
-        (wd, wt), (sd, st) = wrap, step
-        gate = self.sink.gate
-        return lambda g: gate("ite", [s, acc(g, wd, wt), acc(g, sd, st)])
+            return "or", [b, self.sink.gate("and", [a, nb])]
+        return "and", [b, self.sink.gate("or", [a, nb])]
 
     def _start(self, family: str, g: Formula, c: int) -> int:
         """One literal for g's copy c at the loop start (family "r": the
         successor of instant k) or at the pool start ("l": the predecessor
         of instant 0): -sel | -y | g(c, i) and -sel | y | -g(c, i) for each
         position i and its selector."""
-        rows = self.rrows[g] if family == "r" else self.lrows[g]
+        rows = self.rows[family][g]
         c = min(c, len(rows) - 1)
         key = (family, g, c)
         y = self.starts.get(key)
         if y is None:
             y = self.starts[key] = self.sink.fresh()
             row, clause = rows[c], self.sink.clause
-            vm = self.vm
-            for i, s in (vm.loop_selectors if family == "r" else vm.pool_selectors).items():
+            for i, s in self.selectors[family].items():
                 clause([-s, -y, row[i]])
                 clause([-s, y, -row[i]])
         return y
 
-    def _neighbour(self, f: Formula, family: str, c: int, t: int):
-        """The recurrence neighbour of temporal entry (f, copy c, instant
-        t), as `_rec` takes it; past entries of a loop-free window included."""
-        k, R, Lc, vm = self.k, self.R, self.Lc, self.vm
-        if type(f) in _FUTURE:
-            if family == "l":
-                # backward passes: the pool start wraps to instant 0 of the
-                # previous pass, and instant k has no other successor there
-                return self._step(
-                    Lc, vm.pool_selectors.get(t), (c - 1, 0), (c, t + 1) if t < k else None
-                )
-            if t < k:
-                return self._at(R, c, t + 1)
-            # instant k loops back to the loop start, one pass deeper
-            return lambda g: self._start("r", g, c + 1)
-        if family == "r" and c:
-            # deeper traversals of the future loop (past values shift one
-            # pass); values before the loop start are don't-cares
-            return self._step(R, vm.loop_selectors[t], (c - 1, k), (c, t - 1) if t > 1 else None)
-        if t:
-            return self._at(R if family == "r" else Lc, c, t - 1)
-        if not vm.pool_selectors:
-            return None  # the mono origin, a finite edge
-        # bi engine: instant 0 wraps into the past loop, one pass deeper
-        return lambda g: self._start("l", g, c + 1)
+    def _neighbour(self, f: Formula, family: str, c: int, t: int) -> Optional[int]:
+        """The literal at the recurrence neighbour of temporal entry (f,
+        copy c, instant t): of f's operand for a shift, else of f; None
+        beyond a finite edge.  Past entries of a loop-free window included."""
+        g = f.sub if type(f) in _SHIFT else f
+        own, u = ("r", t + 1) if type(f) in _FUTURE else ("l", t - 1)
+        k = self.k
+        if c == 0 or family == own:
+            if 0 <= u <= k:
+                return self.acc[own](g, c, u)
+            # k steps to the loop start, 0 to the pool start, one pass deeper
+            return self._start(own, g, c + 1) if self.selectors[own] else None
+        # a deeper pass of the other loop: the previous pass's edge instant
+        # where that loop's selector holds at t, the step elsewhere; a step
+        # off the selector positions 1..k would read a don't-care
+        acc = self.acc[family]
+        wrap = acc(g, c - 1, k if family == "r" else 0)
+        if not 1 <= u <= k:
+            return wrap
+        s = self.selectors[family].get(t)
+        if s is None:
+            return acc(g, c, u)
+        return self.sink.gate("ite", [s, wrap, acc(g, c, u)])
 
     def _define(self, f: Formula, family: str, c: int, t: int) -> None:
         """The unguarded definition of temporal entry (f, copy c, instant
         t), unless the entry is an alias."""
         if not self._aliased(f, family, c, t):
-            acc = self.R if family == "r" else self.Lc
-            self.sink.define(
-                acc(f, c, t), *self._rec(acc, f, c, t, self._neighbour(f, family, c, t))
-            )
+            self.sink.define(self.acc[family](f, c, t), *self._rec(f, family, c, t))
 
     def encode(self) -> EncodedProblem:
         vm, sink = self.vm, self.sink
@@ -495,22 +493,22 @@ class _Encoder:
             )
 
         # InLoop_t holds from the loop start to k, InPool_t from 1 to the
-        # pool start (instant 0 is always in the past loop)
+        # pool start; per family, (instant, chain literal) of every instant
+        # that can lie on the loop, and instant 0 always lies on the past loop
         positions = range(1, self.k + 1)
-        self.in_loop = _selector_chain(sink, vm.loop_selectors, positions)
-        self.in_pool = (
+        in_loop = _selector_chain(sink, vm.loop_selectors, positions)
+        in_pool = (
             _selector_chain(sink, vm.pool_selectors, reversed(positions))
             if vm.pool_selectors else {}
         )
+        self.loops = {"r": list(in_loop.items()), "l": [(0, None), *in_pool.items()]}
 
         instants = range(self.k + 1)
         self._fill(instants)
         for f in vm.partitions["bool"]:
             self._emit_bool(f, instants)
-        for f in vm.partitions["future"]:
-            self._emit_future(f)
-        for f in vm.partitions["past"]:
-            self._emit_past(f)
+        for f in (*vm.partitions["future"], *vm.partitions["past"]):
+            self._emit_temporal(f)
 
         self._emit_assertions()
         for t, atom, polarity in self.facts:
@@ -527,7 +525,7 @@ class _Encoder:
 
     def _enter_instant(self):
         """Loop-free: instant k+1 enters the window; append its clauses."""
-        vm, sink, R = self.vm, self.sink, self.R
+        vm, sink, R = self.vm, self.sink, self.acc["r"]
         clause, define = sink.clause, sink.define
         sink.fresh(vm.add_instant(sink.next_var, self._aliased))
         t = self.k = vm.k
@@ -542,7 +540,7 @@ class _Encoder:
             if t:
                 self._define(f, "r", 0, t - 1)
             # edge -> (f at t <-> its finite-word value: false, true or b)
-            op, lits = self._rec(R, f, 0, t, None)
+            op, lits = self._rec(f, "r", 0, t)
             v = R(f, 0, t)
             if lits:
                 clause([-edge, -v, lits[0]])
@@ -563,10 +561,6 @@ class _Encoder:
         if t == vm.assertion_instant and problem.root is not None:
             vm.root_lit = vm.lit(problem.root, t)
             clause([vm.root_lit])
-        for instant, atom, polarity in self.facts:
-            if instant == t:
-                x = vm.lit(atom, t)
-                clause([x if polarity else -x])
 
         # instant t differs from every earlier one in at least one atom;
         # with no atoms that is the empty clause
@@ -580,75 +574,52 @@ class _Encoder:
     def _emit_bool(self, f: Formula, instants):
         if self._aliased(f, "r", 0, 0):  # a boolean node aliases everywhere or nowhere
             return
-        define, R, Lc = self.sink.define, self.R, self.Lc
-        nr, nl = self.caps[f]
-        for d in range(nr + 1):
-            for t in instants:
-                define(R(f, d, t), *_connective(f, lambda c: R(c, d, t)))
-        for e in range(1, nl + 1):
-            for t in instants:
-                define(Lc(f, e, t), *_connective(f, lambda c: Lc(c, e, t)))
+        define = self.sink.define
+        for family, first, top in self._passes(f):
+            acc = self.acc[family]
+            for c in range(first, top + 1):
+                for t in instants:
+                    define(acc(f, c, t), *_connective(f, lambda g: acc(g, c, t)))
 
-    def _emit_future(self, f: Formula):
-        k, R, sink, define = self.k, self.R, self.sink, self._define
-        nr, nl = self.caps[f]
-        for d in range(nr + 1):
-            for t in range(k + 1):
-                define(f, "r", d, t)
-        # obligations alive at the end of the top copy are discharged inside
-        # the loop (its crossing is a self-cycle): some looping instant has
-        # the until's right operand, or one lacks the release's
-        if type(f) in (Until, Release):
-            sign = 1 if type(f) is Until else -1
-            sink.clause([-sign * R(f, nr, k)] + [
-                sink.gate("and", [c, sign * R(f.right, nr, t)]) for t, c in self.in_loop.items()
-            ])
-
-        # bi engine: backward passes through the past loop; values after the
-        # pool start are don't-cares that nothing reads
-        for e in range(1, nl + 1):
-            for t in range(k + 1):
-                define(f, "l", e, t)
-
-    def _emit_past(self, f: Formula):
-        k, Lc, sink, define = self.k, self.Lc, self.sink, self._define
-        nr, nl = self.caps[f]
-        # instant 0 has no predecessor in the word's window: it is the mono
-        # origin, or on the bi engine it wraps into the past loop
-        for t in (*range(1, k + 1), 0):
-            define(f, "r", 0, t)
-        for d in range(1, nr + 1):
-            for t in range(1, k + 1):
-                define(f, "r", d, t)
-
-        # bi engine: backward passes through the past loop
-        for e in range(1, nl + 1):
-            for t in (*range(1, k + 1), 0):
-                define(f, "l", e, t)
-        # since/trigger are cyclic around the past loop at their deepest
-        # backward copy: some instant of the past loop has the since's right
-        # operand, or one lacks the trigger's
-        if type(f) in (Since, Trigger):
-            sign = 1 if type(f) is Since else -1
-            sink.clause([-sign * Lc(f, nl, 0), sign * Lc(f.right, nl, 0)] + [
-                sink.gate("and", [c, sign * Lc(f.right, nl, t)]) for t, c in self.in_pool.items()
-            ])
+    def _emit_temporal(self, f: Formula):
+        k, define, sink = self.k, self._define, self.sink
+        cls = type(f)
+        own = "r" if cls in _FUTURE else "l"
+        # copy 0 and the own family end with the wrap instant; the other
+        # family's passes span the instants that can lie on their loop
+        own_span = range(k + 1) if own == "r" else (*range(1, k + 1), 0)
+        span = {"r": range(1, k + 1), "l": range(k + 1)}
+        for family, first, top in self._passes(f):
+            for c in range(first, top + 1):
+                for t in own_span if c == 0 or family == own else span[family]:
+                    define(f, family, c, t)
+            if family != own or cls in _SHIFT:
+                continue
+            # an obligation alive at the wrap of the top copy is discharged
+            # inside the loop (its crossing is a self-cycle): some looping
+            # instant has the until's (since's) right operand, or one lacks
+            # the release's (trigger's)
+            sign = 1 if cls in _UNTIL_LIKE else -1
+            acc = self.acc[family]
+            lits = [-sign * acc(f, top, k if family == "r" else 0)]
+            for t, chain in self.loops[family]:
+                b = sign * acc(f.right, top, t)
+                lits.append(b if chain is None else sink.gate("and", [chain, b]))
+            sink.clause(lits)
 
     def _emit_assertions(self):
-        vm, k, clause, R, Lc = self.vm, self.k, self.sink.clause, self.R, self.Lc
+        vm, k, clause, R = self.vm, self.k, self.sink.clause, self.acc["r"]
         problem = self.problem
         for tr in problem.transitions:
             for t in range(k + 1):
                 clause([R(tr, 0, t)])
-            nr, nl = self.caps[tr]
             # constraints with past content must also hold on later passes
-            for d in range(1, nr + 1):
-                for t, c in self.in_loop.items():
-                    clause([-c, R(tr, d, t)])
-            for e in range(1, nl + 1):
-                clause([Lc(tr, e, 0)])
-                for t, c in self.in_pool.items():
-                    clause([-c, Lc(tr, e, t)])
+            for family, _, top in self._passes(tr):
+                acc = self.acc[family]
+                for c in range(1, top + 1):
+                    for t, chain in self.loops[family]:
+                        x = acc(tr, c, t)
+                        clause([x] if chain is None else [-chain, x])
         for gc in problem.global_constraints:
             for t in range(k + 1):
                 clause([R(gc, 0, t)])

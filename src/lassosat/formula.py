@@ -521,11 +521,6 @@ def _postorder(root: Formula, seen: set, subs=children):
             yield node
 
 
-def subformulas(f: Formula):
-    """Postorder iteration over distinct subformulas of a core formula."""
-    return _postorder(f, set())
-
-
 def closure(formulas) -> list:
     """Ordered, de-duplicated list of all subformulas, children first."""
     out: list = []

@@ -73,7 +73,6 @@ def _luby(i: int) -> int:
 def solve_embedded(
     inst: CnfInstance,
     timeout_s: Optional[float] = None,
-    verify: bool = True,
     assumptions: Sequence[int] = (),
     live: Optional["Solver"] = None,
 ) -> SatResult:
@@ -93,7 +92,7 @@ def solve_embedded(
     gc.disable()
     try:
         solver.add_clauses(clauses, inst.num_vars)
-        return solver.solve(assumptions, timeout_s, verify, started)
+        return solver.solve(assumptions, timeout_s, started)
     finally:
         if collecting:
             gc.enable()
@@ -196,21 +195,18 @@ class Solver:
 
     def solve(
         self,
-        assumptions: Sequence[int] = (),
-        timeout_s: Optional[float] = None,
-        verify: bool = True,
-        started: Optional[float] = None,
+        assumptions: Sequence[int],
+        timeout_s: Optional[float],
+        started: float,
     ) -> SatResult:
         """Search under the assumptions.
 
-        The time limit runs from `started` (a time.monotonic() reading, by
-        default now) and is checked before the search and then every 256
-        conflicts and every 256 decisions.  The trail of the answer stays
-        until the next append or search, which first returns to level 0; a
-        one-shot solver never pays for that.
+        The time limit runs from `started`, a time.monotonic() reading,
+        and is checked before the search and then every 256 conflicts and
+        every 256 decisions.  The trail of the answer stays until the next
+        append or search, which first returns to level 0; a one-shot solver
+        never pays for that.
         """
-        if started is None:
-            started = time.monotonic()
         n = self.n
         conflicts = decisions = propagations = restarts = learnts = 0
 
@@ -427,7 +423,7 @@ class Solver:
                     model = [False] * (n + 1)
                     for var in range(1, n + 1):
                         model[var] = lv[var] == 1
-                    if verify and not (
+                    if not (
                         all(check_model(CnfInstance(n, chunk), model) for chunk in self.given)
                         and all(model[abs(a)] == (a > 0) for a in assumptions)
                     ):

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +17,7 @@ from brute import (
 from gen import random_core, random_sugared_capped, random_trace
 from lassosat.cnf import dimacs_text, to_cnf
 from lassosat.desugar import desugar
+from lassosat import encoder as encoder_module
 from lassosat.encoder import CheckProblem, encode
 from lassosat.errors import BoundSearchError, EncodingError
 from lassosat.formula import (
@@ -50,6 +53,28 @@ def _solve(problem):
     encoded = encode(problem)
     result = solve_embedded(to_cnf(encoded))
     return encoded, result
+
+
+def test_a_lasso_encoder_is_freed_without_the_cycle_collector(monkeypatch):
+    """No reference cycle keeps an encoder, and its gate memo, alive after
+    encode returns: the solve that follows runs with the collector off."""
+    made = []
+    init = encoder_module._Encoder.__init__
+
+    def record(self, problem):
+        init(self, problem)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(encoder_module._Encoder, "__init__", record)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for engine in ("mono", "bi"):
+            encode(CheckProblem(k=4, engine=engine, root=Release(Yesterday(P), Next(Q))))
+            assert made.pop()() is None, engine
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def test_yesterday_idiom_pins_init_at_zero():
@@ -515,6 +540,13 @@ def test_pool_marker_requires_bi_engine():
     pins = PartialHistory(((0, P, True),), pool_at=2)
     with pytest.raises(EncodingError, match="bi engine"):
         encode(CheckProblem(k=3, engine="mono", root=P, facts=pins, atoms=(P,)))
+
+
+def test_loop_free_window_rejects_history_facts():
+    pins = PartialHistory(((0, P, True),))
+    with pytest.raises(EncodingError, match="meaningless in loop-free mode"):
+        encode(CheckProblem(k=3, engine="mono", root=P, facts=pins, atoms=(P,),
+                            loop_free=True))
 
 
 def test_bi_transitions_with_past_content_constrain_the_past_loop():

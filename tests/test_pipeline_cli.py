@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -80,24 +81,64 @@ def test_bmc_requires_transitions(data_dir, out_dir, tmp_path):
         run(RunConfig(spec_path=str(spec), out_dir=out_dir, mode="bmc", bound=3))
 
 
+def _lamp_with_history(data_dir, tmp_path, section):
+    """lamp.zot with a (history ...) section appended."""
+    spec = tmp_path / "lamp_history.zot"
+    spec.write_text((data_dir / "lamp.zot").read_text() + f"(history {section})\n")
+    return spec
+
+
 def test_hcc_contradictory_history_is_unsat(data_dir, out_dir, tmp_path):
-    hist = tmp_path / "bad.txt"
-    hist.write_text("------ time 2 ------\n  ON\n  L\n------ time 3 ------\n  !L\n  ON\n")
-    # lamp spec forbids L to go off while ON was pressed yesterday
-    report = run(_cfg(data_dir, out_dir, "lamp.zot", mode="hcc",
-                      history_path=str(hist)))
-    assert report.verdict == "UNSAT"
-    assert (Path(out_dir) / "output.hist.txt").read_text() == ""
+    both = tmp_path / "bad.txt"
+    both.write_text("------ time 2 ------\n  ON\n  L\n------ time 3 ------\n  !L\n  ON\n")
+    late = tmp_path / "late.txt"
+    late.write_text("------ time 3 ------\n  !L\n  ON\n")
+    # lamp spec forbids L to go off while ON was pressed yesterday; the
+    # facts come from a file, from the spec's section, or half from each
+    for section, hist in (
+        (None, both),
+        ("(at 2 on l) (at 3 (!! l) on)", None),
+        ("(at 2 on l)", late),
+    ):
+        spec = data_dir / "lamp.zot" if section is None else _lamp_with_history(
+            data_dir, tmp_path, section)
+        report = run(RunConfig(spec_path=str(spec), out_dir=out_dir, mode="hcc",
+                               history_path=hist and str(hist)))
+        assert report.verdict == "UNSAT", (section, hist)
+        assert (Path(out_dir) / "output.hist.txt").read_text() == ""
+    # either half alone is satisfiable, so the merge took both
+    early = _lamp_with_history(data_dir, tmp_path, "(at 2 on l)")
+    for spec, hist in ((early, None), (data_dir / "lamp.zot", late)):
+        report = run(RunConfig(spec_path=str(spec), out_dir=out_dir, mode="hcc",
+                               history_path=hist and str(hist)))
+        assert report.verdict == "SAT", (spec, hist)
 
 
 def test_hcc_completes_partial_history(data_dir, out_dir, tmp_path):
     hist = tmp_path / "partial.txt"
     hist.write_text("------ time 1 ------\n  ON\n")
-    report = run(_cfg(data_dir, out_dir, "lamp.zot", mode="hcc",
-                      history_path=str(hist)))
-    assert report.verdict == "SAT"
-    assert report.trace.holds(Atom("ON"), 1)
-    assert report.trace.holds(Atom("L"), 2)  # forced by the lamp axiom
+    section = _lamp_with_history(data_dir, tmp_path, "(at 1 on)")
+    for config in (
+        _cfg(data_dir, out_dir, "lamp.zot", mode="hcc", history_path=str(hist)),
+        RunConfig(spec_path=str(section), out_dir=out_dir, mode="hcc"),
+    ):
+        report = run(config)
+        assert report.verdict == "SAT"
+        assert report.trace.holds(Atom("ON"), 1)
+        assert report.trace.holds(Atom("L"), 2)  # forced by the lamp axiom
+
+
+def test_history_is_ignored_outside_hcc(data_dir, out_dir, tmp_path):
+    hist = tmp_path / "partial.txt"
+    hist.write_text("------ time 1 ------\n  ON\n")
+    section = _lamp_with_history(data_dir, tmp_path, "(at 1 on)")
+    for config in (
+        _cfg(data_dir, out_dir, "lamp.zot", history_path=str(hist)),
+        RunConfig(spec_path=str(section), out_dir=out_dir),
+    ):
+        with pytest.warns(UserWarning, match="ignored outside hcc mode"):
+            report = run(config)
+        assert report.mode == "bsc" and report.verdict == "SAT"
 
 
 def test_hcc_needs_some_history(data_dir, out_dir):
@@ -151,11 +192,18 @@ def test_find_bound_writes_the_files_of_the_last_k_once(
             assert (searched / name).read_bytes() == (single / name).read_bytes()
 
 
-def test_loop_free_mode_verdict_texts(data_dir, out_dir):
-    report = run(_cfg(data_dir, out_dir, "cycle3.zot", mode="loop-free", bound=2))
-    assert report.verdict == "SAT" and "not reached" in report.message
-    report = run(_cfg(data_dir, out_dir, "cycle3.zot", mode="loop-free", bound=3))
-    assert report.verdict == "UNSAT" and "reached" in report.message
+def test_loop_free_mode_verdict_texts(data_dir, out_dir, tmp_path):
+    # the mode comes from the run's config, or from a (loop-free) section
+    # that turns the default bsc mode into loop-free
+    section = tmp_path / "cycle3_loop_free.zot"
+    section.write_text((data_dir / "cycle3.zot").read_text() + "(loop-free)\n")
+    for spec, mode in ((data_dir / "cycle3.zot", "loop-free"), (section, "bsc")):
+        cfg = RunConfig(spec_path=str(spec), out_dir=out_dir, mode=mode, bound=2)
+        report = run(cfg)
+        assert report.mode == "loop-free"
+        assert report.verdict == "SAT" and "not reached" in report.message
+        report = run(replace(cfg, bound=3))
+        assert report.verdict == "UNSAT" and "reached" in report.message
 
 
 # bytes of output.hist.txt for cycle3.zot --loop-free --bound 2
