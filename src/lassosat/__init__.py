@@ -39,6 +39,6 @@ from .trace import (
     parse_history,
     render_history,
 )
-from .varmap import VarMap, build_varmap
+from .varmap import VarMap
 
 __version__ = "0.1.0"

@@ -3,13 +3,9 @@
 The encoder writes its clauses straight into a ClauseSink.  Subformula
 variables already name most gate outputs, so their `var <-> gate`
 definitions become clauses directly; fresh Tseitin variables are taken only
-for unnamed inner gates, one per distinct gate, above VarMap's last id (a
-subformula entry that is such a gate, like an iff node, takes the gate's
-literal and no variable of its own).  Models therefore decode positionally:
-variables 1..max_var keep their meaning.  A loop-free window instead takes
-each instant's variable block from the sink (`fresh`) as the instant
-enters, so its gates sit between the blocks, and models decode through
-VarMap.lit.
+for unnamed inner gates, one per distinct gate.  The sink's counter is the
+only allocator of ids: the encoder takes its literal table's ids from it
+too (`fresh`), in the order the encoder's module docstring gives.
 """
 
 from __future__ import annotations
@@ -64,10 +60,10 @@ def _sanitize(lits: List[int]) -> Optional[List[int]]:
 class ClauseSink:
     """Clauses written straight from the encoder, Tseitin gates on demand.
 
-    Unnamed inner gates get fresh variables above VarMap's last id, one per
-    distinct (op, operand literals), each issued after its operands' gates.
-    A gate is "and" or "or" over any number of operands, two-operand "iff",
-    or "ite" over [s, a, b]: a where s holds, b elsewhere.
+    Unnamed inner gates get fresh variables, one per distinct (op, operand
+    literals), each issued after its operands' gates.  A gate is "and" or
+    "or" over any number of operands, two-operand "iff", or "ite" over
+    [s, a, b]: a where s holds, b elsewhere.
     """
 
     def __init__(self, max_var: int):
@@ -75,11 +71,11 @@ class ClauseSink:
         self.clauses: List[List[int]] = []
         self.memo: Dict[tuple, int] = {}
 
-    def fresh(self, count: int = 1) -> int:
-        """The first of `count` new consecutive variables."""
-        first = self.next_var
-        self.next_var += count
-        return first
+    def fresh(self) -> int:
+        """A new variable: the next id."""
+        v = self.next_var
+        self.next_var += 1
+        return v
 
     def clause(self, lits: List[int]) -> None:
         """Add a clause; repeated literals go, tautologies are dropped."""
@@ -107,8 +103,7 @@ class ClauseSink:
         if g is None:
             if op == "ite" and lits[1] == lits[2]:
                 return lits[1]
-            g = self.next_var
-            self.next_var += 1
+            g = self.fresh()
             if op == "iff":
                 a, b = lits
                 clauses = ([-g, -a, b], [-g, a, -b], [g, a, b], [g, -a, -b])

@@ -114,13 +114,7 @@ class Declarations:
 
     def state_atoms(self) -> List[Atom]:
         """Every item/array value atom, in declaration order."""
-        atoms = []
-        for decl in self.items.values():
-            atoms.extend(Atom(decl.name, (v,), "item") for v in decl.domain)
-        for decl in self.arrays.values():
-            for idx in decl.index_domain:
-                atoms.extend(Atom(decl.name, (idx, v), "array") for v in decl.value_domain)
-        return atoms
+        return [atom for group in self.groups() for atom in group]
 
     def groups(self) -> List[List[Atom]]:
         """One-hot groups: the value atoms of each item and each array cell."""

@@ -22,12 +22,10 @@ Is Better: Efficient Bounded Model Checking for Past LTL (VMCAI 2005).
 Exactly one selector is chosen through the chain InLoop_t <-> InLoop_{t-1}
 | L_t with L_t -> -InLoop_{t-1} and the unit InLoop_k (InLoop_1 is L_1),
 so InLoop_t holds exactly on the loop i..k; on the bi engine the mirror
-chain InPool_t <-> InPool_{t+1} | P_t marks 1..p.  The chain literals are
-Tseitin variables above VarMap's last id, so models decode positionally
-from the selectors.  Until obligations alive at the end of the loop are
-discharged inside it, `-v | OR_t (InLoop_t & b_t)`, and Release is pinned
-by the dual `v | OR_t (InLoop_t & -b_t)`; Since and Trigger do the same
-around the past loop through InPool.
+chain InPool_t <-> InPool_{t+1} | P_t marks 1..p.  Until obligations
+alive at the end of the loop are discharged inside it, `-v | OR_t (InLoop_t
+& b_t)`, and Release is pinned by the dual `v | OR_t (InLoop_t & -b_t)`;
+Since and Trigger do the same around the past loop through InPool.
 
 Past-dependent subformulas change value between traversals of the loop, so
 one variable per (subformula, instant) cannot be exact.  Such subformulas
@@ -72,8 +70,8 @@ reached, and asserts transitions only where their lookahead fits the window.
 The loop-free encoding grows one instant at a time, after Een & Sorensson,
 Temporal Induction by Incremental SAT Solving (BMC 2003), and Heljanko,
 Junttila & Latvala, Incremental and Complete BMC for Full PLTL (CAV 2005).
-When instant t enters the window it takes its variable block (VarMap's
-instant layout), resolves the aliases at t and appends, and never retracts:
+When instant t enters the window it takes its block of ids (see below),
+resolves the aliases at t and appends, and never retracts:
 
 - the boolean and past definitions at t (past at 0: the time origin);
 - the future definitions at t-1, which now has a successor;
@@ -101,12 +99,30 @@ owns no variable and no defining clauses:
   since and trigger their right operand;
 - the bi engine's backward copies mirror these rules.
 
-Allocation gives ids only to the other entries (`_aliased` says which), in
-closure order, and the table is filled afterwards in postorder (`_fill`),
-so every operand is resolved before its parents, with no recursion.  A
-loop-free window aliases what is known when an instant enters (negations,
-iffs, yesterday and zeta, the origin); its `next` nodes keep their
-variables, since their successor enters after them.
+A loop-free window aliases what is known when an instant enters
+(negations, iffs, yesterday and zeta, the origin); its `next` nodes keep
+their variables, since their successor enters after them.
+
+Ids come from one counter, the clause sink's (`ClauseSink.fresh`), and only
+the entries that are not aliases take one (`_aliased` says which).  An
+alias's slot stays 0 until the table is filled in postorder (`_fill`), so
+every operand is resolved before its parents, with no recursion.  The
+closure order is: the registry atoms, the other atoms of the formulas, then
+their boolean, future and past nodes, each group in postorder.  A lasso
+encoding allocates, in this order:
+
+- the primary rows, instants 0..k of each closure member in closure order;
+- the copy rows, per member in the same order, its loop passes before its
+  pool passes;
+- the loop selectors L1..Lk, then, on the bi engine, the pool selectors
+  P1..Pk;
+- as the clauses are written, the Tseitin gates (and/or, iff, ite), the
+  selector chains, the loop- and pool-start literals and the constant.
+
+A loop-free window allocates by instant, so that it can grow: when instant
+t enters, it takes one slot per closure member, in closure order, and then
+E_t, after everything the earlier instants took.  Models decode through
+VarMap.lit, and the selectors, which never alias, by their ids.
 
 The successor of instant k is the loop start.  For each (operand g, copy
 c) that a future entry reads there, one loop-start literal y has
@@ -120,10 +136,7 @@ Every rule writes its clauses into one cnf.ClauseSink as it goes, in a
 single pass.  A subformula variable is defined by `var <-> and/or(...)`
 clauses, and no definition is guarded by a selector: the selectors enter
 only through their chains, the ite neighbours and the loop- and pool-start
-literals.  Unnamed inner gates (and/or, iff, ite), the loop- and pool-start
-literals and the constant get memoized Tseitin variables above the VarMap's
-last id (in a loop-free window: above the newest instant block), so models
-decode through VarMap.lit.
+literals.
 """
 
 from __future__ import annotations
@@ -152,11 +165,12 @@ from .formula import (
     Until,
     Yesterday,
     Zeta,
+    classify,
     closure,
     temporal_depth,
 )
 from .trace import PartialHistory
-from .varmap import VarMap, build_varmap
+from .varmap import VarMap
 
 # ---------------------------------------------------------------------------
 # encoder input / output
@@ -181,8 +195,6 @@ class CheckProblem:
 class EncodedProblem:
     varmap: VarMap
     cnf: CnfInstance
-    engine: str
-    loop_free: bool
     # loop-free: E_k, which switches on the finite-edge definitions at the
     # last instant; the problem at k is `cnf` plus the unit [E_k]
     activation: Optional[int] = None
@@ -332,27 +344,49 @@ class _Encoder:
                 raise EncodingError(f"{engine} engine needs k >= 2, got {k}")
         self.problem = problem
         self.engine = engine
-        forms = _all_formulas(problem)
         # operands before their parents: the order the aliases are resolved in
-        self.postorder = closure(forms)
+        self.postorder = closure(_all_formulas(problem))
+        groups = {"atom": dict.fromkeys(problem.atoms), "bool": {}, "future": {}, "past": {}}
+        for f in self.postorder:
+            groups[classify(f)][f] = None
+        order = tuple(f for group in groups.values() for f in group)
         # the top copy of each family: traversal values repeat from there
         self.caps: Dict[Formula, Tuple[int, int]] = {}
-        for f in self.postorder:
+        for f in order:
             fd, pd = temporal_depth(f)
             self.caps[f] = (0, 0) if self.loop_free else (pd, fd if engine == "bi" else 0)
-        vm = self.vm = build_varmap(
-            forms, k, engine, problem.atoms, copies=self.caps,
-            loop_free=self.loop_free, aliased=self._aliased,
-        )
-        vm.assertion_instant = 1 if engine == "mono" else 0
         # the loop-free window starts empty, and instants enter it one by one
-        self.k = vm.k
+        self.k = k = -1 if self.loop_free else k
+        rrows = {f: [[]] for f in order}
+        vm = self.vm = VarMap(
+            k=k, engine=engine, closure=order, atoms=tuple(groups["atom"]), rrows=rrows,
+            lrows={f: [rows[0]] for f, rows in rrows.items()}, copy_base={},
+            loop_selectors={}, pool_selectors={}, max_var=0,
+            partitions={name: tuple(groups[name]) for name in ("bool", "future", "past")},
+            assertion_instant=1 if engine == "mono" else 0,
+        )
         # per family, "r" for the loop passes and "l" for the pool passes:
         # the literal rows, their accessor and the selectors of the loop
         self.rows = {"r": vm.rrows, "l": vm.lrows}
         self.acc = {family: _accessor(rows) for family, rows in self.rows.items()}
         self.selectors = {"r": vm.loop_selectors, "l": vm.pool_selectors}
-        self.sink = ClauseSink(vm.max_var)
+        sink = self.sink = ClauseSink(0)
+        for f in order:
+            rrows[f][0].extend(self._slot(f, "r", 0, t) for t in range(k + 1))
+        for f in order:
+            for family, _, top in self._passes(f):
+                for c in range(1, top + 1):
+                    first = sink.next_var
+                    row = [self._slot(f, family, c, t) for t in range(k + 1)]
+                    self.rows[family][f].append(row)
+                    if sink.next_var > first:
+                        vm.copy_base[(f, family, c)] = first
+        for t in range(1, k + 1):
+            vm.loop_selectors[t] = sink.fresh()
+        if engine == "bi":
+            for t in range(1, k + 1):
+                vm.pool_selectors[t] = sink.fresh()
+        vm.max_var = sink.next_var - 1
         self.starts: Dict[tuple, int] = {}  # loop- and pool-start literals
         self.true: Optional[int] = None  # the shared constant literal
         self.facts, self.markers = _history(problem, vm)
@@ -382,6 +416,11 @@ class _Encoder:
         if cls is Since or cls is Trigger:
             return t == 0 and copy == 0 and self.engine == "mono"  # the origin: b
         return False
+
+    def _slot(self, f: Formula, family: str, copy: int, t: int) -> int:
+        """A new slot of the table: 0 for an alias (`_fill` writes it),
+        else the next id."""
+        return 0 if self._aliased(f, family, copy, t) else self.sink.fresh()
 
     def _alias(self, f: Formula, family: str, c: int, t: int) -> int:
         """The literal an aliased entry stands for: its expansion folded to
@@ -488,8 +527,7 @@ class _Encoder:
             while self.k < self.problem.k:
                 self._enter_instant()
             return EncodedProblem(
-                varmap=vm, cnf=sink.instance(), engine=self.engine, loop_free=True,
-                activation=self.activation, encoder=self,
+                varmap=vm, cnf=sink.instance(), activation=self.activation, encoder=self
             )
 
         # InLoop_t holds from the loop start to k, InPool_t from 1 to the
@@ -516,19 +554,16 @@ class _Encoder:
             sink.clause([x if polarity else -x])
         for lit in self.markers:
             sink.clause([lit])
-        return EncodedProblem(
-            varmap=vm,
-            cnf=sink.instance(),
-            engine=self.engine,
-            loop_free=False,
-        )
+        return EncodedProblem(varmap=vm, cnf=sink.instance())
 
     def _enter_instant(self):
         """Loop-free: instant k+1 enters the window; append its clauses."""
         vm, sink, R = self.vm, self.sink, self.acc["r"]
         clause, define = sink.clause, sink.define
-        sink.fresh(vm.add_instant(sink.next_var, self._aliased))
-        t = self.k = vm.k
+        t = self.k = vm.k = self.k + 1
+        for f in vm.closure:
+            vm.rrows[f][0].append(self._slot(f, "r", 0, t))
+        vm.max_var = sink.next_var - 1
         if t:  # instant t-1 gets a successor: its finite edge is gone
             clause([-self.activation])
         edge = self.activation = sink.fresh()

@@ -196,7 +196,11 @@ def run(config: RunConfig) -> RunReport:
     doc = load_spec(config.spec_path)
     mode, engine, solver, k = _effective(config, doc)
     if mode == "find-bound":
-        return _run_find_bound(config, doc, engine, solver)
+        bound = find_bound(config, doc)
+        return RunReport(
+            mode=mode, verdict="UNSAT", exit_code=0, k=bound, engine="mono",
+            message=f"completeness bound found: {bound}", bound=bound,
+        )
     facts = _gather_facts(config, doc, mode)
     problem = build_problem(doc, k, engine, mode, facts)
     encoded, inst, result = _run_problem(problem, solver, config.out_dir, config.timeout_s)
@@ -296,19 +300,6 @@ def _search_bound(problem: CheckProblem, solver: str, config: RunConfig):
         if result.verdict == "UNSAT":
             break
     return encoded, result
-
-
-def _run_find_bound(config, doc, engine, solver) -> RunReport:
-    bound = find_bound(config, doc)
-    return RunReport(
-        mode="find-bound",
-        verdict="UNSAT",
-        exit_code=0,
-        k=bound,
-        engine="mono",
-        message=f"completeness bound found: {bound}",
-        bound=bound,
-    )
 
 
 def check_trace_against_root(problem: CheckProblem, trace: LassoTrace) -> bool:

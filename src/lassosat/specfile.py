@@ -359,14 +359,16 @@ def _parse_history_section(node: SList, parser: _FormulaParser) -> PartialHistor
                         and isinstance(form[0], SAtom) and form[0].value == "!!"):
                     positive = False
                     form = form[1]
-                atom = _history_atom(form, parser)
+                atom = _entry_atom(form, parser, "history facts")
                 facts.append((instant, atom, positive))
         else:
             raise _err(f"unknown history entry {head}", entry)
     return PartialHistory(tuple(facts), loop_at=loop_at, pool_at=pool_at)
 
 
-def _history_atom(form: SExpr, parser: _FormulaParser) -> Atom:
+def _entry_atom(form: SExpr, parser: _FormulaParser, what: str) -> Atom:
+    """The atom a declare entry or history fact names: a symbol (registered
+    as a plain atom), an atom, or an item or array reference."""
     if isinstance(form, SAtom) and form.is_symbol:
         parser.decls.register_atom(form.value, 0)
         return Atom(form.value)
@@ -377,7 +379,7 @@ def _history_atom(form: SExpr, parser: _FormulaParser) -> Atom:
         return parser.decls.lower_item(parsed.name, parsed.value)
     if isinstance(parsed, ArrayRef):
         return parser.decls.lower_array(parsed.name, parsed.index, parsed.value)
-    raise _err("history facts must be atoms or item/array references", form)
+    raise _err(f"{what} must be atoms or item/array references", form)
 
 
 def parse_spec(forms) -> SpecDocument:
@@ -404,7 +406,7 @@ def parse_spec(forms) -> SpecDocument:
             )
         elif head == "DECLARE":
             for entry in form.items[1:]:
-                _declare_entry(entry, parser)
+                _entry_atom(entry, parser, "declare entries")
         elif head == "INIT":
             if doc.init is not None:
                 raise _err("duplicate init section", form)
@@ -447,22 +449,6 @@ def parse_spec(forms) -> SpecDocument:
         else:
             raise _err(f"unknown section keyword {head}", form[0])
     return doc
-
-
-def _declare_entry(entry: SExpr, parser: _FormulaParser):
-    if isinstance(entry, SAtom) and entry.is_symbol:
-        parser.decls.register_atom(entry.value, 0)
-        return
-    parsed = parser.parse(entry)
-    if isinstance(parsed, Atom):
-        return
-    if isinstance(parsed, ItemRef):
-        parser.decls.lower_item(parsed.name, parsed.value)
-        return
-    if isinstance(parsed, ArrayRef):
-        parser.decls.lower_array(parsed.name, parsed.index, parsed.value)
-        return
-    raise _err("declare entries must be atoms or item/array references", entry)
 
 
 def parse_spec_text(text: str) -> SpecDocument:

@@ -84,3 +84,14 @@ def test_empty_domain_rejected():
         ItemDecl("X", ())
     with pytest.raises(SpecFormatError, match="duplicate domain"):
         ItemDecl("X", (1, 1))
+
+
+def test_state_atoms_flatten_the_one_hot_groups():
+    decls = Declarations()
+    decls.add_item(ItemDecl("X", (1, 2, 3)))
+    decls.add_array(ArrayDecl("A", (1, 2), ("ON", "OFF")))
+    atoms = decls.state_atoms()
+    assert atoms == [atom for group in decls.groups() for atom in group]
+    assert atoms[:3] == [lower_item_atom(decls.items["X"], v) for v in (1, 2, 3)]
+    assert atoms[3:5] == [lower_array_atom(decls.arrays["A"], 1, v) for v in ("ON", "OFF")]
+    assert len(atoms) == 3 + 2 * 2

@@ -1,8 +1,12 @@
 import gc
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,7 +402,7 @@ def test_loop_free_encoding_has_no_selectors():
     problem = CheckProblem(k=2, engine="mono", root=Yesterday(P), atoms=(P,))
     loopy = encode(problem)
     free = encode(replace(problem, loop_free=True))
-    assert free.loop_free and not loopy.loop_free
+    assert free.activation is not None and loopy.activation is None
     assert free.varmap.loop_selectors == {}
     assert loopy.varmap.loop_selectors != {}
 
@@ -448,6 +452,26 @@ def test_encoding_bytes_are_pinned(
     assert len(encoded.varmap.copy_base) == blocks
     assert (inst.num_vars, len(inst.clauses)) == (nvars, nclauses)
     assert hashlib.sha256(dimacs_text(inst).encode()).hexdigest() == digest
+
+
+# The total that `scripts/encoding_digest.py` prints by default: it hashes
+# about 2,000 encodings (the tests/data corpus over engines, modes and
+# bounds, and seeded random formulas).  A change to the encoding re-pins it.
+DIGEST_TOTAL = "863bcf065fb521c1d3d1cb5e0591397397472a0bb63bc95959a8c1044c0423a7"
+
+
+def test_encoding_digest_is_pinned():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(root / "src"), env.get("PYTHONPATH")))
+    )
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "encoding_digest.py")],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["total", DIGEST_TOTAL], proc.stdout
 
 
 def _rows(vm, f):

@@ -143,6 +143,18 @@ def test_history_section():
     assert hist.loop_at == 1
 
 
+def test_declare_entries_must_name_atoms():
+    with pytest.raises(SpecFormatError, match="declare entries must be atoms"):
+        parse_spec_text("(declare a (next (-P- a)))")
+
+
+def test_history_facts_must_name_atoms():
+    with pytest.raises(SpecFormatError, match="history facts must be atoms"):
+        parse_spec_text("(history (at 0 (next (-P- a))))")
+    with pytest.raises(SpecFormatError, match="history facts must be atoms"):
+        parse_spec_text("(history (at 1 (!! (next (-P- a)))))")
+
+
 def test_arbitrary_input_is_accepted_or_diagnosed():
     """Spec text either parses and desugars or raises a located error."""
     from hypothesis import given, settings, strategies as st
