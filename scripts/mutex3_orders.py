@@ -6,8 +6,9 @@ the embedded solver's search.  One order can hide a slower search, which
 is why a change to the encoding or to the solver is judged on all six.
 For each order this rewrites the value lists of `tests/data/mutex3.zot`,
 and then encodes and solves mutex3 BMC (mono) at k = 10, 20 and 30.  All
-of them are UNSAT.  It prints the conflicts and the solve seconds (process
-time, one solve each) per order and k, and the totals.
+of them are UNSAT.  It prints the conflicts, the propagations, the literals
+kept in learnt clauses and the solve seconds (process time, one solve each)
+per order and k, and the totals.
 
 Usage: python scripts/mutex3_orders.py [K ...]
 """
@@ -51,8 +52,10 @@ def spec_text(states: str, turns: str) -> str:
 
 def main():
     ks = [int(a) for a in sys.argv[1:]] or [10, 20, 30]
-    total_s = total_conflicts = 0
-    print("state | turn  " + "".join(f"  k={k}: conflicts     s" for k in ks) + "  total s")
+    total_s = total_conflicts = total_propagations = total_learnt_lits = 0
+    print("state | turn  "
+          + "".join(f"  k={k}: conflicts  propagations  learnt_lits     s" for k in ks)
+          + "  total s")
     for states, turns in ORDERS:
         doc = parse_spec_text(spec_text(states, turns))
         cells, order_s = [], 0.0
@@ -63,13 +66,17 @@ def main():
             seconds = time.process_time() - started
             if result.verdict != "UNSAT":
                 raise SystemExit(f"mutex3 BMC k={k} ({states} | {turns}) is {result.verdict}")
-            conflicts = result.stats["conflicts"]
-            cells.append(f"{conflicts:>19} {seconds:5.2f}")
+            stats = result.stats
+            cells.append(f"{stats['conflicts']:>19} {stats['propagations']:>13} "
+                         f"{stats['learnt_lits']:>12} {seconds:5.2f}")
             order_s += seconds
-            total_conflicts += conflicts
+            total_conflicts += stats["conflicts"]
+            total_propagations += stats["propagations"]
+            total_learnt_lits += stats["learnt_lits"]
         total_s += order_s
         print(f"{states} | {turns}" + "".join(cells) + f"  {order_s:7.2f}", flush=True)
-    print(f"total: {total_conflicts} conflicts, {total_s:.2f} s")
+    print(f"total: {total_conflicts} conflicts, {total_propagations} propagations, "
+          f"{total_learnt_lits} learnt literals, {total_s:.2f} s")
 
 
 if __name__ == "__main__":

@@ -1,18 +1,42 @@
 """Embedded CDCL SAT solver, one-shot or live.
 
 A complete decision procedure: two-watched-literal propagation, first-UIP
-conflict learning, VSIDS-style activities with decay, phase saving and Luby
-restarts.  Completeness, not speed, is the contract; every SAT model is
-checked against the full clause set before it is returned.
+conflict learning with recursive clause minimization, VSIDS-style
+activities with decay, phase saving and Luby restarts.  Completeness, not
+speed, is the contract; every SAT model is checked against every given
+clause before it is returned.
 
 Representation (after MiniSat; Een & Sorensson, SAT 2003):
 
-- Values and watch lists are indexed by the literal itself.  `lv` has
-  2n + 1 slots, and Python's negative indexing gives `l` and `-l` distinct
-  ones: assigning `l` sets `lv[l] = 1` and `lv[-l] = -1`, so reading a
-  literal's value is one list access.  Level, reason and saved phase are
-  indexed by variable.  New variables are spliced in between the positive
-  and the negative halves, so every existing literal keeps its slot.
+- Values, implication lists and watch lists are indexed by the literal
+  itself.  `lv` has 2n + 1 slots, and Python's negative indexing gives `l`
+  and `-l` distinct ones: assigning `l` sets `lv[l] = 1` and `lv[-l] = -1`,
+  so reading a literal's value is one list access.  Level, reason and saved
+  phase are indexed by variable.  New variables are spliced in between the
+  positive and the negative halves, so every existing literal keeps its
+  slot.
+- Binary clauses, most of them Tseitin definitions, are kept out of the
+  watch lists.  `bins[l]` is a plain list holding the other literal of
+  every binary clause over `l`, given or learnt, so `l` turning false
+  implies each of them; `propagate` walks a literal's implication list
+  before its watches.  A binary reason or conflict is the tuple
+  `(implied, false literal)`.
+- Longer clauses are watched on their first two literals.  Watch lists and
+  `reason` hold the clause lists themselves, and `reason` is None for
+  decisions, assumptions and units.  Every reason, tuple or list, keeps its
+  implied literal at position 0, so `analyze` resolves on the rest.
+- There are no blocking literals (Chu, Harwood & Stuckey, JSAT 2009).  In
+  CPython a blocker check costs as much as the `cl[0]` read it saves: in a
+  prototype, (clause, blocker) watch entries made the six mutex3 value
+  orders of `scripts/mutex3_orders.py` 3% slower in total.
+- Each learnt clause is minimized recursively (Sorensson & Biere, SAT 2009;
+  MiniSat's ccmin mode 2).  A literal is dropped when the reasons behind it
+  end in literals of the clause or at level 0; the search for such an end
+  gives up at a decision, an assumption or a level none of the clause's
+  literals has (one bit per level modulo 32, the abstract levels).
+  Decisions and assumptions are never dropped.  The clause that remains is
+  still derived by unit propagation from the given clauses and the clauses
+  learnt before it (RUP).
 - Each decision takes the unassigned variable with the highest activity,
   the lowest index on ties.  The activity heap holds at most one live entry
   per variable, `(-activity, var)`; `inheap[var]` says whether it has one.
@@ -30,17 +54,20 @@ level-0 trail, learnt clauses (they follow from the clauses alone, never
 from the assumptions), activities and saved phases from call to call.  A
 clause appended once level-0 assignments exist is simplified against them
 first; a clause that is contradictory at level 0 makes every later search
-UNSAT.  The one-shot `solve_embedded(inst)` is a fresh solver given every
-clause at once, so it searches exactly as a solver without the live
-interface would.  Cyclic garbage collection is paused while the solver
+UNSAT, and one shrunk to two literals joins the implication lists.
+`Solver.clauses` lists the learnt clauses in the order they were learnt,
+units included.  The one-shot `solve_embedded(inst)` is a fresh solver
+given every clause at once, so it searches exactly as a solver without the
+live interface would.  Cyclic garbage collection is paused while the solver
 runs: its clause lists are many small containers, and a collection would
 walk them all.
 
 The result's `stats` count, per search, conflicts (the final level-0
 conflict of an UNSAT answer included), decisions (assumptions excluded),
-propagations (literals taken off the trail by unit propagation), restarts
-and learnts (learnt clauses of two or more literals added to the clause
-set).
+propagations (literals taken off the trail by unit propagation), restarts,
+learnts (learnt clauses of two or more literals added to the clause set),
+learnt_lits (literals kept in learnt clauses, units included) and minimized
+(literals that minimization removed from them).
 """
 
 from __future__ import annotations
@@ -107,12 +134,13 @@ class Solver:
         # the appended clause lists as given, for the model check
         self.given: List[Sequence[List[int]]] = []
         self.num_given = 0
-        self.clauses: List[List[int]] = []  # attached copies, then learnts
+        self.clauses: List[List[int]] = []  # learnt clauses, in the order learnt
         self.units: List[int] = []  # unit clauses not yet on the trail
         self.lv = [0]  # by literal: 0 unknown, 1 true, -1 false
-        self.watches: List[List[int]] = [[]]  # by literal
+        self.bins: List[List[int]] = [[]]  # by literal: the other literals of binaries
+        self.watches: List[List[List[int]]] = [[]]  # by literal: longer clauses
         self.level = [0]
-        self.reason = [-1]
+        self.reason: List[Optional[Sequence[int]]] = [None]
         self.saved = [False]
         self.activity = [0.0]
         self.seen = [False]
@@ -129,12 +157,14 @@ class Solver:
             return
         if n:
             self.lv[n + 1:n + 1] = [0] * (2 * new)
+            self.bins[n + 1:n + 1] = [[] for _ in range(2 * new)]
             self.watches[n + 1:n + 1] = [[] for _ in range(2 * new)]
         else:  # a fresh solver: no slot to keep, and no splice to pay for
             self.lv = [0] * (2 * new + 1)
+            self.bins = [[] for _ in range(2 * new + 1)]
             self.watches = [[] for _ in range(2 * new + 1)]
         self.level.extend([0] * new)
-        self.reason.extend([-1] * new)
+        self.reason.extend([None] * new)
         self.saved.extend([False] * new)
         self.activity.extend([0.0] * new)
         self.seen.extend([False] * new)
@@ -173,25 +203,29 @@ class Solver:
         self.num_given += len(clauses)
         if not self.ok:
             return
-        lv, attached, watches, units = self.lv, self.clauses, self.watches, self.units
+        lv, bins, watches, units = self.lv, self.bins, self.watches, self.units
         simplify = bool(self.trail)  # level-0 assignments of earlier searches
-        for clause in clauses:
+        for given in clauses:
+            clause = given
             if simplify:
                 if any(lv[lit] == 1 for lit in clause):
                     continue
                 clause = [lit for lit in clause if not lv[lit]]
-            else:
-                clause = list(clause)
-            if not clause:
-                self.ok = False
-                return
-            if len(clause) == 1:
+            size = len(clause)
+            if size > 2:
+                if clause is given:  # propagation reorders it; the given list stays
+                    clause = list(clause)
+                watches[clause[0]].append(clause)
+                watches[clause[1]].append(clause)
+            elif size == 2:
+                a, b = clause
+                bins[a].append(b)
+                bins[b].append(a)
+            elif size:
                 units.append(clause[0])
             else:
-                ci = len(attached)
-                attached.append(clause)
-                watches[clause[0]].append(ci)
-                watches[clause[1]].append(ci)
+                self.ok = False
+                return
 
     def solve(
         self,
@@ -209,6 +243,7 @@ class Solver:
         """
         n = self.n
         conflicts = decisions = propagations = restarts = learnts = 0
+        learnt_lits = minimized = 0
 
         def result(verdict: str, model=None) -> SatResult:
             stats = {
@@ -217,6 +252,8 @@ class Solver:
                 "propagations": propagations,
                 "restarts": restarts,
                 "learnts": learnts,
+                "learnt_lits": learnt_lits,
+                "minimized": minimized,
             }
             return SatResult(verdict, model, stats)
 
@@ -230,12 +267,12 @@ class Solver:
 
         lv, level, reason, saved = self.lv, self.level, self.reason, self.saved
         activity, seen, heap, inheap = self.activity, self.seen, self.heap, self.inheap
-        clauses, watches = self.clauses, self.watches
+        learnt_log, bins, watches = self.clauses, self.bins, self.watches
         trail, trail_lim = self.trail, self.trail_lim
         var_inc = self.var_inc
         nassume = len(assumptions)
 
-        def enqueue(lit: int, cref: int) -> bool:
+        def enqueue(lit: int, why: Optional[Sequence[int]]) -> bool:
             v = lv[lit]
             if v:
                 return v == 1
@@ -243,24 +280,38 @@ class Solver:
             lv[-lit] = -1
             var = lit if lit > 0 else -lit
             level[var] = len(trail_lim)
-            reason[var] = cref
+            reason[var] = why
             trail.append(lit)
             return True
 
-        def propagate() -> int:
+        def propagate() -> Optional[Sequence[int]]:
+            """Run the queue; returns the conflicting clause, or None."""
             nonlocal propagations
-            lv_, level_, reason_, clauses_, watches_ = lv, level, reason, clauses, watches
+            lv_, level_, reason_, bins_, watches_ = lv, level, reason, bins, watches
             push = trail.append
             dl = len(trail_lim)
             q = start = self.qhead
             while q < len(trail):
                 neg = -trail[q]
                 q += 1
+                for other in bins_[neg]:
+                    ov = lv_[other]
+                    if ov == 1:
+                        continue
+                    if ov:  # both literals false: conflict
+                        self.qhead = q
+                        propagations += q - start
+                        return (other, neg)
+                    lv_[other] = 1
+                    lv_[-other] = -1
+                    var = other if other > 0 else -other
+                    level_[var] = dl
+                    reason_[var] = (other, neg)
+                    push(other)
                 ws = watches_[neg]
                 j = moved = 0
                 # compact ws in place: entries [0, j) stay, a moved watch leaves a gap
-                for ci in ws:
-                    cl = clauses_[ci]
+                for cl in ws:
                     first = cl[0]
                     if first == neg:  # keep the false literal at position 1
                         first = cl[1]
@@ -268,7 +319,7 @@ class Solver:
                         cl[1] = neg
                     fv = lv_[first]
                     if fv == 1:
-                        ws[j] = ci
+                        ws[j] = cl
                         j += 1
                         continue
                     for idx in range(2, len(cl)):
@@ -276,27 +327,27 @@ class Solver:
                         if lv_[other] != -1:
                             cl[1] = other
                             cl[idx] = neg
-                            watches_[other].append(ci)
+                            watches_[other].append(cl)
                             moved += 1
                             break
                     else:
-                        ws[j] = ci
+                        ws[j] = cl
                         j += 1
                         if fv:  # first is false: conflict; keep the unvisited rest
                             del ws[j:j + moved]
                             self.qhead = q
                             propagations += q - start
-                            return ci
+                            return cl
                         lv_[first] = 1
                         lv_[-first] = -1
                         var = first if first > 0 else -first
                         level_[var] = dl
-                        reason_[var] = ci
+                        reason_[var] = cl
                         push(first)
                 del ws[j:]
             self.qhead = q
             propagations += q - start
-            return -1
+            return None
 
         def rescale():
             nonlocal var_inc
@@ -309,13 +360,35 @@ class Solver:
             for v in range(1, n + 1):
                 inheap[v] = not lv[v]
 
-        def analyze(confl: int):
+        def redundant(p: int, abstract: int, marked: List[int]) -> bool:
+            """True when the reasons behind the false literal p end in marked
+            literals or at level 0; what it marks on the way stays marked."""
+            stack = [p]
+            top = len(marked)
+            while stack:
+                q = stack.pop()
+                for r in reason[q if q > 0 else -q][1:]:
+                    v = r if r > 0 else -r
+                    if not seen[v] and level[v]:
+                        if reason[v] is not None and abstract >> (level[v] & 31) & 1:
+                            seen[v] = True
+                            stack.append(r)
+                            marked.append(r)
+                        else:  # a decision, or a level the clause lacks
+                            for m in marked[top:]:
+                                seen[abs(m)] = False
+                            del marked[top:]
+                            return False
+            return True
+
+        def analyze(confl: Sequence[int]):
+            nonlocal learnt_lits, minimized
             learnt = [0]  # placeholder for the asserting literal
             counter = 0
             p = 0
             idx = len(trail) - 1
             cur_level = len(trail_lim)
-            cl = clauses[confl]
+            cl = confl
             while True:
                 start = 1 if p else 0
                 for q in cl[start:]:
@@ -340,9 +413,24 @@ class Solver:
                 counter -= 1
                 if counter == 0:
                     break
-                cl = clauses[reason[v]]
+                cl = reason[v]
             learnt[0] = -p
-            for q in learnt[1:]:
+            # minimize: seen marks the literals of learnt[1:] and, once
+            # redundant() has run, the literals it found implied by them
+            marked = learnt[1:]
+            abstract = 0
+            for q in marked:
+                abstract |= 1 << (level[abs(q)] & 31)
+            j = 1
+            for i in range(1, len(learnt)):
+                q = learnt[i]
+                if reason[abs(q)] is None or not redundant(q, abstract, marked):
+                    learnt[j] = q
+                    j += 1
+            minimized += len(learnt) - j
+            learnt_lits += j
+            del learnt[j:]
+            for q in marked:
                 seen[abs(q)] = False
             if len(learnt) == 1:
                 return learnt, 0
@@ -374,10 +462,10 @@ class Solver:
         try:
             units, self.units = self.units, []
             for u in units:
-                if not enqueue(u, -1):
+                if not enqueue(u, None):
                     self.ok = False
                     return result("UNSAT")
-            if propagate() >= 0:
+            if propagate() is not None:
                 self.ok = False
                 return result("UNSAT")
 
@@ -387,23 +475,27 @@ class Solver:
 
             while True:
                 confl = propagate()
-                if confl >= 0:
+                if confl is not None:
                     conflicts += 1
                     if not trail_lim:
                         self.ok = False
                         return result("UNSAT")
                     learnt, blevel = analyze(confl)
                     backtrack(blevel)
+                    learnt_log.append(learnt)
                     if len(learnt) == 1:
-                        if not enqueue(learnt[0], -1):
+                        if not enqueue(learnt[0], None):
                             self.ok = False
                             return result("UNSAT")
                     else:
-                        clauses.append(learnt)
-                        ci = len(clauses) - 1
-                        watches[learnt[0]].append(ci)
-                        watches[learnt[1]].append(ci)
-                        enqueue(learnt[0], ci)
+                        a, b = learnt[0], learnt[1]
+                        if len(learnt) == 2:
+                            bins[a].append(b)
+                            bins[b].append(a)
+                        else:
+                            watches[a].append(learnt)
+                            watches[b].append(learnt)
+                        enqueue(a, learnt)
                         learnts += 1
                     var_inc /= _VAR_DECAY
                     if conflicts % 256 == 0 and timeout_s is not None:
@@ -418,7 +510,7 @@ class Solver:
                     if lv[lit] == -1:
                         return result("UNSAT")
                     trail_lim.append(len(trail))
-                    enqueue(lit, -1)
+                    enqueue(lit, None)
                 elif len(trail) == n:
                     model = [False] * (n + 1)
                     for var in range(1, n + 1):
@@ -435,6 +527,6 @@ class Solver:
                     if decisions % 256 == 0 and timeout_s is not None:
                         check_time()
                     trail_lim.append(len(trail))
-                    enqueue(var if saved[var] else -var, -1)
+                    enqueue(var if saved[var] else -var, None)
         finally:
             self.var_inc = var_inc

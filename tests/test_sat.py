@@ -1,4 +1,5 @@
 import gc
+import itertools
 import os
 import random
 import stat
@@ -9,6 +10,7 @@ from lassosat import sat_embedded
 from lassosat.cnf import CnfInstance, check_model, to_cnf
 from lassosat.errors import SolverTimeout
 from lassosat.sat_embedded import Solver, solve_embedded
+from rup import RupChecker, learnts_are_rup
 
 
 def naive_dpll(clauses, num_vars):
@@ -175,12 +177,128 @@ def test_counters_match_the_reference_search(data_dir):
     result = solve_embedded(to_cnf(encode(problem)))
     assert result.verdict == "UNSAT"
     assert result.stats == {
-        "conflicts": 322,
-        "decisions": 920,
-        "propagations": 52094,
+        "conflicts": 304,
+        "decisions": 863,
+        "propagations": 47711,
         "restarts": 2,
-        "learnts": 299,
+        "learnts": 282,
+        "learnt_lits": 2376,
+        "minimized": 717,
     }
+
+
+def test_rup_checker_rejects_what_does_not_follow():
+    checker = RupChecker([[1, 2], [-1, 2], [-2, 3, 4]])
+    assert checker.implies([2]) and checker.implies([3, 4]) and checker.implies([1, -1])
+    assert not checker.implies([1]) and not checker.implies([3])
+    checker.add([-4])
+    assert checker.implies([3])
+
+
+def test_learnt_clauses_are_rup_on_random_3cnf():
+    """Every clause learnt, minimized or not, follows from the given clauses
+    and the clauses learnt before it by unit propagation alone."""
+    rng = random.Random(29)
+    num_vars = 60
+    checked = minimized = binaries = 0
+    verdicts = set()
+    for i in range(30):
+        inst = CnfInstance(num_vars, [_random_clause(rng, num_vars) for _ in range(256)])
+        assumptions = [v * rng.choice((-1, 1)) for v in rng.sample(range(1, num_vars + 1), i % 3)]
+        live = Solver()
+        result = solve_embedded(inst, assumptions=assumptions, live=live)
+        verdicts.add(result.verdict)
+        checked += learnts_are_rup(live)
+        minimized += result.stats["minimized"]
+        binaries += sum(len(c) == 2 for c in live.clauses)
+        assert result.stats["learnt_lits"] == sum(map(len, live.clauses))
+    assert verdicts == {"SAT", "UNSAT"}
+    assert checked > 1000 and minimized > 0 and binaries > 0
+
+
+def test_learnt_clauses_are_rup_on_mutex3_bmc(data_dir):
+    from lassosat.encoder import encode
+    from lassosat.pipeline import build_problem
+    from lassosat.specfile import load_spec
+
+    problem = build_problem(load_spec(data_dir / "mutex3.zot"), 10, "mono", "bmc")
+    live = Solver()
+    result = solve_embedded(to_cnf(encode(problem)), live=live)
+    assert result.verdict == "UNSAT"
+    assert learnts_are_rup(live) >= result.stats["learnts"] > 0
+
+
+def test_binary_conflicts_above_level_0_match_naive_dpll():
+    # deciding -1 implies 2 and 3 through binaries, and [-2, -3] conflicts
+    live = Solver()
+    result = solve_embedded(CnfInstance(3, [[1, 2], [1, 3], [-2, -3]]), live=live)
+    assert result.verdict == "SAT" and result.stats["conflicts"] == 1
+    assert live.clauses == [[1]]
+    # in a 2-CNF every reason and every conflict is binary
+    rng = random.Random(31)
+    verdicts, conflicts = set(), 0
+    for _ in range(200):
+        num_vars = rng.randint(4, 12)
+        clauses = [_random_clause(rng, num_vars, 2) for _ in range(rng.randint(4, 2 * num_vars))]
+        inst = CnfInstance(num_vars, clauses)
+        result = solve_embedded(inst)
+        assert (result.verdict == "SAT") == naive_dpll(clauses, num_vars)
+        if result.verdict == "SAT":
+            assert check_model(inst, result.model)
+            conflicts += result.stats["conflicts"]  # a SAT search conflicts above level 0 only
+        verdicts.add(result.verdict)
+    assert verdicts == {"SAT", "UNSAT"} and conflicts > 0
+
+
+def test_learnt_binary_clause_matches_naive_dpll():
+    # -1, then -2, imply 4 and 5, which [-4, -5] forbids: the learnt clause is [2, 1]
+    clauses = [[1, 2, 4], [1, 2, 5], [-4, -5]]
+    live = Solver()
+    result = solve_embedded(CnfInstance(5, clauses), live=live)
+    assert live.clauses == [[2, 1]]
+    assert result.verdict == "SAT" and naive_dpll(clauses, 5)
+    # the learnt binary implies 2 on every later search that decides -1
+    result = solve_embedded(CnfInstance(5, clauses), assumptions=[-1], live=live)
+    assert result.verdict == "SAT" and result.model[2] and result.stats["conflicts"] == 0
+    clauses.append([-2, 3])
+    result = solve_embedded(CnfInstance(5, clauses), assumptions=[-1, -3], live=live)
+    assert result.verdict == "UNSAT"
+    assert not naive_dpll(clauses + [[-1], [-3]], 5)
+
+
+def test_append_shrinking_a_ternary_clause_to_a_binary_one_matches_naive_dpll():
+    clauses = [[1]]
+    live = Solver()
+    assert solve_embedded(CnfInstance(3, clauses), live=live).verdict == "SAT"
+    clauses.append([-1, 2, 3])  # 1 holds at level 0: this is [2, 3]
+    inst = CnfInstance(3, clauses)
+    for assumptions, expected in (([-2], True), ([-2, -3], False), ([-3, -2], False), ([], True)):
+        result = solve_embedded(inst, assumptions=assumptions, live=live)
+        assert (result.verdict == "SAT") == expected
+        assert naive_dpll(clauses + [[a] for a in assumptions], 3) == expected
+        if expected:
+            assert check_model(inst, result.model)
+            assert all(result.model[abs(a)] == (a > 0) for a in assumptions)
+    assert 3 in live.bins[2] and 2 in live.bins[3]
+
+
+def test_repeated_and_complementary_literals_match_brute_force():
+    """Clauses as parse_dimacs may give them, straight to the solver."""
+    rng = random.Random(37)
+    verdicts = set()
+    for _ in range(4000):
+        num_vars = rng.randint(1, 5)
+        clauses = [[rng.choice((-1, 1)) * rng.randint(1, num_vars)
+                    for _ in range(rng.randint(1, 4))] for _ in range(rng.randint(1, 12))]
+        inst = CnfInstance(num_vars, clauses)
+        result = solve_embedded(inst)
+        expected = any(check_model(inst, [False, *bits])
+                       for bits in itertools.product((False, True), repeat=num_vars))
+        assert (result.verdict == "SAT") == expected, clauses
+        if expected:
+            assert check_model(inst, result.model)
+        verdicts.add(result.verdict)
+    assert verdicts == {"SAT", "UNSAT"}
 
 
 def _random_clause(rng, num_vars, width=3):
