@@ -2,14 +2,7 @@
 operators, compiled to SAT over lasso-shaped (ultimately periodic) traces."""
 
 from .cnf import CnfInstance, SatResult, emit_dimacs, parse_dimacs, to_cnf
-from .declarations import (
-    ArrayDecl,
-    Declarations,
-    ItemDecl,
-    domain_constraints,
-    lower_array_atom,
-    lower_item_atom,
-)
+from .declarations import ArrayDecl, Declarations, ItemDecl, domain_constraints
 from .desugar import desugar, expand_case
 from .encoder import CheckProblem, EncodedProblem, encode
 from .errors import (

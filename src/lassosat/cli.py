@@ -1,11 +1,14 @@
 """Command line driver.
 
-    lassosat check --bound K [--engine mono|bi] [--mode bsc|bmc|hcc]
-                   [--solver embedded|minisat|picosat] [--loop-free]
+    lassosat check --bound K [--engine mono|bi] [--mode bsc|bmc|hcc | --loop-free]
+                   [--solver embedded|minisat|picosat]
                    [--history FILE] [--timeout SECONDS] [--out DIR] spec.zot
 
     lassosat find-bound [--max-bound N] [--solver ...] [--timeout SECONDS]
                         [--out DIR] spec.zot
+
+--loop-free runs the completeness check, a mode of its own: with --mode bmc
+or hcc it is a usage error (exit 2).
 
 --timeout limits each solver call (find-bound makes one per bound tried):
 loading the clauses into the solver and the search count toward it,
@@ -47,10 +50,12 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--bound", "-k", type=int, default=None, metavar="K",
                        help="time bound (instants 0..K)")
     check.add_argument("--engine", choices=("mono", "bi"), default=None)
-    check.add_argument("--mode", choices=("bsc", "bmc", "hcc"), default="bsc")
+    # --loop-free is a mode of its own: never a loop-free run of another mode
+    mode = check.add_mutually_exclusive_group()
+    mode.add_argument("--mode", choices=("bsc", "bmc", "hcc"), default="bsc")
     check.add_argument("--solver", choices=("embedded", "minisat", "picosat"),
                        default=None)
-    check.add_argument("--loop-free", action="store_true",
+    mode.add_argument("--loop-free", action="store_true",
                        help="completeness check (replaces the loop machinery)")
     check.add_argument("--history", default=None, metavar="FILE",
                        help="partial history file (hcc mode)")
@@ -102,7 +107,7 @@ def main(argv=None) -> int:
                 timeout_s=args.timeout,
             )
         )
-        print(f"completeness bound: {report.bound}")
+        print(f"completeness bound: {report.k}")
         return report.exit_code
     except SolverTimeout as exc:
         print(f"error: {args.command} timed out ({exc})", file=sys.stderr)

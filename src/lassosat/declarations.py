@@ -47,27 +47,6 @@ class ArrayDecl:
             raise SpecFormatError(f"array {self.name}: duplicate domain elements")
 
 
-def lower_item_atom(decl: ItemDecl, value) -> Atom:
-    """The dedicated atom for item=value; value must lie in the domain."""
-    if value not in decl.domain:
-        raise DomainError(
-            f"({decl.name.lower()}= {value}): value not in domain {list(decl.domain)}"
-        )
-    return Atom(decl.name, (value,), kind="item")
-
-
-def lower_array_atom(decl: ArrayDecl, index, value) -> Atom:
-    if index not in decl.index_domain:
-        raise DomainError(
-            f"({decl.name.lower()}= {index} {value}): index not in {list(decl.index_domain)}"
-        )
-    if value not in decl.value_domain:
-        raise DomainError(
-            f"({decl.name.lower()}= {index} {value}): value not in {list(decl.value_domain)}"
-        )
-    return Atom(decl.name, (index, value), kind="array")
-
-
 @dataclass
 class Declarations:
     """All items/arrays of a document plus the plain-atom registry."""
@@ -101,16 +80,30 @@ class Declarations:
             )
 
     def lower_item(self, name: str, value) -> Atom:
+        """The dedicated atom for item=value; value must lie in the domain."""
         decl = self.items.get(name)
         if decl is None:
             raise SpecFormatError(f"({name.lower()}= ...): item {name} is not declared")
-        return lower_item_atom(decl, value)
+        if value not in decl.domain:
+            raise DomainError(
+                f"({name.lower()}= {value}): value not in domain {list(decl.domain)}"
+            )
+        return Atom(name, (value,), kind="item")
 
     def lower_array(self, name: str, index, value) -> Atom:
+        """The dedicated atom for array[index]=value; both must lie in their domains."""
         decl = self.arrays.get(name)
         if decl is None:
             raise SpecFormatError(f"({name.lower()}= ...): array {name} is not declared")
-        return lower_array_atom(decl, index, value)
+        if index not in decl.index_domain:
+            raise DomainError(
+                f"({name.lower()}= {index} {value}): index not in {list(decl.index_domain)}"
+            )
+        if value not in decl.value_domain:
+            raise DomainError(
+                f"({name.lower()}= {index} {value}): value not in {list(decl.value_domain)}"
+            )
+        return Atom(name, (index, value), kind="array")
 
     def state_atoms(self) -> List[Atom]:
         """Every item/array value atom, in declaration order."""
@@ -128,7 +121,8 @@ class Declarations:
 
 
 def domain_constraints(decls: Declarations) -> List[Formula]:
-    """Exactly-one constraints per item / array cell, asserted globally."""
+    """Exactly-one constraints per item / array cell; build_problem asserts
+    them at every instant as transitions."""
     constraints: List[Formula] = []
     for group in decls.groups():
         constraints.append(disj(group))

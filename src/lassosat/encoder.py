@@ -65,7 +65,13 @@ single copy of every subformula, so instant k has no successor and the
 future operators take their finite-word value there.  It also forces all
 k+1 atom state vectors to be pairwise distinct, which makes UNSAT mean "no
 loop-free path of this length exists", i.e. the completeness bound is
-reached, and asserts transitions only where their lookahead fits the window.
+reached, and asserts transitions only where their lookahead, the future
+depth, fits the window.
+
+A transition holds at every instant (where its lookahead fits), on every
+pass of its copies.  The one-hot domain constraints of items and arrays are
+transitions of depth (0, 0): pure-boolean, with no copies, asserted at
+every instant of every window.
 
 The loop-free encoding grows one instant at a time, after Een & Sorensson,
 Temporal Induction by Incremental SAT Solving (BMC 2003), and Heljanko,
@@ -75,8 +81,8 @@ resolves the aliases at t and appends, and never retracts:
 
 - the boolean and past definitions at t (past at 0: the time origin);
 - the future definitions at t-1, which now has a successor;
-- the transitions whose lookahead now fits, the global constraints at t
-  and the root when t is the assertion instant (a window takes no history);
+- the transitions whose lookahead (future depth) now fits, and the root
+  when t is the assertion instant (a window takes no history);
 - the distinctness of instant t from each earlier one.
 
 Only the future operators' finite-edge definitions at the last instant do
@@ -108,8 +114,11 @@ the entries that are not aliases take one (`_aliased` says which).  An
 alias's slot stays 0 until the table is filled in postorder (`_fill`), so
 every operand is resolved before its parents, with no recursion.  The
 closure order is: the registry atoms, the other atoms of the formulas, then
-their boolean, future and past nodes, each group in postorder.  A lasso
-encoding allocates, in this order:
+their boolean, future and past nodes, each group in postorder.  The one
+loop that sorts the closure into these groups also computes each member's
+(future, past) nesting depth from its operands', and so its copy caps; a
+registry atom no formula mentions has depth (0, 0).  A lasso encoding
+allocates, in this order:
 
 - the primary rows, instants 0..k of each closure member in closure order;
 - the copy rows, per member in the same order, its loop passes before its
@@ -149,8 +158,6 @@ from .errors import EncodingError
 from .formula import (
     And,
     Atom,
-    FUTURE_OPS,
-    PAST_OPS,
     FalseF,
     Formula,
     Iff,
@@ -165,9 +172,8 @@ from .formula import (
     Until,
     Yesterday,
     Zeta,
-    classify,
+    children,
     closure,
-    temporal_depth,
 )
 from .trace import PartialHistory
 from .varmap import VarMap
@@ -184,8 +190,9 @@ class CheckProblem:
     k: int
     engine: str = "mono"
     root: Optional[Formula] = None
+    # asserted at every instant whose lookahead fits (the one-hot domain
+    # constraints among them)
     transitions: Tuple[Formula, ...] = ()
-    global_constraints: Tuple[Formula, ...] = ()  # e.g. one-hot domain groups
     atoms: Tuple[Atom, ...] = ()  # registry order; drives trace display
     facts: Optional[PartialHistory] = None
     loop_free: bool = False
@@ -219,15 +226,6 @@ def encode(problem: CheckProblem, prefix: Optional[EncodedProblem] = None) -> En
         raise EncodingError("only a loop-free encoding of the same problem grows")
     encoder.problem = problem
     return encoder.encode()
-
-
-def _all_formulas(problem: CheckProblem):
-    forms = []
-    if problem.root is not None:
-        forms.append(problem.root)
-    forms.extend(problem.transitions)
-    forms.extend(problem.global_constraints)
-    return forms
 
 
 def _selector_chain(sink: ClauseSink, selectors: Dict[int, int], order) -> Dict[int, int]:
@@ -322,8 +320,9 @@ _SHIFT = frozenset((Next, Yesterday, Zeta))
 # weak duals: the neighbour beyond a finite edge is true (false otherwise)
 _WEAK = frozenset((Zeta, Release, Trigger))
 _UNTIL_LIKE = frozenset((Until, Since))
-_FUTURE = frozenset(FUTURE_OPS)
-_TEMPORAL = _FUTURE | frozenset(PAST_OPS)
+_FUTURE = frozenset((Next, Until, Release))
+_PAST = frozenset((Yesterday, Zeta, Since, Trigger))
+_TEMPORAL = _FUTURE | _PAST
 # boolean nodes that are one literal of their operands, or a gate over them
 _BOOL_ALIASES = frozenset((Not, Iff, TrueF, FalseF))
 
@@ -345,16 +344,28 @@ class _Encoder:
         self.problem = problem
         self.engine = engine
         # operands before their parents: the order the aliases are resolved in
-        self.postorder = closure(_all_formulas(problem))
+        roots = (problem.root,) if problem.root is not None else ()
+        self.postorder = closure((*roots, *problem.transitions))
+        # per node, its (future, past) nesting depth, its partition and the
+        # top copy of each family, where traversal values start to repeat
+        depth = self.depth = dict.fromkeys(problem.atoms, (0, 0))
+        self.caps: Dict[Formula, Tuple[int, int]] = dict(depth)
         groups = {"atom": dict.fromkeys(problem.atoms), "bool": {}, "future": {}, "past": {}}
         for f in self.postorder:
-            groups[classify(f)][f] = None
-        order = tuple(f for group in groups.values() for f in group)
-        # the top copy of each family: traversal values repeat from there
-        self.caps: Dict[Formula, Tuple[int, int]] = {}
-        for f in order:
-            fd, pd = temporal_depth(f)
+            subs = [depth[g] for g in children(f)]
+            fd = max((d[0] for d in subs), default=0)
+            pd = max((d[1] for d in subs), default=0)
+            cls = type(f)
+            if cls in _FUTURE:
+                fd, kind = fd + 1, "future"
+            elif cls in _PAST:
+                pd, kind = pd + 1, "past"
+            else:
+                kind = "atom" if cls is Atom else "bool"
+            depth[f] = fd, pd
+            groups[kind][f] = None
             self.caps[f] = (0, 0) if self.loop_free else (pd, fd if engine == "bi" else 0)
+        order = tuple(f for group in groups.values() for f in group)
         # the loop-free window starts empty, and instants enter it one by one
         self.k = k = -1 if self.loop_free else k
         rrows = {f: [[]] for f in order}
@@ -588,11 +599,9 @@ class _Encoder:
 
         problem = self.problem
         for tr in problem.transitions:
-            start = t - temporal_depth(tr)[0]  # the instant whose lookahead ends at t
+            start = t - self.depth[tr][0]  # the instant whose lookahead ends at t
             if start >= 0:
                 clause([R(tr, 0, start)])
-        for gc in problem.global_constraints:
-            clause([R(gc, 0, t)])
         if t == vm.assertion_instant and problem.root is not None:
             vm.root_lit = vm.lit(problem.root, t)
             clause([vm.root_lit])
@@ -655,9 +664,6 @@ class _Encoder:
                     for t, chain in self.loops[family]:
                         x = acc(tr, c, t)
                         clause([x] if chain is None else [-chain, x])
-        for gc in problem.global_constraints:
-            for t in range(k + 1):
-                clause([R(gc, 0, t)])
         if problem.root is not None:
             vm.root_lit = vm.lit(problem.root, vm.assertion_instant)
             clause([vm.root_lit])

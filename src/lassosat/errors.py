@@ -7,22 +7,21 @@ class LassosatError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class SexprSyntaxError(LassosatError):
+class _LocatedError(LassosatError):
+    """An error at a source position; line 0 means no position is known."""
+
+    def __init__(self, message: str, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        super().__init__(f"{message} (line {line}, column {col})" if line else message)
+
+
+class SexprSyntaxError(_LocatedError):
     """Malformed s-expression input (unbalanced parens, stray tokens)."""
 
-    def __init__(self, message: str, line: int = 0, col: int = 0):
-        self.line = line
-        self.col = col
-        super().__init__(f"{message} (line {line}, column {col})" if line else message)
 
-
-class SpecFormatError(LassosatError):
+class SpecFormatError(_LocatedError):
     """A spec file violates the section grammar or its validation rules."""
-
-    def __init__(self, message: str, line: int = 0, col: int = 0):
-        self.line = line
-        self.col = col
-        super().__init__(f"{message} (line {line}, column {col})" if line else message)
 
 
 class FormulaError(LassosatError):

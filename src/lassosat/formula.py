@@ -21,7 +21,9 @@ they work at any depth.
 Nodes are frozen dataclasses, so formulas are immutable; `repr` prints the
 s-expression text (lassosat.pretty).  Tree walks that build a value per
 node (parsing, desugaring, printing) go through `fold`, which keeps its own
-stack; `closure` and `temporal_depth` walk the shared DAG once per node.
+stack; `closure` walks the shared DAG of a core formula once per node and
+rejects sugar, and the encoder computes what it needs per node (nesting
+depths, partitions) in one loop over that list.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ class Formula(metaclass=_Interned):
 
     __slots__ = ()
     _fields: Tuple[str, ...] = ()
-    _depth: Optional[Tuple[int, int]] = None  # temporal_depth, once computed
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -413,9 +414,6 @@ _CORE_LEAF = (Atom, TrueF, FalseF)
 _CORE_UNARY = (Not, Next, Yesterday, Zeta)
 _CORE_BINARY = (Implies, Iff, Until, Since, Release, Trigger)
 
-FUTURE_OPS = (Next, Until, Release)
-PAST_OPS = (Yesterday, Zeta, Since, Trigger)
-
 
 def children(f: Formula) -> Tuple[Formula, ...]:
     """Immediate subformulas of a core node (sugar nodes are not supported)."""
@@ -522,53 +520,15 @@ def _postorder(root: Formula, seen: set, subs=children):
 
 
 def closure(formulas) -> list:
-    """Ordered, de-duplicated list of all subformulas, children first."""
+    """Ordered, de-duplicated list of all subformulas, children first.
+
+    Core formulas only: a sugar node raises TypeError (`children`).
+    """
     out: list = []
     seen: set = set()
     for f in formulas:
         out.extend(_postorder(f, seen))
     return out
-
-
-def classify(f: Formula) -> str:
-    """Partition tag for the encoder: atom / bool / future / past."""
-    if isinstance(f, Atom):
-        return "atom"
-    if isinstance(f, FUTURE_OPS):
-        return "future"
-    if isinstance(f, PAST_OPS):
-        return "past"
-    if isinstance(f, (TrueF, FalseF, Not, And, Or, Implies, Iff)):
-        return "bool"
-    raise TypeError(f"not a core formula node: {type(f).__name__}")
-
-
-def temporal_depth(f: Formula) -> Tuple[int, int]:
-    """(future nesting, past nesting) of a core formula.
-
-    Computed once per node and kept on it (nodes are immutable and shared),
-    with an explicit stack instead of recursion.
-    """
-    stack = [f]
-    while stack:
-        g = stack[-1]
-        if g._depth is not None:
-            stack.pop()
-            continue
-        subs = children(g)
-        todo = [c for c in subs if c._depth is None]
-        if todo:
-            stack.extend(todo)
-            continue
-        fut = max((c._depth[0] for c in subs), default=0)
-        past = max((c._depth[1] for c in subs), default=0)
-        if isinstance(g, FUTURE_OPS):
-            fut += 1
-        elif isinstance(g, PAST_OPS):
-            past += 1
-        object.__setattr__(g, "_depth", (fut, past))
-        stack.pop()
-    return f._depth
 
 
 def conj(items) -> Formula:

@@ -63,7 +63,6 @@ class RunReport:
     message: str = ""
     trace: Optional[LassoTrace] = None
     history_text: str = ""
-    bound: Optional[int] = None
     num_vars: int = 0
     num_clauses: int = 0
 
@@ -118,8 +117,8 @@ def build_problem(
         k=k,
         engine=engine,
         root=root,
-        transitions=tuple(ds(tr) for tr in doc.transitions),
-        global_constraints=tuple(domain_constraints(decls)),
+        # a domain constraint holds at every instant: a transition of depth (0, 0)
+        transitions=(*(ds(tr) for tr in doc.transitions), *domain_constraints(decls)),
         atoms=tuple(registry_atoms),
         facts=facts,
         loop_free=mode in ("loop-free", "find-bound"),
@@ -199,7 +198,7 @@ def run(config: RunConfig) -> RunReport:
         bound = find_bound(config, doc)
         return RunReport(
             mode=mode, verdict="UNSAT", exit_code=0, k=bound, engine="mono",
-            message=f"completeness bound found: {bound}", bound=bound,
+            message=f"completeness bound found: {bound}",
         )
     facts = _gather_facts(config, doc, mode)
     problem = build_problem(doc, k, engine, mode, facts)

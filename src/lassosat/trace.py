@@ -101,27 +101,24 @@ def decode(result, vm) -> LassoTrace:
         atom: tuple(bool(model[vm.lit(atom, t)]) for t in range(vm.k + 1))
         for atom in vm.atoms
     }
-    loop = [i for i, v in vm.loop_selectors.items() if model[v]]
-    if vm.loop_selectors and len(loop) != 1:
-        raise EncodingError(
-            f"model selects {len(loop)} future loop positions; encoder invariant broken"
-        )
-    pool_start = None
-    if vm.engine == "bi":
-        pool = [p for p, v in vm.pool_selectors.items() if model[v]]
-        if len(pool) != 1:
-            raise EncodingError(
-                f"model selects {len(pool)} past loop positions; encoder invariant broken"
-            )
-        pool_start = pool[0]
     return LassoTrace(
         k=vm.k,
         engine=vm.engine,
         atoms=tuple(vm.atoms),
         valuations=valuations,
-        loop_start=loop[0] if loop else None,
-        pool_start=pool_start,
+        loop_start=_selected(vm.loop_selectors, model, "future"),
+        pool_start=_selected(vm.pool_selectors, model, "past"),
     )
+
+
+def _selected(selectors, model, direction: str) -> Optional[int]:
+    """The one position whose selector the model sets; None with no selectors."""
+    chosen = [i for i, v in selectors.items() if model[v]]
+    if selectors and len(chosen) != 1:
+        raise EncodingError(
+            f"model selects {len(chosen)} {direction} loop positions; encoder invariant broken"
+        )
+    return chosen[0] if chosen else None
 
 
 def render_history(trace: LassoTrace) -> str:

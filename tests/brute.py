@@ -9,9 +9,9 @@ the oracle's batch entry point, which runs the identical decision procedure
 as the scalar eval_lasso.
 
 A loop-free problem at bound k is satisfiable iff some word of k+1 pairwise
-distinct atom vectors satisfies the root at instant 1, every transition at
-each instant whose lookahead fits the word, and every global constraint at
-every instant.  `finite_values` decides a formula on such a word by direct
+distinct atom vectors satisfies the root at instant 1 and every transition
+(the domain constraints among them) at each instant whose lookahead, its
+nesting depth of next/until/release, fits the word.  `finite_values` decides a formula on such a word by direct
 scans, sharing nothing with the encoder: next, yesterday, until and since
 are false beyond an edge of the word, zeta, release and trigger true.
 """
@@ -38,8 +38,8 @@ from lassosat.formula import (
     Until,
     Yesterday,
     Zeta,
+    children,
     closure,
-    temporal_depth,
 )
 from lassosat.oracle import LassoWord, eval_lasso_batch
 
@@ -156,7 +156,7 @@ def finite_values(f, word, memo) -> list:
 
 def loop_free_atoms(problem):
     """The problem's atoms, registered ones first, then those it mentions."""
-    forms = [problem.root, *problem.transitions, *problem.global_constraints]
+    forms = [problem.root, *problem.transitions]
     atoms = list(problem.atoms)
     for g in closure([f for f in forms if f is not None]):
         if isinstance(g, Atom) and g not in atoms:
@@ -164,15 +164,23 @@ def loop_free_atoms(problem):
     return atoms
 
 
+def lookahead(f) -> int:
+    """How many instants past its own f reads: its next/until/release nesting."""
+    depth = {}
+    for g in closure([f]):
+        below = max((depth[c] for c in children(g)), default=0)
+        depth[g] = below + isinstance(g, (Next, Until, Release))
+    return depth[f]
+
+
 def _satisfies(problem, word) -> bool:
     k, memo = len(word) - 1, {}
     if problem.root is not None and not finite_values(problem.root, word, memo)[1]:
         return False
-    for tr in problem.transitions:
-        values = finite_values(tr, word, memo)
-        if not all(values[:max(0, k - temporal_depth(tr)[0] + 1)]):
-            return False
-    return all(all(finite_values(g, word, memo)) for g in problem.global_constraints)
+    return all(
+        all(finite_values(tr, word, memo)[:max(0, k - lookahead(tr) + 1)])
+        for tr in problem.transitions
+    )
 
 
 def accepts_loop_free(problem, word) -> bool:

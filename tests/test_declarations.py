@@ -1,40 +1,44 @@
 import pytest
 
-from lassosat.declarations import (
-    ArrayDecl,
-    Declarations,
-    ItemDecl,
-    domain_constraints,
-    lower_array_atom,
-    lower_item_atom,
-)
+from lassosat.declarations import ArrayDecl, Declarations, ItemDecl, domain_constraints
 from lassosat.errors import DomainError, SpecFormatError
 from lassosat.formula import And, Atom, Not, Or
 
 
+def _declared(*decls):
+    out = Declarations()
+    for decl in decls:
+        (out.add_item if isinstance(decl, ItemDecl) else out.add_array)(decl)
+    return out
+
+
 def test_lower_item_atom():
-    decl = ItemDecl("CONT", tuple(range(10)))
-    atom = lower_item_atom(decl, 6)
+    decls = _declared(ItemDecl("CONT", tuple(range(10))))
+    atom = decls.lower_item("CONT", 6)
     assert atom == Atom("CONT", (6,), "item")
     assert atom.display == "CONT = 6"
     assert atom.key == "CONT=6"
+    with pytest.raises(SpecFormatError, match="not declared"):
+        decls.lower_item("NOPE", 6)
 
 
 def test_lower_item_out_of_domain():
-    decl = ItemDecl("CONT", tuple(range(10)))
+    decls = _declared(ItemDecl("CONT", tuple(range(10))))
     with pytest.raises(DomainError, match="not in domain"):
-        lower_item_atom(decl, 42)
+        decls.lower_item("CONT", 42)
 
 
 def test_lower_array_atom():
-    decl = ArrayDecl("ARR", tuple(range(10)), ("ON", "OFF", "UNKNOWN"))
-    atom = lower_array_atom(decl, 6, "OFF")
+    decls = _declared(ArrayDecl("ARR", tuple(range(10)), ("ON", "OFF", "UNKNOWN")))
+    atom = decls.lower_array("ARR", 6, "OFF")
     assert atom == Atom("ARR", (6, "OFF"), "array")
     assert atom.display == "ARR[6] = OFF"
-    with pytest.raises(DomainError):
-        lower_array_atom(decl, 11, "OFF")
-    with pytest.raises(DomainError):
-        lower_array_atom(decl, 6, "BROKEN")
+    with pytest.raises(DomainError, match="index not in"):
+        decls.lower_array("ARR", 11, "OFF")
+    with pytest.raises(DomainError, match="value not in"):
+        decls.lower_array("ARR", 6, "BROKEN")
+    with pytest.raises(SpecFormatError, match="not declared"):
+        decls.lower_array("NOPE", 6, "OFF")
 
 
 def test_lowering_is_stable():
@@ -92,6 +96,6 @@ def test_state_atoms_flatten_the_one_hot_groups():
     decls.add_array(ArrayDecl("A", (1, 2), ("ON", "OFF")))
     atoms = decls.state_atoms()
     assert atoms == [atom for group in decls.groups() for atom in group]
-    assert atoms[:3] == [lower_item_atom(decls.items["X"], v) for v in (1, 2, 3)]
-    assert atoms[3:5] == [lower_array_atom(decls.arrays["A"], 1, v) for v in ("ON", "OFF")]
+    assert atoms[:3] == [decls.lower_item("X", v) for v in (1, 2, 3)]
+    assert atoms[3:5] == [decls.lower_array("A", 1, v) for v in ("ON", "OFF")]
     assert len(atoms) == 3 + 2 * 2

@@ -30,9 +30,7 @@ from lassosat.formula import (
     UntilVar,
     WithinF,
     Yesterday,
-    classify,
     closure,
-    temporal_depth,
 )
 from lassosat.oracle import eval_lasso
 from lassosat.sexpr import read_sexprs
@@ -266,9 +264,10 @@ def test_desugar_idempotent_on_random_formulas():
     rng = random.Random(5)
     for _ in range(150):
         core = desugar(random_sugared(rng, rng.randint(1, 4), ("P", "Q", "R")))
-        # classify (like closure's walk) rejects every sugar node
-        assert all(classify(g) for g in closure([core]))
+        closure([core])  # its walk rejects every sugar node
         assert desugar(core) == core
+    with pytest.raises(TypeError, match="not a core formula node: Lasts"):
+        closure([And((P, Lasts(Q, 2)))])
 
 
 def test_offset_validation():
@@ -305,18 +304,6 @@ def test_release_trigger_duality():
         )
 
 
-def test_temporal_depth():
-    assert temporal_depth(P) == (0, 0)
-    assert temporal_depth(Until(P, Yesterday(Q))) == (1, 1)
-    assert temporal_depth(Next(Next(Since(P, Q)))) == (2, 1)
-    # far deeper than the recursion limit: the walk keeps its own stack
-    chain = P
-    for _ in range(5000):
-        chain = Next(chain)
-    assert temporal_depth(chain) == (5000, 0)
-    assert len(closure([chain])) == 5001
-
-
 def test_nodes_are_interned(data_dir):
     from lassosat.pipeline import build_problem
     from lassosat.specfile import load_spec
@@ -348,13 +335,3 @@ def test_deep_formulas_copy_and_pickle_to_the_interned_node():
         assert copy.deepcopy(f) is f
         assert pickle.loads(pickle.dumps(f)) is f
 
-
-def test_temporal_depth_mutex_property_regression(data_dir):
-    # frozen after first implementation: som/alw wraps the somf layer in
-    # zeta/trigger towards the past and next/release towards the future
-    from lassosat.desugar import desugar as ds
-    from lassosat.specfile import load_spec
-
-    doc = load_spec(data_dir / "mutex3.zot")
-    core = ds(Not(doc.property), doc.declarations)
-    assert temporal_depth(core) == (4, 2)

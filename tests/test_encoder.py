@@ -32,8 +32,10 @@ from lassosat.formula import (
     Next,
     Not,
     Release,
+    Since,
     Trigger,
     TrueF,
+    Until,
     Yesterday,
     Zeta,
 )
@@ -246,6 +248,51 @@ def test_copy_caps_reach_every_pass_a_shift_chain_reads(engine, n):
                     facts=PartialHistory(facts, loop_at=loop, pool_at=pool),
                 ))
                 assert (result.verdict == "SAT") == want, (loop, pool, index)
+
+
+def _depth_rows(f, root=None):
+    """(future, past) nesting depth of f, read off its copy rows on the bi
+    engine: pool passes above the primary row, then loop passes."""
+    vm = encode(CheckProblem(k=2, engine="bi", root=f if root is None else root,
+                             atoms=(P, Q))).varmap
+    return len(vm.lrows[f]) - 1, len(vm.rrows[f]) - 1
+
+
+def test_nesting_depths_set_the_copy_rows_and_the_lookahead():
+    assert _depth_rows(P) == (0, 0)
+    assert _depth_rows(Q, root=P) == (0, 0)  # a registry atom no formula mentions
+    assert _depth_rows(Until(P, Yesterday(Q))) == (1, 1)
+    assert _depth_rows(Next(Next(Since(P, Q)))) == (2, 1)
+    # in a loop-free window a transition of future depth n holds at instant
+    # s once instant s + n has entered
+    n, R = 6, Atom("R")
+    tr = _nest(Next, n, P)
+    problem = CheckProblem(k=1, engine="mono", transitions=(tr,), atoms=(P, Q, R),
+                           loop_free=True)
+    encoded = None
+    for k in range(1, n + 3):
+        encoded = encode(replace(problem, k=k), encoded)
+        units = [t for t in range(k + 1) if [encoded.varmap.lit(tr, t)] in encoded.cnf.clauses]
+        assert units == list(range(max(0, k - n + 1))), k
+
+
+def test_mutex_property_depth_regression(data_dir):
+    # frozen after first implementation: som/alw wraps the somf layer in
+    # zeta/trigger towards the past and next/release towards the future
+    doc = load_spec(data_dir / "mutex3.zot")
+    core = desugar(Not(doc.property), doc.declarations)
+    assert _depth_rows(core) == (4, 2)
+
+
+def test_a_5000_link_chain_encodes_under_the_default_recursion_limit():
+    chain = _nest(Next, 5000, P)
+    vm = encode(CheckProblem(k=2, engine="mono", root=chain)).varmap
+    assert len(vm.closure) == 5001 and len(vm.rrows[chain]) == 1
+    # as a loop-free transition its lookahead does not fit a short window
+    free = encode(CheckProblem(k=2, engine="mono", transitions=(chain,), atoms=(P,),
+                               loop_free=True))
+    assert not any(len(c) == 1 and abs(c[0]) == abs(free.varmap.lit(chain, 0))
+                   for c in free.cnf.clauses)
 
 
 def _clause_count(spec, k, engine):

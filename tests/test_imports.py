@@ -2,7 +2,7 @@
 
 An AST scan of the package (its `__init__` re-exports on purpose), the tests
 and the scripts: an imported name must appear as a name somewhere in the
-same file.
+same file, and be read there, not only assigned to.
 """
 
 import ast
@@ -27,7 +27,11 @@ def _unused_imports(path: Path):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # a name only assigned to (or deleted) is not a use of the import
+    used = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
     return [f"{path.relative_to(ROOT)}:{line}: {name}"
             for name, line in sorted(imported.items(), key=lambda item: item[1])
             if name not in used]

@@ -382,6 +382,20 @@ def test_cli_loop_free_flag(data_dir, out_dir, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("mode", ["bmc", "hcc"])
+def test_cli_loop_free_flag_rejects_another_mode(data_dir, out_dir, capsys, mode):
+    # a loop-free bsc check would run in place of the mode asked for: bmc
+    # would never negate the property, and UNSAT would read as "it holds"
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "check", "--mode", mode, "--loop-free", "--bound", "3", "--out", out_dir,
+            str(data_dir / "mutex3.zot"),
+        ])
+    assert exc.value.code == 2
+    assert "--loop-free: not allowed with argument --mode" in capsys.readouterr().err
+    assert not Path(out_dir).exists()
+
+
 def test_console_entry_point_runs(data_dir, out_dir):
     src = Path(pipeline.__file__).resolve().parents[1]
     env = dict(os.environ)

@@ -3,6 +3,8 @@ import itertools
 import os
 import random
 import stat
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -443,3 +445,88 @@ def test_external_output_dialects():
     assert _parse_picosat("s UNSATISFIABLE\n", 2).verdict == "UNSAT"
     with pytest.raises(SolverError, match="no 's"):
         _parse_picosat("v 1 0\n", 2)
+
+
+# A stand-in for an installed minisat or picosat: it reads the DIMACS file
+# with parse_dimacs, solves it with the embedded solver, answers in its
+# dialect (result file or stdout) and logs each call.
+_FAKE_SOLVER = '''
+from lassosat.cnf import parse_dimacs
+from lassosat.sat_embedded import solve_embedded
+
+with open(LOG, "a", encoding="utf-8") as fh:
+    fh.write(DIALECT + "\\n")
+with open(sys.argv[1], encoding="utf-8") as fh:
+    inst = parse_dimacs(fh.read())
+result = solve_embedded(inst)
+sat = result.verdict == "SAT"
+model = " ".join(
+    str(v if result.model[v] else -v) for v in range(1, inst.num_vars + 1)
+) if sat else ""
+if DIALECT == "minisat":
+    with open(sys.argv[2], "w", encoding="utf-8") as fh:
+        fh.write(f"SAT\\n{model} 0\\n" if sat else "UNSAT\\n")
+else:
+    print(f"s SATISFIABLE\\nv {model} 0" if sat else "s UNSATISFIABLE")
+sys.exit(10 if sat else 20)
+'''
+
+
+@pytest.fixture
+def fake_solvers(tmp_path, monkeypatch):
+    """Fake minisat and picosat executables first on PATH; returns their
+    call log."""
+    import lassosat
+
+    bin_dir, log = tmp_path / "bin", tmp_path / "calls.txt"
+    bin_dir.mkdir()
+    src = str(Path(lassosat.__file__).resolve().parents[1])
+    for dialect in ("minisat", "picosat"):
+        exe = bin_dir / dialect
+        exe.write_text(
+            f"#!{sys.executable}\nimport sys\nsys.path.insert(0, {src!r})\n"
+            f"DIALECT, LOG = {dialect!r}, {str(log)!r}\n" + _FAKE_SOLVER
+        )
+        exe.chmod(exe.stat().st_mode | stat.S_IXUSR)
+    monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
+    return log
+
+
+@pytest.mark.parametrize("solver", ["minisat", "picosat"])
+def test_external_backends_run_end_to_end(fake_solvers, data_dir, tmp_path, solver):
+    from lassosat.pipeline import (
+        RunConfig,
+        build_problem,
+        check_trace_against_root,
+        find_bound,
+        run,
+    )
+    from lassosat.specfile import load_spec
+
+    def calls():
+        return fake_solvers.read_text().split() if fake_solvers.exists() else []
+
+    lamp = RunConfig(spec_path=str(data_dir / "lamp.zot"), solver=solver,
+                     out_dir=str(tmp_path / "lamp"))
+    report = run(lamp)
+    assert (report.verdict, report.exit_code) == ("SAT", 0)
+    problem = build_problem(load_spec(lamp.spec_path), report.k, report.engine, "bsc")
+    assert check_trace_against_root(problem, report.trace)
+    assert (tmp_path / "lamp" / "output.hist.txt").read_text() == report.history_text != ""
+    assert calls() == [solver]
+
+    out = tmp_path / "mutex3"
+    report = run(RunConfig(spec_path=str(data_dir / "mutex3.zot"), mode="bmc", bound=3,
+                           solver=solver, out_dir=str(out)))
+    assert (report.verdict, report.exit_code, report.trace) == ("UNSAT", 1, None)
+    assert report.history_text == (out / "output.hist.txt").read_text() == ""
+    assert calls() == [solver] * 2
+
+    # find-bound hands an external solver the grown clauses plus E_k, per k
+    external, embedded = tmp_path / "fb-external", tmp_path / "fb-embedded"
+    cycle3 = str(data_dir / "cycle3.zot")
+    assert find_bound(RunConfig(spec_path=cycle3, solver=solver, out_dir=str(external))) == 3
+    assert calls() == [solver] * 5
+    assert find_bound(RunConfig(spec_path=cycle3, out_dir=str(embedded))) == 3
+    cnf = "output.cnf.txt"
+    assert (external / cnf).read_bytes() == (embedded / cnf).read_bytes()
