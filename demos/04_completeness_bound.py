@@ -2,8 +2,9 @@
 """Completeness: find the recurrence diameter with loop-free encodings.
 
 The loop-free mode drops the loop machinery and instead demands that all
-k+1 state vectors differ pairwise.  UNSAT therefore means no loop-free path
-of that length exists: the completeness bound is reached.  find_bound
+k+1 state vectors differ pairwise (each pair is added when a model repeats
+a state, and the bound solved again).  UNSAT therefore means no loop-free
+path of that length exists: the completeness bound is reached.  find_bound
 iterates k = 1, 2, 3, ... until the first UNSAT.  The demo exits non-zero if
 a bound or a verdict is not the expected one.
 

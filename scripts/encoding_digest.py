@@ -3,9 +3,10 @@
 
 A refactor that means to keep the encoding byte-identical prints the same
 total before and after.  Each encoding is hashed as its DIMACS text (the
-loop-free problem at k, with the unit E_k), its max_var, its root literal
-and its number of copy blocks; an encoding that fails is hashed as its
-error message.
+loop-free problem at k with the unit E_k, and without the distinctness
+pairs that the pipeline adds on demand), its max_var, its root literal and
+its number of copy blocks; an encoding that fails is hashed as its error
+message.
 
 - corpus: every `tests/data` spec x mono/bi x bsc/bmc/hcc/loop-free x
   k = 1, 2, 3, 5, 8; hcc reads the spec's history section and its

@@ -6,7 +6,10 @@ desugars them, and compares the encoder+embedded-solver verdict against
 exhaustive (valuation x loop, x pool on the bi engine) enumeration decided by
 the trace oracle.  Each formula draws its engine: mono, asserted at instant 1,
 bi, asserted at instant 0, or loop-free: mono with a random core transition,
-decided by enumerating the finite words of pairwise distinct states.
+decided by enumerating the finite words of pairwise distinct states.  A
+loop-free draw at bound K is solved as one window at K, and as one window
+grown over k = 1..K on one live solver; both add the distinctness of two
+instants only when a model repeats a state (`pipeline.solve_window`).
 Any mismatch is printed with a replay recipe, and the exit status is 1 when
 there is any mismatch or unsound verdict.
 
@@ -16,6 +19,7 @@ Usage: python scripts/exactness_hunt.py [COUNT] [SEED]
 import random
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -31,20 +35,39 @@ from brute import (  # noqa: E402
 from lassosat.cnf import to_cnf  # noqa: E402
 from lassosat.encoder import CheckProblem, encode  # noqa: E402
 from lassosat.oracle import eval_lasso  # noqa: E402
+from lassosat.pipeline import solve_window, window_solver  # noqa: E402
 from lassosat.pretty import formula_text  # noqa: E402
 from lassosat.sat_embedded import solve_embedded  # noqa: E402
 from lassosat.trace import decode  # noqa: E402
 
 
-def _loop_free_mismatch(prob):
-    """None, or how the loop-free verdict disagrees with the enumeration."""
-    enc = encode(prob)
-    res = solve_embedded(to_cnf(enc))
+def _window_mismatch(prob, enc, res):
+    """None, or how the verdict `res` on the loop-free window `enc` of
+    `prob` disagrees with the enumeration."""
     if res.verdict == "SAT":
         tr = decode(res, enc.varmap)
         word = [{a: tr.holds(a, t) for a in tr.atoms} for t in range(prob.k + 1)]
         return None if accepts_loop_free(prob, word) else "UNSOUND"
     return "INCOMPLETE" if brute_force_loop_free(prob)[0] else None
+
+
+def _loop_free_mismatch(prob):
+    """None, or (how, k, grown) for the first loop-free verdict that
+    disagrees with the enumeration: of the window at prob.k solved on its
+    own, then of each k = 1..prob.k of one window grown on one live solver,
+    which keeps the distinctness pairs every earlier k added."""
+    enc = encode(prob)
+    found = _window_mismatch(prob, enc, solve_window(enc))
+    if found:
+        return found, prob.k, False
+    solve, enc = window_solver(), None
+    for k in range(1, prob.k + 1):
+        at_k = replace(prob, k=k)
+        enc = encode(at_k, enc)
+        found = _window_mismatch(at_k, enc, solve_window(enc, solve))
+        if found:
+            return found, k, True
+    return None
 
 
 def main():
@@ -65,10 +88,11 @@ def main():
                 k=k, engine="mono", root=core, transitions=(trans,), loop_free=True
             ))
             if found:
-                mism += found == "INCOMPLETE"
-                unsound += found == "UNSOUND"
-                print(f"[{n}] {found} k={k} loop-free {formula_text(f)} "
-                      f"trans={formula_text(trans)}")
+                how, at, grown = found
+                mism += how == "INCOMPLETE"
+                unsound += how == "UNSOUND"
+                print(f"[{n}] {how} k={at}{' grown' if grown else ''} loop-free "
+                      f"{formula_text(f)} trans={formula_text(trans)}")
             continue
         pos = 1 if engine == "mono" else 0
         prob = CheckProblem(k=k, engine=engine, root=core)

@@ -10,11 +10,13 @@
 --loop-free runs the completeness check, a mode of its own: with --mode bmc
 or hcc it is a usage error (exit 2).
 
---timeout limits each solver call (find-bound makes one per bound tried):
-loading the clauses into the solver and the search count toward it,
-encoding does not.  The limit is checked once loading is done and then every
-256 conflicts and every 256 decisions.  A call that runs out prints `error:
-... timed out` and exits with 2.
+--timeout limits the solving of each bound (find-bound solves one per bound
+tried): loading the clauses into the solver and the search count toward it,
+encoding does not.  A loop-free bound may take several solver calls, one
+more each time a model repeats a state; they share the limit.  The limit is
+checked once loading is done and then every 256 conflicts and every 256
+decisions.  A call that runs out prints `error: ... timed out` and exits
+with 2.
 
 Exit status: 0 = SAT (or loop-free bound not reached, or a completeness
 bound was found), 1 = UNSAT, 2 = error, internal failures and timeouts
@@ -60,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--history", default=None, metavar="FILE",
                        help="partial history file (hcc mode)")
     check.add_argument("--timeout", type=_seconds, default=None, metavar="SECONDS",
-                       help="time limit of the solver call")
+                       help="time limit of solving the bound")
     check.add_argument("--out", default=".", metavar="DIR",
                        help="directory for output.cnf.txt/output.sat.txt/output.hist.txt")
 
@@ -70,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fb.add_argument("--solver", choices=("embedded", "minisat", "picosat"),
                     default=None)
     fb.add_argument("--timeout", type=_seconds, default=None, metavar="SECONDS",
-                    help="time limit of each solver call")
+                    help="time limit of solving each bound")
     fb.add_argument("--out", default=".", metavar="DIR")
     return parser
 

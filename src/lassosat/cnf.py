@@ -136,6 +136,18 @@ def to_cnf(problem) -> CnfInstance:
 _EMIT_CHUNK = 4096  # clauses per write
 
 
+class _ClauseFormats(dict):
+    """Clause length -> the %-format of one DIMACS clause line, made on
+    first use; the empty clause is the line " 0"."""
+
+    def __init__(self):
+        super().__init__({0: " 0\n"})
+
+    def __missing__(self, n: int) -> str:
+        fmt = self[n] = "%d " * n + "0\n"
+        return fmt
+
+
 def emit_dimacs(inst: CnfInstance, sink, comments: Iterable[str] = ()) -> None:
     """Write optional `c` lines, `p cnf V C`, then 0-terminated clauses.
 
@@ -145,10 +157,10 @@ def emit_dimacs(inst: CnfInstance, sink, comments: Iterable[str] = ()) -> None:
     head = [f"c {c}\n" for c in comments]
     head.append(f"p cnf {inst.num_vars} {len(inst.clauses)}\n")
     sink.write("".join(head))
-    clauses = inst.clauses
+    clauses, formats = inst.clauses, _ClauseFormats()
     for lo in range(0, len(clauses), _EMIT_CHUNK):
         sink.write("".join([
-            " ".join(map(str, clause)) + " 0\n" for clause in clauses[lo:lo + _EMIT_CHUNK]
+            formats[len(clause)] % tuple(clause) for clause in clauses[lo:lo + _EMIT_CHUNK]
         ]))
 
 

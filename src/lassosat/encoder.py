@@ -62,33 +62,43 @@ argument.
 
 The loop-free mode is the same encoder run without selectors and with a
 single copy of every subformula, so instant k has no successor and the
-future operators take their finite-word value there.  It also forces all
-k+1 atom state vectors to be pairwise distinct, which makes UNSAT mean "no
-loop-free path of this length exists", i.e. the completeness bound is
-reached, and asserts transitions only where their lookahead, the future
-depth, fits the window.
+future operators take their finite-word value there.  It asserts
+transitions only where their lookahead, the future depth, fits the window.
+
+What makes a loop-free UNSAT mean "no loop-free path of this length
+exists", i.e. the completeness bound is reached, is that all k+1 atom
+state vectors be pairwise distinct.  `encode` does not write that
+all-different constraint: eagerly it is O(k^2 * atoms) clauses, of which a
+search breaks few.  The pipeline adds it lazily, after Een & Sorensson,
+Temporal Induction by Incremental SAT Solving (BMC 2003): each time a
+model gives two instants s < t the same state, `distinct(s, t)` appends
+that they differ in some atom (4 * atoms + 1 clauses, two with one atom,
+the empty clause with none), and the window is solved again.  That is
+exact: UNSAT without some pairs is UNSAT with all of them, and a model
+whose states are pairwise distinct satisfies every pair left out.  A pair
+holds at every larger bound too, so it is never retracted.
 
 A transition holds at every instant (where its lookahead fits), on every
 pass of its copies.  The one-hot domain constraints of items and arrays are
 transitions of depth (0, 0): pure-boolean, with no copies, asserted at
 every instant of every window.
 
-The loop-free encoding grows one instant at a time, after Een & Sorensson,
-Temporal Induction by Incremental SAT Solving (BMC 2003), and Heljanko,
-Junttila & Latvala, Incremental and Complete BMC for Full PLTL (CAV 2005).
-When instant t enters the window it takes its block of ids (see below),
-resolves the aliases at t and appends, and never retracts:
+The loop-free encoding grows one instant at a time, after Een & Sorensson
+(BMC 2003) and Heljanko, Junttila & Latvala, Incremental and Complete BMC
+for Full PLTL (CAV 2005).  When instant t enters the window it takes its
+block of ids (see below), resolves the aliases at t and appends, and never
+retracts:
 
 - the boolean and past definitions at t (past at 0: the time origin);
 - the future definitions at t-1, which now has a successor;
 - the transitions whose lookahead (future depth) now fits, and the root
-  when t is the assertion instant (a window takes no history);
-- the distinctness of instant t from each earlier one.
+  when t is the assertion instant (a window takes no history).
 
 Only the future operators' finite-edge definitions at the last instant do
 not last: they hold under an activation literal E_t, and the step to t+1
-adds the unit -E_t.  The problem at bound k is the grown clauses plus the
-unit E_k (`cnf.to_cnf`); find_bound instead keeps one live solver and
+adds the unit -E_t.  The problem at bound k is the grown clauses, the
+distinctness pairs added so far among them, plus the unit E_k
+(`cnf.to_cnf`); the embedded solver instead keeps one live solver and
 assumes E_k, so each clause is built and loaded once.
 
 Each value is named once.  The literal table (VarMap) holds one literal per
@@ -130,7 +140,8 @@ allocates, in this order:
 
 A loop-free window allocates by instant, so that it can grow: when instant
 t enters, it takes one slot per closure member, in closure order, and then
-E_t, after everything the earlier instants took.  Models decode through
+E_t, after everything the earlier instants took; the iff gates of a
+distinctness pair take theirs when the pair is added.  Models decode through
 VarMap.lit, and the selectors, which never alias, by their ids.
 
 The successor of instant k is the loop start.  For each (operand g, copy
@@ -570,7 +581,7 @@ class _Encoder:
     def _enter_instant(self):
         """Loop-free: instant k+1 enters the window; append its clauses."""
         vm, sink, R = self.vm, self.sink, self.acc["r"]
-        clause, define = sink.clause, sink.define
+        clause = sink.clause
         t = self.k = vm.k = self.k + 1
         for f in vm.closure:
             vm.rrows[f][0].append(self._slot(f, "r", 0, t))
@@ -606,14 +617,14 @@ class _Encoder:
             vm.root_lit = vm.lit(problem.root, t)
             clause([vm.root_lit])
 
-        # instant t differs from every earlier one in at least one atom;
-        # with no atoms that is the empty clause
-        atoms = vm.atoms
-        for s in range(t):
-            if len(atoms) == 1:  # a_s <-> -a_t: two clauses, no gate
-                define(R(atoms[0], 0, s), "and", [-R(atoms[0], 0, t)])
-            else:
-                clause([-sink.gate("iff", [R(a, 0, s), R(a, 0, t)]) for a in atoms])
+    def distinct(self, s: int, t: int) -> None:
+        """Loop-free: append that instants s and t differ in at least one
+        atom; with no atoms that is the empty clause."""
+        sink, R, atoms = self.sink, self.acc["r"], self.vm.atoms
+        if len(atoms) == 1:  # a_s <-> -a_t: two clauses, no gate
+            sink.define(R(atoms[0], 0, s), "and", [-R(atoms[0], 0, t)])
+        else:
+            sink.clause([-sink.gate("iff", [R(a, 0, s), R(a, 0, t)]) for a in atoms])
 
     def _emit_bool(self, f: Formula, instants):
         if self._aliased(f, "r", 0, 0):  # a boolean node aliases everywhere or nowhere

@@ -11,6 +11,9 @@ Modes:
   find-bound  iterate loop-free k = 1, 2, ... until the first UNSAT, growing
               one encoding into one live embedded solver
 
+A loop-free window is solved by `solve_window`, which adds the distinctness
+of two instants only when a model repeats a state.
+
 For the mono engine init is asserted through the yesterday idiom (the root
 formula lives at instant 1, so init is pinned at instant 0); the bi engine
 asserts the root at instant 0 directly.
@@ -18,15 +21,16 @@ asserts the root at instant 0 directly.
 
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional
 
-from .cnf import CnfInstance, emit_dimacs, to_cnf
+from .cnf import CnfInstance, SatResult, emit_dimacs, to_cnf
 from .declarations import domain_constraints
 from .desugar import desugar
-from .encoder import CheckProblem, encode
+from .encoder import CheckProblem, EncodedProblem, encode
 from .errors import BoundSearchError, SpecFormatError
 from .formula import Atom, Not, Yesterday, conj
 from .oracle import eval_lasso
@@ -71,8 +75,12 @@ def _effective(config: RunConfig, doc: SpecDocument):
     mode = config.mode
     if mode not in MODES:
         raise SpecFormatError(f"unknown mode {mode}")
-    if mode == "bsc" and doc.loop_free:
-        mode = "loop-free"
+    if doc.loop_free:
+        if mode in ("bmc", "hcc"):
+            # a loop-free bsc check would run in place of the mode asked for
+            raise SpecFormatError(f"the spec's (loop-free) section is not allowed in {mode} mode")
+        if mode == "bsc":
+            mode = "loop-free"
     engine = config.engine or doc.engine or "mono"
     solver = config.solver or doc.solver or "embedded"
     k = config.bound if config.bound is not None else doc.bound
@@ -184,6 +192,9 @@ def _run_problem(
     problem: CheckProblem, solver: str, out_dir: str, timeout_s
 ):
     encoded = encode(problem)
+    if problem.loop_free:
+        result = solve_window(encoded, window_solver(solver, out_dir), timeout_s)
+        return encoded, _write_window(encoded, result, solver, out_dir), result
     inst = to_cnf(encoded)
     comments = _dimacs_comments(encoded.varmap)
     result = _solve(inst, solver, out_dir, comments, timeout_s)
@@ -243,16 +254,92 @@ def run(config: RunConfig) -> RunReport:
     )
 
 
+# one SAT call on a loop-free window at its bound, within a time limit
+WindowSolve = Callable[[EncodedProblem, Optional[float]], SatResult]
+
+
+def window_solver(solver: str = "embedded", out_dir: str = ".") -> WindowSolve:
+    """The SAT call `solve_window` makes, for a solver backend.
+
+    The embedded solver is one live solver for every call: it is handed
+    only the clauses appended since its last call and solves under the
+    assumption E_k.  An external solver reads its CNF from a file, so each
+    call writes the clauses plus the unit E_k to `out_dir`, and the solver
+    writes its answer there.
+    """
+    if solver == "embedded":
+        live = Solver()
+
+        def solve(encoded: EncodedProblem, timeout_s: Optional[float]) -> SatResult:
+            return solve_embedded(
+                encoded.cnf, timeout_s=timeout_s, assumptions=[encoded.activation], live=live,
+            )
+        return solve
+
+    def solve(encoded: EncodedProblem, timeout_s: Optional[float]) -> SatResult:
+        comments = _dimacs_comments(encoded.varmap)
+        return _solve(to_cnf(encoded), solver, out_dir, comments, timeout_s)
+    return solve
+
+
+def solve_window(
+    encoded: EncodedProblem,
+    solve: Optional[WindowSolve] = None,
+    timeout_s: Optional[float] = None,
+) -> SatResult:
+    """Decide a loop-free window at its bound, its states pairwise distinct.
+
+    The encoding holds only the distinctness pairs added so far.  After
+    each SAT answer, every pair of instants s < t whose atom vectors agree
+    in the model is added (in the order of t, then s) and the window is
+    solved again with `solve` (default: a new embedded solver).  The
+    answer is the first UNSAT, or the first model whose states are
+    pairwise distinct; both are the answer under every pair.  `timeout_s`
+    limits all the calls together.
+    """
+    if solve is None:
+        solve = window_solver()
+    vm, encoder = encoded.varmap, encoded.encoder
+    deadline = None if timeout_s is None else time.monotonic() + timeout_s
+    while True:
+        left = None if deadline is None else max(0.0, deadline - time.monotonic())
+        result = solve(encoded, left)
+        if result.verdict == "UNSAT":
+            return result
+        model, seen, pairs = result.model, {}, []
+        for t in range(vm.k + 1):
+            earlier = seen.setdefault(tuple(model[vm.lit(a, t)] for a in vm.atoms), [])
+            pairs.extend((s, t) for s in earlier)
+            earlier.append(t)
+        if not pairs:
+            return result
+        for s, t in pairs:
+            encoder.distinct(s, t)
+        encoded.cnf = encoder.sink.instance()
+
+
+def _write_window(encoded: EncodedProblem, result: SatResult, solver: str, out_dir: str):
+    """The CNF of a solved window: its clauses plus [E_k].  The embedded
+    path writes it and the answer; an external solver wrote both when it
+    made that answer."""
+    inst = to_cnf(encoded)
+    if solver == "embedded":
+        _write_cnf(inst, out_dir, _dimacs_comments(encoded.varmap))
+        _write_sat(inst, result, out_dir)
+    return inst
+
+
 def find_bound(config: RunConfig, doc: Optional[SpecDocument] = None) -> int:
     """Smallest k whose loop-free encoding is UNSAT (completeness bound).
 
-    One loop-free encoding grows from k to k+1.  The embedded solver is one
-    live solver that receives only the appended clauses and solves each k
-    under the assumption E_k; the files are written once, for the last k
-    solved, byte-equal to a loop-free run at that k (when the search is
-    exhausted, the model is that of the same fresh solve such a run makes).
+    One loop-free encoding grows from k to k+1, and each k is decided by
+    `solve_window` on one solver: the embedded solver is one live solver
+    that receives only the appended clauses and solves each k under the
+    assumption E_k; the distinctness pairs added at one k stay for the
+    next.  The embedded path writes the files once, for the clauses and
+    the answer of the last k solved, when the search ends or is exhausted.
     An external solver reads the CNF from its file, so it is handed the
-    grown clauses plus the unit E_k, and writes the files, for every k.
+    grown clauses plus the unit E_k, and writes the files, for every call.
     """
     if doc is None:
         doc = load_spec(config.spec_path)
@@ -261,16 +348,9 @@ def find_bound(config: RunConfig, doc: Optional[SpecDocument] = None) -> int:
         raise SpecFormatError("find-bound uses the loop-free mono encoding")
     problem = build_problem(doc, 1, "mono", "find-bound", None)
     encoded, result = _search_bound(problem, solver, config)
-    found = result is not None and result.verdict == "UNSAT"
-    if solver == "embedded" and encoded is not None:
-        inst = to_cnf(encoded)
-        comments = _dimacs_comments(encoded.varmap)
-        if found:
-            _write_cnf(inst, config.out_dir, comments)
-            _write_sat(inst, result, config.out_dir)
-        else:
-            _solve(inst, solver, config.out_dir, comments, config.timeout_s)
-    if not found:
+    if encoded is not None:
+        _write_window(encoded, result, solver, config.out_dir)
+    if result is None or result.verdict != "UNSAT":
         raise BoundSearchError(
             f"still satisfiable at the maximum bound {config.max_bound}"
         )
@@ -284,18 +364,11 @@ def _search_bound(problem: CheckProblem, solver: str, config: RunConfig):
     Returns the last encoding and its result.  The live solver is dropped
     on return, so the files are written without its clause copies.
     """
-    live = Solver()
+    solve = window_solver(solver, config.out_dir)
     encoded = result = None
     for k in range(1, config.max_bound + 1):
         encoded = encode(replace(problem, k=k), encoded)
-        if solver == "embedded":
-            result = solve_embedded(
-                encoded.cnf, timeout_s=config.timeout_s,
-                assumptions=[encoded.activation], live=live,
-            )
-        else:
-            comments = _dimacs_comments(encoded.varmap)
-            result = _solve(to_cnf(encoded), solver, config.out_dir, comments, config.timeout_s)
+        result = solve_window(encoded, solve, config.timeout_s)
         if result.verdict == "UNSAT":
             break
     return encoded, result

@@ -152,6 +152,27 @@ def test_emit_dimacs_golden():
     assert dimacs_text(inst) == "p cnf 2 2\n1 -2 0\n2 0\n"
 
 
+def test_emit_dimacs_pins_every_clause_shape():
+    # comments, then the empty clause (" 0"), unit, binary and long clauses
+    inst = CnfInstance(12, [[], [5], [-1, 2], [3, -4, 5, -6, 7, -8, 9, -10, 11, -12], []])
+    assert dimacs_text(inst, comments=["P 3 0", "(state= 1 n) 12 4"]) == (
+        "c P 3 0\nc (state= 1 n) 12 4\np cnf 12 5\n"
+        " 0\n5 0\n-1 2 0\n3 -4 5 -6 7 -8 9 -10 11 -12 0\n 0\n"
+    )
+
+
+def test_emit_dimacs_spans_write_chunks():
+    rng = random.Random(12)
+    clauses = [
+        [rng.choice((-1, 1)) * rng.randint(1, 99999) for _ in range(rng.randint(0, 6))]
+        for _ in range(9000)
+    ]
+    expected = "p cnf 99999 9000\n" + "".join(
+        " ".join(map(str, clause)) + " 0\n" for clause in clauses
+    )
+    assert dimacs_text(CnfInstance(99999, clauses)) == expected
+
+
 def test_emit_dimacs_empty_clause_list():
     inst = CnfInstance(3, [])
     assert dimacs_text(inst) == "p cnf 3 0\n"

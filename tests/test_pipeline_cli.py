@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +9,8 @@ import pytest
 
 from lassosat import pipeline
 from lassosat.cli import main
+from lassosat.cnf import check_model, parse_dimacs
+from lassosat.encoder import encode
 from lassosat.errors import BoundSearchError, EncodingError, SolverTimeout, SpecFormatError
 from lassosat.formula import Atom
 from lassosat.oracle import LassoWord, eval_lasso
@@ -17,7 +20,10 @@ from lassosat.pipeline import (
     check_trace_against_root,
     find_bound,
     run,
+    solve_window,
+    window_solver,
 )
+from lassosat.sat_embedded import solve_embedded
 from lassosat.specfile import load_spec
 from lassosat.trace import parse_history, render_history
 
@@ -164,11 +170,34 @@ def test_find_bound_exhaustion_is_an_error(data_dir, out_dir, tmp_path):
                              mode="find-bound", max_bound=4))
 
 
+def _written(out_dir):
+    """The CNF of output.cnf.txt, the verdict and model of output.sat.txt,
+    and the atom state of each instant that model gives."""
+    text = (Path(out_dir) / "output.cnf.txt").read_text()
+    inst = parse_dimacs(text)
+    verdict, *rest = (Path(out_dir) / "output.sat.txt").read_text().splitlines()
+    model = states = None
+    if verdict == "SAT":
+        lits = [int(tok) for tok in rest[0].split()]
+        assert lits[-1] == 0 and [abs(lit) for lit in lits[:-1]] == list(
+            range(1, inst.num_vars + 1)
+        )
+        model = [None] + [lit > 0 for lit in lits[:-1]]
+        states = {}
+        for line in text.splitlines():
+            if line.startswith("c "):  # c <atom> <literal> <instant>
+                _, lit, t = line.rsplit(" ", 2)
+                states.setdefault(int(t), []).append(model[int(lit)])
+    return inst, verdict, model, states
+
+
 def test_find_bound_writes_the_files_of_the_last_k_once(
     data_dir, tmp_path, monkeypatch
 ):
-    """The embedded path leaves one CNF write, equal to a loop-free run at
-    the last k solved: the bound found, or max_bound when none is."""
+    """The embedded path leaves one CNF write, for the clauses and the
+    answer of the last k solved: the bound found, or max_bound when none
+    is.  A loop-free run at that k adds its own distinctness pairs, so its
+    files differ, but not its verdict."""
     emitted = []
     real_emit = pipeline.emit_dimacs
     monkeypatch.setattr(
@@ -186,10 +215,51 @@ def test_find_bound_writes_the_files_of_the_last_k_once(
             with pytest.raises(BoundSearchError):
                 find_bound(cfg)
         assert len(emitted) == 1
-        run(RunConfig(spec_path=str(spec), out_dir=str(single), mode="loop-free",
-                      bound=last_k))
-        for name in ("output.cnf.txt", "output.sat.txt"):
-            assert (searched / name).read_bytes() == (single / name).read_bytes()
+        inst, verdict, model, states = _written(searched)
+        assert verdict == ("UNSAT" if last_k < max_bound else "SAT")
+        # the written clauses alone give the written answer
+        assert solve_embedded(inst).verdict == verdict
+        if verdict == "SAT":
+            # the exhausted search's model: a loop-free path of last_k steps
+            assert check_model(inst, model)
+            assert sorted(states) == list(range(last_k + 1))
+            assert len({tuple(state) for state in states.values()}) == last_k + 1
+        report = run(RunConfig(spec_path=str(spec), out_dir=str(single), mode="loop-free",
+                               bound=last_k))
+        assert report.verdict == verdict
+
+
+def test_written_headers_count_the_distinctness_gates(data_dir, tmp_path):
+    """The distinctness pairs take gate ids after encode returns: the
+    headers of a loop-free run's CNF and of find_bound's count them."""
+    for spec, k, mode in (("cycle3.zot", 3, "loop-free"), ("lamp.zot", 3, "loop-free"),
+                          ("cycle3.zot", 3, "find-bound")):
+        out = tmp_path / f"{spec}-{mode}"
+        config = RunConfig(spec_path=str(data_dir / spec), out_dir=str(out), mode=mode,
+                           bound=k, engine="mono")
+        report = run(config)
+        assert report.k == k
+        inst = _written(out)[0]
+        bare = encode(build_problem(load_spec(data_dir / spec), k, "mono", mode)).cnf
+        assert inst.num_vars > bare.num_vars, spec  # some pair took an iff gate
+        assert max(abs(lit) for clause in inst.clauses for lit in clause) <= inst.num_vars
+        if mode == "loop-free":
+            assert (report.num_vars, report.num_clauses) == (inst.num_vars, len(inst.clauses))
+
+
+def test_solve_window_calls_share_one_time_limit(data_dir):
+    # cycle3 at k = 3: the first model repeats a state, the second solve is
+    # UNSAT, and it gets what the first left of the limit
+    encoded = encode(build_problem(load_spec(data_dir / "cycle3.zot"), 3, "mono", "loop-free"))
+    inner, limits = window_solver(), []
+
+    def solve(enc, timeout_s):
+        limits.append(timeout_s)
+        time.sleep(0.05)
+        return inner(enc, timeout_s)
+
+    assert solve_window(encoded, solve, timeout_s=30).verdict == "UNSAT"
+    assert len(limits) == 2 and 30 >= limits[0] > limits[1] + 0.04
 
 
 def test_loop_free_mode_verdict_texts(data_dir, out_dir, tmp_path):
@@ -394,6 +464,22 @@ def test_cli_loop_free_flag_rejects_another_mode(data_dir, out_dir, capsys, mode
     assert exc.value.code == 2
     assert "--loop-free: not allowed with argument --mode" in capsys.readouterr().err
     assert not Path(out_dir).exists()
+
+
+@pytest.mark.parametrize("mode", ["bmc", "hcc"])
+def test_loop_free_section_rejects_another_mode(data_dir, tmp_path, capsys, mode):
+    # the spec-level twin of the flag: a (loop-free) section is never
+    # dropped in silence, nor does a loop-free check replace the mode
+    spec = tmp_path / "mutex3_loop_free.zot"
+    spec.write_text((data_dir / "mutex3.zot").read_text() + "(loop-free)\n")
+    out = tmp_path / "out"
+    code = main([
+        "check", "--mode", mode, "--bound", "3", "--engine", "mono", "--out", str(out),
+        str(spec),
+    ])
+    assert code == 2
+    assert f"(loop-free) section is not allowed in {mode} mode" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_console_entry_point_runs(data_dir, out_dir):

@@ -4,12 +4,13 @@ import os
 import random
 import stat
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from lassosat import sat_embedded
-from lassosat.cnf import CnfInstance, check_model, to_cnf
+from lassosat.cnf import CnfInstance, check_model, parse_dimacs, to_cnf
 from lassosat.errors import SolverTimeout
 from lassosat.sat_embedded import Solver, solve_embedded
 from rup import RupChecker, learnts_are_rup
@@ -494,12 +495,14 @@ def fake_solvers(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("solver", ["minisat", "picosat"])
 def test_external_backends_run_end_to_end(fake_solvers, data_dir, tmp_path, solver):
+    from lassosat.encoder import encode
     from lassosat.pipeline import (
         RunConfig,
         build_problem,
         check_trace_against_root,
         find_bound,
         run,
+        solve_window,
     )
     from lassosat.specfile import load_spec
 
@@ -522,11 +525,26 @@ def test_external_backends_run_end_to_end(fake_solvers, data_dir, tmp_path, solv
     assert report.history_text == (out / "output.hist.txt").read_text() == ""
     assert calls() == [solver] * 2
 
-    # find-bound hands an external solver the grown clauses plus E_k, per k
-    external, embedded = tmp_path / "fb-external", tmp_path / "fb-embedded"
+    # find-bound hands an external solver the grown clauses, the distinctness
+    # pairs its models called for and the unit E_k, once per solve: its calls
+    # and its last file are those of solve_window driven, over the same
+    # growing window, by a fresh embedded solve of to_cnf, as the fake runs
+    external = tmp_path / "fb-external"
     cycle3 = str(data_dir / "cycle3.zot")
     assert find_bound(RunConfig(spec_path=cycle3, solver=solver, out_dir=str(external))) == 3
-    assert calls() == [solver] * 5
-    assert find_bound(RunConfig(spec_path=cycle3, out_dir=str(embedded))) == 3
-    cnf = "output.cnf.txt"
-    assert (external / cnf).read_bytes() == (embedded / cnf).read_bytes()
+    fresh_calls = []
+
+    def fresh(encoded, timeout_s):
+        fresh_calls.append(encoded.varmap.k)
+        return solve_embedded(to_cnf(encoded))
+
+    problem, encoded = build_problem(load_spec(cycle3), 1, "mono", "find-bound"), None
+    for k in (1, 2, 3):
+        encoded = encode(replace(problem, k=k), encoded)
+        verdict = solve_window(encoded, fresh).verdict
+    assert verdict == "UNSAT" and fresh_calls == [1, 2, 3, 3]
+    assert calls() == [solver] * 6
+    assert parse_dimacs((external / "output.cnf.txt").read_text()) == to_cnf(encoded)
+    report = run(RunConfig(spec_path=cycle3, mode="loop-free", bound=3, solver=solver,
+                           out_dir=str(tmp_path / "lf-external")))
+    assert report.verdict == "UNSAT" and calls() == [solver] * 8
