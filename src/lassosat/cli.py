@@ -8,7 +8,9 @@
                         [--out DIR] spec.zot
 
 --loop-free runs the completeness check, a mode of its own: with --mode bmc
-or hcc it is a usage error (exit 2).
+or hcc it is a usage error (exit 2).  It and find-bound run on the mono
+engine, the only one with a loop-free form: a spec's (engine bi) section is
+ignored with a warning, and --engine bi is a usage error (exit 2).
 
 --timeout limits the solving of each bound (find-bound solves one per bound
 tried): loading the clauses into the solver and the search count toward it,

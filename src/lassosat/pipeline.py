@@ -82,6 +82,13 @@ def _effective(config: RunConfig, doc: SpecDocument):
         if mode == "bsc":
             mode = "loop-free"
     engine = config.engine or doc.engine or "mono"
+    if mode in ("loop-free", "find-bound") and engine != "mono":
+        # the loop-free encoding has a mono form only
+        if config.engine:
+            raise SpecFormatError(f"{mode} mode is defined for the mono engine only")
+        warnings.warn(f"the spec's (engine {engine}) section is ignored: {mode} mode "
+                      "uses the mono engine", stacklevel=3)
+        engine = "mono"
     solver = config.solver or doc.solver or "embedded"
     k = config.bound if config.bound is not None else doc.bound
     if k is None and mode != "find-bound":
@@ -204,13 +211,13 @@ def _run_problem(
 def run(config: RunConfig) -> RunReport:
     """Execute one verification job; always writes the three output files."""
     doc = load_spec(config.spec_path)
-    mode, engine, solver, k = _effective(config, doc)
-    if mode == "find-bound":
+    if config.mode == "find-bound":
         bound = find_bound(config, doc)
         return RunReport(
-            mode=mode, verdict="UNSAT", exit_code=0, k=bound, engine="mono",
+            mode="find-bound", verdict="UNSAT", exit_code=0, k=bound, engine="mono",
             message=f"completeness bound found: {bound}",
         )
+    mode, engine, solver, k = _effective(config, doc)
     facts = _gather_facts(config, doc, mode)
     problem = build_problem(doc, k, engine, mode, facts)
     encoded, inst, result = _run_problem(problem, solver, config.out_dir, config.timeout_s)
@@ -245,7 +252,7 @@ def run(config: RunConfig) -> RunReport:
         verdict=result.verdict,
         exit_code=0 if result.verdict == "SAT" else 1,
         k=k,
-        engine="mono" if problem.loop_free else engine,
+        engine=engine,
         message=message,
         trace=trace,
         history_text=history_text,
@@ -343,9 +350,7 @@ def find_bound(config: RunConfig, doc: Optional[SpecDocument] = None) -> int:
     """
     if doc is None:
         doc = load_spec(config.spec_path)
-    _, engine, solver, _ = _effective(replace(config, mode="find-bound"), doc)
-    if engine != "mono":
-        raise SpecFormatError("find-bound uses the loop-free mono encoding")
+    _, _, solver, _ = _effective(replace(config, mode="find-bound"), doc)
     problem = build_problem(doc, 1, "mono", "find-bound", None)
     encoded, result = _search_bound(problem, solver, config)
     if encoded is not None:

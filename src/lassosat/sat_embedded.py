@@ -4,7 +4,7 @@ A complete decision procedure: two-watched-literal propagation, first-UIP
 conflict learning with recursive clause minimization, VSIDS-style
 activities with decay, phase saving and Luby restarts.  Completeness, not
 speed, is the contract; every SAT model is checked against every given
-clause before it is returned.
+clause before it is returned (see the model check below).
 
 Representation (after MiniSat; Een & Sorensson, SAT 2003):
 
@@ -62,6 +62,19 @@ live interface would.  Cyclic garbage collection is paused while the solver
 runs: its clause lists are many small containers, and a collection would
 walk them all.
 
+The model check of a live solver does not rescan, at every search, the
+clauses that level-0 assignments already satisfy (MiniSat likewise sets
+such clauses aside).  It keeps the given clauses in two parts.  When an
+append finds a level-0 trail, each given clause, new or still pending,
+that a true level-0 literal satisfies is certified by that literal: the
+literal joins the certificates (`cert_pos` or `cert_neg`, once each), and
+the clause leaves `pending`.  Every model must make every certificate
+true, and it must satisfy every pending clause.  A certified clause
+contains its certificate, and given clauses never change, so every model
+returned satisfies every given clause, as with a check of all of them.  A
+fresh one-shot solver has no trail when its clauses arrive, so its check
+is one pass over the whole CNF.
+
 The result's `stats` count, per search, conflicts (the final level-0
 conflict of an UNSAT answer included), decisions (assumptions excluded),
 propagations (literals taken off the trail by unit propagation), restarts,
@@ -75,6 +88,8 @@ from __future__ import annotations
 import gc
 import time
 from heapq import heapify, heappop, heappush
+from itertools import islice
+from operator import neg
 from typing import List, Optional, Sequence
 
 from .cnf import CnfInstance, SatResult, check_model
@@ -131,9 +146,14 @@ class Solver:
     def __init__(self):
         self.n = 0
         self.ok = True  # False once the clauses alone are contradictory
-        # the appended clause lists as given, for the model check
-        self.given: List[Sequence[List[int]]] = []
         self.num_given = 0
+        # the model check: the given clauses it scans, and the level-0
+        # literals that satisfy the other given clauses (certificates),
+        # positive and negative apart; `certified` marks their variables
+        self.pending: Sequence[Sequence[int]] = []
+        self.cert_pos: List[int] = []
+        self.cert_neg: List[int] = []
+        self.certified = bytearray(1)
         self.clauses: List[List[int]] = []  # learnt clauses, in the order learnt
         self.units: List[int] = []  # unit clauses not yet on the trail
         self.lv = [0]  # by literal: 0 unknown, 1 true, -1 false
@@ -169,6 +189,7 @@ class Solver:
         self.activity.extend([0.0] * new)
         self.seen.extend([False] * new)
         self.inheap.extend([True] * new)
+        self.certified.extend(bytes(new))
         # every entry is (-activity <= 0, var < n + 1): the heap stays a heap
         self.heap.extend((0.0, v) for v in range(n + 1, num_vars + 1))
         self.n = num_vars
@@ -192,25 +213,44 @@ class Solver:
         del trail_lim[blevel:]
         self.qhead = len(trail)
 
+    def _sieve(self, clauses: Sequence[Sequence[int]]) -> List[Sequence[int]]:
+        """Certify each clause that a level-0 literal satisfies by that
+        literal; returns the others."""
+        lv, certified, pos, negs = self.lv, self.certified, self.cert_pos, self.cert_neg
+        rest = []
+        for clause in clauses:
+            for lit in clause:
+                if lv[lit] == 1:
+                    var = lit if lit > 0 else -lit
+                    if not certified[var]:
+                        certified[var] = 1
+                        (pos if lit > 0 else negs).append(lit)
+                    break
+            else:
+                rest.append(clause)
+        return rest
+
     def add_clauses(self, clauses: Sequence[List[int]], num_vars: int) -> None:
         """Append clauses over variables 1..num_vars.
 
-        The list itself is kept for the model check, so it must not change.
+        The list itself may be kept for the model check, so neither it nor
+        its clauses may change.
         """
         self._backtrack(0)
         self._grow(num_vars)
-        self.given.append(clauses)
         self.num_given += len(clauses)
         if not self.ok:
-            return
+            return  # every later search is UNSAT: no model left to check
         lv, bins, watches, units = self.lv, self.bins, self.watches, self.units
         simplify = bool(self.trail)  # level-0 assignments of earlier searches
+        # pending is replaced, never changed in place: it may be a given list
+        if simplify:  # certify what level 0 satisfies; watch only the rest
+            clauses = self._sieve(clauses)
+            self.pending = self._sieve(self.pending) + clauses
+        else:
+            self.pending = [*self.pending, *clauses] if self.pending else clauses
         for given in clauses:
-            clause = given
-            if simplify:
-                if any(lv[lit] == 1 for lit in clause):
-                    continue
-                clause = [lit for lit in clause if not lv[lit]]
+            clause = [lit for lit in given if not lv[lit]] if simplify else given
             size = len(clause)
             if size > 2:
                 if clause is given:  # propagation reorders it; the given list stays
@@ -512,11 +552,11 @@ class Solver:
                     trail_lim.append(len(trail))
                     enqueue(lit, None)
                 elif len(trail) == n:
-                    model = [False] * (n + 1)
-                    for var in range(1, n + 1):
-                        model[var] = lv[var] == 1
+                    model = list(map((1).__eq__, islice(lv, n + 1)))
                     if not (
-                        all(check_model(CnfInstance(n, chunk), model) for chunk in self.given)
+                        all(map(model.__getitem__, self.cert_pos))
+                        and not any(map(model.__getitem__, map(neg, self.cert_neg)))
+                        and check_model(CnfInstance(n, self.pending), model)
                         and all(model[abs(a)] == (a > 0) for a in assumptions)
                     ):
                         raise LassosatError("internal error: model fails clause check")

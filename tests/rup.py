@@ -67,11 +67,11 @@ class RupChecker:
         return False
 
 
-def learnts_are_rup(solver):
+def learnts_are_rup(solver, given):
     """Check every clause the live solver learnt, in order, against the
-    clauses it was given and the clauses it learnt before; returns how many
-    it checked."""
-    checker = RupChecker(c for chunk in solver.given for c in chunk)
+    clauses it was given (`given`) and the clauses it learnt before; returns
+    how many it checked."""
+    checker = RupChecker(given)
     for learnt in solver.clauses:
         assert checker.implies(learnt), f"learnt clause {learnt} is not RUP"
         checker.add(learnt)

@@ -1,13 +1,15 @@
+import hashlib
 import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from lassosat import pipeline
+from lassosat import pipeline, sat_embedded
 from lassosat.cli import main
 from lassosat.cnf import check_model, parse_dimacs
 from lassosat.encoder import encode
@@ -227,6 +229,50 @@ def test_find_bound_writes_the_files_of_the_last_k_once(
         report = run(RunConfig(spec_path=str(spec), out_dir=str(single), mode="loop-free",
                                bound=last_k))
         assert report.verdict == verdict
+
+
+# find_bound on an 8-state counter (the shape of perfbench's cycle16): its
+# solver calls, their summed search counters and the sha256 of its files
+COUNTER8_CALLS = 26
+COUNTER8_STATS = {"conflicts": 2, "decisions": 189, "propagations": 1574, "restarts": 0,
+                  "learnts": 0, "learnt_lits": 1, "minimized": 0}
+COUNTER8_FILES = {
+    "output.cnf.txt": "be65d3646a62e595905269b87aa51b0f0d20040e9b0f051b71c3f824e641c83f",
+    "output.sat.txt": "8e47e39240b5b347f444074f97e7ab4b4c11d3f534469b5cb23f4b6d2f7390df",
+}
+
+
+def test_find_bound_model_checks_stay_linear_on_the_same_search(tmp_path, monkeypatch):
+    """The live solver checks each model against the clauses no level-0
+    literal certifies, so over the search the model checks scan at most
+    twice the final clause count (every given clause at every call would
+    be quadratic in k); the search and the files are as pinned."""
+    n = 8
+    steps = " ".join(f"(-> (st= {i}) (next (st= {(i + 1) % n})))" for i in range(n))
+    spec = tmp_path / "counter8.zot"
+    spec.write_text(f"(define-item st ({' '.join(map(str, range(n)))}))\n(declare p)\n"
+                    f"(init (st= 0))\n(trans (&& {steps}))\n")
+    scanned, calls, stats = [], [], Counter()
+    real_check, real_solve = sat_embedded.check_model, pipeline.solve_embedded
+    monkeypatch.setattr(sat_embedded, "check_model",
+                        lambda inst, model: scanned.append(len(inst.clauses))
+                        or real_check(inst, model))
+
+    def solve(*args, **kwargs):
+        result = real_solve(*args, **kwargs)
+        calls.append(result.verdict)
+        stats.update(result.stats)
+        return result
+
+    monkeypatch.setattr(pipeline, "solve_embedded", solve)
+    out = tmp_path / "out"
+    assert find_bound(RunConfig(spec_path=str(spec), out_dir=str(out))) == 2 * n
+    assert (len(calls), dict(stats)) == (COUNTER8_CALLS, COUNTER8_STATS)
+    for name, digest in COUNTER8_FILES.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    written = parse_dimacs((out / "output.cnf.txt").read_text())
+    assert len(scanned) == calls.count("SAT") == len(calls) - 1  # one check per model
+    assert sum(scanned) <= 2 * len(written.clauses)
 
 
 def test_written_headers_count_the_distinctness_gates(data_dir, tmp_path):
@@ -480,6 +526,30 @@ def test_loop_free_section_rejects_another_mode(data_dir, tmp_path, capsys, mode
     assert code == 2
     assert f"(loop-free) section is not allowed in {mode} mode" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_loop_free_runs_ignore_a_spec_engine_section_with_a_warning(data_dir, tmp_path, capsys):
+    # lamp.zot has an (engine bi) section, and the loop-free encoding has
+    # a mono form only: find-bound and --loop-free warn and run on mono
+    lamp = str(data_dir / "lamp.zot")
+    with pytest.warns(UserWarning, match=r"\(engine bi\) section is ignored: find-bound mode"):
+        assert main(["find-bound", "--out", str(tmp_path / "fb"), lamp]) == 0
+    assert "completeness bound: 1" in capsys.readouterr().out
+    with pytest.warns(UserWarning, match=r"\(engine bi\) section is ignored: loop-free mode"):
+        code = main(["check", "--loop-free", "--bound", "3", "--out", str(tmp_path / "lf"), lamp])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("SAT (k=3, engine=mono)")
+
+
+def test_loop_free_runs_reject_an_explicit_bi_engine(data_dir, tmp_path, capsys):
+    lamp = str(data_dir / "lamp.zot")
+    out = tmp_path / "out"
+    code = main(["check", "--loop-free", "--engine", "bi", "--bound", "3", "--out", str(out), lamp])
+    assert code == 2
+    assert "loop-free mode is defined for the mono engine only" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SpecFormatError, match="find-bound mode is defined for the mono engine"):
+        find_bound(RunConfig(spec_path=lamp, engine="bi", out_dir=str(out)))
 
 
 def test_console_entry_point_runs(data_dir, out_dir):

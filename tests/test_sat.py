@@ -11,7 +11,7 @@ import pytest
 
 from lassosat import sat_embedded
 from lassosat.cnf import CnfInstance, check_model, parse_dimacs, to_cnf
-from lassosat.errors import SolverTimeout
+from lassosat.errors import LassosatError, SolverTimeout
 from lassosat.sat_embedded import Solver, solve_embedded
 from rup import RupChecker, learnts_are_rup
 
@@ -211,7 +211,7 @@ def test_learnt_clauses_are_rup_on_random_3cnf():
         live = Solver()
         result = solve_embedded(inst, assumptions=assumptions, live=live)
         verdicts.add(result.verdict)
-        checked += learnts_are_rup(live)
+        checked += learnts_are_rup(live, inst.clauses)
         minimized += result.stats["minimized"]
         binaries += sum(len(c) == 2 for c in live.clauses)
         assert result.stats["learnt_lits"] == sum(map(len, live.clauses))
@@ -226,9 +226,10 @@ def test_learnt_clauses_are_rup_on_mutex3_bmc(data_dir):
 
     problem = build_problem(load_spec(data_dir / "mutex3.zot"), 10, "mono", "bmc")
     live = Solver()
-    result = solve_embedded(to_cnf(encode(problem)), live=live)
+    inst = to_cnf(encode(problem))
+    result = solve_embedded(inst, live=live)
     assert result.verdict == "UNSAT"
-    assert learnts_are_rup(live) >= result.stats["learnts"] > 0
+    assert learnts_are_rup(live, inst.clauses) >= result.stats["learnts"] > 0
 
 
 def test_binary_conflicts_above_level_0_match_naive_dpll():
@@ -372,6 +373,36 @@ def test_live_solver_honours_the_time_limit():
                        inst.clauses + [[l + 2 if l > 0 else l - 2 for l in c] for c in hard.clauses])
     with pytest.raises(SolverTimeout):
         solve_embedded(inst, timeout_s=0.0, live=live)
+
+
+def test_live_model_check_still_catches_a_bad_model_after_certification():
+    """A clause a level-0 literal satisfies is checked through that literal
+    (its certificate), the others are scanned: a model that breaks either
+    fails the check."""
+    bad = "internal error: model fails clause check"
+    for flip in (1, -2):
+        clauses = [[1], [-2], [3, 4]]
+        live = Solver()
+        assert solve_embedded(CnfInstance(4, clauses), live=live).verdict == "SAT"
+        clauses.extend([[1, 3], [-2, -4]])  # 1 and -2 hold at level 0
+        assert solve_embedded(CnfInstance(4, clauses), live=live).verdict == "SAT"
+        assert (live.cert_pos, live.cert_neg, live.pending) == ([1], [-2], [[3, 4]])
+        live.lv[flip], live.lv[-flip] = -1, 1  # a certificate is false in the next model
+        with pytest.raises(LassosatError, match=bad):
+            solve_embedded(CnfInstance(4, clauses), live=live)
+
+    # [2, 3] arrives once 1 holds at level 0, and the search then loses it
+    clauses = [[1]]
+    live = Solver()
+    assert solve_embedded(CnfInstance(3, clauses), live=live).verdict == "SAT"
+    clauses.append([2, 3])
+    assert solve_embedded(CnfInstance(3, clauses), live=live).verdict == "SAT"
+    live.bins[2].remove(3)
+    live.bins[3].remove(2)
+    clauses.extend([[-2], [-3]])
+    with pytest.raises(LassosatError, match=bad):
+        solve_embedded(CnfInstance(3, clauses), live=live)
+    assert live.pending[0] == [2, 3]
 
 
 def test_solves_pause_cyclic_gc_and_restore_the_callers_setting(monkeypatch):
