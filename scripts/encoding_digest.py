@@ -3,7 +3,7 @@
 
 A refactor that means to keep the encoding byte-identical prints the same
 total before and after.  Each encoding is hashed as its DIMACS text (the
-loop-free problem at k with the unit E_k, and without the distinctness
+problem at k with the unit E_k; a loop-free one without the distinctness
 pairs that the pipeline adds on demand), its max_var, its root literal and
 its number of copy blocks; an encoding that fails is hashed as its error
 message.

@@ -6,10 +6,11 @@ desugars them, and compares the encoder+embedded-solver verdict against
 exhaustive (valuation x loop, x pool on the bi engine) enumeration decided by
 the trace oracle.  Each formula draws its engine: mono, asserted at instant 1,
 bi, asserted at instant 0, or loop-free: mono with a random core transition,
-decided by enumerating the finite words of pairwise distinct states.  A
-loop-free draw at bound K is solved as one window at K, and as one window
-grown over k = 1..K on one live solver; both add the distinctness of two
-instants only when a model repeats a state (`pipeline.solve_window`).
+decided by enumerating the finite words of pairwise distinct states.  Every
+draw at bound K is solved as one encoding at K, and as one encoding grown
+over k = 2..K (loop-free: 1..K) on one live solver, each k under the
+assumption E_k; a loop-free window adds the distinctness of two instants
+only when a model repeats a state (`pipeline.solve_window`).
 Any mismatch is printed with a replay recipe, and the exit status is 1 when
 there is any mismatch or unsound verdict.
 
@@ -70,6 +71,33 @@ def _loop_free_mismatch(prob):
     return None
 
 
+def _lasso_verdict(core, engine, pos, enc, res):
+    """None, or how the verdict `res` on the lasso encoding `enc` of `core`
+    disagrees with the oracle (a SAT model) or the enumeration (UNSAT)."""
+    k = enc.varmap.k
+    if res.verdict == "SAT":
+        return None if eval_lasso(decode(res, enc.varmap), core, pos) else "UNSOUND"
+    # a verified witness would exist, so only UNSAT needs the enumeration
+    return "INCOMPLETE" if brute_force_sat(core, k, engine, pos)[0] else None
+
+
+def _lasso_mismatch(prob, pos):
+    """None, or (how, k, grown) for the first lasso verdict that disagrees:
+    of the encoding at prob.k solved on its own, then of each k = 2..prob.k
+    of one encoding grown on one live solver."""
+    enc = encode(prob)
+    found = _lasso_verdict(prob.root, prob.engine, pos, enc, solve_embedded(to_cnf(enc)))
+    if found:
+        return found, prob.k, False
+    solve, enc = window_solver(), None
+    for k in range(2, prob.k + 1):
+        enc = encode(replace(prob, k=k), enc)
+        found = _lasso_verdict(prob.root, prob.engine, pos, enc, solve(enc, None))
+        if found:
+            return found, k, True
+    return None
+
+
 def main():
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 1
@@ -95,22 +123,16 @@ def main():
                       f"{formula_text(f)} trans={formula_text(trans)}")
             continue
         pos = 1 if engine == "mono" else 0
-        prob = CheckProblem(k=k, engine=engine, root=core)
-        enc = encode(prob)
-        res = solve_embedded(to_cnf(enc))
-        if res.verdict == "SAT":
-            tr = decode(res, enc.varmap)
-            if not eval_lasso(tr, core, pos):
-                unsound += 1
-                print(f"[{n}] UNSOUND k={k} {engine} {formula_text(f)}")
-                continue
-            # a verified witness exists, so brute force would find one too
-            continue
-        bf, wit = brute_force_sat(core, k, engine, pos)
-        if bf:
-            mism += 1
-            print(f"[{n}] INCOMPLETE k={k} {engine} sugared={formula_text(f)}")
-            print(f"     witness={wit} trace={trace_from_index(core, k, engine, wit)}")
+        found = _lasso_mismatch(CheckProblem(k=k, engine=engine, root=core), pos)
+        if found:
+            how, at, grown = found
+            mism += how == "INCOMPLETE"
+            unsound += how == "UNSOUND"
+            print(f"[{n}] {how} k={at}{' grown' if grown else ''} {engine} "
+                  f"sugared={formula_text(f)}")
+            if how == "INCOMPLETE":
+                wit = brute_force_sat(core, at, engine, pos)[1]
+                print(f"     witness={wit} trace={trace_from_index(core, at, engine, wit)}")
         if n % 200 == 199:
             dt = time.time() - t0
             print(f"... {n + 1}/{count} checked, {mism} mismatches, "

@@ -95,9 +95,11 @@ class ClauseSink:
 
     def gate(self, op: str, lits: List[int]) -> int:
         """A literal equivalent to op(lits); one operand, or an ite whose
-        branches agree, is its own gate."""
+        branches agree, is its own gate, and ite(s, -a, -b) is -ite(s, a, b)."""
         if len(lits) == 1:
             return lits[0]
+        if op == "ite" and lits[1] < 0 and lits[2] < 0:
+            return -self.gate("ite", [lits[0], -lits[1], -lits[2]])
         key = (op, tuple(lits))
         g = self.memo.get(key)
         if g is None:
@@ -127,9 +129,7 @@ class ClauseSink:
 
 def to_cnf(problem) -> CnfInstance:
     """The CNF of an EncodedProblem at its bound: the clauses the encoder
-    wrote, plus the unit of a loop-free window's activation literal."""
-    if problem.activation is None:
-        return problem.cnf
+    wrote, plus the unit of its activation literal E_k."""
     return CnfInstance(problem.cnf.num_vars, problem.cnf.clauses + [[problem.activation]])
 
 

@@ -14,10 +14,12 @@ governing the near endpoint (now) and the second the far endpoint (now +/- t):
 Plain `until` is until_ie (reflexive), plain `lasts` is lasts_ee, and the
 som/alw families default to their strict (_e) forms.
 
-Past chains come in two strengths: withinp and past need an actual witness
-position, so they use yesterday chains (false beyond the origin); lasted is
-the negation-dual of withinp, so it uses weak-yesterday chains (vacuously
-true beyond the origin).
+Chains come in two strengths.  withinp and past need an actual witness
+position, so they use yesterday chains (false beyond the origin); lasted,
+their negation-dual, uses weak-yesterday chains (true beyond the origin).
+At the end of a finite (loop-free) word the future mirrors this: withinf,
+futr and the strict somf use next chains, and their duals lasts and the
+strict alwf weak-next chains !X!a.  On a lasso the two strengths agree.
 
 `desugar` is one `formula.fold` with one rule per operator family, so
 nesting depth is not limited by Python's recursion limit.
@@ -132,6 +134,11 @@ def _fold_iff(a: Formula, b: Formula) -> Formula:
 
 def _mk_next(f: Formula) -> Formula:
     return f if isinstance(f, (TrueF, FalseF)) else Next(f)
+
+
+def _mk_weak_next(f: Formula) -> Formula:
+    """!X!f, true beyond the end of a finite word; !X!(!g) folds to !X g."""
+    return _fold_not(_mk_next(f.sub if isinstance(f, Not) else _fold_not(f)))
 
 
 def _mk_yesterday(f: Formula) -> Formula:
@@ -251,7 +258,7 @@ def _bounded(a, b, lo, hi, variant, cls, mk):
 _SOM = {
     Somf: (Until, TRUE, _mk_next),
     Somp: (Since, TRUE, _mk_yesterday),
-    Alwf: (Release, FALSE, _mk_next),
+    Alwf: (Release, FALSE, _mk_weak_next),
     Alwp: (Trigger, FALSE, _mk_zeta),
 }
 
@@ -383,7 +390,7 @@ _LIFTED = {
 
 # lasts/withinf/lasted/withinp -> (one-step builder, how the offsets combine)
 _RANGES = {
-    Lasts: (_mk_next, _fold_conj),
+    Lasts: (_mk_weak_next, _fold_conj),
     WithinF: (_mk_next, _fold_disj),
     Lasted: (_mk_zeta, _fold_conj),
     WithinP: (_mk_yesterday, _fold_disj),

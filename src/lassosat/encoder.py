@@ -11,21 +11,22 @@ per operator (`_rec`): a node's value at instant t follows from its operands
 at t and from its recurrence neighbour, the node (or, for next/yesterday/
 zeta, the operand) one instant further in the operator's direction.  Where
 that neighbour lies beyond a finite edge of the word (the mono origin, the
-end of a loop-free window) it is a constant: false for the strong operators
-next, yesterday, until and since, true for the weak duals zeta, release and
-trigger.
+end of a loop-free window, under E_k as below) it is a constant: false for
+the strong operators next, yesterday, until and since, true for the weak
+duals zeta, release and trigger.
 
 The encoding is linear in k, after Biere, Heljanko, Junttila, Latvala &
 Schuppan, Linear Encodings of Bounded LTL Model Checking (LMCS 2006), with
 the bounded past unrolling of Latvala, Biere, Heljanko & Junttila, Simple
 Is Better: Efficient Bounded Model Checking for Past LTL (VMCAI 2005).
 Exactly one selector is chosen through the chain InLoop_t <-> InLoop_{t-1}
-| L_t with L_t -> -InLoop_{t-1} and the unit InLoop_k (InLoop_1 is L_1),
-so InLoop_t holds exactly on the loop i..k; on the bi engine the mirror
-chain InPool_t <-> InPool_{t+1} | P_t marks 1..p.  Until obligations
-alive at the end of the loop are discharged inside it, `-v | OR_t (InLoop_t
-& b_t)`, and Release is pinned by the dual `v | OR_t (InLoop_t & -b_t)`;
-Since and Trigger do the same around the past loop through InPool.
+| L_t with L_t -> -InLoop_{t-1} and InLoop_k (InLoop_1 is L_1), so InLoop_t
+holds exactly on the loop i..k.  The bi engine runs the same chain R_t over
+P_1..P_t, with R_k, and the pool 1..p is InPool_t = -R_{t-1} (InPool_1
+holds).  Until obligations alive at the end of the loop are discharged
+inside it, `-v | OR_t (InLoop_t & b_t)`, and Release is pinned by the dual
+`v | OR_t (InLoop_t & -b_t)`; Since and Trigger do the same around the past
+loop through InPool.
 
 Past-dependent subformulas change value between traversals of the loop, so
 one variable per (subformula, instant) cannot be exact.  Such subformulas
@@ -44,11 +45,13 @@ depth.  A copy is thus a loop pass (family "r") or a pool pass ("l"), copy
   family, loop passes for a future node and pool passes for a past one;
 - a deeper copy of the other family reads ite(s_t, f(c-1, e), f(c, t+-1)),
   s_t being that loop's selector at t (L_t, P_t) and e the previous pass's
-  edge instant (k for a loop pass, 0 for a pool pass); a step that leaves
-  the selector positions 1..k is a don't-care and reads e.  Such a copy's
+  edge instant (k for a loop pass, read through its loop-end literal, 0 for
+  a pool pass); the step to instant 0 of a loop pass is a don't-care and
+  reads e.  Such a copy's
   values off its loop (before the loop start, after the pool start) are
   don't-cares that nothing reads, since constraints on deeper copies hold
-  only where InLoop_t (InPool_t) does.
+  only where InLoop_t (InPool_t) does.  Instant 0 never lies on the future
+  loop, so a loop pass starts at instant 1.
 
 Copy pd is the last one that differs, by induction on pd.  The operands of
 f have past depth below pd, so they repeat from copy pd-1 on.  f's loop
@@ -60,46 +63,50 @@ copy needs no row tying its loop entry to its own value at k: x_pd =
 G(x_pd) is implied.  The backward copies stabilize at fd by the mirror
 argument.
 
-The loop-free mode is the same encoder run without selectors and with a
-single copy of every subformula, so instant k has no successor and the
-future operators take their finite-word value there.  It asserts
-transitions only where their lookahead, the future depth, fits the window.
+Every encoding grows, after Een & Sorensson, Temporal Induction by
+Incremental SAT Solving (BMC 2003) and Heljanko, Junttila & Latvala,
+Incremental and Complete Bounded Model Checking for Full PLTL (CAV 2005).
+`encode(problem)` enters the instants 0..k as one block, `encode(problem,
+prefix)` the instants after the prefix's bound.  A block takes its ids,
+resolves its aliases and appends, never retracting: its selectors and
+their chain links, the definitions at its instants, and the transitions,
+root and history there.  The future entries at the last instant k read
+their successor through one successor literal y per (operand g, copy c)
+and bound (`_successor`); once instant k+1 enters, y is g(c, k+1) for
+good, so no definition is written twice.  The block closes the encoding at
+k under a fresh activation literal E_k (the previous one gets the unit -E),
+and behind E_k go exactly the parts that read k as the last instant:
 
-What makes a loop-free UNSAT mean "no loop-free path of this length
-exists", i.e. the completeness bound is reached, is that all k+1 atom
-state vectors be pairwise distinct.  `encode` does not write that
-all-different constraint: eagerly it is O(k^2 * atoms) clauses, of which a
-search breaks few.  The pipeline adds it lazily, after Een & Sorensson,
-Temporal Induction by Incremental SAT Solving (BMC 2003): each time a
-model gives two instants s < t the same state, `distinct(s, t)` appends
-that they differ in some atom (4 * atoms + 1 clauses, two with one atom,
-the empty clause with none), and the window is solved again.  That is
-exact: UNSAT without some pairs is UNSAT with all of them, and a model
-whose states are pairwise distinct satisfies every pair left out.  A pair
-holds at every larger bound too, so it is never retracted.
+- the unit InLoop_k (and R_k);
+- the successor literals' values: g's next pass at the loop start, -L_i |
+  -y | g(c+1, i) and -L_i | y | -g(c+1, i) per selector L_i; beyond a
+  loop-free window the finite-word constant (a pool pass needs none: its
+  successor of k is read only where P_k does not hold, as a don't-care);
+- the discharges, which span the loop up to k;
+- one loop-end literal e per (operand g, copy c) that a deeper loop pass
+  reads at its wrap, e <-> g(c, k), so the ite neighbours stay right as k
+  grows.
+
+A loop-start tie has 2k clauses, so growing one instant at a time writes
+O(k^2) of them; a loop-start literal fixed across bounds would make that
+O(k), but it would stand next to y in every fixed-k encoding, one more
+variable that the solver's search feels.  The problem at k is the clauses
+plus the unit E_k (`cnf.to_cnf`); a live solver assumes E_k instead.
+
+Loop-free mode is the same growth with copy caps (0, 0) and no selectors.
+It asserts a transition at instant t once its lookahead, the future depth,
+fits the window (t + depth <= k).  A loop-free UNSAT means that the
+completeness bound is reached only if all k+1 atom state vectors are
+pairwise distinct.  Eagerly that is O(k^2 * atoms) clauses, of which a
+search breaks few, so the pipeline adds it lazily, after Een & Sorensson
+(BMC 2003): each time a model gives two instants s < t the same state,
+`distinct(s, t)` appends that they differ in some atom (4 * atoms + 1
+clauses, two with one atom, the empty clause with none), and the window is
+solved again.  That is exact, and a pair holds at every larger bound too.
 
 A transition holds at every instant (where its lookahead fits), on every
-pass of its copies.  The one-hot domain constraints of items and arrays are
-transitions of depth (0, 0): pure-boolean, with no copies, asserted at
-every instant of every window.
-
-The loop-free encoding grows one instant at a time, after Een & Sorensson
-(BMC 2003) and Heljanko, Junttila & Latvala, Incremental and Complete BMC
-for Full PLTL (CAV 2005).  When instant t enters the window it takes its
-block of ids (see below), resolves the aliases at t and appends, and never
-retracts:
-
-- the boolean and past definitions at t (past at 0: the time origin);
-- the future definitions at t-1, which now has a successor;
-- the transitions whose lookahead (future depth) now fits, and the root
-  when t is the assertion instant (a window takes no history).
-
-Only the future operators' finite-edge definitions at the last instant do
-not last: they hold under an activation literal E_t, and the step to t+1
-adds the unit -E_t.  The problem at bound k is the grown clauses, the
-distinctness pairs added so far among them, plus the unit E_k
-(`cnf.to_cnf`); the embedded solver instead keeps one live solver and
-assumes E_k, so each clause is built and loaded once.
+pass of its copies; the one-hot domain constraints of items and arrays are
+transitions of depth (0, 0).
 
 Each value is named once.  The literal table (VarMap) holds one literal per
 (subformula, copy, instant) entry, and an entry whose expansion folds to a
@@ -108,55 +115,42 @@ owns no variable and no defining clauses:
 
 - `not g` is -g, and `iff` is its iff gate, at every copy and instant; a
   true/false node is the one shared constant literal, or its negation;
-- `next g` at copy d and t < k is g(d, t+1);
+- `next g` at copy d is g(d, t+1), and at the last instant g's successor;
 - `yesterday g` and `zeta g` at copy 0 and t >= 1 are g(0, t-1), and on a
-  deeper copy the ite neighbour itself (g(d-1, k) at t = 1);
+  deeper copy the ite neighbour itself (the loop-end literal at t = 1);
 - at the mono origin yesterday and zeta are the constant (false, true) and
   since and trigger their right operand;
-- the bi engine's backward copies mirror these rules.
-
-A loop-free window aliases what is known when an instant enters
-(negations, iffs, yesterday and zeta, the origin); its `next` nodes keep
-their variables, since their successor enters after them.
+- the bi engine's backward copies mirror these rules;
+- a negation's successor, pool-start and loop-end literals are its
+  operand's, negated.
 
 Ids come from one counter, the clause sink's (`ClauseSink.fresh`), and only
 the entries that are not aliases take one (`_aliased` says which).  An
 alias's slot stays 0 until the table is filled in postorder (`_fill`), so
 every operand is resolved before its parents, with no recursion.  The
 closure order is: the registry atoms, the other atoms of the formulas, then
-their boolean, future and past nodes, each group in postorder.  The one
-loop that sorts the closure into these groups also computes each member's
-(future, past) nesting depth from its operands', and so its copy caps; a
-registry atom no formula mentions has depth (0, 0).  A lasso encoding
-allocates, in this order:
+their boolean, future and past nodes, each group in postorder; the loop
+that sorts it also computes each member's (future, past) nesting depth, and
+so its copy caps.  A block allocates, in this order: the primary rows (its
+instants of each closure member in closure order), the copy rows (per
+member, its loop passes before its pool passes), its loop selectors, then
+its pool selectors, E_k, and, as the clauses are written, the Tseitin gates
+(and/or, iff, ite), the chain links, the successor, pool-start and loop-end
+literals and the constant.  A fresh encoding is one block, so its rows are
+laid out row-major.  The iff gates of a distinctness pair take their ids
+when the pair is added.  Models decode through VarMap.lit, and the
+selectors, which never alias, by their ids.
 
-- the primary rows, instants 0..k of each closure member in closure order;
-- the copy rows, per member in the same order, its loop passes before its
-  pool passes;
-- the loop selectors L1..Lk, then, on the bi engine, the pool selectors
-  P1..Pk;
-- as the clauses are written, the Tseitin gates (and/or, iff, ite), the
-  selector chains, the loop- and pool-start literals and the constant.
+The predecessor of instant 0 on the bi engine is the pool start: one
+pool-start literal z per (operand g, copy c) that a past entry reads there
+has `-P_p | -z | g(c, p)` and `-P_p | z | -g(c, p)` for every pool selector
+P_p.  Instant 0 does not move as k grows, so z is fixed, and each new pool
+selector adds its two clauses.
 
-A loop-free window allocates by instant, so that it can grow: when instant
-t enters, it takes one slot per closure member, in closure order, and then
-E_t, after everything the earlier instants took; the iff gates of a
-distinctness pair take theirs when the pair is added.  Models decode through
-VarMap.lit, and the selectors, which never alias, by their ids.
-
-The successor of instant k is the loop start.  For each (operand g, copy
-c) that a future entry reads there, one loop-start literal y has
-`-L_i | -y | g(c, i)` and `-L_i | y | -g(c, i)` for i = 1..k, so the future
-copy at k is one unguarded definition whose neighbour is y, and `next` at k
-is y itself.  The bi engine mirrors it: one pool-start literal z(g, e)
-under P_p is the predecessor of instant 0, read by the past nodes at
-instant 0 of the primary row and of the backward copies.
-
-Every rule writes its clauses into one cnf.ClauseSink as it goes, in a
-single pass.  A subformula variable is defined by `var <-> and/or(...)`
-clauses, and no definition is guarded by a selector: the selectors enter
-only through their chains, the ite neighbours and the loop- and pool-start
-literals.
+Every rule writes its clauses into one cnf.ClauseSink as it goes.  A
+subformula variable is defined by `var <-> and/or(...)` clauses, and no
+definition is guarded: the selectors enter only through their chains, the
+ite neighbours and the successor and pool-start literals.
 """
 
 from __future__ import annotations
@@ -213,59 +207,35 @@ class CheckProblem:
 class EncodedProblem:
     varmap: VarMap
     cnf: CnfInstance
-    # loop-free: E_k, which switches on the finite-edge definitions at the
-    # last instant; the problem at k is `cnf` plus the unit [E_k]
-    activation: Optional[int] = None
-    encoder: Optional["_Encoder"] = field(default=None, repr=False, compare=False)
+    # E_k, which switches on the parts that read the last instant k; the
+    # problem at k is `cnf` plus the unit [E_k]
+    activation: int
+    encoder: "_Encoder" = field(repr=False, compare=False)
 
 
 def encode(problem: CheckProblem, prefix: Optional[EncodedProblem] = None) -> EncodedProblem:
     """Compile a problem into clauses, loopy or loop-free.
 
-    Given `prefix`, the loop-free encoding of the same problem at a bound no
-    larger than problem.k, grow that encoding to problem.k instead: its
-    varmap and clause list grow in place and are shared with the result.
+    Given `prefix`, an encoding of the same problem at a bound no larger
+    than problem.k, grow that encoding to problem.k instead: its varmap and
+    clause list grow in place and are shared with the result.
     """
     if prefix is None:
         return _Encoder(problem).encode()
     encoder = prefix.encoder
-    if (
-        encoder is None
-        or replace(problem, k=encoder.problem.k) != encoder.problem
-        or problem.k < encoder.k
-    ):
-        raise EncodingError("only a loop-free encoding of the same problem grows")
+    if replace(problem, k=encoder.problem.k) != encoder.problem or problem.k < encoder.k:
+        raise EncodingError("only an encoding of the same problem grows")
     encoder.problem = problem
     return encoder.encode()
 
 
-def _selector_chain(sink: ClauseSink, selectors: Dict[int, int], order) -> Dict[int, int]:
-    """Exactly one selector, in O(k) clauses: position -> chain literal.
-
-    Along `order`, c_t <-> c_{t'} | s_t with t' the previous position (c
-    of the first is its selector), s_t -> -c_{t'}, and the unit c of the
-    last: a chain literal holds from the selected position on.
-    """
-    chain: Dict[int, int] = {}
-    prev = None
-    for t in order:
-        s = selectors[t]
-        if prev is None:
-            prev = s
-        else:
-            sink.clause([-s, -prev])
-            prev = sink.gate("or", [prev, s])
-        chain[t] = prev
-    sink.clause([prev])
-    return chain
-
-
 def _history(problem: CheckProblem, vm: VarMap):
     """The history facts (instant, atom, polarity), checked against the
-    problem, and the selector literals its loop and pool markers pin."""
+    problem, and the (family, position) of the selectors its loop and pool
+    markers pin."""
     facts = problem.facts
     if facts is None:
-        return [], []
+        return (), ()
     if problem.loop_free and facts.facts:
         raise EncodingError("history facts are meaningless in loop-free mode")
     for instant, atom, _ in facts.facts:
@@ -276,23 +246,25 @@ def _history(problem: CheckProblem, vm: VarMap):
         if atom not in vm.rrows:
             raise EncodingError(f"history atom {atom.display} is not registered")
     out = []
-    if facts.loop_at is not None:
-        if not vm.loop_selectors:
+    for family, name, at in (("r", "loop", facts.loop_at), ("l", "pool", facts.pool_at)):
+        if at is None:
+            continue
+        if family == "r" and problem.loop_free:
             raise EncodingError("**LOOP** marker is meaningless in loop-free mode")
-        if facts.loop_at not in vm.loop_selectors:
-            raise EncodingError(
-                f"history loop marker at {facts.loop_at} outside 1..{vm.k}"
-            )
-        out.append(vm.loop_selectors[facts.loop_at])
-    if facts.pool_at is not None:
-        if vm.engine != "bi":
+        if family == "l" and vm.engine != "bi":
             raise EncodingError("**POOL** marker requires the bi engine")
-        if facts.pool_at not in vm.pool_selectors:
-            raise EncodingError(
-                f"history pool marker at {facts.pool_at} outside 1..{vm.k}"
-            )
-        out.append(vm.pool_selectors[facts.pool_at])
+        if not 1 <= at <= problem.k:
+            raise EncodingError(f"history {name} marker at {at} outside 1..{problem.k}")
+        out.append((family, at))
     return facts.facts, out
+
+
+def _positive(g: Formula):
+    """(g stripped of its negations, 1 or -1 after their count)."""
+    sign = 1
+    while type(g) is Not:
+        g, sign = g.sub, -sign
+    return g, sign
 
 
 def _accessor(rows):
@@ -334,8 +306,9 @@ _UNTIL_LIKE = frozenset((Until, Since))
 _FUTURE = frozenset((Next, Until, Release))
 _PAST = frozenset((Yesterday, Zeta, Since, Trigger))
 _TEMPORAL = _FUTURE | _PAST
-# boolean nodes that are one literal of their operands, or a gate over them
-_BOOL_ALIASES = frozenset((Not, Iff, TrueF, FalseF))
+# nodes that are one literal of other entries, or a gate over them, at
+# every copy and instant
+_ALIASES = frozenset((Not, Iff, TrueF, FalseF, Next, Yesterday, Zeta))
 
 
 class _Encoder:
@@ -354,6 +327,8 @@ class _Encoder:
                 raise EncodingError(f"{engine} engine needs k >= 2, got {k}")
         self.problem = problem
         self.engine = engine
+        # the families whose loop has selectors: none in a loop-free window
+        self.looping = () if self.loop_free else ("r", "l") if engine == "bi" else ("r",)
         # operands before their parents: the order the aliases are resolved in
         roots = (problem.root,) if problem.root is not None else ()
         self.postorder = closure((*roots, *problem.transitions))
@@ -377,72 +352,74 @@ class _Encoder:
             groups[kind][f] = None
             self.caps[f] = (0, 0) if self.loop_free else (pd, fd if engine == "bi" else 0)
         order = tuple(f for group in groups.values() for f in group)
-        # the loop-free window starts empty, and instants enter it one by one
-        self.k = k = -1 if self.loop_free else k
-        rrows = {f: [[]] for f in order}
+        # the rows of each node, (family, copy): the primary row, its loop
+        # passes, then its pool passes; lrows[f][0] is rrows[f][0]
+        self.copies = {
+            f: (("r", 0), *(("r", c) for c in range(1, nr + 1)),
+                *(("l", c) for c in range(1, nl + 1)))
+            for f, (nr, nl) in self.caps.items()
+        }
+        # every row is indexed by instant; a loop pass starts at instant 1,
+        # after a placeholder
+        rrows = {f: [[], *([0] for _ in range(self.caps[f][0]))] for f in order}
         vm = self.vm = VarMap(
-            k=k, engine=engine, closure=order, atoms=tuple(groups["atom"]), rrows=rrows,
-            lrows={f: [rows[0]] for f, rows in rrows.items()}, copy_base={},
-            loop_selectors={}, pool_selectors={}, max_var=0,
+            k=-1, engine=engine, closure=order, atoms=tuple(groups["atom"]), rrows=rrows,
+            lrows={f: [rows[0], *([] for _ in range(self.caps[f][1]))]
+                   for f, rows in rrows.items()},
+            copy_base={}, loop_selectors={}, pool_selectors={}, max_var=0,
             partitions={name: tuple(groups[name]) for name in ("bool", "future", "past")},
             assertion_instant=1 if engine == "mono" else 0,
         )
+        self.k = -1  # no instant has entered yet
         # per family, "r" for the loop passes and "l" for the pool passes:
-        # the literal rows, their accessor and the selectors of the loop
+        # the literal rows, their accessor, the selectors of the loop and
+        # their chain, position t -> OR of the selectors up to t
         self.rows = {"r": vm.rrows, "l": vm.lrows}
         self.acc = {family: _accessor(rows) for family, rows in self.rows.items()}
         self.selectors = {"r": vm.loop_selectors, "l": vm.pool_selectors}
-        sink = self.sink = ClauseSink(0)
-        for f in order:
-            rrows[f][0].extend(self._slot(f, "r", 0, t) for t in range(k + 1))
-        for f in order:
-            for family, _, top in self._passes(f):
-                for c in range(1, top + 1):
-                    first = sink.next_var
-                    row = [self._slot(f, family, c, t) for t in range(k + 1)]
-                    self.rows[family][f].append(row)
-                    if sink.next_var > first:
-                        vm.copy_base[(f, family, c)] = first
-        for t in range(1, k + 1):
-            vm.loop_selectors[t] = sink.fresh()
-        if engine == "bi":
-            for t in range(1, k + 1):
-                vm.pool_selectors[t] = sink.fresh()
-        vm.max_var = sink.next_var - 1
-        self.starts: Dict[tuple, int] = {}  # loop- and pool-start literals
+        self.chains: Dict[str, Dict[int, int]] = {"r": {}, "l": {}}
+        self.sink = ClauseSink(0)
+        # the successor literals of the current bound, the pool-start and
+        # the loop-end literals
+        self.successors: Dict[tuple, int] = {}
+        self.starts: Dict[tuple, int] = {}
+        self.ends: Dict[tuple, int] = {}
         self.true: Optional[int] = None  # the shared constant literal
+        self.activation = 0  # E_k, once an instant has entered
         self.facts, self.markers = _history(problem, vm)
-        self.activation: Optional[int] = None
 
-    def _passes(self, f: Formula):
-        """(family, first copy, top copy) of f's loop and pool passes; the
-        pool passes start at copy 1, as lrows[f][0] is rrows[f][0]."""
-        nr, nl = self.caps[f]
-        return ("r", 0, nr), ("l", 1, nl)
+    def encode(self) -> EncodedProblem:
+        if self.problem.k > self.k:
+            self._grow(self.problem.k)
+        return EncodedProblem(
+            varmap=self.vm, cnf=self.sink.instance(), activation=self.activation, encoder=self
+        )
 
-    def _aliased(self, f: Formula, family: str, copy: int, t: int) -> bool:
-        """Whether entry (f, copy, t) is a literal of other entries, or a
-        gate the encoder builds anyway, and so owns no variable."""
+    def _span(self, family: str, c: int, lo: int) -> range:
+        """The instants lo..k that row (family, c) holds: a loop pass has
+        no instant 0."""
+        return range(max(lo, 1) if c and family == "r" else lo, self.k + 1)
+
+    def _on_loop(self, family: str, t: int) -> Optional[int]:
+        """The literal of "instant t lies on the loop" (InLoop_t) or "on the
+        pool" (InPool_t = -R_{t-1}); None where it always does."""
+        chain = self.chains[family]
+        if family == "r":
+            return chain[t]
+        return -chain[t - 1] if t > 1 else None
+
+    def _aliased(self, f: Formula, c: int, t: int) -> bool:
+        """Whether entry (f, copy c, instant t) is a literal of other
+        entries, or a gate the encoder builds anyway, and so owns no
+        variable."""
         cls = type(f)
-        if cls in _BOOL_ALIASES:
+        if cls in _ALIASES:
             return True
         if cls is And or cls is Or:
             return len(f.items) < 2
-        if cls is Next:
-            # in a loop-free window the successor enters after the node
-            return not self.loop_free
-        if cls is Yesterday or cls is Zeta:
-            # instant 0 of a deeper loop pass precedes every loop start: a
-            # don't-care that keeps its id
-            return t > 0 or copy == 0 or family == "l"
         if cls is Since or cls is Trigger:
-            return t == 0 and copy == 0 and self.engine == "mono"  # the origin: b
+            return t == 0 and c == 0 and self.engine == "mono"  # the origin: b
         return False
-
-    def _slot(self, f: Formula, family: str, copy: int, t: int) -> int:
-        """A new slot of the table: 0 for an alias (`_fill` writes it),
-        else the next id."""
-        return 0 if self._aliased(f, family, copy, t) else self.sink.fresh()
 
     def _alias(self, f: Formula, family: str, c: int, t: int) -> int:
         """The literal an aliased entry stands for: its expansion folded to
@@ -463,17 +440,15 @@ class _Encoder:
             self.sink.clause([self.true])
         return self.true if op == "and" else -self.true
 
-    def _fill(self, instants) -> None:
-        """Write the aliases at `instants` into the literal table, each
-        operand's rows before its parents'."""
+    def _fill(self, lo: int) -> None:
+        """Write the aliases at the instants lo..k into the literal table,
+        each operand's rows before its parents'."""
         for f in self.postorder:
-            for family, first, top in self._passes(f):
-                rows = self.rows[family][f]
-                for c in range(first, top + 1):
-                    row = rows[c]
-                    for t in instants:
-                        if not row[t]:
-                            row[t] = self._alias(f, family, c, t)
+            for family, c in self.copies[f]:
+                row = self.rows[family][f][c]
+                for t in self._span(family, c, lo):
+                    if not row[t]:
+                        row[t] = self._alias(f, family, c, t)
 
     def _rec(self, f: Formula, family: str, c: int, t: int):
         """The fixpoint expansion of temporal entry (f, copy c, instant t).
@@ -489,133 +464,168 @@ class _Encoder:
             return "and", [nb]
         acc = self.acc[family]
         b = acc(f.right, c, t)
-        if nb is None:  # until/since are strong, release/trigger weak: both give b
+        if nb is None:  # since is strong, trigger weak: both give b
             return "and", [b]
         a = acc(f.left, c, t)
         if cls in _UNTIL_LIKE:
             return "or", [b, self.sink.gate("and", [a, nb])]
         return "and", [b, self.sink.gate("or", [a, nb])]
 
-    def _start(self, family: str, g: Formula, c: int) -> int:
-        """One literal for g's copy c at the loop start (family "r": the
-        successor of instant k) or at the pool start ("l": the predecessor
-        of instant 0): -sel | -y | g(c, i) and -sel | y | -g(c, i) for each
-        position i and its selector."""
+    def _successor(self, family: str, g: Formula, c: int, weak: bool) -> int:
+        """One literal for g's copy c at the instant after the last one, k,
+        read by the future entries at k.  Under E_k it is g's next pass at
+        the loop start (-E | -L_i | -y | g(c+1, i) and -E | -L_i | y |
+        -g(c+1, i) for each selector L_i), beyond a loop-free window the
+        finite-word constant (true for a weak reader), on a pool pass a
+        don't-care; `_grow` ties it to g(c, k+1) once that instant enters."""
+        g, sign = _positive(g)
+        weak ^= sign < 0  # a negation swaps the finite-word constants
         rows = self.rows[family][g]
-        c = min(c, len(rows) - 1)
-        key = (family, g, c)
-        y = self.starts.get(key)
+        key = (family, g, min(c, len(rows) - 1), weak and self.loop_free)
+        y = self.successors.get(key)
         if y is None:
-            y = self.starts[key] = self.sink.fresh()
-            row, clause = rows[c], self.sink.clause
-            for i, s in self.selectors[family].items():
-                clause([-s, -y, row[i]])
-                clause([-s, y, -row[i]])
-        return y
+            y = self.successors[key] = self.sink.fresh()
+            if family == "r" and self.loop_free:
+                self.sink.clause([-self.activation, y if weak else -y])
+            elif family == "r":
+                row = rows[min(c + 1, len(rows) - 1)]
+                self._tie(y, "r", row, self.selectors["r"], -self.activation)
+        return sign * y
+
+    def _start(self, g: Formula, c: int) -> int:
+        """One literal for g's copy c at the pool start, the predecessor of
+        instant 0: -P_p | -z | g(c, p) and -P_p | z | -g(c, p) for each pool
+        position p, appended as positions enter."""
+        g, sign = _positive(g)
+        rows = self.rows["l"][g]
+        key = (g, min(c, len(rows) - 1))
+        z = self.starts.get(key)
+        if z is None:
+            z = self.starts[key] = self.sink.fresh()
+            self._tie(z, "l", rows[key[1]], self.selectors["l"])
+        return sign * z
+
+    def _tie(self, y: int, family: str, row, positions, *guard: int) -> None:
+        """y is row[i] where the family's selector at i holds, for each
+        position i: -s | -y | row[i] and -s | y | -row[i], with the guard."""
+        sel, clause = self.selectors[family], self.sink.clause
+        for i in positions:
+            clause([*guard, -sel[i], -y, row[i]])
+            clause([*guard, -sel[i], y, -row[i]])
+
+    def _end(self, g: Formula, c: int) -> int:
+        """One literal for g's copy c at the loop end, instant k, read by
+        the next loop pass where it wraps; `_grow` ties it to g(c, k) at
+        each bound."""
+        g, sign = _positive(g)
+        key = (g, min(c, len(self.rows["r"][g]) - 1))
+        e = self.ends.get(key)
+        if e is None:
+            e = self.ends[key] = self.sink.fresh()
+        return sign * e
 
     def _neighbour(self, f: Formula, family: str, c: int, t: int) -> Optional[int]:
         """The literal at the recurrence neighbour of temporal entry (f,
         copy c, instant t): of f's operand for a shift, else of f; None
-        beyond a finite edge.  Past entries of a loop-free window included."""
-        g = f.sub if type(f) in _SHIFT else f
-        own, u = ("r", t + 1) if type(f) in _FUTURE else ("l", t - 1)
+        beyond the mono origin."""
+        cls = type(f)
+        g = f.sub if cls in _SHIFT else f
+        own, u = ("r", t + 1) if cls in _FUTURE else ("l", t - 1)
         k = self.k
         if c == 0 or family == own:
             if 0 <= u <= k:
                 return self.acc[own](g, c, u)
-            # k steps to the loop start, 0 to the pool start, one pass deeper
-            return self._start(own, g, c + 1) if self.selectors[own] else None
+            if own == "r":  # beyond k
+                return self._successor("r", g, c, cls in _WEAK)
+            # instant 0 steps to the pool start, one pass deeper
+            return self._start(g, c + 1) if "l" in self.looping else None
         # a deeper pass of the other loop: the previous pass's edge instant
-        # where that loop's selector holds at t, the step elsewhere; a step
-        # off the selector positions 1..k would read a don't-care
+        # where that loop's selector holds at t, the step elsewhere; the
+        # step before instant 1 of a loop pass is a don't-care and reads e
         acc = self.acc[family]
-        wrap = acc(g, c - 1, k if family == "r" else 0)
-        if not 1 <= u <= k:
+        wrap = self._end(g, c - 1) if family == "r" else acc(g, c - 1, 0)
+        if not u:
             return wrap
+        step = acc(g, c, u) if u <= k else self._successor(family, g, c, False)
         s = self.selectors[family].get(t)
-        if s is None:
-            return acc(g, c, u)
-        return self.sink.gate("ite", [s, wrap, acc(g, c, u)])
+        return step if s is None else self.sink.gate("ite", [s, wrap, step])
 
-    def _define(self, f: Formula, family: str, c: int, t: int) -> None:
-        """The unguarded definition of temporal entry (f, copy c, instant
-        t), unless the entry is an alias."""
-        if not self._aliased(f, family, c, t):
-            self.sink.define(self.acc[family](f, c, t), *self._rec(f, family, c, t))
-
-    def encode(self) -> EncodedProblem:
-        vm, sink = self.vm, self.sink
-        if self.loop_free:
-            while self.k < self.problem.k:
-                self._enter_instant()
-            return EncodedProblem(
-                varmap=vm, cnf=sink.instance(), activation=self.activation, encoder=self
-            )
-
-        # InLoop_t holds from the loop start to k, InPool_t from 1 to the
-        # pool start; per family, (instant, chain literal) of every instant
-        # that can lie on the loop, and instant 0 always lies on the past loop
-        positions = range(1, self.k + 1)
-        in_loop = _selector_chain(sink, vm.loop_selectors, positions)
-        in_pool = (
-            _selector_chain(sink, vm.pool_selectors, reversed(positions))
-            if vm.pool_selectors else {}
-        )
-        self.loops = {"r": list(in_loop.items()), "l": [(0, None), *in_pool.items()]}
-
-        instants = range(self.k + 1)
-        self._fill(instants)
-        for f in vm.partitions["bool"]:
-            self._emit_bool(f, instants)
-        for f in (*vm.partitions["future"], *vm.partitions["past"]):
-            self._emit_temporal(f)
-
-        self._emit_assertions()
-        for t, atom, polarity in self.facts:
-            x = vm.lit(atom, t)
-            sink.clause([x if polarity else -x])
-        for lit in self.markers:
-            sink.clause([lit])
-        return EncodedProblem(varmap=vm, cnf=sink.instance())
-
-    def _enter_instant(self):
-        """Loop-free: instant k+1 enters the window; append its clauses."""
-        vm, sink, R = self.vm, self.sink, self.acc["r"]
-        clause = sink.clause
-        t = self.k = vm.k = self.k + 1
+    def _grow(self, k: int) -> None:
+        """The instants after the current bound up to k enter as one block;
+        append their clauses and close the encoding at k under E_k."""
+        vm, sink, problem = self.vm, self.sink, self.problem
+        clause, R = sink.clause, self.acc["r"]
+        lo, last = self.k + 1, self.activation
+        self.k = vm.k = k
+        # a new slot of the table: 0 for an alias (`_fill` writes it), else an id
+        slot = lambda f, c, t: 0 if self._aliased(f, c, t) else sink.fresh()  # noqa: E731
         for f in vm.closure:
-            vm.rrows[f][0].append(self._slot(f, "r", 0, t))
+            vm.rrows[f][0].extend(slot(f, 0, t) for t in range(lo, k + 1))
+        for f in vm.closure:
+            for family, c in self.copies[f][1:]:
+                ids = sink.next_var
+                self.rows[family][f][c].extend(slot(f, c, t) for t in self._span(family, c, lo))
+                if sink.next_var > ids:
+                    vm.copy_base.setdefault((f, family, c), ids)
+        positions = range(max(lo, 1), k + 1)
+        for family in self.looping:
+            for t in positions:
+                self.selectors[family][t] = sink.fresh()
         vm.max_var = sink.next_var - 1
-        if t:  # instant t-1 gets a successor: its finite edge is gone
-            clause([-self.activation])
+        if last:  # the previous bound is closed for good
+            clause([-last])
         edge = self.activation = sink.fresh()
-        self._fill((t,))
 
+        # exactly one selector: chain_t <-> chain_{t-1} | s_t, s_t ->
+        # -chain_{t-1}, and chain_k under E_k
+        for family in self.looping:
+            sel, chain = self.selectors[family], self.chains[family]
+            for t in positions:
+                prev = chain.get(t - 1)
+                if prev is None:
+                    chain[t] = sel[t]
+                else:
+                    clause([-sel[t], -prev])
+                    chain[t] = sink.gate("or", [prev, sel[t]])
+            clause([-edge, chain[k]])
+        # the previous bound's successor literals become instant lo, and
+        # the pool-start literals take the new pool positions
+        successors, self.successors = self.successors, {}
+        starts = list(self.starts.items())
+        self._fill(lo)
+        for (family, g, c, _), y in successors.items():
+            sink.define(y, "and", [self.acc[family](g, c, lo)])
+        for (g, c), z in starts:
+            self._tie(z, "l", self.rows["l"][g][c], positions)
         for f in vm.partitions["bool"]:
-            self._emit_bool(f, (t,))
-        for f in vm.partitions["future"]:
-            if t:
-                self._define(f, "r", 0, t - 1)
-            # edge -> (f at t <-> its finite-word value: false, true or b)
-            op, lits = self._rec(f, "r", 0, t)
-            v = R(f, 0, t)
-            if lits:
-                clause([-edge, -v, lits[0]])
-                clause([-edge, v, -lits[0]])
-            else:
-                clause([-edge, v if op == "and" else -v])
-        for f in vm.partitions["past"]:
-            # instant 0 is the time origin, a finite edge for good
-            self._define(f, "r", 0, t)
+            self._emit_bool(f, lo)
+        for f in (*vm.partitions["future"], *vm.partitions["past"]):
+            self._emit_temporal(f, lo)
 
-        problem = self.problem
         for tr in problem.transitions:
-            start = t - self.depth[tr][0]  # the instant whose lookahead ends at t
-            if start >= 0:
-                clause([R(tr, 0, start)])
-        if t == vm.assertion_instant and problem.root is not None:
-            vm.root_lit = vm.lit(problem.root, t)
+            # a loop-free window asserts a transition once its lookahead fits
+            ahead = self.depth[tr][0] if self.loop_free else 0
+            for t in range(max(lo - ahead, 0), k - ahead + 1):
+                clause([R(tr, 0, t)])
+            # constraints with past content must also hold on later passes
+            for family, c in self.copies[tr][1:]:
+                acc = self.acc[family]
+                for t in self._span(family, c, lo):
+                    x, on = acc(tr, c, t), self._on_loop(family, t)
+                    clause([x] if on is None else [-on, x])
+        if problem.root is not None and lo <= vm.assertion_instant <= k:
+            vm.root_lit = vm.lit(problem.root, vm.assertion_instant)
             clause([vm.root_lit])
+        if not lo:  # the history lies within the first bound
+            for t, atom, polarity in self.facts:
+                x = vm.lit(atom, t)
+                clause([x if polarity else -x])
+            for family, position in self.markers:
+                clause([self.selectors[family][position]])
+        for (g, c), e in self.ends.items():  # the loop end is instant k
+            x = R(g, c, k)
+            clause([-edge, -e, x])
+            clause([-edge, e, -x])
 
     def distinct(self, s: int, t: int) -> None:
         """Loop-free: append that instants s and t differ in at least one
@@ -626,55 +636,33 @@ class _Encoder:
         else:
             sink.clause([-sink.gate("iff", [R(a, 0, s), R(a, 0, t)]) for a in atoms])
 
-    def _emit_bool(self, f: Formula, instants):
-        if self._aliased(f, "r", 0, 0):  # a boolean node aliases everywhere or nowhere
+    def _emit_bool(self, f: Formula, lo: int):
+        if self._aliased(f, 0, 0):  # a boolean node aliases everywhere or nowhere
             return
         define = self.sink.define
-        for family, first, top in self._passes(f):
+        for family, c in self.copies[f]:
             acc = self.acc[family]
-            for c in range(first, top + 1):
-                for t in instants:
-                    define(acc(f, c, t), *_connective(f, lambda g: acc(g, c, t)))
+            for t in self._span(family, c, lo):
+                define(acc(f, c, t), *_connective(f, lambda g: acc(g, c, t)))
 
-    def _emit_temporal(self, f: Formula):
-        k, define, sink = self.k, self._define, self.sink
-        cls = type(f)
+    def _emit_temporal(self, f: Formula, lo: int):
+        k, sink, cls = self.k, self.sink, type(f)
+        for family, c in self.copies[f]:
+            acc = self.acc[family]
+            for t in self._span(family, c, lo):
+                if not self._aliased(f, c, t):
+                    sink.define(acc(f, c, t), *self._rec(f, family, c, t))
         own = "r" if cls in _FUTURE else "l"
-        # copy 0 and the own family end with the wrap instant; the other
-        # family's passes span the instants that can lie on their loop
-        own_span = range(k + 1) if own == "r" else (*range(1, k + 1), 0)
-        span = {"r": range(1, k + 1), "l": range(k + 1)}
-        for family, first, top in self._passes(f):
-            for c in range(first, top + 1):
-                for t in own_span if c == 0 or family == own else span[family]:
-                    define(f, family, c, t)
-            if family != own or cls in _SHIFT:
-                continue
-            # an obligation alive at the wrap of the top copy is discharged
-            # inside the loop (its crossing is a self-cycle): some looping
-            # instant has the until's (since's) right operand, or one lacks
-            # the release's (trigger's)
-            sign = 1 if cls in _UNTIL_LIKE else -1
-            acc = self.acc[family]
-            lits = [-sign * acc(f, top, k if family == "r" else 0)]
-            for t, chain in self.loops[family]:
-                b = sign * acc(f.right, top, t)
-                lits.append(b if chain is None else sink.gate("and", [chain, b]))
-            sink.clause(lits)
-
-    def _emit_assertions(self):
-        vm, k, clause, R = self.vm, self.k, self.sink.clause, self.acc["r"]
-        problem = self.problem
-        for tr in problem.transitions:
-            for t in range(k + 1):
-                clause([R(tr, 0, t)])
-            # constraints with past content must also hold on later passes
-            for family, _, top in self._passes(tr):
-                acc = self.acc[family]
-                for c in range(1, top + 1):
-                    for t, chain in self.loops[family]:
-                        x = acc(tr, c, t)
-                        clause([x] if chain is None else [-chain, x])
-        if problem.root is not None:
-            vm.root_lit = vm.lit(problem.root, vm.assertion_instant)
-            clause([vm.root_lit])
+        if cls in _SHIFT or own not in self.looping:
+            return
+        # under E_k, an obligation alive at the wrap of the top copy is
+        # discharged inside the loop (its crossing is a self-cycle): some
+        # looping instant has the until's (since's) right operand, or one
+        # lacks the release's (trigger's)
+        sign = 1 if cls in _UNTIL_LIKE else -1
+        acc, top = self.acc[own], self.caps[f][0 if own == "r" else 1]
+        lits = [-self.activation, -sign * acc(f, top, k if own == "r" else 0)]
+        for t in range(1 if own == "r" else 0, k + 1):
+            b, on = sign * acc(f.right, top, t), self._on_loop(own, t)
+            lits.append(b if on is None else sink.gate("and", [on, b]))
+        sink.clause(lits)

@@ -261,12 +261,13 @@ def run(config: RunConfig) -> RunReport:
     )
 
 
-# one SAT call on a loop-free window at its bound, within a time limit
+# one SAT call on an encoding at its bound, within a time limit
 WindowSolve = Callable[[EncodedProblem, Optional[float]], SatResult]
 
 
 def window_solver(solver: str = "embedded", out_dir: str = ".") -> WindowSolve:
-    """The SAT call `solve_window` makes, for a solver backend.
+    """The SAT call `solve_window` makes, for a solver backend; it decides
+    any growing encoding, lasso ones too.
 
     The embedded solver is one live solver for every call: it is handed
     only the clauses appended since its last call and solves under the

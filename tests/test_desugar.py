@@ -79,16 +79,26 @@ def test_futr_zero_is_identity():
     assert desugar(Futr(P, 0)) == P
 
 
+def _weak(n, f):
+    """n weak nexts around f: !X^n !f, true beyond the end of a finite word."""
+    f = Not(f)
+    for _ in range(n):
+        f = Next(f)
+    return Not(f)
+
+
 def test_lasts_default_expansion_golden():
-    # default lasts = lasts_ee: offsets {1, 2} for t = 3
-    assert desugar(Lasts(P, 3)) == And((Next(P), Next(Next(P))))
+    # default lasts = lasts_ee: offsets {1, 2} for t = 3, through weak nexts
+    assert desugar(Lasts(P, 3)) == And((_weak(1, P), _weak(2, P)))
 
 
 def test_lasts_variant_ranges():
     assert desugar(Lasts(P, 1, "ee")) == TrueF()  # empty range [1, 0]
     assert desugar(Lasts(P, 1, "ie")) == P
-    assert desugar(Lasts(P, 2, "ii")) == And((P, Next(P), Next(Next(P))))
-    assert desugar(Lasts(P, 2, "ei")) == And((Next(P), Next(Next(P))))
+    assert desugar(Lasts(P, 2, "ii")) == And((P, _weak(1, P), _weak(2, P)))
+    assert desugar(Lasts(P, 2, "ei")) == And((_weak(1, P), _weak(2, P)))
+    # a negated operand folds: !X!(!Q) is !X Q
+    assert desugar(Lasts(Not(Q), 2, "ie")) == And((Not(Q), Not(Next(Q))))
 
 
 def test_lasts_expansion_matches_range_definition_on_short_words():

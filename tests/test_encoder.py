@@ -6,6 +6,7 @@ import subprocess
 import sys
 import weakref
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from brute import (
     accepts_loop_free,
     brute_force_loop_free,
     brute_force_sat,
+    finite_values,
     trace_from_index,
 )
 from gen import random_core, random_sugared_capped, random_trace
@@ -25,17 +27,21 @@ from lassosat import encoder as encoder_module
 from lassosat.encoder import CheckProblem, encode
 from lassosat.errors import BoundSearchError, EncodingError
 from lassosat.formula import (
+    Alwf,
     And,
     Atom,
     FalseF,
     Iff,
+    Lasts,
     Next,
     Not,
     Release,
     Since,
+    Somf,
     Trigger,
     TrueF,
     Until,
+    WithinF,
     Yesterday,
     Zeta,
 )
@@ -47,6 +53,7 @@ from lassosat.pipeline import (
     find_bound,
     run,
     solve_window,
+    window_solver,
 )
 from lassosat.pretty import formula_text
 from lassosat.sat_embedded import solve_embedded
@@ -146,8 +153,36 @@ def test_exactly_one_selector_in_models():
     assert sum(model[v] for v in encoded.varmap.pool_selectors.values()) == 1
 
 
+def _grown(problem, k0):
+    """The encoding of `problem` grown from bound k0 to problem.k."""
+    return encode(problem, encode(replace(problem, k=k0)))
+
+
+# on the bi engine at instant 0: a pool of 3 or 4 instants, longer than the
+# first bound of a grown encoding
+LONG_POOL = And((Yesterday(Q), Not(Q), Next(Not(Q)), Next(Next(Not(Q)))))
+
+
+def _grown_agrees(root, engine):
+    """One encoding of `root` grown over k = 2, 3, 4 on one live solver,
+    each bound solved under the assumption E_k, gives the enumeration's
+    verdict at each bound, and its models satisfy the root."""
+    pos = 1 if engine == "mono" else 0
+    solve, grown = window_solver(), None
+    for k in range(2, 5):
+        grown = encode(CheckProblem(k=k, engine=engine, root=root), grown)
+        result = solve(grown, None)
+        expected = brute_force_sat(root, k, engine, pos)[0]
+        assert (result.verdict == "SAT") == expected, (engine, k, root)
+        if expected:
+            assert eval_lasso(decode(result, grown.varmap), root, pos), (engine, k, root)
+
+
 def test_exactness_small_scale_mono_and_bi():
-    """Verdicts equal brute-force lasso enumeration for |AP| <= 2, k <= 4."""
+    """Verdicts equal brute-force lasso enumeration for |AP| <= 2, k <= 4:
+    of a fresh encoding at k, and of one encoding grown over k = 2, 3, 4.
+    On the bi engine the grown encoding also decides the formula with a
+    pool that only the later bounds hold."""
     rng = random.Random(77)
     for n in range(120):
         engine = "mono" if n % 2 == 0 else "bi"
@@ -157,6 +192,12 @@ def test_exactness_small_scale_mono_and_bi():
         _, result = _solve(CheckProblem(k=k, engine=engine, root=f))
         expected, _ = brute_force_sat(f, k, engine, pos)
         assert (result.verdict == "SAT") == expected, (engine, k, f)
+        _grown_agrees(f, engine)
+        if engine == "bi":
+            _grown_agrees(And((LONG_POOL, f)), engine)
+    # a pool pass reads X Q at instant p - 1, past the first bound's last
+    # instant 2 where p is 3 or 4
+    _grown_agrees(And((LONG_POOL, Yesterday(Yesterday(Next(Q))))), "bi")
 
 
 def test_every_loop_and_pool_position_matches_brute_force():
@@ -168,7 +209,11 @@ def test_every_loop_and_pool_position_matches_brute_force():
     must never decide a verdict; the random transition, asserted on every
     pass, reads them too.  Per lasso shape, the free verdict equals the
     enumeration of that shape, and one accepted and one rejected valuation
-    of it, pinned in full, are SAT and UNSAT.
+    of it, pinned in full, are SAT and UNSAT.  Where the markers fit a
+    smaller bound k0, the encoding grown from k0 to k gives the free
+    verdict too, and with the instants 0..k0 of each of those valuations
+    pinned it is SAT exactly when some accepted valuation agrees with it
+    there.
     """
     rng = random.Random(81)
     k = 4
@@ -188,15 +233,17 @@ def test_every_loop_and_pool_position_matches_brute_force():
             for pool in pools:
                 shape = (engine, loop, pool, formula_text(root), formula_text(tr))
                 hits = accepted(reference, k, engine, pos, loop, pool)
-                encoded, result = _solve(CheckProblem(
-                    k=k, engine=engine, root=root, transitions=(tr,),
-                    facts=PartialHistory(loop_at=loop, pool_at=pool),
-                ))
-                assert (result.verdict == "SAT") == hits.any(), shape
-                if hits.any():
-                    trace = decode(result, encoded.varmap)
-                    assert (trace.loop_start, trace.pool_start) == (loop, pool), shape
-                    assert eval_lasso(trace, reference, pos), shape
+                k0 = max(2, loop, pool or 0)
+                free = CheckProblem(k=k, engine=engine, root=root, transitions=(tr,),
+                                    facts=PartialHistory(loop_at=loop, pool_at=pool))
+                encodings = [encode(free)] + ([_grown(free, k0)] if k0 < k else [])
+                for encoded in encodings:
+                    result = solve_embedded(to_cnf(encoded))
+                    assert (result.verdict == "SAT") == hits.any(), shape
+                    if hits.any():
+                        trace = decode(result, encoded.varmap)
+                        assert (trace.loop_start, trace.pool_start) == (loop, pool), shape
+                        assert eval_lasso(trace, reference, pos), shape
                 for want in (True, False):
                     indices = np.flatnonzero(hits == want)
                     if not len(indices):
@@ -206,11 +253,21 @@ def test_every_loop_and_pool_position_matches_brute_force():
                     facts = tuple(
                         (t, a, word.valuations[a][t]) for a in word.atoms for t in range(k + 1)
                     )
-                    _, result = _solve(CheckProblem(
-                        k=k, engine=engine, root=root, transitions=(tr,), atoms=word.atoms,
-                        facts=PartialHistory(facts, loop_at=loop, pool_at=pool),
-                    ))
+                    pinned = replace(free, atoms=word.atoms,
+                                     facts=PartialHistory(facts, loop_at=loop, pool_at=pool))
+                    _, result = _solve(pinned)
                     assert (result.verdict == "SAT") == want, shape + (index,)
+                    if k0 == k:
+                        continue
+                    # the valuation bits of the instants 0..k0, as trace_from_index lays them out
+                    mask = sum(1 << (a * (k + 1) + t)
+                               for a in range(len(word.atoms)) for t in range(k0 + 1))
+                    agree = (np.arange(len(hits)) & mask) == (index & mask)
+                    prefix = replace(pinned, facts=PartialHistory(
+                        tuple(fact for fact in facts if fact[0] <= k0), loop_at=loop, pool_at=pool,
+                    ))
+                    result = solve_embedded(to_cnf(_grown(prefix, k0)))
+                    assert (result.verdict == "SAT") == (hits & agree).any(), shape + (index, k0)
 
 
 def _nest(op, n, f):
@@ -284,6 +341,24 @@ def test_mutex_property_depth_regression(data_dir):
     doc = load_spec(data_dir / "mutex3.zot")
     core = desugar(Not(doc.property), doc.declarations)
     assert _depth_rows(core) == (4, 2)
+
+
+@pytest.mark.parametrize("spec", ["mutex3.zot", "mutex3_broken.zot"])
+def test_mutex3_bmc_grown_on_one_live_solver_matches_fresh_solves(data_dir, spec):
+    """mutex3 BMC grown over k = 2..12 into one live solver, each bound
+    solved under the assumption E_k, gives the verdict of a fresh solve of
+    that bound; a counterexample decodes to a trace of the negated property."""
+    problem = build_problem(load_spec(data_dir / spec), 2, "mono", "bmc")
+    solve, grown, verdicts = window_solver(), None, []
+    for k in range(2, 13):
+        at_k = replace(problem, k=k)
+        grown = encode(at_k, grown)
+        result = solve(grown, None)
+        assert result.verdict == solve_embedded(to_cnf(encode(at_k))).verdict, k
+        if result.verdict == "SAT":
+            assert check_trace_against_root(at_k, decode(result, grown.varmap)), k
+        verdicts.append(result.verdict)
+    assert ("SAT" in verdicts) == (spec == "mutex3_broken.zot"), verdicts
 
 
 def test_a_5000_link_chain_encodes_under_the_default_recursion_limit():
@@ -433,6 +508,37 @@ def test_loop_free_runs_and_bounds_match_the_finite_word_brute_force(tmp_path):
             assert find_bound(config) == bound, spec.read_text()
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_future_dualities_hold_on_loop_free_windows(k):
+    """lasts_xy(A, t) == !withinf_xy(!A, t) and alwf_x(A) == !somf_x(!A)
+    on finite words too: at every instant of every word of k + 1 states
+    (the finite-word evaluator), and as the negated root of a loop-free
+    window, which is then UNSAT.  A strong next at the end of the window
+    broke both."""
+    rng = random.Random(83)
+    pairs = []
+    for variant in ("ee", "ie", "ei", "ii"):
+        for t in (1, 2, 3):
+            a = random_core(rng, 1, ("P", "Q"))
+            pairs.append((Lasts(a, t, variant), Not(WithinF(Not(a), t, variant))))
+    for variant in ("e", "i"):
+        for _ in range(3):
+            a = random_core(rng, 2, ("P", "Q"))
+            pairs.append((Alwf(a, variant), Not(Somf(Not(a), variant))))
+    words = [
+        [dict(zip((P, Q), bits[2 * t:2 * t + 2])) for t in range(k + 1)]
+        for bits in product((False, True), repeat=2 * (k + 1))
+    ]
+    for lhs, rhs in pairs:
+        lhs, rhs = desugar(lhs), desugar(rhs)
+        for word in words:
+            memo = {}
+            assert finite_values(lhs, word, memo) == finite_values(rhs, word, memo), (lhs, word)
+        problem = CheckProblem(k=k, engine="mono", root=Not(Iff(lhs, rhs)), atoms=(P, Q),
+                               loop_free=True)
+        assert _solve(problem)[1].verdict == "UNSAT", lhs
+
+
 def test_loop_free_encoding_grows_only_the_same_problem():
     problem = CheckProblem(k=2, engine="mono", root=Yesterday(P), atoms=(P, Q), loop_free=True)
     encoded = encode(problem)
@@ -443,15 +549,19 @@ def test_loop_free_encoding_grows_only_the_same_problem():
         encode(replace(problem, k=5, root=P), grown)
     with pytest.raises(EncodingError, match="same problem"):
         encode(replace(problem, k=3), grown)
+    # a lasso encoding grows the same way, but not into a loop-free one
+    lasso = replace(problem, loop_free=False)
+    grown = encode(replace(lasso, k=5), encode(lasso))
+    assert grown.varmap.k == 5 and sorted(grown.varmap.loop_selectors) == [1, 2, 3, 4, 5]
     with pytest.raises(EncodingError, match="same problem"):
-        encode(replace(problem, loop_free=False, k=5), encode(replace(problem, loop_free=False)))
+        encode(replace(problem, k=6), grown)
 
 
 def test_loop_free_encoding_has_no_selectors():
     problem = CheckProblem(k=2, engine="mono", root=Yesterday(P), atoms=(P,))
     loopy = encode(problem)
     free = encode(replace(problem, loop_free=True))
-    assert free.activation is not None and loopy.activation is None
+    assert free.activation and loopy.activation  # both close at k under E_k
     assert free.varmap.loop_selectors == {}
     assert loopy.varmap.loop_selectors != {}
 
@@ -468,22 +578,22 @@ def test_loop_free_rejects_bi():
 # to the encoding must update a row on purpose; a row's test id names only
 # its problem, so it stays the same when the row is re-pinned.
 PINNED = [
-    ("lamp.zot", 5, "mono", "bsc", 96, 782, 2841,
-     "8cc2b0b0732be2882c1da65e3c4dfc635e83faf277d12d82e10beda1cbf1ae7e"),
-    ("lamp.zot", 5, "bi", "bsc", 100, 847, 3125,
-     "699e54184a467af644bec7a86491d9910eb2c9549f7b6027d7069d527de4c61e"),
-    ("mutex3.zot", 4, "mono", "bmc", 8, 682, 2476,
-     "25e4858da5b7c512dfd020f5101f86ece604f7f0b51cd4eac42a21b25b76150d"),
-    ("mutex3.zot", 4, "bi", "bmc", 87, 1207, 4668,
-     "77b772eca0e38b4bc67cec0a816dea725a8a10696f1ad1954941de2c6c879d07"),
-    ("cycle3.zot", 3, "mono", "loop-free", 0, 61, 159,
-     "fcb16ef8f8aca7ae5fa9c149c5748a79c22127d2f2864eb795c5ab42e123936b"),
-    ("stutter.zot", 4, "bi", "bsc", 0, 32, 99,
-     "b170cc547898a8ba4a8663d2d2c72aca974285d4a0627c318d1e15ed96534ea9"),
-    ("lamp.zot", 10, "bi", "hcc", 100, 1582, 6154,
-     "718a09956feeee3b6d916535b31dfb055fe720c94a829e8e3c252ab34cadb7a9"),
-    ("mutex3.zot", 4, "mono", "loop-free", 0, 695, 2377,
-     "4d0f991666189aa0aef3e4f790d1257a70d0fb7ba9b540b61ac48a9927382682"),
+    ("lamp.zot", 5, "mono", "bsc", 63, 712, 2687,
+     "0d981f9a1eea839a30a841fa1bcec2d2ed2aa0357706b41ff3f34aa67f092d75"),
+    ("lamp.zot", 5, "bi", "bsc", 68, 779, 2978,
+     "af9a995463a46cc6f5c2bcbdbd5d0745a917c307c53bf9ba71398164d122047d"),
+    ("mutex3.zot", 4, "mono", "bmc", 5, 678, 2469,
+     "cb1bd549bbda233175a386378dd3e2652a42df329279eae905a11e26ee328972"),
+    ("mutex3.zot", 4, "bi", "bmc", 85, 1248, 4806,
+     "157eff5dab65a89ebd50fcf1702939bb887b7b5f1f9d30bfc336687194b903c1"),
+    ("cycle3.zot", 3, "mono", "loop-free", 0, 49, 129,
+     "904399810928206b3a7f3b10fa5e07ab2afbc641b9eac383a5a65c3b3fb43ea9"),
+    ("stutter.zot", 4, "bi", "bsc", 0, 35, 106,
+     "49cee86b35d4915d2dc3d780e893358da9e40e4440bdc0aa10d1c3162995df8b"),
+    ("lamp.zot", 10, "bi", "hcc", 68, 1514, 6017,
+     "564d15698a5e5ed55a6f497afba273e6e2f6026c3791a7fb06e00d7631786dc8"),
+    ("mutex3.zot", 4, "mono", "loop-free", 0, 619, 2129,
+     "a1e1f0d0924612fb7ac2aba108449400d97f9ca248cdbf5488d17b5b8a132a33"),
 ]
 
 
@@ -506,7 +616,7 @@ def test_encoding_bytes_are_pinned(
 # The total that `scripts/encoding_digest.py` prints by default: it hashes
 # about 2,000 encodings (the tests/data corpus over engines, modes and
 # bounds, and seeded random formulas).  A change to the encoding re-pins it.
-DIGEST_TOTAL = "ae7ea742070c5fc36b929a4868d19c50de9319c7370b91498c7792613b5b142f"
+DIGEST_TOTAL = "0b731bbc5a6127074e99d520981082bd9487e80fd40568874e0bab71bb5133b0"
 
 
 def test_encoding_digest_is_pinned():
@@ -565,27 +675,22 @@ def test_negations_and_shifts_are_aliases(data_dir, spec, engine, mode):
     for f in nots:
         for family, c, row in _rows(vm, f):
             assert row == [-lit for lit in _row(vm, family, f.sub, c)]
-    # a next is its operand one instant later (in a loop-free window the
-    # successor enters after the node, which so keeps its variable)
-    owners = {}
+    # a next is its operand one instant later, but at the last instant,
+    # whose successor enters with a later bound (a loop pass starts at 1)
     for f in nexts:
         for d, row in enumerate(vm.rrows[f]):
-            if mode == "loop-free":
-                owners.update((lit, f) for lit in row)
-            else:
-                assert row[:-1] == _row(vm, "r", f.sub, d)[1:]
+            first = 1 if d else 0
+            assert row[first:-1] == _row(vm, "r", f.sub, d)[first + 1:]
     # no negation owns an id: its literals are read by other entries, and
-    # in a lasso encoding every id is a selector or such a literal
+    # every id is a selector or such a literal
     read = {abs(lit) for f in vm.closure if not isinstance(f, Not)
             for _, _, row in _rows(vm, f) for lit in row}
     assert all(abs(lit) in read for f in nots for _, _, row in _rows(vm, f) for lit in row)
     assert not any(key[0] in nots for key in vm.copy_base)
-    if mode != "loop-free":
-        selectors = set(vm.loop_selectors.values()) | set(vm.pool_selectors.values())
-        assert set(range(1, vm.max_var + 1)) <= read | selectors
+    selectors = set(vm.loop_selectors.values()) | set(vm.pool_selectors.values())
+    assert set(range(1, vm.max_var + 1)) <= read | selectors
     # no variable is only another literal under a name of its own
-    pairs = _equivalent_pairs(inst)
-    assert all(a in owners or b in owners for a, b in pairs), pairs
+    assert not _equivalent_pairs(inst)
     # the constants at the mono origin share one literal
     if engine == "mono":
         origin = {abs(vm.lit(f, 0)) for f in vm.closure if isinstance(f, (Yesterday, Zeta))}

@@ -14,21 +14,19 @@ def _varmap(k, engine="mono", root=ROOT, **kw):
     return encode(CheckProblem(k=k, engine=engine, root=root, **kw)).varmap
 
 
-def _owns_id(f, c, t):
-    """Whether ROOT's entry (f, loop-pass copy c, instant t) owns an id on a
-    lasso: negations and `next` alias everywhere, yesterday everywhere but
-    instant 0 of a deeper loop pass."""
-    if isinstance(f, Yesterday):
-        return c > 0 and t == 0
-    return not isinstance(f, (Not, Next))
+def _owns_id(f):
+    """Whether ROOT's entries of f own ids on a lasso: negations, `next`
+    and yesterday alias everywhere."""
+    return not isinstance(f, (Not, Next, Yesterday))
 
 
 def _owned(vm):
-    """The ids of ROOT's table in allocation order: primary rows, then copy rows."""
-    primary = [vm.lit(f, t) for f in vm.closure for t in range(vm.k + 1) if _owns_id(f, 0, t)]
+    """The ids of ROOT's table in allocation order: primary rows, then copy
+    rows, which start at instant 1."""
+    primary = [vm.lit(f, t) for f in vm.closure for t in range(vm.k + 1) if _owns_id(f)]
     copies = [
-        lit for f in vm.closure for c, row in enumerate(vm.rrows[f][1:], 1)
-        for t, lit in enumerate(row) if _owns_id(f, c, t)
+        lit for f in vm.closure if _owns_id(f) for row in vm.rrows[f][1:]
+        for lit in row[1:]
     ]
     return primary, copies
 
@@ -38,7 +36,10 @@ def test_call_is_deterministic_and_injective():
     assert _varmap(3).rrows == vm.rrows
     primary, copies = _owned(vm)
     assert len(set(primary + copies)) == len(primary + copies)
-    assert all(lit for f in vm.closure for row in vm.rrows[f] for lit in row)
+    # every entry has a literal; a loop pass holds a placeholder at instant 0
+    assert all(lit for f in vm.closure for c, row in enumerate(vm.rrows[f])
+               for lit in row[1 if c else 0:])
+    assert all(row[0] == 0 for f in vm.closure for row in vm.rrows[f][1:])
 
 
 def test_var_blocks_follow_closure_order():
@@ -67,6 +68,9 @@ def test_aliased_entries_own_no_id():
         assert vm.lit(Yesterday(Q), t) == vm.lit(Q, t - 1)
     for t in range(3):
         assert vm.lit(Next(Yesterday(Q)), t) == vm.lit(Yesterday(Q), t + 1)
+    # `next` at the last instant is the successor literal of the bound, an
+    # id taken after the selectors and E_k, as the clauses are written
+    assert vm.lit(Next(Yesterday(Q)), 3) > max(vm.loop_selectors.values()) + 1
 
 
 def test_instant_out_of_range():
@@ -105,8 +109,10 @@ def test_selectors_allocated_after_blocks():
         for row in rows[f] for lit in row
     }
     first = min(vm.loop_selectors.values())
-    # the last member in closure order, yesterday, takes the last copy id
-    assert vm.rrows[Yesterday(Q)][1][0] == max(i for i in table if i <= vm.max_var) == first - 1
+    # the last member in closure order with copy ids, the root, takes the
+    # last copy id: the last instant of its deepest pool pass
+    last = vm.lrows[ROOT][2][3]
+    assert last == max(i for i in table if i <= vm.max_var) == first - 1
     assert min(vm.pool_selectors.values()) == max(vm.loop_selectors.values()) + 1
     assert vm.max_var == max(vm.pool_selectors.values())
 
@@ -123,11 +129,15 @@ def test_copy_blocks():
     yyq = Yesterday(yq)
     vm = _varmap(3, root=yyq)
     assert len(vm.rrows[yq]) == 2 and len(vm.rrows[yyq]) == 3  # copies up to the past depth
-    assert set(vm.copy_base) == {(yq, "r", 1), (yyq, "r", 1), (yyq, "r", 2)}
+    assert vm.copy_base == {}  # yesterday aliases on every copy
+    s1 = Since(P, Q)
+    s2 = Since(P, s1)
+    vm = _varmap(3, root=s2)
+    assert set(vm.copy_base) == {(s1, "r", 1), (s2, "r", 1), (s2, "r", 2)}
     for (f, family, c), base in vm.copy_base.items():
-        assert vm.rrows[f][c][0] == base  # instant 0 of a deeper loop pass owns the id
-    assert vm.copy_base[(yq, "r", 1)] < vm.copy_base[(yyq, "r", 1)] < vm.copy_base[(yyq, "r", 2)]
-    assert vm.copy_base[(yyq, "r", 2)] < min(vm.loop_selectors.values())
+        assert vm.rrows[f][c][1] == base  # a loop pass starts at instant 1
+    assert vm.copy_base[(s1, "r", 1)] < vm.copy_base[(s2, "r", 1)] < vm.copy_base[(s2, "r", 2)]
+    assert vm.copy_base[(s2, "r", 2)] < min(vm.loop_selectors.values())
     # the bi engine's backward copies of a future node, one id per instant
     until = Until(P, Q)
     vm = _varmap(3, "bi", root=until)
@@ -143,18 +153,25 @@ def test_loop_free_window_grows_by_instant_blocks():
     assert vm.k == 1 and not vm.loop_selectors and not vm.copy_base
     with pytest.raises(EncodingError, match="outside"):
         vm.lit(P, 2)
-    # in a window only negations and yesterday alias; `next` keeps its id
-    owners = [f for f in vm.closure if not isinstance(f, (Not, Yesterday))]
-    assert owners == [P, Q, Next(Yesterday(Q)), ROOT]
-    assert [vm.lit(f, 0) for f in owners] == [1, 2, 3, 4]
-    # instant 1's block comes after E_0 and instant 0's gates
-    block = [vm.lit(f, 1) for f in owners]
-    assert block[0] > 5 and block == list(range(block[0], block[0] + 4))
-    assert vm.max_var == block[-1] and first.activation == vm.max_var + 1
+    # a fresh window is one block, laid out row-major; negations, `next`
+    # and yesterday alias
+    owners = [f for f in vm.closure if _owns_id(f)]
+    assert owners == [P, Q, ROOT]
+    assert [vm.lit(f, t) for f in owners for t in (0, 1)] == list(range(1, 7))
+    assert vm.lit(Next(Yesterday(Q)), 0) == vm.lit(Yesterday(Q), 1) == vm.lit(Q, 0)
+    assert vm.max_var == 6 and first.activation == 7
+    # `next` at the last instant is the successor literal, false under E_1
+    edge = vm.lit(Next(Yesterday(Q)), 1)
+    assert edge > first.activation and [-first.activation, -edge] in first.cnf.clauses
 
+    # a later instant takes one slot per owner, after all the first block took,
+    # and the old successor literal becomes the operand at that instant
     grown = encode(replace(problem, k=2), first)
     assert grown.varmap is vm and vm.k == 2
     block = [vm.lit(f, 2) for f in owners]
-    assert block == list(range(n_vars + 1, n_vars + 5))  # after all instant 1 took
+    assert block == list(range(n_vars + 1, n_vars + 4))
     assert vm.max_var == block[-1] and grown.activation == vm.max_var + 1
     assert vm.lit(Yesterday(Q), 2) == vm.lit(Q, 1)
+    assert vm.lit(Next(Yesterday(Q)), 1) == edge
+    q1 = vm.lit(Q, 1)
+    assert [-edge, q1] in grown.cnf.clauses and [edge, -q1] in grown.cnf.clauses
