@@ -12,7 +12,10 @@ message.
   k = 1, 2, 3, 5, 8; hcc reads the spec's history section and its
   `<spec>_history.txt` file, where they exist;
 - random: seeded `random_core` and `random_sugared_capped` roots, with no
-  transition and with a random core one, on mono, bi and loop-free.
+  transition and with a random core one, on mono, bi and loop-free;
+- probe: the long rows and deep copies that the corpus's small bounds miss,
+  in bsc mode: the metric probe at k = 20 with t = 5 and t = 8 on mono and
+  bi, the pure-past probe on mono at k = 40, and lamp hcc on bi at k = 10.
 
 The output does not depend on PYTHONHASHSEED.
 
@@ -35,10 +38,19 @@ from lassosat.cnf import dimacs_text, to_cnf  # noqa: E402
 from lassosat.encoder import CheckProblem, encode  # noqa: E402
 from lassosat.errors import LassosatError  # noqa: E402
 from lassosat.pipeline import build_problem  # noqa: E402
-from lassosat.specfile import load_spec  # noqa: E402
+from lassosat.specfile import load_spec, parse_spec_text  # noqa: E402
 from lassosat.trace import load_history  # noqa: E402
 
 ATOMS = ("P", "Q", "R")
+
+METRIC_PROBE = (
+    "(declare a b)\n"
+    "(property (alw (-> (-P- a) (&& (lasted (-P- b) {t}) (withinf (-P- a) {t})))))\n"
+)
+PAST_PROBE = (
+    "(declare a b)\n"
+    "(property (alw (-> (-P- a) (since (-P- a) (yesterday (-P- b))))))\n"
+)
 
 
 def _record(make) -> bytes:
@@ -101,11 +113,38 @@ def randoms(h, count: int, seed: int) -> int:
     return n
 
 
+def probe_cases():
+    """(name, make) per probe: make() builds its problem."""
+    lamp = ROOT / "tests" / "data" / "lamp.zot"
+    specs = [(f"metric-t{t}", METRIC_PROBE.format(t=t), 20, engine, "bsc")
+             for t in (5, 8) for engine in ("mono", "bi")]
+    specs.append(("past", PAST_PROBE, 40, "mono", "bsc"))
+    specs.append(("lamp", lamp.read_text(encoding="utf-8"), 10, "bi", "hcc"))
+    cases = []
+    for name, text, k, engine, mode in specs:
+        doc = parse_spec_text(text)
+        facts = _facts(lamp, doc) if mode == "hcc" else None
+        cases.append((f"{name} {engine} {mode} {k}",
+                      lambda doc=doc, k=k, engine=engine, mode=mode, facts=facts:
+                      build_problem(doc, k, engine, mode, facts)))
+    return cases
+
+
+def probes(h) -> int:
+    cases = probe_cases()
+    for name, make in cases:
+        h.update(f"{name}\n".encode())
+        h.update(_record(make))
+    return len(cases)
+
+
 def main() -> int:
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 300
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 1
     total = hashlib.sha256()
-    for name, fill in (("corpus", corpus), ("random", lambda h: randoms(h, count, seed))):
+    groups = (("corpus", corpus), ("random", lambda h: randoms(h, count, seed)),
+              ("probe", probes))
+    for name, fill in groups:
         h = hashlib.sha256()
         n = fill(h)
         print(f"{name:8s} {n:6d} encodings  {h.hexdigest()}")
