@@ -12,6 +12,9 @@ or hcc it is a usage error (exit 2).  It and find-bound run on the mono
 engine, the only one with a loop-free form: a spec's (engine bi) section is
 ignored with a warning, and --engine bi is a usage error (exit 2).
 
+--max-bound, the largest bound find-bound tries (default 50), is a positive
+integer; 0, a negative number or a non-number is a usage error (exit 2).
+
 --timeout limits the solving of each bound (find-bound solves one per bound
 tried): loading the clauses into the solver and the search count toward it,
 encoding does not.  A loop-free bound may take several solver calls, one
@@ -39,6 +42,13 @@ def _seconds(text: str) -> float:
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"expected a positive number of seconds, got {text}")
+    return value
+
+
+def _bound(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive bound, got {text}")
     return value
 
 
@@ -70,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fb = sub.add_parser("find-bound", help="search the completeness bound")
     fb.add_argument("spec", help="spec file (.zot)")
-    fb.add_argument("--max-bound", type=int, default=50, metavar="N")
+    fb.add_argument("--max-bound", type=_bound, default=50, metavar="N")
     fb.add_argument("--solver", choices=("embedded", "minisat", "picosat"),
                     default=None)
     fb.add_argument("--timeout", type=_seconds, default=None, metavar="SECONDS",

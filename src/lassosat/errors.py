@@ -49,4 +49,5 @@ class SolverTimeout(SolverError):
 
 
 class BoundSearchError(LassosatError):
-    """Completeness-bound search exhausted its maximum bound while still satisfiable."""
+    """Completeness-bound search exhausted its maximum bound while still
+    satisfiable, or was given a maximum bound below 1."""

@@ -349,6 +349,8 @@ def find_bound(config: RunConfig, doc: Optional[SpecDocument] = None) -> int:
     An external solver reads the CNF from its file, so it is handed the
     grown clauses plus the unit E_k, and writes the files, for every call.
     """
+    if config.max_bound < 1:
+        raise BoundSearchError(f"the maximum bound must be at least 1, got {config.max_bound}")
     if doc is None:
         doc = load_spec(config.spec_path)
     _, _, solver, _ = _effective(replace(config, mode="find-bound"), doc)

@@ -172,6 +172,13 @@ def test_find_bound_exhaustion_is_an_error(data_dir, out_dir, tmp_path):
                              mode="find-bound", max_bound=4))
 
 
+def test_find_bound_rejects_a_maximum_bound_below_one(data_dir, out_dir):
+    for bad in (0, -3):
+        with pytest.raises(BoundSearchError, match=f"at least 1, got {bad}"):
+            find_bound(_cfg(data_dir, out_dir, "cycle3.zot", max_bound=bad))
+    assert not Path(out_dir).exists()
+
+
 def _written(out_dir):
     """The CNF of output.cnf.txt, the verdict and model of output.sat.txt,
     and the atom state of each instant that model gives."""
@@ -482,6 +489,18 @@ def test_cli_timeout_reaches_find_bound_and_must_be_positive(monkeypatch, data_d
         with pytest.raises(SystemExit) as exc:
             main(["check", "--timeout", bad, "--out", out_dir, spec])
         assert exc.value.code == 2
+
+
+def test_cli_max_bound_must_be_a_positive_int(data_dir, out_dir, capsys):
+    spec = str(data_dir / "cycle3.zot")
+    for bad in ("0", "-1", "two"):
+        with pytest.raises(SystemExit) as exc:
+            main(["find-bound", "--max-bound", bad, "--out", out_dir, spec])
+        assert exc.value.code == 2
+        assert "--max-bound" in capsys.readouterr().err
+    assert not Path(out_dir).exists()
+    assert main(["find-bound", "--max-bound", "3", "--out", out_dir, spec]) == 0
+    assert "completeness bound: 3" in capsys.readouterr().out
 
 
 def test_cli_find_bound(data_dir, out_dir, capsys):
