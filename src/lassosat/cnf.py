@@ -37,15 +37,7 @@ class SatResult:
 
 
 def _sanitize(lits: List[int]) -> Optional[List[int]]:
-    """Dedupe literals, keeping first occurrences; None means a tautology.
-
-    A two-literal clause with distinct literals comes back as the same list.
-    """
-    if len(lits) == 2:  # most Tseitin clauses
-        a, b = lits
-        if a == b:
-            return [a]
-        return None if a == -b else lits
+    """Dedupe literals, keeping first occurrences; None means a tautology."""
     seen = set()
     out = []
     for lit in lits:
@@ -64,6 +56,13 @@ class ClauseSink:
     literals), each issued after its operands' gates.  A gate is "and" or
     "or" over any number of operands, two-operand "iff", or "ite" over
     [s, a, b]: a where s holds, b elsewhere.
+
+    A clause whose literals are over pairwise distinct variables (no
+    literal repeated, none with its complement) is appended as it is, the
+    list itself; any other goes through `_sanitize`, which drops repeats
+    and the whole clause if it is a tautology.  `define` and the iff and
+    ite gates write such clean clauses straight into the list, and only a
+    clause that repeats a variable takes the `_sanitize` route.
     """
 
     def __init__(self, max_var: int):
@@ -77,8 +76,26 @@ class ClauseSink:
         self.next_var += 1
         return v
 
+    def fresh_ids(self, n: int) -> range:
+        """n new variables: the next n ids."""
+        ids = range(self.next_var, self.next_var + n)
+        self.next_var = ids.stop
+        return ids
+
     def clause(self, lits: List[int]) -> None:
         """Add a clause; repeated literals go, tautologies are dropped."""
+        n = len(lits)
+        if n == 3:
+            a, b, c = lits
+            a, b, c = abs(a), abs(b), abs(c)
+            clean = a != b != c != a
+        elif n == 2:
+            clean = lits[0] != lits[1] and lits[0] != -lits[1]
+        else:
+            clean = len(set(map(abs, lits))) == n
+        if clean:
+            self.clauses.append(lits)
+            return
         lits = _sanitize(lits)
         if lits is not None:
             self.clauses.append(lits)
@@ -88,10 +105,20 @@ class ClauseSink:
         operand makes v <-> lits[0]."""
         if op == "or" and len(lits) != 1:
             v, lits = -v, [-l for l in lits]  # v <-> or(ls)  is  -v <-> and(-ls)
-        add = self.clause
-        for l in lits:
-            add([-v, l])
-        add([v] + [-l for l in lits])
+        if len(lits) == 2:  # most definitions; clean where no variable repeats
+            a, b = lits
+            x, y, z = abs(v), abs(a), abs(b)
+            if x != y != z != x:
+                self.clauses += ([-v, a], [-v, b], [v, -a, -b])
+                return
+        append, last = self.clauses.append, [v]
+        for l in lits:  # -v | l, and -l for the last clause
+            if l != v and l != -v:
+                append([-v, l])
+            elif l != v:  # l is -v: the unit -v; l = v makes a tautology
+                append([l])
+            last.append(-l)
+        self.clause(last)
 
     def gate(self, op: str, lits: List[int]) -> int:
         """A literal equivalent to op(lits); one operand, or an ite whose
@@ -105,22 +132,28 @@ class ClauseSink:
         if g is None:
             if op == "ite" and lits[1] == lits[2]:
                 return lits[1]
-            g = self.fresh()
+            g = self.memo[key] = self.fresh()
             if op == "iff":
                 a, b = lits
+                clean = a != b and a != -b
                 clauses = ([-g, -a, b], [-g, a, -b], [g, a, b], [g, -a, -b])
             elif op == "ite":
                 s, a, b = lits
+                clean = s != a and s != -a and s != b and s != -b and a != -b
                 # the last two are implied; they let agreeing branches set g
                 # before s is known
                 clauses = ([-g, -s, a], [-g, s, b], [g, -s, -a], [g, s, -b],
                            [-g, a, b], [g, -a, -b])
             else:
                 self.define(g, op, lits)
-                clauses = ()
-            for clause in clauses:
-                self.clause(clause)
-            self.memo[key] = g
+                return g
+            # g is fresh, so operands that are distinct variables make
+            # every clause clean
+            if clean:
+                self.clauses.extend(clauses)
+            else:
+                for clause in clauses:
+                    self.clause(clause)
         return g
 
     def instance(self) -> CnfInstance:

@@ -7,7 +7,7 @@ The bi-infinite engine adds exactly one past selector P_p and anchors the
 word ^w(u[0..p]) u[0..k] (u[i..k])^w at absolute instant 0.
 
 Subformula variables are constrained by their fixpoint expansions, one rule
-per operator (`_rec`): a node's value at instant t follows from its operands
+per operator (`_emit_temporal`, `_emit_bool`, `_aliases`): a node's value at instant t follows from its operands
 at t and from its recurrence neighbour, the node (or, for next/yesterday/
 zeta, the operand) one instant further in the operator's direction.  Where
 that neighbour lies beyond a finite edge of the word (the mono origin, the
@@ -37,7 +37,7 @@ bi engine mirrors this across the origin with backward copies of
 future-dependent subformulas over the past loop, up to copy fd, the future
 depth.  A copy is thus a loop pass (family "r") or a pool pass ("l"), copy
 0 being both, and one rule per direction gives every recurrence neighbour
-(`_neighbour`):
+(`_neighbours`):
 
 - a future node steps to t+1 and wraps from k through the loop start, a
   past node steps to t-1 and wraps from 0 through the pool start (or meets
@@ -125,7 +125,7 @@ owns no variable and no defining clauses:
   operand's, negated.
 
 Ids come from one counter, the clause sink's (`ClauseSink.fresh`), and only
-the entries that are not aliases take one (`_aliased` says which).  An
+the entries that are not aliases take one (`_owned` says which).  An
 alias's slot stays 0 until the table is filled in postorder (`_fill`), so
 every operand is resolved before its parents, with no recursion.  The
 closure order is: the registry atoms, the other atoms of the formulas, then
@@ -151,6 +151,17 @@ Every rule writes its clauses into one cnf.ClauseSink as it goes.  A
 subformula variable is defined by `var <-> and/or(...)` clauses, and no
 definition is guarded: the selectors enter only through their chains, the
 ite neighbours and the successor and pool-start literals.
+
+A rule is emitted one row at a time, a row being one (node, family, copy).
+What its instants share is resolved once per row: the node's own row and
+its operands' rows, the copy clamped to each one's top copy, the operator,
+and for a deeper pass the selector map and the wrap literal; the loop over
+the instants then only indexes lists.  Ids and clauses still come out entry
+by entry, in the order given above: a row draws each instant's neighbour
+(`_neighbours`, a generator) just before that instant's own gates and
+definition, so an ite neighbour or a successor, pool-start or loop-end
+literal takes its id where an entry-at-a-time walk would give it one.
+`scripts/encoding_digest.py` pins the resulting bytes.
 """
 
 from __future__ import annotations
@@ -267,33 +278,6 @@ def _positive(g: Formula):
     return g, sign
 
 
-def _accessor(rows):
-    """acc(f, c, t): f's literal at copy c, clamped to f's top copy, and
-    instant t; it holds no encoder, so no reference cycle keeps one alive."""
-    def acc(f: Formula, c: int, t: int) -> int:
-        r = rows[f]
-        row = r[c] if c < len(r) else r[-1]
-        if not 0 <= t < len(row):
-            raise EncodingError(f"instant {t} outside 0..{len(row) - 1}")
-        return row[t]
-    return acc
-
-
-def _connective(f: Formula, operand):
-    """(op, operand literals) of a boolean node, given a child -> literal map."""
-    if isinstance(f, Not):
-        return "and", [-operand(f.sub)]
-    if isinstance(f, (TrueF, FalseF)):
-        return ("and" if isinstance(f, TrueF) else "or"), []
-    if isinstance(f, And):
-        return "and", [operand(c) for c in f.items]
-    if isinstance(f, Or):
-        return "or", [operand(c) for c in f.items]
-    if isinstance(f, Implies):
-        return "or", [-operand(f.left), operand(f.right)]
-    return "iff", [operand(f.left), operand(f.right)]
-
-
 # ---------------------------------------------------------------------------
 # the encoder: one expansion rule per operator, shared by every mode
 # ---------------------------------------------------------------------------
@@ -305,7 +289,6 @@ _WEAK = frozenset((Zeta, Release, Trigger))
 _UNTIL_LIKE = frozenset((Until, Since))
 _FUTURE = frozenset((Next, Until, Release))
 _PAST = frozenset((Yesterday, Zeta, Since, Trigger))
-_TEMPORAL = _FUTURE | _PAST
 # nodes that are one literal of other entries, or a gate over them, at
 # every copy and instant
 _ALIASES = frozenset((Not, Iff, TrueF, FalseF, Next, Yesterday, Zeta))
@@ -372,10 +355,9 @@ class _Encoder:
         )
         self.k = -1  # no instant has entered yet
         # per family, "r" for the loop passes and "l" for the pool passes:
-        # the literal rows, their accessor, the selectors of the loop and
-        # their chain, position t -> OR of the selectors up to t
+        # the literal rows, the selectors of the loop and their chain,
+        # position t -> OR of the selectors up to t
         self.rows = {"r": vm.rrows, "l": vm.lrows}
-        self.acc = {family: _accessor(rows) for family, rows in self.rows.items()}
         self.selectors = {"r": vm.loop_selectors, "l": vm.pool_selectors}
         self.chains: Dict[str, Dict[int, int]] = {"r": {}, "l": {}}
         self.sink = ClauseSink(0)
@@ -400,6 +382,22 @@ class _Encoder:
         no instant 0."""
         return range(max(lo, 1) if c and family == "r" else lo, self.k + 1)
 
+    def _row(self, family: str, f: Formula, c: int):
+        """f's literal row on the family's copy c, clamped to f's top copy."""
+        rows = self.rows[family][f]
+        return rows[c] if c < len(rows) else rows[-1]
+
+    def _owned(self, f: Formula, c: int, span: range) -> range:
+        """The instants of `span` whose entries (f, copy c, t) own a
+        variable: a suffix of it.  The rest are aliases, literals of other
+        entries or a gate the encoder builds anyway."""
+        cls = type(f)
+        if cls in _ALIASES or (cls is And or cls is Or) and len(f.items) < 2:
+            return range(span.stop, span.stop)
+        if (cls is Since or cls is Trigger) and c == 0 and self.engine == "mono":
+            return range(max(span.start, 1), span.stop)  # the origin: b
+        return span
+
     def _on_loop(self, family: str, t: int) -> Optional[int]:
         """The literal of "instant t lies on the loop" (InLoop_t) or "on the
         pool" (InPool_t = -R_{t-1}); None where it always does."""
@@ -408,68 +406,44 @@ class _Encoder:
             return chain[t]
         return -chain[t - 1] if t > 1 else None
 
-    def _aliased(self, f: Formula, c: int, t: int) -> bool:
-        """Whether entry (f, copy c, instant t) is a literal of other
-        entries, or a gate the encoder builds anyway, and so owns no
-        variable."""
-        cls = type(f)
-        if cls in _ALIASES:
-            return True
-        if cls is And or cls is Or:
-            return len(f.items) < 2
-        if cls is Since or cls is Trigger:
-            return t == 0 and c == 0 and self.engine == "mono"  # the origin: b
-        return False
-
-    def _alias(self, f: Formula, family: str, c: int, t: int) -> int:
-        """The literal an aliased entry stands for: its expansion folded to
-        one literal (a gate for iff, the constant for an empty expansion)."""
-        if type(f) in _TEMPORAL:
-            op, lits = self._rec(f, family, c, t)
-        else:
-            acc = self.acc[family]
-            op, lits = _connective(f, lambda g: acc(g, c, t))
-            if op == "iff":
-                return self.sink.gate("iff", lits)
-        if len(lits) > 1:
-            raise EncodingError(f"internal error: {f!r} aliased to {op} of {len(lits)} operands")
-        if lits:
-            return lits[0]
+    def _constant(self, value: bool) -> int:
+        """The shared constant literal, true or false."""
         if self.true is None:
             self.true = self.sink.fresh()
             self.sink.clause([self.true])
-        return self.true if op == "and" else -self.true
+        return self.true if value else -self.true
 
     def _fill(self, lo: int) -> None:
         """Write the aliases at the instants lo..k into the literal table,
         each operand's rows before its parents'."""
         for f in self.postorder:
             for family, c in self.copies[f]:
-                row = self.rows[family][f][c]
-                for t in self._span(family, c, lo):
-                    if not row[t]:
-                        row[t] = self._alias(f, family, c, t)
+                span = self._span(family, c, lo)
+                ts = range(span.start, self._owned(f, c, span).start)
+                if ts:
+                    self.rows[family][f][c][ts.start:ts.stop] = self._aliases(f, family, c, ts)
 
-    def _rec(self, f: Formula, family: str, c: int, t: int):
-        """The fixpoint expansion of temporal entry (f, copy c, instant t).
-
-        Returns (op, operand literals), op being "and" or "or"; an empty
-        "and" is true and an empty "or" false.
-        """
-        nb = self._neighbour(f, family, c, t)
-        cls = type(f)
-        if cls in _SHIFT:
-            if nb is None:
-                return ("and" if cls in _WEAK else "or"), []
-            return "and", [nb]
-        acc = self.acc[family]
-        b = acc(f.right, c, t)
-        if nb is None:  # since is strong, trigger weak: both give b
-            return "and", [b]
-        a = acc(f.left, c, t)
-        if cls in _UNTIL_LIKE:
-            return "or", [b, self.sink.gate("and", [a, nb])]
-        return "and", [b, self.sink.gate("or", [a, nb])]
+    def _aliases(self, f: Formula, family: str, c: int, ts: range) -> list:
+        """The literals that the aliased entries (f, copy c, t in ts) stand
+        for: each one's expansion folded to one literal (a gate for iff,
+        the constant for an empty expansion)."""
+        cls, lo, hi = type(f), ts.start, ts.stop
+        if cls in _SHIFT:  # beyond the mono origin: the constant
+            weak = cls in _WEAK
+            return [self._constant(weak) if nb is None else nb
+                    for _, nb in zip(ts, self._neighbours(f, family, c, ts))]
+        if cls is Not:
+            return [-x for x in self._row(family, f.sub, c)[lo:hi]]
+        if cls is Iff:
+            gate = self.sink.gate
+            return [gate("iff", [a, b]) for a, b in zip(
+                self._row(family, f.left, c)[lo:hi], self._row(family, f.right, c)[lo:hi])]
+        if cls is Since or cls is Trigger:  # the mono origin: b
+            return self._row(family, f.right, c)[lo:hi]
+        items = f.items if cls is And or cls is Or else ()
+        if items:
+            return self._row(family, items[0], c)[lo:hi]
+        return [self._constant(cls is And or cls is TrueF)] * len(ts)
 
     def _successor(self, family: str, g: Formula, c: int, weak: bool) -> int:
         """One literal for g's copy c at the instant after the last one, k,
@@ -524,53 +498,59 @@ class _Encoder:
             e = self.ends[key] = self.sink.fresh()
         return sign * e
 
-    def _neighbour(self, f: Formula, family: str, c: int, t: int) -> Optional[int]:
-        """The literal at the recurrence neighbour of temporal entry (f,
-        copy c, instant t): of f's operand for a shift, else of f; None
-        beyond the mono origin."""
+    def _neighbours(self, f: Formula, family: str, c: int, ts: range):
+        """Yield, for each instant t of ts, the literal at the recurrence
+        neighbour of temporal entry (f, copy c, t): of f's operand for a
+        shift, else of f; None beyond the mono origin.  The literals and
+        gates a value needs take their ids as it is drawn, so drawing in
+        step with the entries' own clauses keeps the ids in entry order."""
         cls = type(f)
         g = f.sub if cls in _SHIFT else f
-        own, u = ("r", t + 1) if cls in _FUTURE else ("l", t - 1)
-        k = self.k
+        future, k = cls in _FUTURE, self.k
+        own = "r" if future else "l"
         if c == 0 or family == own:
-            if 0 <= u <= k:
-                return self.acc[own](g, c, u)
-            if own == "r":  # beyond k
-                return self._successor("r", g, c, cls in _WEAK)
-            # instant 0 steps to the pool start, one pass deeper
-            return self._start(g, c + 1) if "l" in self.looping else None
+            row = self._row(own, g, c)
+            if future:  # beyond k: the successor literal
+                for t in ts:
+                    yield row[t + 1] if t < k else self._successor("r", g, c, cls in _WEAK)
+            else:  # instant 0 steps to the pool start, one pass deeper
+                for t in ts:
+                    yield row[t - 1] if t else (
+                        self._start(g, c + 1) if "l" in self.looping else None)
+            return
         # a deeper pass of the other loop: the previous pass's edge instant
         # where that loop's selector holds at t, the step elsewhere; the
         # step before instant 1 of a loop pass is a don't-care and reads e
-        acc = self.acc[family]
-        wrap = self._end(g, c - 1) if family == "r" else acc(g, c - 1, 0)
-        if not u:
-            return wrap
-        step = acc(g, c, u) if u <= k else self._successor(family, g, c, False)
-        s = self.selectors[family].get(t)
-        return step if s is None else self.sink.gate("ite", [s, wrap, step])
+        row, sel, gate = self._row(family, g, c), self.selectors[family], self.sink.gate
+        wrap = self._end(g, c - 1) if family == "r" else self._row("l", g, c - 1)[0]
+        step = 1 if future else -1
+        for t in ts:
+            u = t + step
+            if not u:
+                yield wrap
+                continue
+            nb = row[u] if u <= k else self._successor(family, g, c, False)
+            s = sel.get(t)
+            yield nb if s is None else gate("ite", [s, wrap, nb])
 
     def _grow(self, k: int) -> None:
         """The instants after the current bound up to k enter as one block;
         append their clauses and close the encoding at k under E_k."""
         vm, sink, problem = self.vm, self.sink, self.problem
-        clause, R = sink.clause, self.acc["r"]
+        clause, rrows = sink.clause, vm.rrows
         lo, last = self.k + 1, self.activation
         self.k = vm.k = k
-        # a new slot of the table: 0 for an alias (`_fill` writes it), else an id
-        slot = lambda f, c, t: 0 if self._aliased(f, c, t) else sink.fresh()  # noqa: E731
         for f in vm.closure:
-            vm.rrows[f][0].extend(slot(f, 0, t) for t in range(lo, k + 1))
+            self._enter(f, "r", 0, lo)
         for f in vm.closure:
             for family, c in self.copies[f][1:]:
                 ids = sink.next_var
-                self.rows[family][f][c].extend(slot(f, c, t) for t in self._span(family, c, lo))
+                self._enter(f, family, c, lo)
                 if sink.next_var > ids:
                     vm.copy_base.setdefault((f, family, c), ids)
         positions = range(max(lo, 1), k + 1)
         for family in self.looping:
-            for t in positions:
-                self.selectors[family][t] = sink.fresh()
+            self.selectors[family].update(zip(positions, sink.fresh_ids(len(positions))))
         vm.max_var = sink.next_var - 1
         if last:  # the previous bound is closed for good
             clause([-last])
@@ -594,7 +574,7 @@ class _Encoder:
         starts = list(self.starts.items())
         self._fill(lo)
         for (family, g, c, _), y in successors.items():
-            sink.define(y, "and", [self.acc[family](g, c, lo)])
+            sink.define(y, "and", [self.rows[family][g][c][lo]])
         for (g, c), z in starts:
             self._tie(z, "l", self.rows["l"][g][c], positions)
         for f in vm.partitions["bool"]:
@@ -605,14 +585,15 @@ class _Encoder:
         for tr in problem.transitions:
             # a loop-free window asserts a transition once its lookahead fits
             ahead = self.depth[tr][0] if self.loop_free else 0
+            row = rrows[tr][0]
             for t in range(max(lo - ahead, 0), k - ahead + 1):
-                clause([R(tr, 0, t)])
+                clause([row[t]])
             # constraints with past content must also hold on later passes
             for family, c in self.copies[tr][1:]:
-                acc = self.acc[family]
+                row = self.rows[family][tr][c]
                 for t in self._span(family, c, lo):
-                    x, on = acc(tr, c, t), self._on_loop(family, t)
-                    clause([x] if on is None else [-on, x])
+                    on = self._on_loop(family, t)
+                    clause([row[t]] if on is None else [-on, row[t]])
         if problem.root is not None and lo <= vm.assertion_instant <= k:
             vm.root_lit = vm.lit(problem.root, vm.assertion_instant)
             clause([vm.root_lit])
@@ -623,46 +604,74 @@ class _Encoder:
             for family, position in self.markers:
                 clause([self.selectors[family][position]])
         for (g, c), e in self.ends.items():  # the loop end is instant k
-            x = R(g, c, k)
+            x = rrows[g][c][k]
             clause([-edge, -e, x])
             clause([-edge, e, -x])
+
+    def _enter(self, f: Formula, family: str, c: int, lo: int) -> None:
+        """Extend f's row (family, c) over the instants lo..k: 0 for an alias
+        (`_fill` writes it), else a fresh id."""
+        span = self._span(family, c, lo)
+        owned = self._owned(f, c, span)
+        row = self.rows[family][f][c]
+        row.extend([0] * (owned.start - span.start))
+        row.extend(self.sink.fresh_ids(len(owned)))
 
     def distinct(self, s: int, t: int) -> None:
         """Loop-free: append that instants s and t differ in at least one
         atom; with no atoms that is the empty clause."""
-        sink, R, atoms = self.sink, self.acc["r"], self.vm.atoms
-        if len(atoms) == 1:  # a_s <-> -a_t: two clauses, no gate
-            sink.define(R(atoms[0], 0, s), "and", [-R(atoms[0], 0, t)])
+        sink, vm = self.sink, self.vm
+        if len(vm.atoms) == 1:  # a_s <-> -a_t: two clauses, no gate
+            a = vm.atoms[0]
+            sink.define(vm.lit(a, s), "and", [-vm.lit(a, t)])
         else:
-            sink.clause([-sink.gate("iff", [R(a, 0, s), R(a, 0, t)]) for a in atoms])
+            sink.clause([-sink.gate("iff", [vm.lit(a, s), vm.lit(a, t)]) for a in vm.atoms])
 
     def _emit_bool(self, f: Formula, lo: int):
-        if self._aliased(f, 0, 0):  # a boolean node aliases everywhere or nowhere
+        cls = type(f)
+        if cls is Implies:
+            op, subs = "or", (f.left, f.right)
+        elif (cls is And or cls is Or) and len(f.items) > 1:
+            op, subs = ("and" if cls is And else "or"), f.items
+        else:  # a boolean node aliases everywhere or nowhere
             return
         define = self.sink.define
         for family, c in self.copies[f]:
-            acc = self.acc[family]
-            for t in self._span(family, c, lo):
-                define(acc(f, c, t), *_connective(f, lambda g: acc(g, c, t)))
+            lo_c = self._span(family, c, lo).start
+            cols = [self._row(family, g, c)[lo_c:] for g in subs]
+            if cls is Implies:  # -left | right
+                cols[0] = [-x for x in cols[0]]
+            for v, *lits in zip(self.rows[family][f][c][lo_c:], *cols):
+                define(v, op, lits)
 
     def _emit_temporal(self, f: Formula, lo: int):
-        k, sink, cls = self.k, self.sink, type(f)
+        cls = type(f)
+        if cls in _SHIFT:  # an alias everywhere
+            return
+        k, sink = self.k, self.sink
+        define, gate = sink.define, sink.gate
+        # v <-> b | (a & nb) for until and since, v <-> b & (a | nb) for
+        # release and trigger
+        op, inner = ("or", "and") if cls in _UNTIL_LIKE else ("and", "or")
         for family, c in self.copies[f]:
-            acc = self.acc[family]
-            for t in self._span(family, c, lo):
-                if not self._aliased(f, c, t):
-                    sink.define(acc(f, c, t), *self._rec(f, family, c, t))
+            ts = self._owned(f, c, self._span(family, c, lo))
+            if not ts:
+                continue
+            v, a, b = (self._row(family, g, c) for g in (f, f.left, f.right))
+            for t, nb in zip(ts, self._neighbours(f, family, c, ts)):
+                define(v[t], op, [b[t], gate(inner, [a[t], nb])])
         own = "r" if cls in _FUTURE else "l"
-        if cls in _SHIFT or own not in self.looping:
+        if own not in self.looping:
             return
         # under E_k, an obligation alive at the wrap of the top copy is
         # discharged inside the loop (its crossing is a self-cycle): some
         # looping instant has the until's (since's) right operand, or one
         # lacks the release's (trigger's)
         sign = 1 if cls in _UNTIL_LIKE else -1
-        acc, top = self.acc[own], self.caps[f][0 if own == "r" else 1]
-        lits = [-self.activation, -sign * acc(f, top, k if own == "r" else 0)]
+        top = self.caps[f][0 if own == "r" else 1]
+        v, b = self._row(own, f, top), self._row(own, f.right, top)
+        lits = [-self.activation, -sign * v[k if own == "r" else 0]]
         for t in range(1 if own == "r" else 0, k + 1):
-            b, on = sign * acc(f.right, top, t), self._on_loop(own, t)
-            lits.append(b if on is None else sink.gate("and", [on, b]))
+            bt, on = sign * b[t], self._on_loop(own, t)
+            lits.append(bt if on is None else gate("and", [on, bt]))
         sink.clause(lits)

@@ -4,6 +4,7 @@ import random
 from lassosat.cnf import (
     ClauseSink,
     CnfInstance,
+    _sanitize,
     check_model,
     dimacs_text,
     parse_dimacs,
@@ -214,6 +215,80 @@ def test_clauses_are_deduplicated_in_first_occurrence_order():
     sink.clause([3, -1])
     sink.clause([2, 3, 2])
     assert sink.instance().clauses == [[1], [3, -1], [2, 3]]
+
+
+class _SanitizingSink(ClauseSink):
+    """The reference sink: every clause goes through `_sanitize`, one call
+    per clause, with no fast path."""
+
+    def clause(self, lits):
+        lits = _sanitize(list(lits))
+        if lits is not None:
+            self.clauses.append(lits)
+
+    def define(self, v, op, lits):
+        if op == "or" and len(lits) != 1:
+            v, lits = -v, [-l for l in lits]
+        for l in lits:
+            self.clause([-v, l])
+        self.clause([v] + [-l for l in lits])
+
+    def gate(self, op, lits):
+        if len(lits) == 1:
+            return lits[0]
+        if op == "ite" and lits[1] < 0 and lits[2] < 0:
+            return -self.gate("ite", [lits[0], -lits[1], -lits[2]])
+        key = (op, tuple(lits))
+        g = self.memo.get(key)
+        if g is None:
+            if op == "ite" and lits[1] == lits[2]:
+                return lits[1]
+            g = self.memo[key] = self.fresh()
+            if op == "iff":
+                a, b = lits
+                clauses = ([-g, -a, b], [-g, a, -b], [g, a, b], [g, -a, -b])
+            elif op == "ite":
+                s, a, b = lits
+                clauses = ([-g, -s, a], [-g, s, b], [g, -s, -a], [g, s, -b],
+                           [-g, a, b], [g, -a, -b])
+            else:
+                self.define(g, op, lits)
+                clauses = ()
+            for clause in clauses:
+                self.clause(clause)
+        return g
+
+
+def test_sink_fast_paths_write_what_sanitizing_every_clause_writes():
+    rng = random.Random(19)
+    for _ in range(500):
+        fast, reference = ClauseSink(4), _SanitizingSink(4)
+        pool = [1, 2, 3, 4]  # few variables: repeats and complements are common
+
+        def lits(n):
+            return [rng.choice(pool) * rng.choice((1, -1)) for _ in range(n)]
+
+        for _ in range(rng.randint(1, 10)):
+            kind = rng.choice(("clause", "define", "and", "or", "iff", "ite"))
+            if kind == "clause":
+                operands = lits(rng.randint(1, 6))
+                fast.clause(list(operands))
+                reference.clause(list(operands))
+            elif kind == "define":
+                op, v, operands = rng.choice(("and", "or")), lits(1)[0], lits(rng.randint(1, 6))
+                if rng.random() < 0.5:  # the defined variable among its operands
+                    operands.insert(rng.randint(0, len(operands)), v * rng.choice((1, -1)))
+                fast.define(v, op, list(operands))
+                reference.define(v, op, list(operands))
+            else:
+                n = {"iff": 2, "ite": 3}.get(kind) or rng.randint(1, 6)
+                operands = lits(n)
+                if kind == "ite" and rng.random() < 0.3:  # agreeing branches
+                    operands[2] = operands[1]
+                g = fast.gate(kind, list(operands))
+                assert reference.gate(kind, list(operands)) == g, (kind, operands)
+                pool.append(abs(g))
+            assert fast.clauses == reference.clauses and fast.next_var == reference.next_var
 
 
 def test_check_model():
