@@ -392,7 +392,7 @@ class _Encoder:
         variable: a suffix of it.  The rest are aliases, literals of other
         entries or a gate the encoder builds anyway."""
         cls = type(f)
-        if cls in _ALIASES or (cls is And or cls is Or) and len(f.items) < 2:
+        if cls in _ALIASES or ((cls is And or cls is Or) and len(f.items) < 2):
             return range(span.stop, span.stop)
         if (cls is Since or cls is Trigger) and c == 0 and self.engine == "mono":
             return range(max(span.start, 1), span.stop)  # the origin: b
