@@ -15,7 +15,9 @@ message.
   transition and with a random core one, on mono, bi and loop-free;
 - probe: the long rows and deep copies that the corpus's small bounds miss,
   in bsc mode: the metric probe at k = 20 with t = 5 and t = 8 on mono and
-  bi, the pure-past probe on mono at k = 40, and lamp hcc on bi at k = 10.
+  bi, the pure-past probe on mono at k = 40, and lamp hcc on bi at k = 10;
+  then, at k = 5, a `next`^30 root on bi, a `yesterday`^30 root on mono and
+  a bi transition with past content (`NEST_PROBES`).
 
 The output does not depend on PYTHONHASHSEED.
 
@@ -37,6 +39,9 @@ from gen import random_core, random_sugared_capped  # noqa: E402
 from lassosat.cnf import dimacs_text, to_cnf  # noqa: E402
 from lassosat.encoder import CheckProblem, encode  # noqa: E402
 from lassosat.errors import LassosatError  # noqa: E402
+from lassosat.formula import (  # noqa: E402
+    Atom, Implies, Next, Not, Or, Since, Until, Yesterday,
+)
 from lassosat.pipeline import build_problem  # noqa: E402
 from lassosat.specfile import load_spec, parse_spec_text  # noqa: E402
 from lassosat.trace import load_history  # noqa: E402
@@ -50,6 +55,26 @@ METRIC_PROBE = (
 PAST_PROBE = (
     "(declare a b)\n"
     "(property (alw (-> (-P- a) (since (-P- a) (yesterday (-P- b))))))\n"
+)
+
+P, Q = Atom("P"), Atom("Q")
+
+
+def _nest(op, n, f):
+    for _ in range(n):
+        f = op(f)
+    return f
+
+
+# (name, problem) per probe built from core formulas, not from a spec
+NEST_PROBES = (
+    ("next30 bi root 5", CheckProblem(k=5, engine="bi", root=_nest(Next, 30, P))),
+    ("yesterday30 mono root 5",
+     CheckProblem(k=5, engine="mono", root=_nest(Yesterday, 30, P))),
+    ("past transition bi 5", CheckProblem(
+        k=5, engine="bi", root=Until(P, Not(Q)),
+        transitions=(Implies(Yesterday(Yesterday(P)), Or((Since(Q, P), Next(Q)))),),
+    )),
 )
 
 
@@ -127,6 +152,7 @@ def probe_cases():
         cases.append((f"{name} {engine} {mode} {k}",
                       lambda doc=doc, k=k, engine=engine, mode=mode, facts=facts:
                       build_problem(doc, k, engine, mode, facts)))
+    cases.extend((name, lambda problem=problem: problem) for name, problem in NEST_PROBES)
     return cases
 
 
