@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """In-process timings of the encoder and the DIMACS writer.
 
-For each problem of the digest's probe group (`encoding_digest.py`) and
-mutex3 BMC on mono at k = 10, 20 and 30, prints the best of N runs of
-`encode` (a fresh encoding) and of `emit_dimacs` (into memory), in seconds,
-with the problem's variables and clauses, then the totals of each column.
+For each problem of the digest's probe group (`encoding_digest.py`),
+mutex3 BMC on mono at k = 10, 20 and 30, and two deep shift nests at the
+root at k = 5 (`next`^3000 on bi, `yesterday`^1000 on mono), prints the
+best of N runs of `encode` (a fresh encoding) and of `emit_dimacs` (into
+memory), in seconds, with the problem's variables, clauses and copy rows
+(the rows above the primary row, loop and pool passes), then the totals of
+each column.
 Best-of-N times of one process leave out the start-up and solver time that
 an end-to-end run adds, and most of the noise of a shared machine.
 
@@ -15,10 +18,11 @@ import io
 import sys
 import time
 
-from encoding_digest import ROOT, probe_cases
+from encoding_digest import ROOT, P, nest, probe_cases
 
 from lassosat.cnf import emit_dimacs, to_cnf
-from lassosat.encoder import encode
+from lassosat.encoder import CheckProblem, encode
+from lassosat.formula import Next, Yesterday
 from lassosat.pipeline import build_problem
 from lassosat.specfile import load_spec
 
@@ -28,7 +32,9 @@ def cases():
     return [*probe_cases(), *(
         (f"mutex3 mono bmc {k}", lambda k=k: build_problem(mutex3, k, "mono", "bmc"))
         for k in (10, 20, 30)
-    )]
+    ), ("next3000 bi root 5", lambda: CheckProblem(k=5, engine="bi", root=nest(Next, 3000, P))),
+        ("yesterday1000 mono root 5",
+         lambda: CheckProblem(k=5, engine="mono", root=nest(Yesterday, 1000, P)))]
 
 
 def best(n: int, run) -> float:
@@ -45,17 +51,20 @@ def main() -> int:
     if n < 1:
         print(f"error: N must be at least 1, got {n}", file=sys.stderr)
         return 2
-    print(f"{'problem':24s} {'vars':>7s} {'clauses':>8s} {'encode_s':>9s} {'emit_s':>8s}")
-    sums = [0, 0, 0.0, 0.0]
+    print(f"{'problem':26s} {'vars':>7s} {'clauses':>8s} {'copies':>6s} {'encode_s':>9s} "
+          f"{'emit_s':>8s}")
+    sums = [0, 0, 0, 0.0, 0.0]
     for name, make in cases():
         problem = make()
-        inst = to_cnf(encode(problem))
-        row = [inst.num_vars, len(inst.clauses),
+        encoded = encode(problem)
+        inst, vm = to_cnf(encoded), encoded.varmap
+        copies = sum(len(vm.rrows[f]) + len(vm.lrows[f]) - 2 for f in vm.closure)
+        row = [inst.num_vars, len(inst.clauses), copies,
                best(n, lambda: encode(problem)),
                best(n, lambda: emit_dimacs(inst, io.StringIO()))]
         sums = [a + b for a, b in zip(sums, row)]
-        print(f"{name:24s} {row[0]:7d} {row[1]:8d} {row[2]:9.4f} {row[3]:8.4f}")
-    print(f"{'total':24s} {sums[0]:7d} {sums[1]:8d} {sums[2]:9.4f} {sums[3]:8.4f}")
+        print(f"{name:26s} {row[0]:7d} {row[1]:8d} {row[2]:6d} {row[3]:9.4f} {row[4]:8.4f}")
+    print(f"{'total':26s} {sums[0]:7d} {sums[1]:8d} {sums[2]:6d} {sums[3]:9.4f} {sums[4]:8.4f}")
     return 0
 
 

@@ -60,7 +60,7 @@ PAST_PROBE = (
 P, Q = Atom("P"), Atom("Q")
 
 
-def _nest(op, n, f):
+def nest(op, n, f):
     for _ in range(n):
         f = op(f)
     return f
@@ -68,9 +68,9 @@ def _nest(op, n, f):
 
 # (name, problem) per probe built from core formulas, not from a spec
 NEST_PROBES = (
-    ("next30 bi root 5", CheckProblem(k=5, engine="bi", root=_nest(Next, 30, P))),
+    ("next30 bi root 5", CheckProblem(k=5, engine="bi", root=nest(Next, 30, P))),
     ("yesterday30 mono root 5",
-     CheckProblem(k=5, engine="mono", root=_nest(Yesterday, 30, P))),
+     CheckProblem(k=5, engine="mono", root=nest(Yesterday, 30, P))),
     ("past transition bi 5", CheckProblem(
         k=5, engine="bi", root=Until(P, Not(Q)),
         transitions=(Implies(Yesterday(Yesterday(P)), Or((Since(Q, P), Next(Q)))),),

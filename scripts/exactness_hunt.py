@@ -4,9 +4,11 @@
 Draws random sugared formulas (every metric-operator variant family in the pool),
 desugars them, and compares the encoder+embedded-solver verdict against
 exhaustive (valuation x loop, x pool on the bi engine) enumeration decided by
-the trace oracle.  Each formula draws its engine: mono, asserted at instant 1,
-bi, asserted at instant 0, or loop-free: mono with a random core transition,
-decided by enumerating the finite words of pairwise distinct states.  Every
+the trace oracle.  Each formula draws a random core transition and its
+engine: mono, asserted at instant 1, bi, asserted at instant 0, both
+decided against the root and the transition at every instant of the word,
+or loop-free: mono, decided by enumerating the finite words of pairwise
+distinct states.  Every
 draw at bound K is solved as one encoding at K, and as one encoding grown
 over k = 2..K (loop-free: 1..K) on one live solver, each k under the
 assumption E_k; a loop-free window adds the distinctness of two instants
@@ -35,6 +37,7 @@ from brute import (  # noqa: E402
 
 from lassosat.cnf import to_cnf  # noqa: E402
 from lassosat.encoder import CheckProblem, encode  # noqa: E402
+from lassosat.formula import And, FalseF, Release, Trigger, Yesterday  # noqa: E402
 from lassosat.oracle import eval_lasso  # noqa: E402
 from lassosat.pipeline import solve_window, window_solver  # noqa: E402
 from lassosat.pretty import formula_text  # noqa: E402
@@ -71,6 +74,19 @@ def _loop_free_mismatch(prob):
     return None
 
 
+def _reference(prob):
+    """The formula that a lasso problem's models satisfy at its assertion
+    instant: the root, and each transition at every instant of the word (G
+    from instant 0 on mono, G and H on the bi engine)."""
+    every = []
+    for tr in prob.transitions:
+        if prob.engine == "mono":
+            every.append(Yesterday(Release(FalseF(), tr)))
+        else:
+            every += [Release(FalseF(), tr), Trigger(FalseF(), tr)]
+    return And((prob.root, *every)) if every else prob.root
+
+
 def _lasso_verdict(core, engine, pos, enc, res):
     """None, or how the verdict `res` on the lasso encoding `enc` of `core`
     disagrees with the oracle (a SAT model) or the enumeration (UNSAT)."""
@@ -85,14 +101,15 @@ def _lasso_mismatch(prob, pos):
     """None, or (how, k, grown) for the first lasso verdict that disagrees:
     of the encoding at prob.k solved on its own, then of each k = 2..prob.k
     of one encoding grown on one live solver."""
+    ref = _reference(prob)
     enc = encode(prob)
-    found = _lasso_verdict(prob.root, prob.engine, pos, enc, solve_embedded(to_cnf(enc)))
+    found = _lasso_verdict(ref, prob.engine, pos, enc, solve_embedded(to_cnf(enc)))
     if found:
         return found, prob.k, False
     solve, enc = window_solver(), None
     for k in range(2, prob.k + 1):
         enc = encode(replace(prob, k=k), enc)
-        found = _lasso_verdict(prob.root, prob.engine, pos, enc, solve(enc, None))
+        found = _lasso_verdict(ref, prob.engine, pos, enc, solve(enc, None))
         if found:
             return found, k, True
     return None
@@ -109,8 +126,8 @@ def main():
         f, core = random_sugared_capped(rng, rng.randint(1, 4), ("P", "Q", "R"))
         k = rng.choice((3, 4))
         engine = rng.choice(("mono", "bi", "loop-free"))
+        trans = random_core(rng, rng.randint(1, 2), ("P", "Q", "R"))
         if engine == "loop-free":
-            trans = random_core(rng, rng.randint(1, 2), ("P", "Q", "R"))
             k = rng.choice((2, 3))
             found = _loop_free_mismatch(CheckProblem(
                 k=k, engine="mono", root=core, transitions=(trans,), loop_free=True
@@ -123,16 +140,18 @@ def main():
                       f"{formula_text(f)} trans={formula_text(trans)}")
             continue
         pos = 1 if engine == "mono" else 0
-        found = _lasso_mismatch(CheckProblem(k=k, engine=engine, root=core), pos)
+        prob = CheckProblem(k=k, engine=engine, root=core, transitions=(trans,))
+        found = _lasso_mismatch(prob, pos)
         if found:
             how, at, grown = found
             mism += how == "INCOMPLETE"
             unsound += how == "UNSOUND"
             print(f"[{n}] {how} k={at}{' grown' if grown else ''} {engine} "
-                  f"sugared={formula_text(f)}")
+                  f"sugared={formula_text(f)} trans={formula_text(trans)}")
             if how == "INCOMPLETE":
-                wit = brute_force_sat(core, at, engine, pos)[1]
-                print(f"     witness={wit} trace={trace_from_index(core, at, engine, wit)}")
+                ref = _reference(prob)
+                wit = brute_force_sat(ref, at, engine, pos)[1]
+                print(f"     witness={wit} trace={trace_from_index(ref, at, engine, wit)}")
         if n % 200 == 199:
             dt = time.time() - t0
             print(f"... {n + 1}/{count} checked, {mism} mismatches, "

@@ -309,19 +309,28 @@ def test_copy_caps_reach_every_pass_a_shift_chain_reads(engine, n):
                 assert (result.verdict == "SAT") == want, (loop, pool, index)
 
 
-def _depth_rows(f, root=None):
-    """(future, past) nesting depth of f, read off its copy rows on the bi
-    engine: pool passes above the primary row, then loop passes."""
-    vm = encode(CheckProblem(k=2, engine="bi", root=f if root is None else root,
-                             atoms=(P, Q))).varmap
+def _depth(f, root=None):
+    """(future, past) nesting depth of f, as the encoder's closure loop
+    computes it."""
+    encoded = encode(CheckProblem(k=2, engine="bi", root=f if root is None else root,
+                                  atoms=(P, Q)))
+    return encoded.encoder.depth[f]
+
+
+def _copy_rows(f, engine="bi", **kw):
+    """(pool passes, loop passes) of f: its copy rows above the primary row
+    at k = 3."""
+    vm = encode(CheckProblem(k=3, engine=engine, **kw)).varmap
     return len(vm.lrows[f]) - 1, len(vm.rrows[f]) - 1
 
 
 def test_nesting_depths_set_the_copy_rows_and_the_lookahead():
-    assert _depth_rows(P) == (0, 0)
-    assert _depth_rows(Q, root=P) == (0, 0)  # a registry atom no formula mentions
-    assert _depth_rows(Until(P, Yesterday(Q))) == (1, 1)
-    assert _depth_rows(Next(Next(Since(P, Q)))) == (2, 1)
+    assert _depth(P) == (0, 0)
+    assert _depth(Q, root=P) == (0, 0)  # a registry atom no formula mentions
+    for f, depth in ((Until(P, Yesterday(Q)), (1, 1)), (Next(Next(Since(P, Q))), (2, 1))):
+        assert _depth(f) == depth
+        # a transition holds on every pass, so its copy rows reach its depths
+        assert _copy_rows(f, transitions=(f,)) == depth
     # in a loop-free window a transition of future depth n holds at instant
     # s once instant s + n has entered
     n, R = 6, Atom("R")
@@ -335,12 +344,49 @@ def test_nesting_depths_set_the_copy_rows_and_the_lookahead():
         assert units == list(range(max(0, k - n + 1))), k
 
 
+@pytest.mark.parametrize("engine,shift,reader", [
+    ("mono", Zeta, Release), ("bi", Zeta, Release), ("bi", Next, Trigger),
+])
+def test_copy_rows_follow_their_readers(engine, shift, reader):
+    """A deeper loop pass is read only through a future entry's wrap at k,
+    a deeper pool pass only through a past entry's wrap at instant 0, and a
+    transition holds on every pass.  So a past nest as the root has no loop
+    pass, and one under Release or as a transition has one per link; the
+    bi engine mirrors this for a future nest and its pool passes."""
+    f = _nest(shift, 3, Q)
+    family = 0 if shift is Next else 1  # pool passes, or loop passes
+    assert _copy_rows(f, engine, root=f)[family] == 0
+    assert _copy_rows(f, engine, root=reader(FalseF(), f))[family] == 3
+    assert _copy_rows(f, engine, transitions=(f,))[family] == 3
+
+
+@pytest.mark.parametrize("engine,shift,n", [("bi", Next, 3000), ("mono", Yesterday, 1000)])
+def test_deep_shift_nests_at_the_root_encode_in_linear_size(engine, shift, n):
+    """A shift nest at the root has no reader of its other family's passes,
+    so it takes no copy rows and its clauses grow linearly in n, where the
+    copies up to each link's depth would take about n^2 / 2 rows.  On mono
+    the nest is asserted at instant 1, where yesterday^n is false."""
+    sizes = []
+    for m in (n // 2, n):
+        root = _nest(shift, m, P)
+        encoded = encode(CheckProblem(k=5, engine=engine, root=root))
+        vm = encoded.varmap
+        assert all(len(rows) == 1 for rows in (*vm.rrows.values(), *vm.lrows.values()))
+        inst = to_cnf(encoded)
+        sizes.append(len(inst.clauses))
+    assert sizes[1] <= 2.2 * sizes[0], sizes
+    result = solve_embedded(inst)
+    assert result.verdict == ("SAT" if engine == "bi" else "UNSAT")
+    if engine == "bi":
+        assert eval_lasso(decode(result, encoded.varmap), root, 0)
+
+
 def test_mutex_property_depth_regression(data_dir):
     # frozen after first implementation: som/alw wraps the somf layer in
     # zeta/trigger towards the past and next/release towards the future
     doc = load_spec(data_dir / "mutex3.zot")
     core = desugar(Not(doc.property), doc.declarations)
-    assert _depth_rows(core) == (4, 2)
+    assert _depth(core) == (4, 2)
 
 
 @pytest.mark.parametrize("spec", ["mutex3.zot", "mutex3_broken.zot"])
@@ -578,20 +624,20 @@ def test_loop_free_rejects_bi():
 # to the encoding must update a row on purpose; a row's test id names only
 # its problem, so it stays the same when the row is re-pinned.
 PINNED = [
-    ("lamp.zot", 5, "mono", "bsc", 63, 712, 2687,
-     "0d981f9a1eea839a30a841fa1bcec2d2ed2aa0357706b41ff3f34aa67f092d75"),
-    ("lamp.zot", 5, "bi", "bsc", 68, 779, 2978,
-     "af9a995463a46cc6f5c2bcbdbd5d0745a917c307c53bf9ba71398164d122047d"),
-    ("mutex3.zot", 4, "mono", "bmc", 5, 678, 2469,
-     "cb1bd549bbda233175a386378dd3e2652a42df329279eae905a11e26ee328972"),
-    ("mutex3.zot", 4, "bi", "bmc", 85, 1248, 4806,
-     "157eff5dab65a89ebd50fcf1702939bb887b7b5f1f9d30bfc336687194b903c1"),
+    ("lamp.zot", 5, "mono", "bsc", 43, 542, 2054,
+     "3f2f89157b57801f48c7191fb5c9dc284c206b672d812f07d662fe94814bd581"),
+    ("lamp.zot", 5, "bi", "bsc", 43, 567, 2191,
+     "7218525d9cf753021b83ccc9710a863f25ea5b1a718bf004848e25e439c14ae0"),
+    ("mutex3.zot", 4, "mono", "bmc", 0, 642, 2329,
+     "f92aba7b5d17871cb695e0f1c91338f9e0ff89ebd0298a333f1014c8fb9d3da3"),
+    ("mutex3.zot", 4, "bi", "bmc", 69, 1127, 4360,
+     "f51b11ae9a6736978015646bb9225211b2029ebd481a36e4a27628d4179087c1"),
     ("cycle3.zot", 3, "mono", "loop-free", 0, 49, 129,
      "904399810928206b3a7f3b10fa5e07ab2afbc641b9eac383a5a65c3b3fb43ea9"),
     ("stutter.zot", 4, "bi", "bsc", 0, 35, 106,
      "49cee86b35d4915d2dc3d780e893358da9e40e4440bdc0aa10d1c3162995df8b"),
-    ("lamp.zot", 10, "bi", "hcc", 68, 1514, 6017,
-     "564d15698a5e5ed55a6f497afba273e6e2f6026c3791a7fb06e00d7631786dc8"),
+    ("lamp.zot", 10, "bi", "hcc", 43, 1097, 4435,
+     "e960fe7660545ade30bb0b83851f23f88d0a7d7af2bedac49c2347653bd4bedd"),
     ("mutex3.zot", 4, "mono", "loop-free", 0, 619, 2129,
      "a1e1f0d0924612fb7ac2aba108449400d97f9ca248cdbf5488d17b5b8a132a33"),
 ]
@@ -617,7 +663,7 @@ def test_encoding_bytes_are_pinned(
 # about 2,000 encodings (the tests/data corpus over engines, modes and
 # bounds, seeded random formulas, and a few long-row probes).  A change to
 # the encoding re-pins it.
-DIGEST_TOTAL = "c0258c57f890f2e217280731565a5d7789e147815d1930646e9fbaa6c3696c61"
+DIGEST_TOTAL = "699a8c470be880a1a219afb55a157d5d98fbd7760d51537dd2611cbb1cdfc446"
 
 
 def test_encoding_digest_is_pinned():

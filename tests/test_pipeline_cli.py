@@ -396,7 +396,7 @@ def test_decoded_items_have_exactly_one_value_everywhere(data_dir, out_dir):
 def test_lamp_instance_size_regression(data_dir, out_dir):
     # frozen after the first verified build; guarded by the soundness suite
     report = run(_cfg(data_dir, out_dir, "lamp.zot"))
-    assert (report.num_vars, report.num_clauses) == (1514, 6003)
+    assert (report.num_vars, report.num_clauses) == (1097, 4421)
 
 
 def test_mutex3_bmc_instance_size_regression(data_dir, out_dir):
@@ -404,7 +404,7 @@ def test_mutex3_bmc_instance_size_regression(data_dir, out_dir):
     # selector-guarded row per loop position; aliases own no variable
     report = run(_cfg(data_dir, out_dir, "mutex3.zot", bound=10, engine="mono", mode="bmc"))
     assert report.verdict == "UNSAT"
-    assert (report.num_vars, report.num_clauses) == (1488, 5559)
+    assert (report.num_vars, report.num_clauses) == (1398, 5191)
 
 
 def test_lamp_is_satisfiable_on_mono_engine_too(data_dir, out_dir):

@@ -182,7 +182,7 @@ def test_counters_match_the_reference_search(data_dir):
     assert result.stats == {
         "conflicts": 304,
         "decisions": 863,
-        "propagations": 47721,
+        "propagations": 44185,
         "restarts": 2,
         "learnts": 282,
         "learnt_lits": 2376,

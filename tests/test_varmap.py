@@ -101,7 +101,8 @@ def test_partitions_disjoint_and_cover():
 
 
 def test_selectors_allocated_after_blocks():
-    vm = _varmap(3, "bi")
+    # as a transition too, ROOT's copies are read on every pass
+    vm = _varmap(3, "bi", transitions=(ROOT,))
     assert sorted(vm.loop_selectors) == [1, 2, 3]
     assert sorted(vm.pool_selectors) == [1, 2, 3]
     table = {
@@ -125,22 +126,25 @@ def test_extra_atoms_lead_ordering():
 
 
 def test_copy_blocks():
+    # under a `next`, which reads each loop pass at its wrap, the copies
+    # reach the past depth
     yq = Yesterday(Q)
     yyq = Yesterday(yq)
-    vm = _varmap(3, root=yyq)
+    vm = _varmap(3, root=Next(yyq))
     assert len(vm.rrows[yq]) == 2 and len(vm.rrows[yyq]) == 3  # copies up to the past depth
-    assert vm.copy_base == {}  # yesterday aliases on every copy
+    assert vm.copy_base == {}  # yesterday and next alias on every copy
     s1 = Since(P, Q)
     s2 = Since(P, s1)
-    vm = _varmap(3, root=s2)
+    vm = _varmap(3, root=Next(s2))
     assert set(vm.copy_base) == {(s1, "r", 1), (s2, "r", 1), (s2, "r", 2)}
     for (f, family, c), base in vm.copy_base.items():
         assert vm.rrows[f][c][1] == base  # a loop pass starts at instant 1
     assert vm.copy_base[(s1, "r", 1)] < vm.copy_base[(s2, "r", 1)] < vm.copy_base[(s2, "r", 2)]
     assert vm.copy_base[(s2, "r", 2)] < min(vm.loop_selectors.values())
-    # the bi engine's backward copies of a future node, one id per instant
+    # the bi engine's backward copies of a future node under a yesterday,
+    # which reads each pool pass at instant 0, one id per instant
     until = Until(P, Q)
-    vm = _varmap(3, "bi", root=until)
+    vm = _varmap(3, "bi", root=Yesterday(until))
     base = vm.copy_base[(until, "l", 1)]
     assert set(vm.copy_base) == {(until, "l", 1)}
     assert vm.lrows[until][1] == [base, base + 1, base + 2, base + 3]
