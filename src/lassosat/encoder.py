@@ -66,26 +66,25 @@ argument.
 Only a reader makes a deeper pass count, so a node gets its copies only
 where one can reach them.  A deeper loop pass is entered only at a wrap: a
 future entry at k reads its operand's (or its own) next pass at the loop
-start.  A deeper pool pass is entered only where a bi past entry at
-instant 0 reads the next pass at the pool start.  A transition holds on
-every pass of its copies.  Every other read stays on the reader's pass or
-goes to a shallower one.  So one parents-first pass over the closure marks a node "read
-forward" if it is a future node, a transition or an operand of a node so
-marked, and "read back" if it is a past node, a transition or an operand of
-a node so marked.  A node keeps its loop passes 1..pd only if it is read
+start.  A deeper pool pass is entered only where a bi past entry at instant
+0 reads the next pass at the pool start.  A transition holds on every pass
+of its copies.  Every other read stays on the reader's pass or goes to a
+shallower one.  So one parents-first pass over the closure marks a node
+"read forward" if it is a future node, a transition or an operand of a node
+so marked, and "read back" if it is a past node, a transition or an operand
+of a node so marked.  A node keeps its loop passes 1..pd only if it is read
 forward, and on the bi engine its pool passes 1..fd only if it is read
 back; else that family's cap is 0.  Where a node keeps a cap its operands
 are marked too, so they keep theirs, and the stabilization argument above
-holds for it as stated.  The rows dropped are read only by one another:
-a kept row reads its operands' rows of its pass or a shallower one, and
-those are kept.  Their
-clauses are definitions and nothing else (every discharge sits on a future
-node's loop passes or a past node's pool passes, which are kept), and each
-definition reads kept entries, the same row one instant further in its
-operator's direction, the previous pass at a wrap, or a free successor
-literal.  So any model of the kept clauses extends to the dropped rows by
-evaluating their definitions in that order, and the encoding without them
-has the same models, restricted to what it keeps.
+holds for it as stated.  The rows dropped are read only by one another: a
+kept row reads its operands' rows of its pass or a shallower one, and those
+are kept.  Their clauses are definitions and nothing else (every discharge
+sits on a future node's loop passes or a past node's pool passes, which are
+kept), and each definition reads kept entries, the same row one instant
+further in its operator's direction, the previous pass at a wrap, or a free
+successor literal.  So any model of the kept clauses extends to the dropped
+rows by evaluating their definitions in that order, and the encoding
+without them has the same models, restricted to what it keeps.
 
 Every encoding grows, after Een & Sorensson, Temporal Induction by
 Incremental SAT Solving (BMC 2003) and Heljanko, Junttila & Latvala,
@@ -155,15 +154,16 @@ every operand is resolved before its parents, with no recursion.  The
 closure order is: the registry atoms, the other atoms of the formulas, then
 their boolean, future and past nodes, each group in postorder; the loop
 that sorts it also computes each member's (future, past) nesting depth, and
-one pass back over it, parents first, its copy caps.  A block allocates, in this order: the primary rows (its
-instants of each closure member in closure order), the copy rows (per
-member, its loop passes before its pool passes), its loop selectors, then
-its pool selectors, E_k, and, as the clauses are written, the Tseitin gates
-(and/or, iff, ite), the chain links, the successor, pool-start and loop-end
-literals and the constant.  A fresh encoding is one block, so its rows are
-laid out row-major.  The iff gates of a distinctness pair take their ids
-when the pair is added.  Models decode through VarMap.lit, and the
-selectors, which never alias, by their ids.
+one pass back over it, parents first, its copy caps.  A block allocates, in
+this order: the primary rows (its instants of each closure member in
+closure order), the copy rows (per member, its loop passes before its pool
+passes), its loop selectors, then its pool selectors, E_k, and, as the
+clauses are written, the Tseitin gates (and/or, iff, ite), the chain links,
+the successor, pool-start and loop-end literals and the constant.  A fresh
+encoding is one block, so its rows are laid out row-major.  The iff gates
+of a distinctness pair take their ids when the pair is added.  Models
+decode through VarMap.lit, and the selectors, which never alias, by their
+ids.
 
 The predecessor of instant 0 on the bi engine is the pool start: one
 pool-start literal z per (operand g, copy c) that a past entry reads there
@@ -355,11 +355,10 @@ class _Encoder:
                 kind = "atom" if cls is Atom else "bool"
             depth[f] = fd, pd
             groups[kind][f] = None
-        # the top copy of each family, where traversal values start to
-        # repeat, for the nodes whose deeper passes have a reader (parents
-        # first): loop passes for a future node and what it reads, pool
-        # passes (bi) for a past node and what it reads, both for a
-        # transition and what it reads
+        # the top copy of each family (where traversal values start to
+        # repeat) for the nodes whose deeper passes have a reader, parents
+        # first: a node is read forward (back) if it is a future (past) node,
+        # a transition or an operand of a node so read
         self.caps: Dict[Formula, Tuple[int, int]] = dict.fromkeys(problem.atoms, (0, 0))
         forward, back = set(problem.transitions), set(problem.transitions)
         for f in reversed(self.postorder):
