@@ -29,12 +29,14 @@ from lassosat.specfile import load_spec
 
 def cases():
     mutex3 = load_spec(str(ROOT / "tests" / "data" / "mutex3.zot"))
-    return [*probe_cases(), *(
-        (f"mutex3 mono bmc {k}", lambda k=k: build_problem(mutex3, k, "mono", "bmc"))
-        for k in (10, 20, 30)
-    ), ("next3000 bi root 5", lambda: CheckProblem(k=5, engine="bi", root=nest(Next, 3000, P))),
+    return [
+        *probe_cases(),
+        *((f"mutex3 mono bmc {k}", lambda k=k: build_problem(mutex3, k, "mono", "bmc"))
+          for k in (10, 20, 30)),
+        ("next3000 bi root 5", lambda: CheckProblem(k=5, engine="bi", root=nest(Next, 3000, P))),
         ("yesterday1000 mono root 5",
-         lambda: CheckProblem(k=5, engine="mono", root=nest(Yesterday, 1000, P)))]
+         lambda: CheckProblem(k=5, engine="mono", root=nest(Yesterday, 1000, P))),
+    ]
 
 
 def best(n: int, run) -> float:
