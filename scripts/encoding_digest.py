@@ -15,9 +15,11 @@ message.
   transition and with a random core one, on mono, bi and loop-free;
 - probe: the long rows and deep copies that the corpus's small bounds miss,
   in bsc mode: the metric probe at k = 20 with t = 5 and t = 8 on mono and
-  bi, the pure-past probe on mono at k = 40, and lamp hcc on bi at k = 10;
-  then, at k = 5, a `next`^30 root on bi, a `yesterday`^30 root on mono and
-  a bi transition with past content (`NEST_PROBES`).
+  bi and with t = 15 on mono (a look-back of 14 instants), the pure-past
+  probe on mono at k = 40, and lamp hcc on bi at k = 10; then, at k = 5, a
+  `next`^30 root on bi, a `yesterday`^30 root on mono, a bi transition
+  with past content and a mono transition with `yesterday`^3 under a since
+  (`NEST_PROBES`).
 
 The output does not depend on PYTHONHASHSEED.
 
@@ -74,6 +76,10 @@ NEST_PROBES = (
     ("past transition bi 5", CheckProblem(
         k=5, engine="bi", root=Until(P, Not(Q)),
         transitions=(Implies(Yesterday(Yesterday(P)), Or((Since(Q, P), Next(Q)))),),
+    )),
+    ("yesterday3 under since transition mono 5", CheckProblem(
+        k=5, engine="mono", root=Until(P, Q),
+        transitions=(Implies(P, Since(Q, nest(Yesterday, 3, P))),),
     )),
 )
 
@@ -143,6 +149,7 @@ def probe_cases():
     lamp = ROOT / "tests" / "data" / "lamp.zot"
     specs = [(f"metric-t{t}", METRIC_PROBE.format(t=t), 20, engine, "bsc")
              for t in (5, 8) for engine in ("mono", "bi")]
+    specs.append(("metric-t15", METRIC_PROBE.format(t=15), 20, "mono", "bsc"))
     specs.append(("past", PAST_PROBE, 40, "mono", "bsc"))
     specs.append(("lamp", lamp.read_text(encoding="utf-8"), 10, "bi", "hcc"))
     cases = []
