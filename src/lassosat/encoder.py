@@ -4,7 +4,10 @@ Instants run 0..k.  The mono-infinite engine requires exactly one future
 loop selector L_i (1 <= i <= k), read as "the successor of instant k is
 instant i", so a model denotes the infinite word u[0..i-1] (u[i..k])^w.
 The bi-infinite engine adds exactly one past selector P_p and anchors the
-word ^w(u[0..p]) u[0..k] (u[i..k])^w at absolute instant 0.
+word ^w(u[0..p]) u[0..k] (u[i..k])^w at absolute instant 0.  Where the
+formulas read back a bounded number of instants, the same word is encoded
+unrolled T instants further, over 0..k+T (look-back unrolling, below);
+everything said here of k then holds of k+T on the future loop.
 
 Subformula variables are constrained by their fixpoint expansions, one rule
 per operator (`_emit_temporal`, `_emit_bool`, `_aliases`): a node's value at instant t follows from its operands
@@ -46,12 +49,14 @@ depth.  A copy is thus a loop pass (family "r") or a pool pass ("l"), copy
 - a deeper copy of the other family reads ite(s_t, f(c-1, e), f(c, t+-1)),
   s_t being that loop's selector at t (L_t, P_t) and e the previous pass's
   edge instant (k for a loop pass, read through its loop-end literal, 0 for
-  a pool pass); the step to instant 0 of a loop pass is a don't-care and
-  reads e.  Such a copy's
-  values off its loop (before the loop start, after the pool start) are
-  don't-cares that nothing reads, since constraints on deeper copies hold
-  only where InLoop_t (InPool_t) does.  Instant 0 never lies on the future
-  loop, so a loop pass starts at instant 1.
+  a pool pass); the step before the first loop position of a loop pass
+  is a don't-care and reads e, and a pool pass reads its pool successor
+  (below) at the last pool position k.  Such a copy's values off its loop
+  (before the loop start, after the pool start) are don't-cares that
+  nothing reads, since constraints on deeper copies hold only where
+  InLoop_t (InPool_t) does.  Instant 0 never lies on the future loop, so a
+  loop pass starts at instant 1 (T+1 when unrolled), and a pool pass ends
+  at k.
 
 Copy pd is the last one that differs, by induction on pd.  The operands of
 f have past depth below pd, so they repeat from copy pd-1 on.  f's loop
@@ -86,6 +91,49 @@ successor literal.  So any model of the kept clauses extends to the dropped
 rows by evaluating their definitions in that order, and the encoding
 without them has the same models, restricted to what it keeps.
 
+Look-back unrolling, after the bounded metric operators of Pradella,
+Morzenti & San Pietro, Bounded Satisfiability Checking of Metric Temporal
+Logic Specifications (TOSEM 2013).  A node with no since or trigger below
+it reads back a bounded number of instants, its look-back: 0 for an atom,
+one more than its operand's for yesterday and zeta, the largest of its
+operands' for any other node (a future node reads only forward).  Its
+value at instant n depends only on the word from n minus its look-back on,
+so on a word periodic from instant L it repeats with the loop from L plus
+its look-back on.  T is the largest look-back of a node read forward that
+has one, and 0 where there is none.  The word is then unrolled to k+T
+instants: the loop selectors run over T+1..k+T, and under E_k each atom x
+at an instant m in k+1..k+T is tied to its value one loop earlier, -E |
+-L_i | -x(m) | x(m-p) and -E | -L_i | x(m) | -x(m-p), with p = k+T+1-i the
+loop's length (T * atoms * 2k clauses).  So the T instants before the loop
+start i repeat its last T, the word is periodic from i-T, and its instants
+0..k with loop start i-T are a bound-k lasso of the same word; conversely
+each bound-k lasso with loop start L unrolls to one with loop start L+T.
+The wrap is resolved once per (atom, instant), not once per entry.
+VarMap reports the bound k and `trace.decode` the loop start i-T, and a
+history's `**LOOP**` marker at L pins L_{L+T}.  The bi engine keeps its
+pool selectors on 1..k, and its pool passes hold the instants 0..k: the
+pool lies within them, and each of their ite neighbours needs its P_t.
+
+Every loop position lies at T+1 or later, so a node read forward that has
+a look-back takes the same value on every loop pass and keeps no loop
+pass.  The other nodes count their pass depth in place of their past depth:
+0 for a node with a look-back, else the largest pass depth of its operands,
+plus one for a past node.  The stabilization argument holds with pass depth
+in place of past depth: a node of pass depth 0 repeats from copy 0 on, the
+operands of a past node of pass depth n > 0 have pass depth below n, so
+they repeat from copy n-1 on and the step through G shows that copy n is
+its last distinct one, and a boolean or future node repeats from the copy
+its operands repeat from.  The readers argument is unchanged: it decides
+which nodes keep their caps, whatever the caps are, and a read of a deeper
+pass of a node of pass depth 0 reads its primary row, whose values on the
+loop are those of every pass.  With T = 0 (no node read forward reads back
+a bounded number of instants, past nodes included) pass depth and past
+depth agree on every node read forward, and the encoding is the one
+without unrolling.  T depends only on the formulas, so it stays fixed as an
+encoding grows, and it is kept at every bound, also at a bound k <= T,
+where the T extra instants can cost more clauses than the passes they
+remove.
+
 Every encoding grows, after Een & Sorensson, Temporal Induction by
 Incremental SAT Solving (BMC 2003) and Heljanko, Junttila & Latvala,
 Incremental and Complete Bounded Model Checking for Full PLTL (CAV 2005).
@@ -103,12 +151,20 @@ and behind E_k go exactly the parts that read k as the last instant:
 - the unit InLoop_k (and R_k);
 - the successor literals' values: g's next pass at the loop start, -L_i |
   -y | g(c+1, i) and -L_i | y | -g(c+1, i) per selector L_i; beyond a
-  loop-free window the finite-word constant (a pool pass needs none: its
-  successor of k is read only where P_k does not hold, as a don't-care);
+  loop-free window the finite-word constant;
 - the discharges, which span the loop up to k;
 - one loop-end literal e per (operand g, copy c) that a deeper loop pass
   reads at its wrap, e <-> g(c, k), so the ite neighbours stay right as k
-  grows.
+  grows;
+- the ties of the unrolled instants to the loop, where T > 0.
+
+A pool pass's future entries at the last pool position k read one pool
+successor literal y per (operand g, copy c) and bound
+(`_pool_successor`), which needs no E_k: where P_k holds, y is the pool
+start's previous pass, -P_k | -y | g(c-1, 0) and -P_k | y | -g(c-1, 0),
+and once instant k+1 enters, y is g(c, k+1) where P_k does not hold, P_k |
+-y | g(c, k+1) and P_k | y | -g(c, k+1).  Four clauses, where an ite over
+P_k, the wrap and a free y took a gate of six and the two of y's tie.
 
 A loop-start tie has 2k clauses, so growing one instant at a time writes
 O(k^2) of them; a loop-start literal fixed across bounds would make that
@@ -140,7 +196,8 @@ owns no variable and no defining clauses:
   true/false node is the one shared constant literal, or its negation;
 - `next g` at copy d is g(d, t+1), and at the last instant g's successor;
 - `yesterday g` and `zeta g` at copy 0 and t >= 1 are g(0, t-1), and on a
-  deeper copy the ite neighbour itself (the loop-end literal at t = 1);
+  deeper copy the ite neighbour itself (the loop-end literal at the first
+  loop position);
 - at the mono origin yesterday and zeta are the constant (false, true) and
   since and trigger their right operand;
 - the bi engine's backward copies mirror these rules;
@@ -159,7 +216,8 @@ this order: the primary rows (its instants of each closure member in
 closure order), the copy rows (per member, its loop passes before its pool
 passes), its loop selectors, then its pool selectors, E_k, and, as the
 clauses are written, the Tseitin gates (and/or, iff, ite), the chain links,
-the successor, pool-start and loop-end literals and the constant.  A fresh
+the successor, pool successor, pool-start and loop-end literals and the
+constant.  A fresh
 encoding is one block, so its rows are laid out row-major.  The iff gates
 of a distinctness pair take their ids when the pair is added.  Models
 decode through VarMap.lit, and the selectors, which never alias, by their
@@ -339,13 +397,17 @@ class _Encoder:
         # operands before their parents: the order the aliases are resolved in
         roots = (problem.root,) if problem.root is not None else ()
         self.postorder = closure((*roots, *problem.transitions))
-        # per node, its (future, past) nesting depth and its partition
+        # per node, its (future, past) nesting depth and its partition; how
+        # many instants back it reads (None with a since or trigger below)
+        # and its pass depth, the past depth counted only above such nodes
         depth = self.depth = dict.fromkeys(problem.atoms, (0, 0))
+        reach = dict.fromkeys(problem.atoms, 0)
+        passes = dict.fromkeys(problem.atoms, 0)
         groups = {"atom": dict.fromkeys(problem.atoms), "bool": {}, "future": {}, "past": {}}
         for f in self.postorder:
-            subs = [depth[g] for g in children(f)]
-            fd = max((d[0] for d in subs), default=0)
-            pd = max((d[1] for d in subs), default=0)
+            subs = children(f)
+            fd = max((depth[g][0] for g in subs), default=0)
+            pd = max((depth[g][1] for g in subs), default=0)
             cls = type(f)
             if cls in _FUTURE:
                 fd, kind = fd + 1, "future"
@@ -355,12 +417,22 @@ class _Encoder:
                 kind = "atom" if cls is Atom else "bool"
             depth[f] = fd, pd
             groups[kind][f] = None
+            back = [reach[g] for g in subs]
+            if cls is Since or cls is Trigger or None in back:
+                reach[f] = None
+                passes[f] = max((passes[g] for g in subs), default=0) + (kind == "past")
+            else:
+                reach[f] = max(back, default=0) + (kind == "past")
+                passes[f] = 0
         # the top copy of each family (where traversal values start to
         # repeat) for the nodes whose deeper passes have a reader, parents
         # first: a node is read forward (back) if it is a future (past) node,
-        # a transition or an operand of a node so read
+        # a transition or an operand of a node so read.  The look-back T is
+        # the furthest that a node read forward and free of since and
+        # trigger reads back; such a node keeps no loop pass.
         self.caps: Dict[Formula, Tuple[int, int]] = dict.fromkeys(problem.atoms, (0, 0))
         forward, back = set(problem.transitions), set(problem.transitions)
+        self.lookback = 0
         for f in reversed(self.postorder):
             cls = type(f)
             for readers, kinds in ((forward, _FUTURE), (back, _PAST)):
@@ -368,9 +440,13 @@ class _Encoder:
                     readers.add(f)
                 if f in readers:
                     readers.update(children(f))
-            fd, pd = depth[f]
-            self.caps[f] = (0, 0) if self.loop_free else (
-                pd if f in forward else 0, fd if f in back and engine == "bi" else 0)
+            if self.loop_free:
+                self.caps[f] = (0, 0)
+                continue
+            if f in forward and reach[f]:
+                self.lookback = max(self.lookback, reach[f])
+            self.caps[f] = (passes[f] if f in forward else 0,
+                            depth[f][0] if f in back and engine == "bi" else 0)
         order = tuple(f for group in groups.values() for f in group)
         # the rows of each node, (family, copy): the primary row, its loop
         # passes, then its pool passes; lrows[f][0] is rrows[f][0]
@@ -379,18 +455,20 @@ class _Encoder:
                 *(("l", c) for c in range(1, nl + 1)))
             for f, (nr, nl) in self.caps.items()
         }
-        # every row is indexed by instant; a loop pass starts at instant 1,
-        # after a placeholder
-        rrows = {f: [[], *([0] for _ in range(self.caps[f][0]))] for f in order}
+        # every row is indexed by instant; a loop pass starts at instant
+        # T+1, after placeholders
+        rrows = {f: [[], *([0] * (self.lookback + 1) for _ in range(self.caps[f][0]))]
+                 for f in order}
         vm = self.vm = VarMap(
             k=-1, engine=engine, closure=order, atoms=tuple(groups["atom"]), rrows=rrows,
             lrows={f: [rows[0], *([] for _ in range(self.caps[f][1]))]
                    for f, rows in rrows.items()},
             copy_base={}, loop_selectors={}, pool_selectors={}, max_var=0,
             partitions={name: tuple(groups[name]) for name in ("bool", "future", "past")},
-            assertion_instant=1 if engine == "mono" else 0,
+            assertion_instant=1 if engine == "mono" else 0, lookback=self.lookback,
         )
-        self.k = -1  # no instant has entered yet
+        # no instant has entered yet: the bound k and the last instant k+T
+        self.k = self.last = -1
         # per family, "r" for the loop passes and "l" for the pool passes:
         # the literal rows, the selectors of the loop and their chain,
         # position t -> OR of the selectors up to t
@@ -415,9 +493,15 @@ class _Encoder:
         )
 
     def _span(self, family: str, c: int, lo: int) -> range:
-        """The instants lo..k that row (family, c) holds: a loop pass has
-        no instant 0."""
-        return range(max(lo, 1) if c and family == "r" else lo, self.k + 1)
+        """The instants from lo on that row (family, c) holds: a primary
+        row 0..k+T, a loop pass T+1..k+T (the loop's positions) and a pool
+        pass 0..k (its pool's); lo is the first new instant of the word,
+        so a pool pass's first new one is T fewer."""
+        if not c:
+            return range(lo, self.last + 1)
+        if family == "r":
+            return range(max(lo, self.lookback + 1), self.last + 1)
+        return range(max(lo - self.lookback, 0), self.k + 1)
 
     def _row(self, family: str, f: Formula, c: int):
         """f's literal row on the family's copy c, clamped to f's top copy."""
@@ -482,25 +566,45 @@ class _Encoder:
             return self._row(family, items[0], c)[lo:hi]
         return [self._constant(cls is And or cls is TrueF)] * len(ts)
 
-    def _successor(self, family: str, g: Formula, c: int, weak: bool) -> int:
-        """One literal for g's copy c at the instant after the last one, k,
-        read by the future entries at k.  Under E_k it is g's next pass at
-        the loop start (-E | -L_i | -y | g(c+1, i) and -E | -L_i | y |
+    def _successor(self, g: Formula, c: int, weak: bool) -> int:
+        """One literal for g's copy c at the instant after the last one,
+        k+T, read by the future entries there.  Under E_k it is g's next pass
+        at the loop start (-E | -L_i | -y | g(c+1, i) and -E | -L_i | y |
         -g(c+1, i) for each selector L_i), beyond a loop-free window the
-        finite-word constant (true for a weak reader), on a pool pass a
-        don't-care; `_grow` ties it to g(c, k+1) once that instant enters."""
+        finite-word constant (true for a weak reader); `_grow` ties it to
+        g(c, k+T+1) once that instant enters."""
         g, sign = _positive(g)
         weak ^= sign < 0  # a negation swaps the finite-word constants
-        rows = self.rows[family][g]
-        key = (family, g, min(c, len(rows) - 1), weak and self.loop_free)
+        rows = self.rows["r"][g]
+        key = ("r", g, min(c, len(rows) - 1), weak and self.loop_free)
         y = self.successors.get(key)
         if y is None:
             y = self.successors[key] = self.sink.fresh()
-            if family == "r" and self.loop_free:
+            if self.loop_free:
                 self.sink.clause([-self.activation, y if weak else -y])
-            elif family == "r":
+            else:
                 row = rows[min(c + 1, len(rows) - 1)]
                 self._tie(y, "r", row, self.selectors["r"], -self.activation)
+        return sign * y
+
+    def _pool_successor(self, g: Formula, c: int) -> int:
+        """One literal for g's copy c after the last pool position k, read
+        by the future entries at k on pool pass c: the previous pass at the
+        pool start where P_k holds, -P_k | -y | g(c-1, 0) and -P_k | y |
+        -g(c-1, 0); `_grow` ties it to g(c, k+1) where P_k does not hold,
+        once that instant enters.  Where P_k holds, instant k+1 lies off the
+        pool and y stays apart from it: g(c, k+1) may be an atom's value at
+        an instant of the word, which the wrap must not pin."""
+        g, sign = _positive(g)
+        rows = self.rows["l"][g]
+        top = len(rows) - 1
+        key = ("l", g, min(c, top), min(c - 1, top))
+        y = self.successors.get(key)
+        if y is None:
+            y = self.successors[key] = self.sink.fresh()
+            s, wrap = self.selectors["l"][self.k], rows[key[3]][0]
+            self.sink.clause([-s, -y, wrap])
+            self.sink.clause([-s, y, -wrap])
         return sign * y
 
     def _start(self, g: Formula, c: int) -> int:
@@ -543,40 +647,44 @@ class _Encoder:
         step with the entries' own clauses keeps the ids in entry order."""
         cls = type(f)
         g = f.sub if cls in _SHIFT else f
-        future, k = cls in _FUTURE, self.k
+        future = cls in _FUTURE
         own = "r" if future else "l"
         if c == 0 or family == own:
             row = self._row(own, g, c)
-            if future:  # beyond k: the successor literal
+            if future:  # beyond the last instant: the successor literal
+                last = self.last
                 for t in ts:
-                    yield row[t + 1] if t < k else self._successor("r", g, c, cls in _WEAK)
+                    yield row[t + 1] if t < last else self._successor(g, c, cls in _WEAK)
             else:  # instant 0 steps to the pool start, one pass deeper
                 for t in ts:
                     yield row[t - 1] if t else (
                         self._start(g, c + 1) if "l" in self.looping else None)
             return
         # a deeper pass of the other loop: the previous pass's edge instant
-        # where that loop's selector holds at t, the step elsewhere; the
-        # step before instant 1 of a loop pass is a don't-care and reads e
+        # where that loop's selector holds at t, the step elsewhere
         row, sel, gate = self._row(family, g, c), self.selectors[family], self.sink.gate
-        wrap = self._end(g, c - 1) if family == "r" else self._row("l", g, c - 1)[0]
-        step = 1 if future else -1
+        if family == "r":  # the step before the first loop position is a don't-care
+            wrap, first = self._end(g, c - 1), self.lookback + 1
+            for t in ts:
+                yield wrap if t == first else gate("ite", [sel[t], wrap, row[t - 1]])
+            return
+        wrap, k = self._row("l", g, c - 1)[0], self.k
         for t in ts:
-            u = t + step
-            if not u:
-                yield wrap
+            if t == k:
+                yield self._pool_successor(g, c)
                 continue
-            nb = row[u] if u <= k else self._successor(family, g, c, False)
             s = sel.get(t)
-            yield nb if s is None else gate("ite", [s, wrap, nb])
+            yield row[t + 1] if s is None else gate("ite", [s, wrap, row[t + 1]])
 
     def _grow(self, k: int) -> None:
-        """The instants after the current bound up to k enter as one block;
-        append their clauses and close the encoding at k under E_k."""
-        vm, sink, problem = self.vm, self.sink, self.problem
+        """The instants after the current last one up to k+T enter as one
+        block; append their clauses and close the encoding at bound k under
+        E_k."""
+        vm, sink, problem, T = self.vm, self.sink, self.problem, self.lookback
         clause, rrows = sink.clause, vm.rrows
-        lo, last = self.k + 1, self.activation
+        lo, last = self.last + 1, self.activation
         self.k = vm.k = k
+        end = self.last = k + T
         for f in vm.closure:
             self._enter(f, "r", 0, lo)
         for f in vm.closure:
@@ -585,35 +693,43 @@ class _Encoder:
                 self._enter(f, family, c, lo)
                 if sink.next_var > ids:
                     vm.copy_base.setdefault((f, family, c), ids)
-        positions = range(max(lo, 1), k + 1)
+        # a loop starts at T+1 at the earliest; the pool lies within 0..k
+        positions = {"r": range(max(lo, T + 1), end + 1), "l": range(max(lo - T, 1), k + 1)}
         for family in self.looping:
-            self.selectors[family].update(zip(positions, sink.fresh_ids(len(positions))))
+            new = positions[family]
+            self.selectors[family].update(zip(new, sink.fresh_ids(len(new))))
         vm.max_var = sink.next_var - 1
         if last:  # the previous bound is closed for good
             clause([-last])
         edge = self.activation = sink.fresh()
 
         # exactly one selector: chain_t <-> chain_{t-1} | s_t, s_t ->
-        # -chain_{t-1}, and chain_k under E_k
+        # -chain_{t-1}, and chain_k+T (chain_k on the pool) under E_k
         for family in self.looping:
             sel, chain = self.selectors[family], self.chains[family]
-            for t in positions:
+            for t in positions[family]:
                 prev = chain.get(t - 1)
                 if prev is None:
                     chain[t] = sel[t]
                 else:
                     clause([-sel[t], -prev])
                     chain[t] = sink.gate("or", [prev, sel[t]])
-            clause([-edge, chain[k]])
-        # the previous bound's successor literals become instant lo, and
-        # the pool-start literals take the new pool positions
+            clause([-edge, chain[end if family == "r" else k]])
+        # the previous bound's successor literals become the first new
+        # instant of their rows, and the pool-start literals take the new
+        # pool positions
         successors, self.successors = self.successors, {}
         starts = list(self.starts.items())
         self._fill(lo)
         for (family, g, c, _), y in successors.items():
-            sink.define(y, "and", [self.rows[family][g][c][lo]])
+            if family == "r":
+                sink.define(y, "and", [rrows[g][c][lo]])
+            else:  # where the pool does not start at the previous bound
+                s, x = self.selectors["l"][lo - T - 1], vm.lrows[g][c][lo - T]
+                clause([s, -y, x])
+                clause([s, y, -x])
         for (g, c), z in starts:
-            self._tie(z, "l", self.rows["l"][g][c], positions)
+            self._tie(z, "l", self.rows["l"][g][c], positions["l"])
         for f in vm.partitions["bool"]:
             self._emit_bool(f, lo)
         for f in (*vm.partitions["future"], *vm.partitions["past"]):
@@ -623,7 +739,7 @@ class _Encoder:
             # a loop-free window asserts a transition once its lookahead fits
             ahead = self.depth[tr][0] if self.loop_free else 0
             row = rrows[tr][0]
-            for t in range(max(lo - ahead, 0), k - ahead + 1):
+            for t in range(max(lo - ahead, 0), end - ahead + 1):
                 clause([row[t]])
             # constraints with past content must also hold on later passes
             for family, c in self.copies[tr][1:]:
@@ -631,19 +747,30 @@ class _Encoder:
                 for t in self._span(family, c, lo):
                     on = self._on_loop(family, t)
                     clause([row[t]] if on is None else [-on, row[t]])
-        if problem.root is not None and lo <= vm.assertion_instant <= k:
+        if problem.root is not None and lo <= vm.assertion_instant <= end:
             vm.root_lit = vm.lit(problem.root, vm.assertion_instant)
             clause([vm.root_lit])
         if not lo:  # the history lies within the first bound
             for t, atom, polarity in self.facts:
                 x = vm.lit(atom, t)
                 clause([x if polarity else -x])
-            for family, position in self.markers:
-                clause([self.selectors[family][position]])
-        for (g, c), e in self.ends.items():  # the loop end is instant k
-            x = rrows[g][c][k]
+            for family, position in self.markers:  # the user's loop start L is L+T
+                clause([self.selectors[family][position + (T if family == "r" else 0)]])
+        for (g, c), e in self.ends.items():  # the loop end is instant k+T
+            x = rrows[g][c][end]
             clause([-edge, -e, x])
             clause([-edge, e, -x])
+        # the instants k+1..k+T repeat the loop's last T instants: where L_i
+        # holds, the loop is end+1-i instants long, and each atom at such an
+        # instant m is itself one loop earlier
+        loops = self.selectors["r"]
+        for a in vm.atoms if T else ():
+            x = rrows[a][0]
+            for m in range(k + 1, end + 1):
+                for i, s in loops.items():
+                    before = x[m - end - 1 + i]
+                    clause([-edge, -s, -x[m], before])
+                    clause([-edge, -s, x[m], -before])
 
     def _enter(self, f: Formula, family: str, c: int, lo: int) -> None:
         """Extend f's row (family, c) over the instants lo..k: 0 for an alias
@@ -707,8 +834,10 @@ class _Encoder:
         sign = 1 if cls in _UNTIL_LIKE else -1
         top = self.caps[f][0 if own == "r" else 1]
         v, b = self._row(own, f, top), self._row(own, f.right, top)
-        lits = [-self.activation, -sign * v[k if own == "r" else 0]]
-        for t in range(1 if own == "r" else 0, k + 1):
+        # the loop's positions T+1..k+T, the pool's 0..k
+        first, end = (self.lookback + 1, self.last) if own == "r" else (0, k)
+        lits = [-self.activation, -sign * v[end if own == "r" else 0]]
+        for t in range(first, end + 1):
             bt, on = sign * b[t], self._on_loop(own, t)
             lits.append(bt if on is None else gate("and", [on, bt]))
         sink.clause(lits)

@@ -93,10 +93,13 @@ def decode(result, vm) -> LassoTrace:
     """Read a LassoTrace off a SAT model via the variable map.
 
     A loop-free encoding has no loop selectors; its trace has no loop start.
+    The selector at position i of an encoding unrolled T instants further
+    (`VarMap.lookback`) selects the loop start i - T.
     """
     if result.verdict != "SAT" or result.model is None:
         raise EncodingError("decode needs a SAT result with a model")
     model = result.model
+    loop = _selected(vm.loop_selectors, model, "future")
     valuations = {
         atom: tuple(bool(model[vm.lit(atom, t)]) for t in range(vm.k + 1))
         for atom in vm.atoms
@@ -106,7 +109,7 @@ def decode(result, vm) -> LassoTrace:
         engine=vm.engine,
         atoms=tuple(vm.atoms),
         valuations=valuations,
-        loop_start=_selected(vm.loop_selectors, model, "future"),
+        loop_start=None if loop is None else loop - vm.lookback,
         pool_start=_selected(vm.pool_selectors, model, "past"),
     )
 

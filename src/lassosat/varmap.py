@@ -19,7 +19,7 @@ from .formula import Atom, Formula
 
 @dataclass
 class VarMap:
-    k: int
+    k: int  # the bound; lit reads the instants 0..k
     engine: str  # "mono" or "bi"
     closure: Tuple[Formula, ...]  # allocation order: atoms, bool, future, past
     atoms: Tuple[Atom, ...]
@@ -31,12 +31,15 @@ class VarMap:
     # (formula, family "r"/"l", copy >= 1) -> first id, for the copy rows
     # that own ids
     copy_base: Dict[tuple, int]
-    loop_selectors: Dict[int, int]  # loop position i -> variable id
+    loop_selectors: Dict[int, int]  # loop position i (T+1..k+T) -> variable id
     pool_selectors: Dict[int, int]
     partitions: Dict[str, Tuple[Formula, ...]]  # "bool", "future", "past"
     max_var: int
     root_lit: Optional[int] = None
     assertion_instant: int = 0
+    # T: the rows run over the instants 0..k+T, and the loop selector at
+    # position i selects the loop start i-T of the bound-k word
+    lookback: int = 0
 
     def lit(self, f: Formula, t: int) -> int:
         """The literal of subformula f at instant t (spec: call)."""

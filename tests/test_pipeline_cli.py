@@ -136,6 +136,24 @@ def test_hcc_completes_partial_history(data_dir, out_dir, tmp_path):
         assert report.trace.holds(Atom("L"), 2)  # forced by the lamp axiom
 
 
+@pytest.mark.parametrize("engine", ["mono", "bi"])
+def test_hcc_loop_marker_pins_the_loop_start_of_the_bound(data_dir, out_dir, tmp_path, engine):
+    """lamp reads 5 instants back, so its encoding runs over the instants
+    0..k+5 and its loop selectors over 6..k+5.  A **LOOP** marker at L
+    selects L+5, and the model decodes and renders with loop start L."""
+    doc = load_spec(data_dir / "lamp.zot")
+    assert encode(build_problem(doc, 10, engine, "bsc")).varmap.lookback == 5
+    for at in (1, 4, 10):
+        hist = tmp_path / f"loop{at}.txt"
+        hist.write_text(f"------ time {at} ------\n  **LOOP**\n")
+        report = run(_cfg(data_dir, out_dir, "lamp.zot", engine=engine, mode="hcc",
+                          history_path=str(hist)))
+        assert report.verdict == "SAT", at
+        assert report.trace.k == 10 and report.trace.loop_start == at
+        assert parse_history(report.history_text).loop_at == at
+        assert check_trace_against_root(build_problem(doc, 10, engine, "hcc"), report.trace)
+
+
 def test_history_is_ignored_outside_hcc(data_dir, out_dir, tmp_path):
     hist = tmp_path / "partial.txt"
     hist.write_text("------ time 1 ------\n  ON\n")
@@ -396,7 +414,7 @@ def test_decoded_items_have_exactly_one_value_everywhere(data_dir, out_dir):
 def test_lamp_instance_size_regression(data_dir, out_dir):
     # frozen after the first verified build; guarded by the soundness suite
     report = run(_cfg(data_dir, out_dir, "lamp.zot"))
-    assert (report.num_vars, report.num_clauses) == (1097, 4421)
+    assert (report.num_vars, report.num_clauses) == (422, 1696)
 
 
 def test_mutex3_bmc_instance_size_regression(data_dir, out_dir):

@@ -21,12 +21,12 @@ def _owns_id(f):
 
 
 def _owned(vm):
-    """The ids of ROOT's table in allocation order: primary rows, then copy
-    rows, which start at instant 1."""
-    primary = [vm.lit(f, t) for f in vm.closure for t in range(vm.k + 1) if _owns_id(f)]
+    """The ids of ROOT's table in allocation order: primary rows, which run
+    over the instants 0..k+T, then copy rows, which start at instant T+1."""
+    primary = [lit for f in vm.closure if _owns_id(f) for lit in vm.rrows[f][0]]
     copies = [
         lit for f in vm.closure if _owns_id(f) for row in vm.rrows[f][1:]
-        for lit in row[1:]
+        for lit in row[vm.lookback + 1:]
     ]
     return primary, copies
 
@@ -68,9 +68,11 @@ def test_aliased_entries_own_no_id():
         assert vm.lit(Yesterday(Q), t) == vm.lit(Q, t - 1)
     for t in range(3):
         assert vm.lit(Next(Yesterday(Q)), t) == vm.lit(Yesterday(Q), t + 1)
-    # `next` at the last instant is the successor literal of the bound, an
+    # ROOT reads Q one instant back, so the word is unrolled to k+T = 4;
+    # `next` at that last instant is the successor literal of the bound, an
     # id taken after the selectors and E_k, as the clauses are written
-    assert vm.lit(Next(Yesterday(Q)), 3) > max(vm.loop_selectors.values()) + 1
+    assert vm.lookback == 1 and len(vm.rrows[P][0]) == 5
+    assert vm.rrows[Next(Yesterday(Q))][0][4] > max(vm.loop_selectors.values()) + 1
 
 
 def test_instant_out_of_range():
@@ -103,7 +105,8 @@ def test_partitions_disjoint_and_cover():
 def test_selectors_allocated_after_blocks():
     # as a transition too, ROOT's copies are read on every pass
     vm = _varmap(3, "bi", transitions=(ROOT,))
-    assert sorted(vm.loop_selectors) == [1, 2, 3]
+    # the loop positions start at T+1 = 2, the pool lies within 0..k
+    assert sorted(vm.loop_selectors) == [2, 3, 4]
     assert sorted(vm.pool_selectors) == [1, 2, 3]
     table = {
         abs(lit) for rows in (vm.rrows, vm.lrows) for f in vm.closure
@@ -126,13 +129,17 @@ def test_extra_atoms_lead_ordering():
 
 
 def test_copy_blocks():
-    # under a `next`, which reads each loop pass at its wrap, the copies
-    # reach the past depth
-    yq = Yesterday(Q)
-    yyq = Yesterday(yq)
-    vm = _varmap(3, root=Next(yyq))
-    assert len(vm.rrows[yq]) == 2 and len(vm.rrows[yyq]) == 3  # copies up to the past depth
-    assert vm.copy_base == {}  # yesterday and next alias on every copy
+    # under a `next`, which reads each loop pass at its wrap, the copies of
+    # a yesterday nest over a since reach its pass depth; a nest free of
+    # since and trigger unrolls the word T instants further instead
+    s = Since(P, Q)
+    ys = Yesterday(s)
+    yys = Yesterday(ys)
+    vm = _varmap(3, root=Next(yys))
+    assert len(vm.rrows[ys]) == 3 and len(vm.rrows[yys]) == 4  # copies up to the pass depth
+    assert set(vm.copy_base) == {(s, "r", 1)}  # yesterday and next alias on every copy
+    vm = _varmap(3, root=Next(Yesterday(Yesterday(Q))))
+    assert all(len(rows) == 1 for rows in vm.rrows.values()) and vm.lookback == 2
     s1 = Since(P, Q)
     s2 = Since(P, s1)
     vm = _varmap(3, root=Next(s2))
