@@ -764,7 +764,7 @@ class _Encoder:
         # holds, the loop is end+1-i instants long, and each atom at such an
         # instant m is itself one loop earlier
         loops = self.selectors["r"]
-        for a in vm.atoms if T else ():
+        for a in vm.atoms:
             x = rrows[a][0]
             for m in range(k + 1, end + 1):
                 for i, s in loops.items():
@@ -773,8 +773,8 @@ class _Encoder:
                     clause([-edge, -s, x[m], -before])
 
     def _enter(self, f: Formula, family: str, c: int, lo: int) -> None:
-        """Extend f's row (family, c) over the instants lo..k: 0 for an alias
-        (`_fill` writes it), else a fresh id."""
+        """Extend f's row (family, c) over its instants from lo on (`_span`):
+        0 for an alias (`_fill` writes it), else a fresh id."""
         span = self._span(family, c, lo)
         owned = self._owned(f, c, span)
         row = self.rows[family][f][c]
