@@ -217,11 +217,10 @@ closure order), the copy rows (per member, its loop passes before its pool
 passes), its loop selectors, then its pool selectors, E_k, and, as the
 clauses are written, the Tseitin gates (and/or, iff, ite), the chain links,
 the successor, pool successor, pool-start and loop-end literals and the
-constant.  A fresh
-encoding is one block, so its rows are laid out row-major.  The iff gates
-of a distinctness pair take their ids when the pair is added.  Models
-decode through VarMap.lit, and the selectors, which never alias, by their
-ids.
+constant.  A fresh encoding is one block, so its rows are laid out
+row-major.  The iff gates of a distinctness pair take their ids when the
+pair is added.  Models decode through VarMap.lit, and the selectors, which
+never alias, by their ids.
 
 The predecessor of instant 0 on the bi engine is the pool start: one
 pool-start literal z per (operand g, copy c) that a past entry reads there

@@ -229,6 +229,31 @@ def test_every_loop_and_pool_position_matches_brute_force():
         _shapes_agree(root, (tr,), engine, 4, rng)
 
 
+def _reference(root, transitions, engine):
+    """(assertion instant, formula) that the enumeration decides: each
+    transition holds at every instant of the word, G tr, plus H tr on the
+    bi-infinite word; mono asserts the root at instant 1."""
+    if engine == "mono":
+        every = [Yesterday(Release(FalseF(), tr)) for tr in transitions]
+    else:
+        every = [And((Release(FalseF(), tr), Trigger(FalseF(), tr))) for tr in transitions]
+    return (1 if engine == "mono" else 0), (And((root, *every)) if every else root)
+
+
+def _every_valuation_agrees(problem, reference, pos, loop, pool):
+    """Every valuation of the atoms at bound problem.k, pinned in full
+    with the loop (and pool) position, is SAT exactly where the
+    enumeration accepts it."""
+    k, engine = problem.k, problem.engine
+    hits = accepted(reference, k, engine, pos, loop, pool)
+    for index, want in enumerate(hits):
+        word = trace_from_index(reference, k, engine, (index, loop, pool))
+        facts = tuple((t, a, word.valuations[a][t]) for a in word.atoms for t in range(k + 1))
+        _, result = _solve(replace(problem, atoms=word.atoms,
+                                   facts=PartialHistory(facts, loop_at=loop, pool_at=pool)))
+        assert (result.verdict == "SAT") == want, (loop, pool, index)
+
+
 def _shapes_agree(root, transitions, engine, k, rng):
     """The traversal copies are defined at every instant, so their values
     before the loop start (or after the pool start) are don't-cares that
@@ -241,14 +266,7 @@ def _shapes_agree(root, transitions, engine, k, rng):
     pinned it is SAT exactly when some accepted valuation agrees with it
     there.
     """
-    # each transition holds at every instant of the word: G tr, plus H tr
-    # on the bi-infinite word; mono asserts the root at instant 1
-    if engine == "mono":
-        pos, every = 1, [Yesterday(Release(FalseF(), tr)) for tr in transitions]
-    else:
-        pos, every = 0, [And((Release(FalseF(), tr), Trigger(FalseF(), tr)))
-                         for tr in transitions]
-    reference = And((root, *every)) if every else root
+    pos, reference = _reference(root, transitions, engine)
     pools = range(1, k + 1) if engine == "bi" else (None,)
     for loop in range(1, k + 1):
         for pool in pools:
@@ -306,8 +324,10 @@ def test_copy_caps_reach_every_pass_a_shift_chain_reads(engine, n):
 
     mono: G(zeta^n Q) reads Q(m - n) at every position m >= 1.  Around a
     one-instant loop each loop pass reads one instant more, and pass n is
-    the first to read Q(k): a past copy cap below the nesting depth n
-    accepts the word that leaves Q(k) false.  bi: H(X^n Q) reads Q at every
+    the first to read Q(k): a look-back T below n (without the unrolling,
+    a loop-pass cap below n) accepts the word that leaves Q(k) false.  The
+    chain has no since or trigger, so it is unrolled by T = n and keeps no
+    loop pass.  bi: H(X^n Q) reads Q at every
     position <= n.  Around a two-instant pool each backward pass reads two
     instants more, so pass ceil(n/2) is the first to read Q(0), and a
     backward cap of min(n, 1) fails at n = 3, min(n, 2) at n = 5.
@@ -317,26 +337,19 @@ def test_copy_caps_reach_every_pass_a_shift_chain_reads(engine, n):
         pos, root, pools = 1, Release(FalseF(), _nest(Zeta, n, Q)), (None,)
     else:
         pos, root, pools = 0, Trigger(FalseF(), _nest(Next, n, Q)), range(1, k + 1)
+    problem = CheckProblem(k=k, engine=engine, root=root)
     for loop in range(1, k + 1):
         for pool in pools:
-            hits = accepted(root, k, engine, pos, loop, pool)
-            for index, want in enumerate(hits):
-                word = trace_from_index(root, k, engine, (index, loop, pool))
-                facts = tuple((t, Q, word.valuations[Q][t]) for t in range(k + 1))
-                _, result = _solve(CheckProblem(
-                    k=k, engine=engine, root=root,
-                    facts=PartialHistory(facts, loop_at=loop, pool_at=pool),
-                ))
-                assert (result.verdict == "SAT") == want, (loop, pool, index)
+            _every_valuation_agrees(problem, root, pos, loop, pool)
 
 
-Y3Q = Yesterday(Yesterday(Yesterday(Q)))
+Y3Q = _nest(Yesterday, 3, Q)
 # a past node free of since and trigger that reads 3 instants back, under
 # alw, in a transition, and under a since; (root, transitions, since)
 LOOKBACK_CASES = {
     "alw": (desugar(Alw(Iff(P, Y3Q))), (), None),
-    "transition": (P, (Iff(P, Y3Q),), None),
-    "since": (Release(FalseF(), Since(P, Y3Q)), (), Since(P, Y3Q)),
+    "transition": (Until(TrueF(), P), (Iff(P, Y3Q),), None),
+    "since": (Release(FalseF(), Iff(P, Since(Q, Y3Q))), (), Since(Q, Y3Q)),
 }
 
 
@@ -349,14 +362,19 @@ def test_lookback_unrolling_matches_brute_force(engine, case):
     the loop start; it keeps no loop pass, and a since above it keeps one.
     At k = 3 with T = 3 every loop is 1 to 3 instants long, so the replica
     instants wrap through loops shorter than T; every loop and pool
-    position agrees with the enumeration (`_shapes_agree`)."""
+    position agrees with the enumeration (`_shapes_agree`), and on the
+    loops of 1 and 2 instants so does every valuation."""
     root, transitions, since = LOOKBACK_CASES[case]
-    encoded = encode(CheckProblem(k=3, engine=engine, root=root, transitions=transitions))
+    problem = CheckProblem(k=3, engine=engine, root=root, transitions=transitions)
+    encoded = encode(problem)
     assert encoded.varmap.lookback == 3
     assert encoded.encoder.caps[Y3Q][0] == 0
     if since is not None:  # its past depth is 4, its pass depth 1
         assert encoded.encoder.caps[since][0] == 1
     _shapes_agree(root, transitions, engine, 3, random.Random(84))
+    pos, reference = _reference(root, transitions, engine)
+    for loop in (2, 3):
+        _every_valuation_agrees(problem, reference, pos, loop, 1 if engine == "bi" else None)
 
 
 @pytest.mark.parametrize("engine", ["mono", "bi"])
@@ -366,7 +384,7 @@ def test_a_grown_lasso_encoding_keeps_its_lookback(engine):
     the enumeration and of a fresh solve at each bound; its models decode
     to a trace of the root whose loop start lies within the bound.  The
     root's words have period 6, so it is UNSAT up to k = 5."""
-    period6 = desugar(Alw(Iff(P, Yesterday(Yesterday(Yesterday(Not(P)))))))
+    period6 = desugar(Alw(Iff(P, _nest(Yesterday, 3, Not(P)))))
     root = And((period6, Until(TrueF(), And((P, Yesterday(P))))))
     pos = 1 if engine == "mono" else 0
     solve, grown, verdicts = window_solver(), None, []
