@@ -17,7 +17,7 @@ from .errors import (
     SolverTimeout,
     SpecFormatError,
 )
-from .oracle import LassoWord, closure_table, eval_lasso, eval_lasso_batch
+from .oracle import eval_lasso
 from .pipeline import RunConfig, RunReport, build_problem, find_bound, run
 from .pretty import formula_text, to_sexpr
 from .sat_embedded import solve_embedded

@@ -185,7 +185,7 @@ solved again.  That is exact, and a pair holds at every larger bound too.
 
 A transition holds at every instant (where its lookahead fits), on every
 pass of its copies; the one-hot domain constraints of items and arrays are
-transitions of depth (0, 0).
+transitions of future depth 0.
 
 Each value is named once.  The literal table (VarMap) holds one literal per
 (subformula, copy, instant) entry, and an entry whose expansion folds to a
@@ -210,17 +210,17 @@ alias's slot stays 0 until the table is filled in postorder (`_fill`), so
 every operand is resolved before its parents, with no recursion.  The
 closure order is: the registry atoms, the other atoms of the formulas, then
 their boolean, future and past nodes, each group in postorder; the loop
-that sorts it also computes each member's (future, past) nesting depth, and
-one pass back over it, parents first, its copy caps.  A block allocates, in
-this order: the primary rows (its instants of each closure member in
-closure order), the copy rows (per member, its loop passes before its pool
-passes), its loop selectors, then its pool selectors, E_k, and, as the
-clauses are written, the Tseitin gates (and/or, iff, ite), the chain links,
-the successor, pool successor, pool-start and loop-end literals and the
-constant.  A fresh encoding is one block, so its rows are laid out
-row-major.  The iff gates of a distinctness pair take their ids when the
-pair is added.  Models decode through VarMap.lit, and the selectors, which
-never alias, by their ids.
+that sorts it also computes each member's future depth, look-back and pass
+depth, and one pass back over it, parents first, its copy caps.  A block
+allocates, in this order: the primary rows (its instants of each closure
+member in closure order), the copy rows (per member, its loop passes
+before its pool passes), its loop selectors, then its pool selectors, E_k,
+and, as the clauses are written, the Tseitin gates (and/or, iff, ite), the
+chain links, the successor, pool successor, pool-start and loop-end
+literals and the constant.  A fresh encoding is one block, so its rows are
+laid out row-major.  The iff gates of a distinctness pair take their ids
+when the pair is added.  Models decode through VarMap.lit, and the
+selectors, which never alias, by their ids.
 
 The predecessor of instant 0 on the bi engine is the pool start: one
 pool-start literal z per (operand g, copy c) that a past entry reads there
@@ -396,25 +396,23 @@ class _Encoder:
         # operands before their parents: the order the aliases are resolved in
         roots = (problem.root,) if problem.root is not None else ()
         self.postorder = closure((*roots, *problem.transitions))
-        # per node, its (future, past) nesting depth and its partition; how
-        # many instants back it reads (None with a since or trigger below)
-        # and its pass depth, the past depth counted only above such nodes
-        depth = self.depth = dict.fromkeys(problem.atoms, (0, 0))
+        # per node, its future nesting depth and its partition; how many
+        # instants back it reads (None with a since or trigger below) and its
+        # pass depth, the past depth counted only above such nodes
+        depth = self.depth = dict.fromkeys(problem.atoms, 0)
         reach = dict.fromkeys(problem.atoms, 0)
         passes = dict.fromkeys(problem.atoms, 0)
         groups = {"atom": dict.fromkeys(problem.atoms), "bool": {}, "future": {}, "past": {}}
         for f in self.postorder:
             subs = children(f)
-            fd = max((depth[g][0] for g in subs), default=0)
-            pd = max((depth[g][1] for g in subs), default=0)
             cls = type(f)
             if cls in _FUTURE:
-                fd, kind = fd + 1, "future"
+                kind = "future"
             elif cls in _PAST:
-                pd, kind = pd + 1, "past"
+                kind = "past"
             else:
                 kind = "atom" if cls is Atom else "bool"
-            depth[f] = fd, pd
+            depth[f] = max((depth[g] for g in subs), default=0) + (kind == "future")
             groups[kind][f] = None
             back = [reach[g] for g in subs]
             if cls is Since or cls is Trigger or None in back:
@@ -445,7 +443,7 @@ class _Encoder:
             if f in forward and reach[f]:
                 self.lookback = max(self.lookback, reach[f])
             self.caps[f] = (passes[f] if f in forward else 0,
-                            depth[f][0] if f in back and engine == "bi" else 0)
+                            depth[f] if f in back and engine == "bi" else 0)
         order = tuple(f for group in groups.values() for f in group)
         # the rows of each node, (family, copy): the primary row, its loop
         # passes, then its pool passes; lrows[f][0] is rrows[f][0]
@@ -736,7 +734,7 @@ class _Encoder:
 
         for tr in problem.transitions:
             # a loop-free window asserts a transition once its lookahead fits
-            ahead = self.depth[tr][0] if self.loop_free else 0
+            ahead = self.depth[tr] if self.loop_free else 0
             row = rrows[tr][0]
             for t in range(max(lo - ahead, 0), end - ahead + 1):
                 clause([row[t]])

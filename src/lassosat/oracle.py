@@ -13,15 +13,14 @@ propagated forward.
 
 This module is the oracle the encoder is tested against, so it shares no
 machinery with the encoder: everything here is plain recurrence evaluation
-on numpy boolean rows.  Batch evaluation over many traces at once uses the
-same code path with a wider row.
+on rows of ints, one per window instant, whose bit b is the value on trace
+b of the batch.  A single trace is a batch of one, so batch evaluation over
+many traces at once uses the same code path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-import numpy as np
+from typing import Dict, List
 
 from .errors import EncodingError
 from .formula import (
@@ -61,14 +60,13 @@ class LassoWord:
         self.engine = engine
         self.loop = loop
         self.pool = pool
-        self.atom_rows = atom_rows  # Atom -> (B, k+1) bool array
+        self.atom_rows = atom_rows  # Atom -> k+1 ints, bit b on trace b
         self.batch = batch
 
     @classmethod
     def from_trace(cls, trace: LassoTrace) -> "LassoWord":
         rows = {
-            atom: np.asarray(vals, dtype=bool).reshape(1, trace.k + 1)
-            for atom, vals in trace.valuations.items()
+            atom: [int(bool(v)) for v in vals] for atom, vals in trace.valuations.items()
         }
         return cls(trace.k, trace.engine, trace.loop_start, trace.pool_start, rows, 1)
 
@@ -86,7 +84,8 @@ def _window(word: LassoWord, copies: int):
 
 
 def _eval_rows(word: LassoWord, formulas, copies: int, keep_all: bool = False):
-    """Rows (window_length, B) of every closure member of `formulas`.
+    """Rows (one int per window instant) of every closure member of
+    `formulas`.  A row is never changed once built, so rows may share.
 
     Unless keep_all is set, a child row is dropped as soon as its last parent
     has consumed it, which keeps the live set proportional to the formula
@@ -94,7 +93,7 @@ def _eval_rows(word: LassoWord, formulas, copies: int, keep_all: bool = False):
     """
     seq, query_base = _window(word, copies)
     L = len(seq)
-    B = word.batch
+    full = (1 << word.batch) - 1  # negation is full ^ x: ~x is negative
     per = word.k - word.loop + 1  # future cycle length
     fbase = L - per
     ppast = (word.pool + 1) if word.engine == "bi" else 0
@@ -105,55 +104,48 @@ def _eval_rows(word: LassoWord, formulas, copies: int, keep_all: bool = False):
         for c in children(f):
             pending[c] = pending.get(c, 0) + 1
     keep = set(formulas)
-    rows: Dict[Formula, np.ndarray] = {}
-    false_row = np.zeros((L, B), dtype=bool)
+    rows: Dict[Formula, List[int]] = {}
+    false_row = [0] * L
+    true_row = [full] * L
 
     for f in clo:
         if isinstance(f, Atom):
-            mat = word.atom_rows.get(f)
-            if mat is None:
-                rows[f] = false_row
-            else:
-                rows[f] = np.ascontiguousarray(mat.T[seq, :])
+            vals = word.atom_rows.get(f)
+            rows[f] = false_row if vals is None else [vals[t] for t in seq]
         elif isinstance(f, TrueF):
-            rows[f] = ~false_row
+            rows[f] = true_row
         elif isinstance(f, FalseF):
             rows[f] = false_row
         elif isinstance(f, Not):
-            rows[f] = ~rows[f.sub]
+            rows[f] = [full ^ x for x in rows[f.sub]]
         elif isinstance(f, And):
-            acc = ~false_row.copy()
+            acc = true_row
             for c in f.items:
-                acc = acc & rows[c]
+                acc = [x & y for x, y in zip(acc, rows[c])]
             rows[f] = acc
         elif isinstance(f, Or):
-            acc = false_row.copy()
+            acc = false_row
             for c in f.items:
-                acc = acc | rows[c]
+                acc = [x | y for x, y in zip(acc, rows[c])]
             rows[f] = acc
         elif isinstance(f, Implies):
-            rows[f] = ~rows[f.left] | rows[f.right]
+            rows[f] = [(full ^ x) | y for x, y in zip(rows[f.left], rows[f.right])]
         elif isinstance(f, Iff):
-            rows[f] = rows[f.left] == rows[f.right]
+            rows[f] = [full ^ x ^ y for x, y in zip(rows[f.left], rows[f.right])]
         elif isinstance(f, Next):
             sub = rows[f.sub]
-            out = np.empty((L, B), dtype=bool)
-            out[:-1] = sub[1:]
-            out[-1] = sub[fbase]
-            rows[f] = out
+            rows[f] = sub[1:] + [sub[fbase]]
         elif isinstance(f, (Until, Release)):
-            rows[f] = _future_fixpoint(f, rows, L, B, per, fbase)
+            rows[f] = _future_fixpoint(f, rows, full, per, fbase)
         elif isinstance(f, (Yesterday, Zeta)):
             sub = rows[f.sub]
-            out = np.empty((L, B), dtype=bool)
-            out[1:] = sub[:-1]
             if word.engine == "bi":
-                out[0] = sub[ppast - 1]
+                first = sub[ppast - 1]
             else:
-                out[0] = isinstance(f, Zeta)
-            rows[f] = out
+                first = full if isinstance(f, Zeta) else 0
+            rows[f] = [first] + sub[:-1]
         elif isinstance(f, (Since, Trigger)):
-            rows[f] = _past_fixpoint(f, rows, L, B, word.engine, ppast)
+            rows[f] = _past_fixpoint(f, rows, L, full, word.engine, ppast)
         else:
             raise EncodingError(f"oracle cannot evaluate {type(f).__name__}")
         if not keep_all:
@@ -164,25 +156,24 @@ def _eval_rows(word: LassoWord, formulas, copies: int, keep_all: bool = False):
     return rows, query_base
 
 
-def _future_fixpoint(f, rows, L, B, per, fbase) -> np.ndarray:
+def _future_fixpoint(f, rows, full, per, fbase) -> List[int]:
     a, b = rows[f.left], rows[f.right]
     until = isinstance(f, Until)
-    x = np.zeros((per, B), dtype=bool) if until else np.ones((per, B), dtype=bool)
+    x = [0 if until else full] * per
     for _ in range(per + 2):
         changed = False
         for o in range(per - 1, -1, -1):
             nxt = x[(o + 1) % per]
             j = fbase + o
             new = (b[j] | (a[j] & nxt)) if until else (b[j] & (a[j] | nxt))
-            if not np.array_equal(new, x[o]):
+            if new != x[o]:
                 x[o] = new
                 changed = True
         if not changed:
             break
     else:
         raise EncodingError("future fixpoint failed to converge")
-    out = np.empty((L, B), dtype=bool)
-    out[fbase:] = x
+    out = [0] * fbase + x
     for j in range(fbase - 1, -1, -1):
         if until:
             out[j] = b[j] | (a[j] & out[j + 1])
@@ -191,27 +182,27 @@ def _future_fixpoint(f, rows, L, B, per, fbase) -> np.ndarray:
     return out
 
 
-def _past_fixpoint(f, rows, L, B, engine, ppast) -> np.ndarray:
+def _past_fixpoint(f, rows, L, full, engine, ppast) -> List[int]:
     a, b = rows[f.left], rows[f.right]
     since = isinstance(f, Since)
-    out = np.empty((L, B), dtype=bool)
     if engine == "bi":
-        x = np.zeros((ppast, B), dtype=bool) if since else np.ones((ppast, B), dtype=bool)
+        x = [0 if since else full] * ppast
         for _ in range(ppast + 2):
             changed = False
             for o in range(ppast):
                 prev = x[(o - 1) % ppast]
                 new = (b[o] | (a[o] & prev)) if since else (b[o] & (a[o] | prev))
-                if not np.array_equal(new, x[o]):
+                if new != x[o]:
                     x[o] = new
                     changed = True
             if not changed:
                 break
         else:
             raise EncodingError("past fixpoint failed to converge")
-        out[:ppast] = x
+        out = x + [0] * (L - ppast)
         start = ppast
     else:
+        out = [0] * L
         out[0] = b[0]  # since/trigger at the origin collapse to their right arm
         start = 1
     for j in range(start, L):
@@ -224,32 +215,22 @@ def _past_fixpoint(f, rows, L, B, engine, ppast) -> np.ndarray:
 
 def eval_lasso(trace: LassoTrace, f: Formula, position: int) -> bool:
     """Truth of core formula f at `position` of the trace's induced word."""
-    if not 0 <= position <= trace.k:
-        raise EncodingError(f"position {position} outside 0..{trace.k}")
-    word = LassoWord.from_trace(trace)
-    copies = len(closure([f])) + 2
-    rows, query_base = _eval_rows(word, [f], copies)
-    return bool(rows[f][query_base + position, 0])
+    return bool(eval_lasso_batch(LassoWord.from_trace(trace), f, position))
 
 
-def eval_lasso_batch(
-    word: LassoWord, f: Formula, position: int
-) -> np.ndarray:
-    """Vector of truths at `position`, one per trace in the batch."""
+def eval_lasso_batch(word: LassoWord, f: Formula, position: int) -> int:
+    """Truths at `position` as a bitmask: bit b is trace b of the batch."""
     if not 0 <= position <= word.k:
         raise EncodingError(f"position {position} outside 0..{word.k}")
     copies = len(closure([f])) + 2
     rows, query_base = _eval_rows(word, [f], copies)
-    return rows[f][query_base + position].copy()
+    return rows[f][query_base + position]
 
 
-def closure_table(
-    trace: LassoTrace, f: Formula, copies: Optional[int] = None
-):
+def closure_table(trace: LassoTrace, f: Formula):
     """Full window table (for stability diagnostics and tests)."""
     word = LassoWord.from_trace(trace)
-    if copies is None:
-        copies = len(closure([f])) + 2
+    copies = len(closure([f])) + 2
     rows, query_base = _eval_rows(word, [f], copies, keep_all=True)
     seq, _ = _window(word, copies)
     return rows, seq, query_base

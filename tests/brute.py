@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
-import numpy as np
-
 from lassosat.formula import (
     And,
     Atom,
@@ -76,8 +74,8 @@ def brute_force_sat(f, k: int, engine: str, position: int, chunk: int = 4096):
     for loop, pool in product(loops, pools):
         for lo in range(0, total, chunk):
             hits = _hits(f, atoms, k, engine, position, loop, pool, lo, min(lo + chunk, total))
-            if hits.any():
-                return True, (lo + int(np.argmax(hits)), loop, pool)
+            if hits:
+                return True, (lo + (hits & -hits).bit_length() - 1, loop, pool)
     return False, None
 
 
@@ -85,7 +83,9 @@ def accepted(f, k: int, engine: str, position: int, loop: int, pool=None):
     """Per valuation index (as in trace_from_index): whether the word of that
     valuation with this loop and pool satisfies f at `position`."""
     atoms = formula_atoms(f)
-    return _hits(f, atoms, k, engine, position, loop, pool, 0, _valuation_count(atoms, k))
+    total = _valuation_count(atoms, k)
+    hits = _hits(f, atoms, k, engine, position, loop, pool, 0, total)
+    return [bit == "1" for bit in reversed(format(hits, f"0{total}b"))]
 
 
 def trace_from_index(f, k: int, engine: str, witness):

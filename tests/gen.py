@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
-
 from lassosat.desugar import desugar
 from lassosat.formula import (
     Alw,
@@ -225,10 +223,25 @@ def random_trace(rng: random.Random, k: int, engine: str, atoms) -> LassoTrace:
 
 
 def atom_bit_rows(atoms, k: int, lo: int, hi: int):
-    """Valuation chunk [lo, hi): every (atom, instant) bit of the index."""
-    idx = np.arange(lo, hi, dtype=np.int64)
-    rows = {}
-    for ai, atom in enumerate(atoms):
-        cols = [((idx >> (ai * (k + 1) + t)) & 1).astype(bool) for t in range(k + 1)]
-        rows[atom] = np.stack(cols, axis=1)
-    return rows
+    """Valuation chunk [lo, hi): per atom, one int per instant whose bit b
+    is that (atom, instant) bit of the valuation index lo + b."""
+    return {
+        atom: [_bit_column(ai * (k + 1) + t, lo, hi - lo) for t in range(k + 1)]
+        for ai, atom in enumerate(atoms)
+    }
+
+
+def _bit_column(p: int, lo: int, n: int) -> int:
+    """The int whose bit b is bit p of lo + b, for b < n.  Over consecutive
+    integers bit p repeats 2^p zeros then 2^p ones, so a window no longer
+    than 2^p holds at most one edge, and a longer one is that block times a
+    repunit, shifted to the phase of lo."""
+    half = 1 << p
+    phase = lo % (2 * half)
+    window = (1 << n) - 1
+    if n <= half:
+        ones = (1 << min(half - phase % half, n)) - 1
+        return ones if phase >= half else window ^ ones
+    reps = (phase + n) // (2 * half) + 1
+    repunit = ((1 << (2 * half * reps)) - 1) // ((1 << (2 * half)) - 1)
+    return (((1 << half) - 1) << half) * repunit >> phase & window

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +16,7 @@ from lassosat.formula import (
     Yesterday,
     Zeta,
 )
-from lassosat.oracle import closure_table, eval_lasso
+from lassosat.oracle import LassoWord, closure_table, eval_lasso, eval_lasso_batch
 from lassosat.trace import LassoTrace
 
 A, B, P, Q = Atom("A"), Atom("B"), Atom("P"), Atom("Q")
@@ -121,4 +122,32 @@ def test_stability_rotating_the_loop_by_one_period():
         length = len(seq)
         for g, row in rows.items():
             for q in (length - 2 * period, length - period - 1):
-                assert bool(row[q, 0]) == bool(row[q + period, 0]), (engine, f, g)
+                assert row[q] == row[q + period], (engine, f, g)
+
+
+def test_batch_bit_b_is_the_scalar_truth_on_trace_b():
+    """Traces of one lasso shape packed into one word, trace b on bit b of
+    every atom row: bit b of the batch truth is eval_lasso on trace b, and
+    no bit above the batch is set."""
+    rng = random.Random(126)
+    for _ in range(150):
+        engine = rng.choice(["mono", "bi"])
+        k = rng.randint(2, 5)
+        first = random_trace(rng, k, engine, ("P", "Q"))
+        traces = [first] + [
+            replace(random_trace(rng, k, engine, ("P", "Q")),
+                    loop_start=first.loop_start, pool_start=first.pool_start)
+            for _ in range(rng.randint(0, 40))
+        ]
+        rows = {
+            atom: [sum(tr.valuations[atom][t] << b for b, tr in enumerate(traces))
+                   for t in range(k + 1)]
+            for atom in (P, Q)
+        }
+        word = LassoWord(k, engine, first.loop_start, first.pool_start, rows, len(traces))
+        f = random_core(rng, rng.randint(1, 4), ("P", "Q"))
+        pos = rng.randint(0, k)
+        got = eval_lasso_batch(word, f, pos)
+        assert 0 <= got < 1 << len(traces), (engine, k, f)
+        want = [eval_lasso(tr, f, pos) for tr in traces]
+        assert [bool(got >> b & 1) for b in range(len(traces))] == want, (engine, k, f)

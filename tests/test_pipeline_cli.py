@@ -603,3 +603,18 @@ def test_console_entry_point_runs(data_dir, out_dir):
     assert "SAT" in proc.stdout, seen
 
 
+def test_import_and_check_load_no_numpy(data_dir, out_dir):
+    """lassosat has no runtime dependency: neither the import nor a check
+    run loads numpy (every module loaded is named by -X importtime)."""
+    src = Path(pipeline.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    for args in (["-c", "import lassosat"],
+                 ["-m", "lassosat.cli", "check", "--out", out_dir, str(data_dir / "lamp.zot")]):
+        proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")]
+        assert "lassosat.oracle" in loaded, args
+        assert not [m for m in loaded if m.split(".")[0] == "numpy"], args
