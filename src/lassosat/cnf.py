@@ -1,4 +1,4 @@
-"""Clauses: the encoder's clause sink, and the DIMACS reader/writer.
+"""Clauses: the encoder's clause sink, and the DIMACS writer.
 
 The encoder writes its clauses straight into a ClauseSink.  Subformula
 variables already name most gate outputs, so their `var <-> gate`
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from .errors import LassosatError, SolverError
+from .errors import LassosatError
 
 
 @dataclass
@@ -203,41 +203,6 @@ def dimacs_text(inst: CnfInstance, comments: Iterable[str] = ()) -> str:
     buf = io.StringIO()
     emit_dimacs(inst, buf, comments)
     return buf.getvalue()
-
-
-def parse_dimacs(text: str) -> CnfInstance:
-    num_vars = None
-    num_clauses = None
-    clauses: List[List[int]] = []
-    pending: List[int] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise SolverError(f"bad DIMACS header: {line!r}")
-            num_vars, num_clauses = int(parts[2]), int(parts[3])
-            continue
-        if line.startswith("%"):
-            break
-        for tok in line.split():
-            lit = int(tok)
-            if lit == 0:
-                clauses.append(pending)
-                pending = []
-            else:
-                pending.append(lit)
-    if pending:
-        raise SolverError("last clause is not 0-terminated")
-    if num_vars is None:
-        raise SolverError("missing DIMACS header")
-    if num_clauses is not None and num_clauses != len(clauses):
-        raise SolverError(
-            f"header announces {num_clauses} clauses, found {len(clauses)}"
-        )
-    return CnfInstance(num_vars=num_vars, clauses=clauses)
 
 
 def check_model(inst: CnfInstance, model: List[bool]) -> bool:

@@ -15,11 +15,13 @@ values up in one weak table and returns the node already there, so each
 structure has exactly one live object: equal subtrees are shared, and
 hashing and equality go by identity, O(1) however deep the formula.
 Construct nodes only through their constructors (`Next(f)`, `Atom("p")`,
-...); copy, pickle and `dataclasses.replace` go through them as well, and
-copy and pickle see a formula as a flat postorder list of its nodes, so
-they work at any depth.
-Nodes are frozen dataclasses, so formulas are immutable; `repr` prints the
-s-expression text (lassosat.pretty).  Tree walks that build a value per
+...); copy and pickle go through them as well, and see a formula as a flat
+postorder list of its nodes, so they work at any depth.
+A node class declares its fields as annotations, which are never evaluated:
+`_fields` holds their names in order, and trailing fields may have a
+class-level default.  Nodes are immutable (assigning or deleting an
+attribute raises AttributeError); `repr` prints the s-expression text
+(lassosat.pretty).  Tree walks that build a value per
 node (parsing, desugaring, printing) go through `fold`, which keeps its own
 stack; `closure` walks the shared DAG of a core formula once per node and
 rejects sugar, and the encoder computes what it needs per node (nesting
@@ -29,30 +31,80 @@ depths, partitions) in one loop over that list.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, fields
 from typing import Optional, Tuple, Union
 
 Term = Union[int, str]  # atom arguments, domain elements, offsets (str = symbol or bound var)
 
-# (class, field values...) -> the canonical node; an entry goes when its node dies
-_NODES: "weakref.WeakValueDictionary[tuple, Formula]" = weakref.WeakValueDictionary()
+# (class, field values...) -> a weak reference to the canonical node; an
+# entry goes when its node dies.  A plain dict: a WeakValueDictionary runs
+# Python code in get, in set and in each KeyedRef it makes, which made
+# building a fresh node about a third slower.
+_NODES: "dict[tuple, _Entry]" = {}
+
+
+class _Entry(weakref.ref):
+    """A weak reference to a node that carries the node's key."""
+
+    __slots__ = ("key",)
+
+
+def _drop(entry, nodes=_NODES):
+    """Weak-reference callback: remove a dead node's entry, unless a new
+    node already took its key.  `nodes` is bound here so that the callback
+    still works while the interpreter tears modules down."""
+    if nodes.get(entry.key) is entry:
+        del nodes[entry.key]
+
+
+_MISSING = object()
+_new = object.__new__
+_set = object.__setattr__
 
 
 class _Interned(type):
     """Metaclass whose constructor call returns the canonical node."""
 
     def __call__(cls, *args, **kwargs):
-        node = None
-        if kwargs or len(args) != len(cls._fields):
-            # defaults or keywords: let the dataclass bind and check them
-            node = super().__call__(*args, **kwargs)
-            args = node._values()
+        fields = cls._fields
+        if kwargs or len(args) != len(fields):
+            args = cls._bind(args, kwargs)
         key = (cls, *args)
-        canon = _NODES.get(key)
-        if canon is None:
-            canon = node if node is not None else super().__call__(*args)
-            _NODES[key] = canon
-        return canon
+        entry = _NODES.get(key)
+        if entry is not None:
+            node = entry()
+            if node is not None:
+                return node
+        # a miss: fill a bare instance field by field, past the
+        # immutability guard of Formula.__setattr__
+        node = _new(cls)
+        for name, value in zip(fields, args):
+            _set(node, name, value)
+        entry = _NODES[key] = _Entry(node, _drop)
+        entry.key = key
+        return node
+
+    def _bind(cls, args, kwargs):
+        """The field values of a call with keywords or omitted defaults.
+
+        Raises TypeError on a missing, surplus or unknown argument.
+        """
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} positional "
+                            f"arguments but {len(args)} were given")
+        values = list(args)
+        for name in fields[len(args):]:
+            value = kwargs.pop(name, _MISSING)
+            if value is _MISSING:
+                value = cls.__dict__.get(name, _MISSING)
+                if value is _MISSING:
+                    raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+            values.append(value)
+        for name in kwargs:
+            if name in fields:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+            raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+        return tuple(values)
 
 
 class Formula(metaclass=_Interned):
@@ -76,11 +128,20 @@ class Formula(metaclass=_Interned):
 
         return formula_text(self)
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"formula nodes are immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"formula nodes are immutable: cannot delete {name!r}")
+
 
 def _node(cls):
-    """Make a node class: a frozen dataclass with identity hash and equality."""
-    cls = dataclass(frozen=True, eq=False, repr=False)(cls)
-    cls._fields = tuple(f.name for f in fields(cls))
+    """Make a node class: its fields are its own annotations, in order.
+
+    Only their names are read, so no annotation is evaluated.  Hashing and
+    equality stay object identity, which interning makes structural.
+    """
+    cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
     return cls
 
 

@@ -33,12 +33,12 @@ from .desugar import desugar
 from .encoder import CheckProblem, EncodedProblem, encode
 from .errors import BoundSearchError, SpecFormatError
 from .formula import Atom, Not, Yesterday, conj
-from .oracle import eval_lasso
 from .sat_embedded import Solver, solve_embedded
-from .sat_external import CNF_FILENAME, DEFAULT_SOLVERS, SAT_FILENAME, solve_external
 from .specfile import SpecDocument, load_spec
 from .trace import LassoTrace, PartialHistory, decode, load_history, render_history
 
+CNF_FILENAME = "output.cnf.txt"
+SAT_FILENAME = "output.sat.txt"
 HIST_FILENAME = "output.hist.txt"
 
 MODES = ("bsc", "bmc", "hcc", "loop-free", "find-bound")
@@ -189,6 +189,8 @@ def _solve(inst: CnfInstance, solver: str, out_dir: str, comments, timeout_s):
         result = solve_embedded(inst, timeout_s=timeout_s)
         _write_sat(inst, result, out_dir)
         return result
+    from .sat_external import DEFAULT_SOLVERS, solve_external
+
     cfg = DEFAULT_SOLVERS.get(solver)
     if cfg is None:
         raise SpecFormatError(f"unknown solver {solver!r}")
@@ -384,6 +386,8 @@ def _search_bound(problem: CheckProblem, solver: str, config: RunConfig):
 
 def check_trace_against_root(problem: CheckProblem, trace: LassoTrace) -> bool:
     """Oracle check: the decoded trace satisfies the asserted root formula."""
+    from .oracle import eval_lasso
+
     if problem.root is None:
         return True
     pos = 1 if problem.engine == "mono" else 0

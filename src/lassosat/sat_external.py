@@ -24,9 +24,7 @@ from typing import Optional
 
 from .cnf import CnfInstance, SatResult, check_model, emit_dimacs
 from .errors import SolverError, SolverTimeout
-
-CNF_FILENAME = "output.cnf.txt"
-SAT_FILENAME = "output.sat.txt"
+from .pipeline import CNF_FILENAME, SAT_FILENAME
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,11 @@ from pathlib import Path
 import pytest
 
 from brute import brute_force_sat
+from dimacs import parse_dimacs
 from gen import FAMILIES, families_used, random_core, random_sugared_capped, random_trace
 from naive_eval import naive_eval
 
-from lassosat.cnf import check_model, dimacs_text, parse_dimacs, to_cnf
+from lassosat.cnf import check_model, dimacs_text, to_cnf
 from lassosat.desugar import desugar, expand_case
 from lassosat.encoder import CheckProblem, encode
 from lassosat.formula import (

@@ -1,13 +1,13 @@
 import itertools
 import random
 
+from dimacs import parse_dimacs
 from lassosat.cnf import (
     ClauseSink,
     CnfInstance,
     _sanitize,
     check_model,
     dimacs_text,
-    parse_dimacs,
     to_cnf,
 )
 from lassosat.encoder import CheckProblem, encode

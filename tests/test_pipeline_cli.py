@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from dimacs import parse_dimacs
 from lassosat import pipeline, sat_embedded
 from lassosat.cli import main
-from lassosat.cnf import check_model, parse_dimacs
+from lassosat.cnf import check_model
 from lassosat.encoder import encode
 from lassosat.errors import BoundSearchError, EncodingError, SolverTimeout, SpecFormatError
 from lassosat.formula import Atom
@@ -605,16 +606,24 @@ def test_console_entry_point_runs(data_dir, out_dir):
 
 def test_import_and_check_load_no_numpy(data_dir, out_dir):
     """lassosat has no runtime dependency: neither the import nor a check
-    run loads numpy (every module loaded is named by -X importtime)."""
+    run loads numpy (every module loaded is named by -X importtime).  Nor do
+    they load the modules a run with the embedded solver never uses: the
+    oracle, the printer, the external-solver adapters and subprocess."""
     src = Path(pipeline.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    off_path = {"lassosat.oracle", "lassosat.sat_external", "lassosat.pretty", "subprocess"}
     for args in (["-c", "import lassosat"],
-                 ["-m", "lassosat.cli", "check", "--out", out_dir, str(data_dir / "lamp.zot")]):
+                 ["-m", "lassosat.cli", "check", "--out", out_dir, str(data_dir / "lamp.zot")],
+                 ["-c", "import lassosat, lassosat.oracle"]):
         proc = subprocess.run([sys.executable, "-X", "importtime", *args],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         loaded = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
                   if line.startswith("import time:")]
-        assert "lassosat.oracle" in loaded, args
         assert not [m for m in loaded if m.split(".")[0] == "numpy"], args
+        if "lassosat.oracle" in args[-1]:
+            # the scan sees the module numpy used to come from
+            assert "lassosat.oracle" in loaded, args
+        else:
+            assert not off_path & set(loaded), args

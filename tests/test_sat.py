@@ -3,6 +3,7 @@ import itertools
 import os
 import random
 import stat
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -10,9 +11,10 @@ from pathlib import Path
 import pytest
 
 from lassosat import sat_embedded
-from lassosat.cnf import CnfInstance, check_model, parse_dimacs, to_cnf
+from lassosat.cnf import CnfInstance, check_model, to_cnf
 from lassosat.errors import LassosatError, SolverTimeout
 from lassosat.sat_embedded import Solver, solve_embedded
+from dimacs import parse_dimacs
 from rup import RupChecker, learnts_are_rup
 
 
@@ -483,7 +485,7 @@ def test_external_output_dialects():
 # with parse_dimacs, solves it with the embedded solver, answers in its
 # dialect (result file or stdout) and logs each call.
 _FAKE_SOLVER = '''
-from lassosat.cnf import parse_dimacs
+from dimacs import parse_dimacs
 from lassosat.sat_embedded import solve_embedded
 
 with open(LOG, "a", encoding="utf-8") as fh:
@@ -506,17 +508,17 @@ sys.exit(10 if sat else 20)
 
 @pytest.fixture
 def fake_solvers(tmp_path, monkeypatch):
-    """Fake minisat and picosat executables first on PATH; returns their
-    call log."""
+    """Fake minisat and picosat executables first on PATH (they import
+    lassosat and the tests' DIMACS reader); returns their call log."""
     import lassosat
 
     bin_dir, log = tmp_path / "bin", tmp_path / "calls.txt"
     bin_dir.mkdir()
-    src = str(Path(lassosat.__file__).resolve().parents[1])
+    paths = [str(Path(lassosat.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
     for dialect in ("minisat", "picosat"):
         exe = bin_dir / dialect
         exe.write_text(
-            f"#!{sys.executable}\nimport sys\nsys.path.insert(0, {src!r})\n"
+            f"#!{sys.executable}\nimport sys\nsys.path[:0] = {paths!r}\n"
             f"DIALECT, LOG = {dialect!r}, {str(log)!r}\n" + _FAKE_SOLVER
         )
         exe.chmod(exe.stat().st_mode | stat.S_IXUSR)
@@ -579,3 +581,23 @@ def test_external_backends_run_end_to_end(fake_solvers, data_dir, tmp_path, solv
     report = run(RunConfig(spec_path=cycle3, mode="loop-free", bound=3, solver=solver,
                            out_dir=str(tmp_path / "lf-external")))
     assert report.verdict == "UNSAT" and calls() == [solver] * 8
+
+
+def test_cli_solver_option_reaches_the_external_adapter(fake_solvers, data_dir, tmp_path):
+    """The adapters load on first use: a fresh `check --solver minisat`
+    process still hands its CNF to the minisat executable."""
+    import lassosat
+
+    env = dict(os.environ)
+    src = str(Path(lassosat.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "lassosat.cli", "check", "--solver", "minisat",
+         "--out", str(out), str(data_dir / "lamp.zot")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert fake_solvers.read_text().split() == ["minisat"]
+    assert (out / "output.sat.txt").read_text().startswith("SAT\n")
+    assert (out / "output.hist.txt").read_text() != ""
