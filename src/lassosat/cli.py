@@ -52,7 +52,19 @@ def _bound(text: str) -> int:
     return value
 
 
+def _show_check(report) -> None:
+    print(f"{report.verdict} (k={report.k}, engine={report.engine})")
+    print(report.message)
+    if report.history_text:
+        print(report.history_text, end="")
+
+
+def _show_bound(report) -> None:
+    print(f"completeness bound: {report.k}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """Each option's dest is the RunConfig field it sets."""
     parser = argparse.ArgumentParser(
         prog="lassosat",
         description="Bounded satisfiability / model checking over lasso traces",
@@ -60,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="run one verification job")
-    check.add_argument("spec", help="spec file (.zot)")
+    check.set_defaults(show=_show_check)
+    check.add_argument("spec_path", metavar="spec", help="spec file (.zot)")
     check.add_argument("--bound", "-k", type=int, default=None, metavar="K",
                        help="time bound (instants 0..K)")
     check.add_argument("--engine", choices=("mono", "bi"), default=None)
@@ -69,62 +82,36 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--mode", choices=("bsc", "bmc", "hcc"), default="bsc")
     check.add_argument("--solver", choices=("embedded", "minisat", "picosat"),
                        default=None)
-    mode.add_argument("--loop-free", action="store_true",
-                       help="completeness check (replaces the loop machinery)")
-    check.add_argument("--history", default=None, metavar="FILE",
+    mode.add_argument("--loop-free", dest="mode", action="store_const", const="loop-free",
+                      help="completeness check (replaces the loop machinery)")
+    check.add_argument("--history", dest="history_path", default=None, metavar="FILE",
                        help="partial history file (hcc mode)")
-    check.add_argument("--timeout", type=_seconds, default=None, metavar="SECONDS",
-                       help="time limit of solving the bound")
-    check.add_argument("--out", default=".", metavar="DIR",
+    check.add_argument("--timeout", dest="timeout_s", type=_seconds, default=None,
+                       metavar="SECONDS", help="time limit of solving the bound")
+    check.add_argument("--out", dest="out_dir", default=".", metavar="DIR",
                        help="directory for output.cnf.txt/output.sat.txt/output.hist.txt")
 
     fb = sub.add_parser("find-bound", help="search the completeness bound")
-    fb.add_argument("spec", help="spec file (.zot)")
+    fb.set_defaults(show=_show_bound, mode="find-bound")
+    fb.add_argument("spec_path", metavar="spec", help="spec file (.zot)")
     fb.add_argument("--max-bound", type=_bound, default=50, metavar="N")
     fb.add_argument("--solver", choices=("embedded", "minisat", "picosat"),
                     default=None)
-    fb.add_argument("--timeout", type=_seconds, default=None, metavar="SECONDS",
-                    help="time limit of solving each bound")
-    fb.add_argument("--out", default=".", metavar="DIR")
+    fb.add_argument("--timeout", dest="timeout_s", type=_seconds, default=None,
+                    metavar="SECONDS", help="time limit of solving each bound")
+    fb.add_argument("--out", dest="out_dir", default=".", metavar="DIR")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    command, show = args.pop("command"), args.pop("show")
     try:
-        if args.command == "check":
-            mode = "loop-free" if args.loop_free else args.mode
-            report = run(
-                RunConfig(
-                    spec_path=args.spec,
-                    bound=args.bound,
-                    engine=args.engine,
-                    mode=mode,
-                    solver=args.solver,
-                    history_path=args.history,
-                    out_dir=args.out,
-                    timeout_s=args.timeout,
-                )
-            )
-            print(f"{report.verdict} (k={report.k}, engine={report.engine})")
-            print(report.message)
-            if report.history_text:
-                print(report.history_text, end="")
-            return report.exit_code
-        report = run(
-            RunConfig(
-                spec_path=args.spec,
-                mode="find-bound",
-                solver=args.solver,
-                out_dir=args.out,
-                max_bound=args.max_bound,
-                timeout_s=args.timeout,
-            )
-        )
-        print(f"completeness bound: {report.k}")
+        report = run(RunConfig(**args))
+        show(report)
         return report.exit_code
     except SolverTimeout as exc:
-        print(f"error: {args.command} timed out ({exc})", file=sys.stderr)
+        print(f"error: {command} timed out ({exc})", file=sys.stderr)
         return 2
     except (LassosatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

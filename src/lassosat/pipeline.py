@@ -8,11 +8,14 @@ Modes:
   hcc         history checking/completion: bsc plus the facts of a partial
               (or total) history; UNSAT leaves the history file empty
   loop-free   completeness check: UNSAT means the bound is reached
-  find-bound  iterate loop-free k = 1, 2, ... until the first UNSAT, growing
+  find-bound  loop-free at k = 1, 2, ... until the first UNSAT, growing
               one encoding into one live embedded solver
 
-A loop-free window is solved by `solve_window`, which adds the distinctness
-of two instants only when a model repeats a state.
+`run` handles every mode on one path: it builds one problem, and `_solve`
+loops over its bounds (one bound, or 1..max_bound for find-bound) and then
+writes the files of the last solve.  A loop-free window is solved by
+`solve_window`, which adds the distinctness of two instants only when a
+model repeats a state.
 
 For the mono engine init is asserted through the yesterday idiom (the root
 formula lives at instant 1, so init is pinned at instant 0); the bi engine
@@ -90,10 +93,15 @@ def _effective(config: RunConfig, doc: SpecDocument):
                       "uses the mono engine", stacklevel=3)
         engine = "mono"
     solver = config.solver or doc.solver or "embedded"
+    if mode == "find-bound":
+        if config.max_bound < 1:
+            raise BoundSearchError(
+                f"the maximum bound must be at least 1, got {config.max_bound}")
+        return mode, engine, solver, range(1, config.max_bound + 1)
     k = config.bound if config.bound is not None else doc.bound
-    if k is None and mode != "find-bound":
+    if k is None:
         raise SpecFormatError("no bound given (use --bound or a (bound N) form)")
-    return mode, engine, solver, k
+    return mode, engine, solver, (k,)
 
 
 def build_problem(
@@ -165,15 +173,13 @@ def _dimacs_comments(vm) -> List[str]:
     return out
 
 
-def _write_cnf(inst: CnfInstance, out_dir: str, comments) -> None:
+def _write(inst: CnfInstance, result: SatResult, out_dir: str, vm) -> None:
+    """The embedded solver's files: the CNF solved last and its answer."""
     outp = Path(out_dir)
     outp.mkdir(parents=True, exist_ok=True)
     with open(outp / CNF_FILENAME, "w", encoding="utf-8") as fh:
-        emit_dimacs(inst, fh, comments)
-
-
-def _write_sat(inst: CnfInstance, result, out_dir: str) -> None:
-    with open(Path(out_dir) / SAT_FILENAME, "w", encoding="utf-8") as fh:
+        emit_dimacs(inst, fh, _dimacs_comments(vm))
+    with open(outp / SAT_FILENAME, "w", encoding="utf-8") as fh:
         if result.verdict == "SAT":
             lits = " ".join(
                 str(v if result.model[v] else -v) for v in range(1, inst.num_vars + 1)
@@ -183,84 +189,100 @@ def _write_sat(inst: CnfInstance, result, out_dir: str) -> None:
             fh.write("UNSAT\n")
 
 
-def _solve(inst: CnfInstance, solver: str, out_dir: str, comments, timeout_s):
-    if solver == "embedded":
-        _write_cnf(inst, out_dir, comments)
-        result = solve_embedded(inst, timeout_s=timeout_s)
-        _write_sat(inst, result, out_dir)
-        return result
+def _solve_external(inst: CnfInstance, solver: str, out_dir: str, vm, timeout_s):
+    """One external solve; the adapter writes the CNF and the answer."""
     from .sat_external import DEFAULT_SOLVERS, solve_external
 
     cfg = DEFAULT_SOLVERS.get(solver)
     if cfg is None:
         raise SpecFormatError(f"unknown solver {solver!r}")
-    return solve_external(inst, cfg, out_dir, comments, timeout_s)
+    return solve_external(inst, cfg, out_dir, _dimacs_comments(vm), timeout_s)
 
 
-def _run_problem(
-    problem: CheckProblem, solver: str, out_dir: str, timeout_s
-):
-    encoded = encode(problem)
-    if problem.loop_free:
-        result = solve_window(encoded, window_solver(solver, out_dir), timeout_s)
-        return encoded, _write_window(encoded, result, solver, out_dir), result
-    inst = to_cnf(encoded)
-    comments = _dimacs_comments(encoded.varmap)
-    result = _solve(inst, solver, out_dir, comments, timeout_s)
+def _solve(problem: CheckProblem, ks, solver: str, out_dir: str, timeout_s):
+    """Encode and solve `problem` at each bound of `ks`, up to the first UNSAT.
+
+    One encoding grows from bound to bound.  A loop-free window is decided
+    by `solve_window` on one `window_solver`; a lasso is solved from
+    scratch, its CNF carrying E_k as a unit.  The embedded solver's files
+    are written after the last solve, so a solve that fails or times out
+    leaves those of the run before.  Returns the last encoding, its CNF and
+    the answer.
+    """
+    solve = window_solver(solver, out_dir) if problem.loop_free else None
+    encoded = inst = None
+    for k in ks:
+        encoded = encode(replace(problem, k=k), encoded)
+        if solve is None:
+            inst = to_cnf(encoded)
+            result = (solve_embedded(inst, timeout_s=timeout_s) if solver == "embedded"
+                      else _solve_external(inst, solver, out_dir, encoded.varmap, timeout_s))
+        else:
+            result = solve_window(encoded, solve, timeout_s)
+        if result.verdict == "UNSAT":
+            break
+    solve = None  # drop the live solver and its clause copies before to_cnf copies them
+    if inst is None:
+        inst = to_cnf(encoded)
+    if solver == "embedded":
+        _write(inst, result, out_dir, encoded.varmap)
     return encoded, inst, result
 
 
-def run(config: RunConfig) -> RunReport:
-    """Execute one verification job; always writes the three output files."""
-    doc = load_spec(config.spec_path)
-    if config.mode == "find-bound":
-        bound = find_bound(config, doc)
-        return RunReport(
-            mode="find-bound", verdict="UNSAT", exit_code=0, k=bound, engine="mono",
-            message=f"completeness bound found: {bound}",
-        )
-    mode, engine, solver, k = _effective(config, doc)
-    facts = _gather_facts(config, doc, mode)
-    problem = build_problem(doc, k, engine, mode, facts)
-    encoded, inst, result = _run_problem(problem, solver, config.out_dir, config.timeout_s)
+# mode -> verdict -> the report's message
+_BSC_MESSAGES = {
+    "SAT": "satisfiable: history written",
+    "UNSAT": "unsatisfiable: the empty history means no trace complies",
+}
+_MESSAGES = {
+    "bsc": _BSC_MESSAGES,
+    "hcc": _BSC_MESSAGES,
+    "bmc": {
+        "SAT": "property violated: counterexample trace written",
+        "UNSAT": "property holds over every periodic behavior within the bound",
+    },
+    "loop-free": {
+        "SAT": "bound not reached: a loop-free path of this length exists",
+        "UNSAT": "completeness bound reached",
+    },
+    "find-bound": {"UNSAT": "completeness bound found: {k}"},
+}
 
-    hist_path = Path(config.out_dir) / HIST_FILENAME
-    trace = None
-    history_text = ""
+
+def run(config: RunConfig) -> RunReport:
+    """Execute one verification job, any mode; after the last solve it
+    writes the three output files."""
+    doc = load_spec(config.spec_path)
+    mode, engine, solver, ks = _effective(config, doc)
+    facts = _gather_facts(config, doc, mode)
+    problem = build_problem(doc, ks[0], engine, mode, facts)
+    encoded, inst, result = _solve(problem, ks, solver, config.out_dir, config.timeout_s)
+    if mode == "find-bound" and result.verdict == "SAT":
+        raise BoundSearchError(f"still satisfiable at the maximum bound {config.max_bound}")
+
+    k, trace, history_text = encoded.varmap.k, None, ""
     if result.verdict == "SAT":
         trace = decode(result, encoded.varmap)
         history_text = render_history(trace)
-    hist_path.write_text(history_text, encoding="utf-8")
-
-    if mode == "bmc":
-        message = (
-            "property holds over every periodic behavior within the bound"
-            if result.verdict == "UNSAT"
-            else "property violated: counterexample trace written"
-        )
-    elif mode == "loop-free":
-        message = (
-            "completeness bound reached"
-            if result.verdict == "UNSAT"
-            else "bound not reached: a loop-free path of this length exists"
-        )
-    elif result.verdict == "UNSAT":
-        message = "unsatisfiable: the empty history means no trace complies"
-    else:
-        message = "satisfiable: history written"
-
+    (Path(config.out_dir) / HIST_FILENAME).write_text(history_text, encoding="utf-8")
     return RunReport(
         mode=mode,
         verdict=result.verdict,
-        exit_code=0 if result.verdict == "SAT" else 1,
+        exit_code=0 if result.verdict == "SAT" or mode == "find-bound" else 1,
         k=k,
         engine=engine,
-        message=message,
+        message=_MESSAGES[mode][result.verdict].format(k=k),
         trace=trace,
         history_text=history_text,
         num_vars=inst.num_vars,
         num_clauses=len(inst.clauses),
     )
+
+
+def find_bound(config: RunConfig) -> int:
+    """Smallest k whose loop-free encoding is UNSAT (completeness bound):
+    `run` in find-bound mode, whatever mode `config` names."""
+    return run(replace(config, mode="find-bound")).k
 
 
 # one SAT call on an encoding at its bound, within a time limit
@@ -287,8 +309,7 @@ def window_solver(solver: str = "embedded", out_dir: str = ".") -> WindowSolve:
         return solve
 
     def solve(encoded: EncodedProblem, timeout_s: Optional[float]) -> SatResult:
-        comments = _dimacs_comments(encoded.varmap)
-        return _solve(to_cnf(encoded), solver, out_dir, comments, timeout_s)
+        return _solve_external(to_cnf(encoded), solver, out_dir, encoded.varmap, timeout_s)
     return solve
 
 
@@ -326,62 +347,6 @@ def solve_window(
         for s, t in pairs:
             encoder.distinct(s, t)
         encoded.cnf = encoder.sink.instance()
-
-
-def _write_window(encoded: EncodedProblem, result: SatResult, solver: str, out_dir: str):
-    """The CNF of a solved window: its clauses plus [E_k].  The embedded
-    path writes it and the answer; an external solver wrote both when it
-    made that answer."""
-    inst = to_cnf(encoded)
-    if solver == "embedded":
-        _write_cnf(inst, out_dir, _dimacs_comments(encoded.varmap))
-        _write_sat(inst, result, out_dir)
-    return inst
-
-
-def find_bound(config: RunConfig, doc: Optional[SpecDocument] = None) -> int:
-    """Smallest k whose loop-free encoding is UNSAT (completeness bound).
-
-    One loop-free encoding grows from k to k+1, and each k is decided by
-    `solve_window` on one solver: the embedded solver is one live solver
-    that receives only the appended clauses and solves each k under the
-    assumption E_k; the distinctness pairs added at one k stay for the
-    next.  The embedded path writes the files once, for the clauses and
-    the answer of the last k solved, when the search ends or is exhausted.
-    An external solver reads the CNF from its file, so it is handed the
-    grown clauses plus the unit E_k, and writes the files, for every call.
-    """
-    if config.max_bound < 1:
-        raise BoundSearchError(f"the maximum bound must be at least 1, got {config.max_bound}")
-    if doc is None:
-        doc = load_spec(config.spec_path)
-    _, _, solver, _ = _effective(replace(config, mode="find-bound"), doc)
-    problem = build_problem(doc, 1, "mono", "find-bound", None)
-    encoded, result = _search_bound(problem, solver, config)
-    if encoded is not None:
-        _write_window(encoded, result, solver, config.out_dir)
-    if result is None or result.verdict != "UNSAT":
-        raise BoundSearchError(
-            f"still satisfiable at the maximum bound {config.max_bound}"
-        )
-    Path(config.out_dir, HIST_FILENAME).write_text("", encoding="utf-8")
-    return encoded.varmap.k
-
-
-def _search_bound(problem: CheckProblem, solver: str, config: RunConfig):
-    """Grow and solve k = 1..max_bound up to the first UNSAT.
-
-    Returns the last encoding and its result.  The live solver is dropped
-    on return, so the files are written without its clause copies.
-    """
-    solve = window_solver(solver, config.out_dir)
-    encoded = result = None
-    for k in range(1, config.max_bound + 1):
-        encoded = encode(replace(problem, k=k), encoded)
-        result = solve_window(encoded, solve, config.timeout_s)
-        if result.verdict == "UNSAT":
-            break
-    return encoded, result
 
 
 def check_trace_against_root(problem: CheckProblem, trace: LassoTrace) -> bool:

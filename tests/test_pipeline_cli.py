@@ -181,6 +181,17 @@ def test_find_bound_results(data_dir, out_dir):
     assert find_bound(_cfg(data_dir, out_dir, "cycle3.zot")) == 3
 
 
+def test_find_bound_warns_that_history_input_is_ignored(data_dir, out_dir, tmp_path):
+    # as every mode but hcc does, for a (history ...) section and a file
+    section = tmp_path / "cycle3_history.zot"
+    section.write_text((data_dir / "cycle3.zot").read_text() + "(history (at 0 (st= 0)))\n")
+    history = str(data_dir / "lamp_history.txt")
+    for spec, history_path in ((section, None), (data_dir / "cycle3.zot", history)):
+        config = RunConfig(spec_path=str(spec), out_dir=out_dir, history_path=history_path)
+        with pytest.warns(UserWarning, match="history input is ignored outside hcc mode"):
+            assert find_bound(config) == 3
+
+
 def test_find_bound_exhaustion_is_an_error(data_dir, out_dir, tmp_path):
     spec = tmp_path / "counter.zot"
     spec.write_text(
@@ -315,8 +326,7 @@ def test_written_headers_count_the_distinctness_gates(data_dir, tmp_path):
         bare = encode(build_problem(load_spec(data_dir / spec), k, "mono", mode)).cnf
         assert inst.num_vars > bare.num_vars, spec  # some pair took an iff gate
         assert max(abs(lit) for clause in inst.clauses for lit in clause) <= inst.num_vars
-        if mode == "loop-free":
-            assert (report.num_vars, report.num_clauses) == (inst.num_vars, len(inst.clauses))
+        assert (report.num_vars, report.num_clauses) == (inst.num_vars, len(inst.clauses))
 
 
 def test_solve_window_calls_share_one_time_limit(data_dir):
@@ -479,6 +489,21 @@ def test_cli_timeout_exits_2_not_1(data_dir, out_dir, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: check timed out"), err
+
+
+def test_cli_timeout_leaves_the_previous_runs_files(data_dir, out_dir, capsys):
+    # the files are written after the last solve, so a run that times out
+    # leaves all three as the run before it wrote them, none of its own
+    assert main(["check", "--bound", "5", "--out", out_dir, str(data_dir / "lamp.zot")]) == 0
+    names = ("output.cnf.txt", "output.sat.txt", "output.hist.txt")
+    before = {name: (Path(out_dir) / name).read_bytes() for name in names}
+    code = main([
+        "check", "--bound", "30", "--mode", "bmc", "--engine", "mono",
+        "--timeout", "0.001", "--out", out_dir, str(data_dir / "mutex3.zot"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: check timed out")
+    assert {name: (Path(out_dir) / name).read_bytes() for name in names} == before
 
 
 def test_cli_timeout_binds_on_a_short_search(data_dir, out_dir, capsys):
