@@ -12,8 +12,9 @@ or hcc it is a usage error (exit 2).  It and find-bound run on the mono
 engine, the only one with a loop-free form: a spec's (engine bi) section is
 ignored with a warning, and --engine bi is a usage error (exit 2).
 
---max-bound, the largest bound find-bound tries (default 50), is a positive
-integer; 0, a negative number or a non-number is a usage error (exit 2).
+--max-bound, the largest bound find-bound tries (default RunConfig.max_bound,
+50), is a positive integer; 0, a negative number or a non-number is a usage
+error (exit 2).
 
 --timeout limits the solving of each bound (find-bound solves one per bound
 tried): loading the clauses into the solver and the search count toward it,
@@ -70,36 +71,30 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bounded satisfiability / model checking over lasso traces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("spec_path", metavar="spec", help="spec file (.zot)")
+    shared.add_argument("--solver", choices=("embedded", "minisat", "picosat"), default=None)
+    shared.add_argument("--timeout", dest="timeout_s", type=_seconds, default=None,
+                        metavar="SECONDS", help="time limit of solving each bound")
+    shared.add_argument("--out", dest="out_dir", default=".", metavar="DIR",
+                        help="directory for output.cnf.txt/output.sat.txt/output.hist.txt")
 
-    check = sub.add_parser("check", help="run one verification job")
+    check = sub.add_parser("check", parents=[shared], help="run one verification job")
     check.set_defaults(show=_show_check)
-    check.add_argument("spec_path", metavar="spec", help="spec file (.zot)")
     check.add_argument("--bound", "-k", type=int, default=None, metavar="K",
                        help="time bound (instants 0..K)")
     check.add_argument("--engine", choices=("mono", "bi"), default=None)
     # --loop-free is a mode of its own: never a loop-free run of another mode
     mode = check.add_mutually_exclusive_group()
     mode.add_argument("--mode", choices=("bsc", "bmc", "hcc"), default="bsc")
-    check.add_argument("--solver", choices=("embedded", "minisat", "picosat"),
-                       default=None)
     mode.add_argument("--loop-free", dest="mode", action="store_const", const="loop-free",
                       help="completeness check (replaces the loop machinery)")
     check.add_argument("--history", dest="history_path", default=None, metavar="FILE",
                        help="partial history file (hcc mode)")
-    check.add_argument("--timeout", dest="timeout_s", type=_seconds, default=None,
-                       metavar="SECONDS", help="time limit of solving the bound")
-    check.add_argument("--out", dest="out_dir", default=".", metavar="DIR",
-                       help="directory for output.cnf.txt/output.sat.txt/output.hist.txt")
 
-    fb = sub.add_parser("find-bound", help="search the completeness bound")
+    fb = sub.add_parser("find-bound", parents=[shared], help="search the completeness bound")
     fb.set_defaults(show=_show_bound, mode="find-bound")
-    fb.add_argument("spec_path", metavar="spec", help="spec file (.zot)")
-    fb.add_argument("--max-bound", type=_bound, default=50, metavar="N")
-    fb.add_argument("--solver", choices=("embedded", "minisat", "picosat"),
-                    default=None)
-    fb.add_argument("--timeout", dest="timeout_s", type=_seconds, default=None,
-                    metavar="SECONDS", help="time limit of solving each bound")
-    fb.add_argument("--out", dest="out_dir", default=".", metavar="DIR")
+    fb.add_argument("--max-bound", type=_bound, default=RunConfig.max_bound, metavar="N")
     return parser
 
 

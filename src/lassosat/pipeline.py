@@ -257,14 +257,14 @@ def run(config: RunConfig) -> RunReport:
     facts = _gather_facts(config, doc, mode)
     problem = build_problem(doc, ks[0], engine, mode, facts)
     encoded, inst, result = _solve(problem, ks, solver, config.out_dir, config.timeout_s)
-    if mode == "find-bound" and result.verdict == "SAT":
-        raise BoundSearchError(f"still satisfiable at the maximum bound {config.max_bound}")
-
     k, trace, history_text = encoded.varmap.k, None, ""
     if result.verdict == "SAT":
         trace = decode(result, encoded.varmap)
         history_text = render_history(trace)
     (Path(config.out_dir) / HIST_FILENAME).write_text(history_text, encoding="utf-8")
+    if mode == "find-bound" and result.verdict == "SAT":
+        # the files above hold the last solve: a loop-free path of max_bound steps
+        raise BoundSearchError(f"still satisfiable at the maximum bound {config.max_bound}")
     return RunReport(
         mode=mode,
         verdict=result.verdict,

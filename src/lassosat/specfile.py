@@ -5,11 +5,15 @@ Top-level sections:
     (define-item NAME DOMAIN)
     (define-array NAME INDEX-DOMAIN VALUE-DOMAIN)
     (declare ENTRY ...)          ; optional usage/arity declarations
-    (init FORMULA)               ; at most once, holds at instant 0
-    (trans FORMULA ...)          ; repeatable, each holds at every instant
-    (property FORMULA)           ; at most once
+    (init FORMULA)               ; holds at instant 0
+    (trans FORMULA ...)          ; each holds at every instant
+    (property FORMULA)
     (history (at N FACT ...) ... (loop N) (pool N))
     (bound N) (engine mono|bi) (loop-free) (solver NAME)
+
+One table per level (_SECTIONS, _HISTORY_ENTRIES) gives each form's
+operand count and whether it may repeat: define-item, define-array,
+declare, trans and at may; every other form sets one field and comes once.
 
 A DOMAIN is a literal list of symbols/integers or (range LO HI), which
 expands to the ascending integer list LO..HI.  Formulas use the operator
@@ -29,6 +33,7 @@ recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import List, Optional
 
 from .declarations import ArrayDecl, Declarations, ItemDecl
@@ -166,10 +171,12 @@ def _term(node: SExpr):
     raise _err(f"expected a constant or variable, got {to_text(node)}", node)
 
 
-def _int(node: SExpr, what: str) -> int:
-    if isinstance(node, SAtom) and node.is_int:
-        return node.value
-    raise _err(f"expected an integer for {what}, got {to_text(node)}", node)
+def _int(node: SExpr, what: str, least=None) -> int:
+    if not (isinstance(node, SAtom) and node.is_int):
+        raise _err(f"expected an integer for {what}, got {to_text(node)}", node)
+    if least is not None and node.value < least:
+        raise _err(f"{what} must be >= {least}", node)
+    return node.value
 
 
 def _domain(node: SExpr):
@@ -208,8 +215,10 @@ class _FormulaParser:
     once its operands are.
     """
 
-    def __init__(self, decls: Declarations):
+    def __init__(self, decls: Declarations, register: bool = True):
         self.decls = decls
+        # a parser of history facts names atoms without registering them
+        self.register = decls.register_atom if register else lambda name, arity: None
         self._special = {Atom: self._atom, Forall: self._quant, Exists: self._quant,
                          AndCase: self._case, OrCase: self._case}
 
@@ -253,7 +262,7 @@ class _FormulaParser:
             raise _err("(-P- ...) needs a proposition name", node)
         pname = _symbol(node[1], "proposition name")
         args = tuple(_term(x) for x in node.items[2:])
-        self.decls.register_atom(pname, len(args))
+        self.register(pname, len(args))
         atom = cls(pname, args)
         return (), lambda _: atom
 
@@ -337,40 +346,11 @@ def parse_formula(node: SExpr, decls: Optional[Declarations] = None) -> Formula:
     return _FormulaParser(decls if decls is not None else Declarations()).parse(node)
 
 
-def _parse_history_section(node: SList, parser: _FormulaParser) -> PartialHistory:
-    facts = []
-    loop_at = None
-    pool_at = None
-    for entry in node.items[1:]:
-        if not isinstance(entry, SList) or len(entry) < 2:
-            raise _err("history entry must be (at N fact...), (loop N) or (pool N)", entry)
-        head = _symbol(entry[0], "history entry")
-        if head == "LOOP":
-            loop_at = _int(entry[1], "loop instant")
-        elif head == "POOL":
-            pool_at = _int(entry[1], "pool instant")
-        elif head == "AT":
-            instant = _int(entry[1], "history instant")
-            if instant < 0:
-                raise _err("history instant must be >= 0", entry[1])
-            for form in entry.items[2:]:
-                positive = True
-                if (isinstance(form, SList) and len(form) == 2
-                        and isinstance(form[0], SAtom) and form[0].value == "!!"):
-                    positive = False
-                    form = form[1]
-                atom = _entry_atom(form, parser, "history facts")
-                facts.append((instant, atom, positive))
-        else:
-            raise _err(f"unknown history entry {head}", entry)
-    return PartialHistory(tuple(facts), loop_at=loop_at, pool_at=pool_at)
-
-
 def _entry_atom(form: SExpr, parser: _FormulaParser, what: str) -> Atom:
-    """The atom a declare entry or history fact names: a symbol (registered
-    as a plain atom), an atom, or an item or array reference."""
+    """The atom a declare entry or history fact names: a symbol (a plain
+    atom), an atom, or an item or array reference."""
     if isinstance(form, SAtom) and form.is_symbol:
-        parser.decls.register_atom(form.value, 0)
+        parser.register(form.value, 0)
         return Atom(form.value)
     parsed = parser.parse(form)
     if isinstance(parsed, Atom):
@@ -382,72 +362,89 @@ def _entry_atom(form: SExpr, parser: _FormulaParser, what: str) -> Atom:
     raise _err(f"{what} must be atoms or item/array references", form)
 
 
+def _facts(hist, parser: _FormulaParser, args) -> None:
+    """Add the facts of (at N FACT ...): each an atom or its (!! ...)."""
+    instant = _int(args[0], "history instant", 0)
+    for form in args[1:]:
+        negated = (isinstance(form, SList) and len(form) == 2
+                   and isinstance(form[0], SAtom) and form[0].value == "!!")
+        atom = _entry_atom(form[1] if negated else form, parser, "history facts")
+        hist.facts.append((instant, atom, not negated))
+
+
+def _history(doc, parser: _FormulaParser, args) -> PartialHistory:
+    """Facts name atoms without registering them: the encoder rejects one
+    that no other section declares or uses, as it does a history file's."""
+    hist = SimpleNamespace(facts=[], loop_at=None, pool_at=None)
+    lookup = _FormulaParser(parser.decls, register=False)
+    _read(args, _HISTORY_ENTRIES, hist, lookup, "history entry")
+    return PartialHistory(tuple(hist.facts), hist.loop_at, hist.pool_at)
+
+
+def _engine(doc, parser: _FormulaParser, args) -> str:
+    engine = _symbol(args[0], "engine").lower()
+    if engine not in ("mono", "bi"):
+        raise _err(f"unknown engine {engine}", args[0])
+    return engine
+
+
+# keyword -> (usage, fewest and most operands, field, reader).  A reader
+# gets the target, the formula parser and the operands.  A form with a
+# field may come once, and its reader returns the field's value; a form
+# without one may repeat, and its reader adds to the target itself.
+_MANY = float("inf")
+_SECTIONS = {
+    "DEFINE-ITEM": ("(define-item NAME DOMAIN)", 2, 2, None, lambda d, p, a: p.decls.add_item(
+        ItemDecl(_symbol(a[0], "item name"), _domain(a[1])))),
+    "DEFINE-ARRAY": ("(define-array NAME INDEX-DOMAIN VALUE-DOMAIN)", 3, 3, None,
+                     lambda d, p, a: p.decls.add_array(ArrayDecl(
+                         _symbol(a[0], "array name"), _domain(a[1]), _domain(a[2])))),
+    "DECLARE": ("(declare ENTRY ...)", 0, _MANY, None,
+                lambda d, p, a: [_entry_atom(x, p, "declare entries") for x in a]),
+    "INIT": ("(init FORMULA)", 1, 1, "init", lambda d, p, a: p.parse(a[0])),
+    "TRANS": ("(trans FORMULA ...)", 1, _MANY, None,
+              lambda d, p, a: d.transitions.extend(map(p.parse, a))),
+    "PROPERTY": ("(property FORMULA)", 1, 1, "property", lambda d, p, a: p.parse(a[0])),
+    "HISTORY": ("(history ENTRY ...)", 0, _MANY, "history", _history),
+    "BOUND": ("(bound N)", 1, 1, "bound", lambda d, p, a: _int(a[0], "bound", 1)),
+    "ENGINE": ("(engine mono|bi)", 1, 1, "engine", _engine),
+    "LOOP-FREE": ("(loop-free)", 0, 0, "loop_free", lambda d, p, a: True),
+    "SOLVER": ("(solver NAME)", 1, 1, "solver", lambda d, p, a: _symbol(a[0], "solver").lower()),
+}
+_HISTORY_ENTRIES = {
+    "AT": ("(at N FACT ...)", 1, _MANY, None, _facts),
+    "LOOP": ("(loop N)", 1, 1, "loop_at", lambda h, p, a: _int(a[0], "loop instant")),
+    "POOL": ("(pool N)", 1, 1, "pool_at", lambda h, p, a: _int(a[0], "pool instant")),
+}
+
+
+def _read(forms, table, target, parser: _FormulaParser, what: str) -> None:
+    """Read `forms` into `target` through `table`, with one shape rule (a
+    known keyword, a count of operands in range) and one rule that a form
+    with a field comes once."""
+    seen = set()
+    for form in forms:
+        if not isinstance(form, SList) or len(form) == 0:
+            raise _err(f"{what} expected, got {to_text(form)}", form)
+        head = _symbol(form[0], f"{what} keyword")
+        if head not in table:
+            raise _err(f"unknown {what} {head}", form[0])
+        usage, fewest, most, name, reader = table[head]
+        args = form.items[1:]
+        if not fewest <= len(args) <= most:
+            raise _err(f"{usage} expected, got {len(args)} operand(s)", form)
+        if name in seen:
+            raise _err(f"duplicate {head.lower()} {what}", form)
+        value = reader(target, parser, args)
+        if name is not None:
+            seen.add(name)
+            setattr(target, name, value)
+
+
 def parse_spec(forms) -> SpecDocument:
     """Assemble and validate a SpecDocument from top-level forms."""
     doc = SpecDocument()
-    parser = _FormulaParser(doc.declarations)
-    for form in forms:
-        if not isinstance(form, SList) or len(form) == 0:
-            raise _err(f"top-level form expected, got {to_text(form)}", form)
-        head = _symbol(form[0], "section keyword")
-        if head == "DEFINE-ITEM":
-            if len(form) != 3:
-                raise _err("(define-item NAME DOMAIN)", form)
-            doc.declarations.add_item(
-                ItemDecl(_symbol(form[1], "item name"), _domain(form[2]))
-            )
-        elif head == "DEFINE-ARRAY":
-            if len(form) != 4:
-                raise _err("(define-array NAME INDEX-DOMAIN VALUE-DOMAIN)", form)
-            doc.declarations.add_array(
-                ArrayDecl(
-                    _symbol(form[1], "array name"), _domain(form[2]), _domain(form[3])
-                )
-            )
-        elif head == "DECLARE":
-            for entry in form.items[1:]:
-                _entry_atom(entry, parser, "declare entries")
-        elif head == "INIT":
-            if doc.init is not None:
-                raise _err("duplicate init section", form)
-            if len(form) != 2:
-                raise _err("(init FORMULA)", form)
-            doc.init = parser.parse(form[1])
-        elif head == "TRANS":
-            if len(form) < 2:
-                raise _err("(trans FORMULA ...)", form)
-            doc.transitions.extend(parser.parse(x) for x in form.items[1:])
-        elif head == "PROPERTY":
-            if doc.property is not None:
-                raise _err("duplicate property section", form)
-            if len(form) != 2:
-                raise _err("(property FORMULA)", form)
-            doc.property = parser.parse(form[1])
-        elif head == "HISTORY":
-            if doc.history is not None:
-                raise _err("duplicate history section", form)
-            doc.history = _parse_history_section(form, parser)
-        elif head == "BOUND":
-            if len(form) != 2:
-                raise _err("(bound N)", form)
-            doc.bound = _int(form[1], "bound")
-            if doc.bound < 1:
-                raise _err("bound must be >= 1", form[1])
-        elif head == "ENGINE":
-            if len(form) != 2:
-                raise _err("(engine mono|bi)", form)
-            engine = _symbol(form[1], "engine").lower()
-            if engine not in ("mono", "bi"):
-                raise _err(f"unknown engine {engine}", form[1])
-            doc.engine = engine
-        elif head == "LOOP-FREE":
-            doc.loop_free = True
-        elif head == "SOLVER":
-            if len(form) != 2:
-                raise _err("(solver NAME)", form)
-            doc.solver = _symbol(form[1], "solver").lower()
-        else:
-            raise _err(f"unknown section keyword {head}", form[0])
+    _read(forms, _SECTIONS, doc, _FormulaParser(doc.declarations), "section")
     return doc
 
 

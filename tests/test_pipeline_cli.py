@@ -168,6 +168,23 @@ def test_history_is_ignored_outside_hcc(data_dir, out_dir, tmp_path):
         assert report.mode == "bsc" and report.verdict == "SAT"
 
 
+def test_hcc_rejects_a_fact_on_an_unknown_atom_from_a_section_or_a_file(
+    data_dir, tmp_path, capsys
+):
+    # a (history ...) fact names an atom as a history file does: it does
+    # not declare one, so a typo fails the run instead of adding a free atom
+    section = _lamp_with_history(data_dir, tmp_path, "(at 0 typo)")
+    typo = tmp_path / "typo.txt"
+    typo.write_text("------ time 0 ------\n  TYPO\n")
+    for spec, history in ((section, []), (data_dir / "lamp.zot", ["--history", str(typo)])):
+        out = tmp_path / "out"
+        code = main(["check", "--mode", "hcc", "--bound", "3", *history, "--out", str(out),
+                     str(spec)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: history atom TYPO is not registered\n"
+        assert not out.exists()
+
+
 def test_hcc_needs_some_history(data_dir, out_dir):
     with pytest.raises(SpecFormatError, match="history"):
         run(_cfg(data_dir, out_dir, "lamp.zot", mode="hcc"))
@@ -200,6 +217,23 @@ def test_find_bound_exhaustion_is_an_error(data_dir, out_dir, tmp_path):
     with pytest.raises(BoundSearchError, match="maximum bound"):
         find_bound(RunConfig(spec_path=str(spec), out_dir=out_dir,
                              mode="find-bound", max_bound=4))
+
+
+def test_exhausted_find_bound_writes_the_path_of_its_last_model(data_dir, tmp_path, capsys):
+    # the three files come from one run: lamp's lasso history is replaced
+    # by the loop-free path the last solve found
+    out = str(tmp_path / "out")
+    assert main(["check", "--bound", "5", "--out", out, str(data_dir / "lamp.zot")]) == 0
+    counter = tmp_path / "counter.zot"
+    counter.write_text("(define-item c (range 0 40))\n(init (c= 0))\n")
+    assert main(["find-bound", "--max-bound", "4", "--out", out, str(counter)]) == 2
+    assert "still satisfiable at the maximum bound 4" in capsys.readouterr().err
+    history = parse_history((Path(out) / "output.hist.txt").read_text())
+    assert history.loop_at is None and history.pool_at is None
+    values = [atom.args[0] for _, atom, _ in sorted(history.facts, key=lambda f: f[0])]
+    assert values[0] == 0 and len(set(values)) == len(values) == 5
+    _, verdict, _, states = _written(out)
+    assert verdict == "SAT" and sorted(states) == list(range(5))
 
 
 def test_find_bound_rejects_a_maximum_bound_below_one(data_dir, out_dir):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from lassosat.desugar import desugar
@@ -153,6 +155,67 @@ def test_history_facts_must_name_atoms():
         parse_spec_text("(history (at 0 (next (-P- a))))")
     with pytest.raises(SpecFormatError, match="history facts must be atoms"):
         parse_spec_text("(history (at 1 (!! (next (-P- a)))))")
+
+
+# (spec text, message, the text at fault): every shape error of a section or
+# a history entry, located at the last copy of the text at fault.
+SHAPE_ERRORS = [
+    # a second copy of each section that sets one field
+    ("(init (-P- a)) (init (-P- b))", "duplicate init section", "(init (-P- b))"),
+    ("(property (-P- a)) (property (-P- b))", "duplicate property section",
+     "(property (-P- b))"),
+    ("(history (at 0 a)) (history (at 1 b))", "duplicate history section",
+     "(history (at 1 b))"),
+    ("(bound 3) (bound 5)", "duplicate bound section", "(bound 5)"),
+    ("(engine bi) (engine mono)", "duplicate engine section", "(engine mono)"),
+    ("(loop-free) (loop-free)", "duplicate loop-free section", "(loop-free)"),
+    ("(solver a) (solver b)", "duplicate solver section", "(solver b)"),
+    # a wrong operand count for each section that has one
+    ("(define-item c)", "(define-item NAME DOMAIN) expected, got 1", "(define-item c)"),
+    ("(define-array r (1 2))", "(define-array NAME INDEX-DOMAIN VALUE-DOMAIN) expected, got 2",
+     "(define-array r (1 2))"),
+    ("(init)", "(init FORMULA) expected, got 0", "(init)"),
+    ("(trans)", "(trans FORMULA ...) expected, got 0", "(trans)"),
+    ("(property (-P- a) (-P- b))", "(property FORMULA) expected, got 2", "(property"),
+    ("(bound)", "(bound N) expected, got 0", "(bound)"),
+    ("(engine)", "(engine mono|bi) expected, got 0", "(engine)"),
+    ("(loop-free 7)", "(loop-free) expected, got 1", "(loop-free 7)"),
+    ("(solver a b)", "(solver NAME) expected, got 2", "(solver a b)"),
+    # forms that are no section, and bad operands
+    ("7", "section expected, got 7", "7"),
+    ("()", "section expected, got ()", "()"),
+    ("((init))", "expected a symbol for section keyword", "(init)"),
+    ("(bound x)", "expected an integer for bound, got X", "x"),
+    ("(bound 0)", "bound must be >= 1", "0"),
+    ("(engine tri)", "unknown engine tri", "tri"),
+    # history entries
+    ("(history (loop 1) (loop 2))", "duplicate loop history entry", "(loop 2)"),
+    ("(history (pool 1) (pool 2))", "duplicate pool history entry", "(pool 2)"),
+    ("(history (at))", "(at N FACT ...) expected, got 0", "(at)"),
+    ("(history (loop))", "(loop N) expected, got 0", "(loop)"),
+    ("(history (pool 1 2))", "(pool N) expected, got 2", "(pool 1 2)"),
+    ("(history a)", "history entry expected, got A", "a"),
+    ("(history (1 a))", "expected a symbol for history entry keyword", "1"),
+    ("(history (when 1 a))", "unknown history entry WHEN", "when"),
+    ("(history (at -1 a))", "history instant must be >= 0", "-1"),
+    ("(history (at x a))", "expected an integer for history instant", "x"),
+    ("(history (loop x))", "expected an integer for loop instant", "x"),
+    ("(history (at 0 (next (-P- a))))", "history facts must be atoms", "(next"),
+]
+
+
+@pytest.mark.parametrize("text, message, at_fault", SHAPE_ERRORS)
+def test_every_shape_error_names_the_form_at_fault(text, message, at_fault):
+    with pytest.raises(SpecFormatError, match=re.escape(message)) as exc:
+        parse_spec_text("(declare a b)\n" + text)
+    assert (exc.value.line, exc.value.col) == (2, text.rindex(at_fault) + 1)
+
+
+def test_history_facts_do_not_register_atoms():
+    # the encoder decides whether a fact's atom exists, as for a history file
+    doc = parse_spec_text("(declare p) (history (at 0 typo (-P- q 1) (!! (-P- p))))")
+    assert doc.declarations.atom_arity == {"P": 0}
+    assert {atom for _, atom, _ in doc.history.facts} == {Atom("TYPO"), Atom("Q", (1,)), Atom("P")}
 
 
 def test_arbitrary_input_is_accepted_or_diagnosed():
