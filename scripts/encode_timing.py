@@ -2,13 +2,14 @@
 """In-process timings of the encoder and the DIMACS writer.
 
 For each problem of the digest's probe group (`encoding_digest.py`),
-the metric probe at t = 30 on mono at k = 20, mutex3 BMC on mono at k = 10,
+the metric probe at t = 30 on mono and bi at k = 20, mutex3 BMC on mono at k = 10,
 20 and 30, and two deep shift nests at the root at k = 5 (`next`^3000 on
 bi, `yesterday`^1000 on mono), prints the best of N runs of `encode` (a
 fresh encoding) and of `emit_dimacs` (into memory), in seconds, with the
 problem's variables, clauses, copy rows (the rows above the primary row,
-loop and pool passes) and look-back T (the instants the word runs beyond
-the bound), then the totals of each column but T.
+loop and pool passes), look-back T (the instants the word runs beyond
+the bound) and look-ahead T' (the instants it runs before instant 0),
+then the totals of each column but T and T'.
 Best-of-N times of one process leave out the start-up and solver time that
 an end-to-end run adds, and most of the noise of a shared machine.
 
@@ -33,7 +34,8 @@ def cases():
     metric30 = parse_spec_text(METRIC_PROBE.format(t=30))
     return [
         *probe_cases(),
-        ("metric-t30 mono bsc 20", lambda: build_problem(metric30, 20, "mono", "bsc")),
+        *((f"metric-t30 {engine} bsc 20", lambda engine=engine: build_problem(
+            metric30, 20, engine, "bsc")) for engine in ("mono", "bi")),
         *((f"mutex3 mono bmc {k}", lambda k=k: build_problem(mutex3, k, "mono", "bmc"))
           for k in (10, 20, 30)),
         ("next3000 bi root 5", lambda: CheckProblem(k=5, engine="bi", root=nest(Next, 3000, P))),
@@ -56,7 +58,7 @@ def main() -> int:
     if n < 1:
         print(f"error: N must be at least 1, got {n}", file=sys.stderr)
         return 2
-    print(f"{'problem':40s} {'vars':>7s} {'clauses':>8s} {'copies':>6s} {'T':>3s} "
+    print(f"{'problem':40s} {'vars':>7s} {'clauses':>8s} {'copies':>6s} {'T':>3s}  T' "
           f"{'encode_s':>9s} {'emit_s':>8s}")
     sums = [0, 0, 0, 0.0, 0.0]
     for name, make in cases():
@@ -68,9 +70,9 @@ def main() -> int:
                best(n, lambda: encode(problem)),
                best(n, lambda: emit_dimacs(inst, io.StringIO()))]
         sums = [a + b for a, b in zip(sums, row)]
-        print(f"{name:40s} {row[0]:7d} {row[1]:8d} {row[2]:6d} {vm.lookback:3d} "
+        print(f"{name:40s} {row[0]:7d} {row[1]:8d} {row[2]:6d} {vm.lookback:3d} {vm.lookahead:3d} "
               f"{row[3]:9.4f} {row[4]:8.4f}")
-    print(f"{'total':40s} {sums[0]:7d} {sums[1]:8d} {sums[2]:6d} {'':3s} "
+    print(f"{'total':40s} {sums[0]:7d} {sums[1]:8d} {sums[2]:6d} {'':7s} "
           f"{sums[3]:9.4f} {sums[4]:8.4f}")
     return 0
 

@@ -6,7 +6,9 @@ total before and after.  Each encoding is hashed as its DIMACS text (the
 problem at k with the unit E_k; a loop-free one without the distinctness
 pairs that the pipeline adds on demand), its max_var, its root literal and
 its number of copy blocks; an encoding that fails is hashed as its error
-message.
+message.  Under each group line the script prints one sub-digest per
+engine (mono, bi, loop-free) of that group's encodings on the engine; the
+total hashes the group digests only.
 
 - corpus: every `tests/data` spec x mono/bi x bsc/bmc/hcc/loop-free x
   k = 1, 2, 3, 5, 8; hcc reads the spec's history section and its
@@ -49,6 +51,8 @@ from lassosat.specfile import load_spec, parse_spec_text  # noqa: E402
 from lassosat.trace import load_history  # noqa: E402
 
 ATOMS = ("P", "Q", "R")
+# the sub-digests under each group line
+ENGINES = ("mono", "bi", "loop-free")
 
 METRIC_PROBE = (
     "(declare a b)\n"
@@ -104,27 +108,24 @@ def _facts(spec: Path, doc):
     return facts
 
 
-def corpus(h) -> int:
-    n = 0
+def corpus():
     for spec in sorted((ROOT / "tests" / "data").glob("*.zot")):
         try:
             doc = load_spec(str(spec))
         except LassosatError as exc:
-            h.update(f"{spec.name} error {exc}\n".encode())
+            yield None, f"{spec.name} error {exc}\n", None
             continue
         for engine in ("mono", "bi"):
             for mode in ("bsc", "bmc", "hcc", "loop-free"):
                 facts = _facts(spec, doc) if mode == "hcc" else None
                 for k in (1, 2, 3, 5, 8):
-                    h.update(f"{spec.name} {engine} {mode} {k}\n".encode())
-                    h.update(_record(lambda: build_problem(doc, k, engine, mode, facts)))
-                    n += 1
-    return n
+                    yield ("loop-free" if mode == "loop-free" else engine,
+                           f"{spec.name} {engine} {mode} {k}\n",
+                           lambda: build_problem(doc, k, engine, mode, facts))
 
 
-def randoms(h, count: int, seed: int) -> int:
+def randoms(count: int, seed: int):
     rng = random.Random(seed)
-    n = 0
     for i in range(count):
         if i % 2:
             _, root = random_sugared_capped(rng, rng.randint(1, 4), ATOMS)
@@ -133,15 +134,12 @@ def randoms(h, count: int, seed: int) -> int:
         trans = random_core(rng, rng.randint(1, 2), ATOMS)
         k = rng.choice((2, 3, 4))
         for transitions in ((), (trans,)):
-            for engine in ("mono", "bi", "loop-free"):
+            for engine in ENGINES:
                 problem = CheckProblem(
                     k=k, engine="mono" if engine == "loop-free" else engine,
                     root=root, transitions=transitions, loop_free=engine == "loop-free",
                 )
-                h.update(f"{i} {engine} {len(transitions)}\n".encode())
-                h.update(_record(lambda: problem))
-                n += 1
-    return n
+                yield engine, f"{i} {engine} {len(transitions)}\n", lambda: problem
 
 
 def probe_cases():
@@ -163,26 +161,34 @@ def probe_cases():
     return cases
 
 
-def probes(h) -> int:
-    cases = probe_cases()
-    for name, make in cases:
-        h.update(f"{name}\n".encode())
-        h.update(_record(make))
-    return len(cases)
+def probes():
+    for name, make in probe_cases():
+        problem = make()
+        yield "loop-free" if problem.loop_free else problem.engine, f"{name}\n", make
 
 
 def main() -> int:
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 300
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 1
     total = hashlib.sha256()
-    groups = (("corpus", corpus), ("random", lambda h: randoms(h, count, seed)),
-              ("probe", probes))
-    for name, fill in groups:
+    groups = (("corpus", corpus()), ("random", randoms(count, seed)), ("probe", probes()))
+    for name, records in groups:
+        # the group's digest of every record in order, and one per engine of
+        # its records on that engine
         h = hashlib.sha256()
-        n = fill(h)
-        print(f"{name:8s} {n:6d} encodings  {h.hexdigest()}")
+        subs = {engine: hashlib.sha256() for engine in ENGINES}
+        counts = dict.fromkeys(ENGINES, 0)
+        for engine, label, make in records:
+            data = label.encode() + (b"" if make is None else _record(make))
+            h.update(data)
+            if make is not None:
+                subs[engine].update(data)
+                counts[engine] += 1
+        print(f"{name:10s} {sum(counts.values()):6d} encodings  {h.hexdigest()}")
+        for engine, sub in subs.items():
+            print(f"  {engine:9s} {counts[engine]:5d} encodings  {sub.hexdigest()}")
         total.update(h.digest())
-    print(f"{'total':8s} {'':18s}{total.hexdigest()}")
+    print(f"{'total':10s} {'':18s}{total.hexdigest()}")
     return 0
 
 

@@ -40,6 +40,8 @@ class VarMap:
     # T: the rows run over the instants 0..k+T, and the loop selector at
     # position i selects the loop start i-T of the bound-k word
     lookback: int = 0
+    # T': the instants the rows run before instant 0 on the pool side
+    lookahead: int = 0
 
     def lit(self, f: Formula, t: int) -> int:
         """The literal of subformula f at instant t (spec: call)."""
