@@ -14,6 +14,8 @@ Top-level sections:
 One table per level (_SECTIONS, _HISTORY_ENTRIES) gives each form's
 operand count and whether it may repeat: define-item, define-array,
 declare, trans and at may; every other form sets one field and comes once.
+The define-item and define-array forms are read before the others, so a
+section may name an item or array that a later form defines.
 
 A DOMAIN is a literal list of symbols/integers or (range LO HI), which
 expands to the ascending integer list LO..HI.  Formulas use the operator
@@ -441,10 +443,23 @@ def _read(forms, table, target, parser: _FormulaParser, what: str) -> None:
             setattr(target, name, value)
 
 
+_DEFINITIONS = frozenset(("DEFINE-ITEM", "DEFINE-ARRAY"))
+
+
+def _defines(form) -> bool:
+    """Whether a top-level form defines an item or an array."""
+    return (isinstance(form, SList) and len(form) > 0 and isinstance(form[0], SAtom)
+            and form[0].value in _DEFINITIONS)
+
+
 def parse_spec(forms) -> SpecDocument:
-    """Assemble and validate a SpecDocument from top-level forms."""
+    """Assemble and validate a SpecDocument from top-level forms.  The item
+    and array definitions are read first, each group in source order, so a
+    section may reference an item or array defined after it."""
     doc = SpecDocument()
-    _read(forms, _SECTIONS, doc, _FormulaParser(doc.declarations), "section")
+    forms = list(forms)
+    ordered = [f for f in forms if _defines(f)] + [f for f in forms if not _defines(f)]
+    _read(ordered, _SECTIONS, doc, _FormulaParser(doc.declarations), "section")
     return doc
 
 

@@ -77,6 +77,22 @@ def test_undeclared_item_reference():
         parse_spec_text("(init (cont= 6))")
 
 
+@pytest.mark.parametrize("section", [
+    "(init (c= 1))",
+    "(trans (-> (c= 0) (next (c= 1))))",
+    "(history (at 0 (c= 1)))",
+])
+def test_a_section_may_precede_the_item_it_references(section):
+    """Items and arrays are defined before any other section is read, so
+    a section may come before the definition it names, as a plain atom may
+    be used before its declare."""
+    before = parse_spec_text(f"{section} (define-item c (0 1)) (define-array a (0) (0 1))")
+    after = parse_spec_text(f"(define-item c (0 1)) (define-array a (0) (0 1)) {section}")
+    assert before == after
+    assert list(before.declarations.items) == ["C"]
+    assert list(before.declarations.arrays) == ["A"]
+
+
 def test_options_sections():
     doc = parse_spec_text("(bound 10) (engine bi) (loop-free) (solver minisat)")
     assert doc.bound == 10
