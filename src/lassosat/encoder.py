@@ -373,6 +373,14 @@ _PAST = frozenset((Yesterday, Zeta, Since, Trigger))
 # nodes that are one literal of other entries, or a gate over them, at
 # every copy and instant
 _ALIASES = frozenset((Not, Iff, TrueF, FalseF, Next, Yesterday, Zeta))
+# per family, loop passes "r" and pool passes "l": the partition whose nodes
+# wrap into the family's deeper passes, the partition whose nodes read the
+# other way, across those passes, and those of them that read a bounded
+# number of instants
+_FAMILIES = {
+    "r": (_FUTURE, _PAST, frozenset((Yesterday, Zeta))),
+    "l": (_PAST, _FUTURE, frozenset()),
+}
 
 
 class _Encoder:
@@ -396,12 +404,14 @@ class _Encoder:
         # operands before their parents: the order the aliases are resolved in
         roots = (problem.root,) if problem.root is not None else ()
         self.postorder = closure((*roots, *problem.transitions))
-        # per node, its future nesting depth and its partition; how many
-        # instants back it reads (None with a since or trigger below) and its
-        # pass depth, the past depth counted only above such nodes
+        # per node, its future nesting depth and its partition; per family,
+        # how many instants it reads the other way (None with an unbounded
+        # reader of that way below it: a since or trigger for the loop
+        # passes) and its pass depth, that way's nesting counted only above
+        # such nodes
         depth = self.depth = dict.fromkeys(problem.atoms, 0)
-        reach = dict.fromkeys(problem.atoms, 0)
-        passes = dict.fromkeys(problem.atoms, 0)
+        reach = {family: dict.fromkeys(problem.atoms, 0) for family in _FAMILIES}
+        passes = {family: dict.fromkeys(problem.atoms, 0) for family in _FAMILIES}
         groups = {"atom": dict.fromkeys(problem.atoms), "bool": {}, "future": {}, "past": {}}
         for f in self.postorder:
             subs = children(f)
@@ -414,13 +424,16 @@ class _Encoder:
                 kind = "atom" if cls is Atom else "bool"
             depth[f] = max((depth[g] for g in subs), default=0) + (kind == "future")
             groups[kind][f] = None
-            back = [reach[g] for g in subs]
-            if cls is Since or cls is Trigger or None in back:
-                reach[f] = None
-                passes[f] = max((passes[g] for g in subs), default=0) + (kind == "past")
-            else:
-                reach[f] = max(back, default=0) + (kind == "past")
-                passes[f] = 0
+            for family, (_, across, bounded) in _FAMILIES.items():
+                far, deep = reach[family], passes[family]
+                step = cls in across
+                spans = [far[g] for g in subs]
+                if (step and cls not in bounded) or None in spans:
+                    far[f] = None
+                    deep[f] = max((deep[g] for g in subs), default=0) + step
+                else:
+                    far[f] = max(spans, default=0) + step
+                    deep[f] = 0
         # the top copy of each family (where traversal values start to
         # repeat) for the nodes whose deeper passes have a reader, parents
         # first: a node is read forward (back) if it is a future (past) node,
@@ -428,22 +441,29 @@ class _Encoder:
         # the furthest that a node read forward and free of since and
         # trigger reads back; such a node keeps no loop pass.
         self.caps: Dict[Formula, Tuple[int, int]] = dict.fromkeys(problem.atoms, (0, 0))
-        forward, back = set(problem.transitions), set(problem.transitions)
-        self.lookback = 0
+        readers = {family: set(problem.transitions) for family in _FAMILIES}
+        self.unroll = dict.fromkeys(_FAMILIES, 0)
         for f in reversed(self.postorder):
             cls = type(f)
-            for readers, kinds in ((forward, _FUTURE), (back, _PAST)):
-                if cls in kinds:
-                    readers.add(f)
-                if f in readers:
-                    readers.update(children(f))
-            if self.loop_free:
-                self.caps[f] = (0, 0)
-                continue
-            if f in forward and reach[f]:
-                self.lookback = max(self.lookback, reach[f])
-            self.caps[f] = (passes[f] if f in forward else 0,
-                            depth[f] if f in back and engine == "bi" else 0)
+            caps = []
+            for family, (wraps, _, _) in _FAMILIES.items():
+                read = readers[family]
+                if cls in wraps:
+                    read.add(f)
+                if f in read:
+                    read.update(children(f))
+                if family not in self.looping or f not in read:
+                    caps.append(0)
+                    continue
+                far = reach[family][f]
+                if far:
+                    self.unroll[family] = max(self.unroll[family], far)
+                caps.append(passes[family][f])
+            self.caps[f] = tuple(caps)
+        self.lookback, self.lookahead = self.unroll["r"], self.unroll["l"]
+        # the instants a row runs beyond the bound's, before instant 0 and
+        # after instant k
+        self.unrolled = self.lookback + self.lookahead
         order = tuple(f for group in groups.values() for f in group)
         # the rows of each node, (family, copy): the primary row, its loop
         # passes, then its pool passes; lrows[f][0] is rrows[f][0]
@@ -454,7 +474,7 @@ class _Encoder:
         }
         # every row is indexed by instant; a loop pass starts at instant
         # T+1, after placeholders
-        rrows = {f: [[], *([0] * (self.lookback + 1) for _ in range(self.caps[f][0]))]
+        rrows = {f: [[], *([0] * (self.unrolled + 1) for _ in range(self.caps[f][0]))]
                  for f in order}
         vm = self.vm = VarMap(
             k=-1, engine=engine, closure=order, atoms=tuple(groups["atom"]), rrows=rrows,
@@ -463,6 +483,7 @@ class _Encoder:
             copy_base={}, loop_selectors={}, pool_selectors={}, max_var=0,
             partitions={name: tuple(groups[name]) for name in ("bool", "future", "past")},
             assertion_instant=1 if engine == "mono" else 0, lookback=self.lookback,
+            lookahead=self.lookahead,
         )
         # no instant has entered yet: the bound k and the last instant k+T
         self.k = self.last = -1
@@ -489,16 +510,24 @@ class _Encoder:
             varmap=self.vm, cnf=self.sink.instance(), activation=self.activation, encoder=self
         )
 
+    def _positions(self, family: str, lo: int) -> range:
+        """The family's selector positions from instant lo on: a loop
+        starts at T+1 at the earliest, a pool ends at k at the latest; lo
+        is the first new instant of the word, so a pool's first new
+        position is T fewer."""
+        if family == "r":
+            return range(max(lo, self.unrolled + 1), self.last + 1)
+        return range(max(lo - self.unrolled, 1), self.k + 1)
+
     def _span(self, family: str, c: int, lo: int) -> range:
         """The instants from lo on that row (family, c) holds: a primary
-        row 0..k+T, a loop pass T+1..k+T (the loop's positions) and a pool
-        pass 0..k (its pool's); lo is the first new instant of the word,
-        so a pool pass's first new one is T fewer."""
+        row 0..k+T, a loop pass its loop's positions and a pool pass its
+        pool's, the positions and instant 0."""
         if not c:
             return range(lo, self.last + 1)
         if family == "r":
-            return range(max(lo, self.lookback + 1), self.last + 1)
-        return range(max(lo - self.lookback, 0), self.k + 1)
+            return self._positions(family, lo)
+        return range(max(lo - self.unrolled, 0), self.k + 1)
 
     def _row(self, family: str, f: Formula, c: int):
         """f's literal row on the family's copy c, clamped to f's top copy."""
@@ -661,7 +690,7 @@ class _Encoder:
         # where that loop's selector holds at t, the step elsewhere
         row, sel, gate = self._row(family, g, c), self.selectors[family], self.sink.gate
         if family == "r":  # the step before the first loop position is a don't-care
-            wrap, first = self._end(g, c - 1), self.lookback + 1
+            wrap, first = self._end(g, c - 1), self.unrolled + 1
             for t in ts:
                 yield wrap if t == first else gate("ite", [sel[t], wrap, row[t - 1]])
             return
@@ -677,11 +706,11 @@ class _Encoder:
         """The instants after the current last one up to k+T enter as one
         block; append their clauses and close the encoding at bound k under
         E_k."""
-        vm, sink, problem, T = self.vm, self.sink, self.problem, self.lookback
+        vm, sink, problem, U = self.vm, self.sink, self.problem, self.unrolled
         clause, rrows = sink.clause, vm.rrows
         lo, last = self.last + 1, self.activation
         self.k = vm.k = k
-        end = self.last = k + T
+        end = self.last = k + U
         for f in vm.closure:
             self._enter(f, "r", 0, lo)
         for f in vm.closure:
@@ -690,8 +719,7 @@ class _Encoder:
                 self._enter(f, family, c, lo)
                 if sink.next_var > ids:
                     vm.copy_base.setdefault((f, family, c), ids)
-        # a loop starts at T+1 at the earliest; the pool lies within 0..k
-        positions = {"r": range(max(lo, T + 1), end + 1), "l": range(max(lo - T, 1), k + 1)}
+        positions = {family: self._positions(family, lo) for family in self.looping}
         for family in self.looping:
             new = positions[family]
             self.selectors[family].update(zip(new, sink.fresh_ids(len(new))))
@@ -722,7 +750,7 @@ class _Encoder:
             if family == "r":
                 sink.define(y, "and", [rrows[g][c][lo]])
             else:  # where the pool does not start at the previous bound
-                s, x = self.selectors["l"][lo - T - 1], vm.lrows[g][c][lo - T]
+                s, x = self.selectors["l"][lo - U - 1], vm.lrows[g][c][lo - U]
                 clause([s, -y, x])
                 clause([s, y, -x])
         for (g, c), z in starts:
@@ -744,7 +772,7 @@ class _Encoder:
                 for t in self._span(family, c, lo):
                     on = self._on_loop(family, t)
                     clause([row[t]] if on is None else [-on, row[t]])
-        if problem.root is not None and lo <= vm.assertion_instant <= end:
+        if problem.root is not None and lo <= vm.assertion_instant + self.lookahead <= end:
             vm.root_lit = vm.lit(problem.root, vm.assertion_instant)
             clause([vm.root_lit])
         if not lo:  # the history lies within the first bound
@@ -752,22 +780,35 @@ class _Encoder:
                 x = vm.lit(atom, t)
                 clause([x if polarity else -x])
             for family, position in self.markers:  # the user's loop start L is L+T
-                clause([self.selectors[family][position + (T if family == "r" else 0)]])
+                clause([self.selectors[family][position + (U if family == "r" else 0)]])
         for (g, c), e in self.ends.items():  # the loop end is instant k+T
             x = rrows[g][c][end]
             clause([-edge, -e, x])
             clause([-edge, e, -x])
-        # the instants k+1..k+T repeat the loop's last T instants: where L_i
-        # holds, the loop is end+1-i instants long, and each atom at such an
-        # instant m is itself one loop earlier
-        loops = self.selectors["r"]
-        for a in vm.atoms:
-            x = rrows[a][0]
-            for m in range(k + 1, end + 1):
-                for i, s in loops.items():
-                    before = x[m - end - 1 + i]
-                    clause([-edge, -s, -x[m], before])
-                    clause([-edge, -s, x[m], -before])
+        # the unrolled instants repeat the word one loop earlier, under E_k
+        # and each loop selector, and one pool later, under each new pool
+        # selector (a pool's length does not depend on k)
+        self._replicas("r", self.selectors["r"], -edge)
+        self._replicas("l", positions.get("l", ()))
+
+    def _replicas(self, family: str, positions, *guard: int) -> None:
+        """Tie each atom at the family's unrolled instants to itself one
+        loop earlier (the last T instants; where L_i holds the loop is
+        k+T+1-i instants long) or one pool later (the first T'; where P_p
+        holds the pool is p+1 instants long), for each position, with the
+        guard."""
+        n, sel, clause = self.unroll[family], self.selectors[family], self.sink.clause
+        if family == "r":
+            unrolled, shift = range(self.last + 1 - n, self.last + 1), -self.last - 1
+        else:
+            unrolled, shift = range(n), 1
+        for a in self.vm.atoms:
+            x = self.rows["r"][a][0]
+            for m in unrolled:
+                for i in positions:
+                    s, other = sel[i], x[m + shift + i]
+                    clause([*guard, -s, -x[m], other])
+                    clause([*guard, -s, x[m], -other])
 
     def _enter(self, f: Formula, family: str, c: int, lo: int) -> None:
         """Extend f's row (family, c) over its instants from lo on (`_span`):
@@ -832,7 +873,7 @@ class _Encoder:
         top = self.caps[f][0 if own == "r" else 1]
         v, b = self._row(own, f, top), self._row(own, f.right, top)
         # the loop's positions T+1..k+T, the pool's 0..k
-        first, end = (self.lookback + 1, self.last) if own == "r" else (0, k)
+        first, end = (self.unrolled + 1, self.last) if own == "r" else (0, k)
         lits = [-self.activation, -sign * v[end if own == "r" else 0]]
         for t in range(first, end + 1):
             bt, on = sign * b[t], self._on_loop(own, t)

@@ -93,8 +93,10 @@ def decode(result, vm) -> LassoTrace:
     """Read a LassoTrace off a SAT model via the variable map.
 
     A loop-free encoding has no loop selectors; its trace has no loop start.
-    The selector at position i of an encoding unrolled T instants further
-    (`VarMap.lookback`) selects the loop start i - T.
+    The selector positions are indexed as the encoding's rows, which run T'
+    instants before instant 0 and T after instant k (`VarMap.lookahead`,
+    `VarMap.lookback`): loop position i selects the loop start i - T' - T,
+    and pool position p the pool start p.
     """
     if result.verdict != "SAT" or result.model is None:
         raise EncodingError("decode needs a SAT result with a model")
@@ -109,7 +111,7 @@ def decode(result, vm) -> LassoTrace:
         engine=vm.engine,
         atoms=tuple(vm.atoms),
         valuations=valuations,
-        loop_start=None if loop is None else loop - vm.lookback,
+        loop_start=None if loop is None else loop - vm.lookahead - vm.lookback,
         pool_start=_selected(vm.pool_selectors, model, "past"),
     )
 
