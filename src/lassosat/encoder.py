@@ -7,7 +7,10 @@ The bi-infinite engine adds exactly one past selector P_p and anchors the
 word ^w(u[0..p]) u[0..k] (u[i..k])^w at absolute instant 0.  Where the
 formulas read back a bounded number of instants, the same word is encoded
 unrolled T instants further, over 0..k+T (look-back unrolling, below);
-everything said here of k then holds of k+T on the future loop.
+everything said here of k then holds of k+T on the future loop.  Where the
+bi engine's past operators read ahead a bounded number, it is unrolled T'
+instants before instant 0, over -T'..k+T (look-ahead unrolling); what is
+said of instant 0 on the past loop then holds of -T', and of k of k-T'.
 
 Subformula variables are constrained by their fixpoint expansions, one rule
 per operator (`_emit_temporal`, `_emit_bool`, `_aliases`): a node's value at instant t follows from its operands
@@ -56,7 +59,7 @@ depth.  A copy is thus a loop pass (family "r") or a pool pass ("l"), copy
   nothing reads, since constraints on deeper copies hold only where
   InLoop_t (InPool_t) does.  Instant 0 never lies on the future loop, so a
   loop pass starts at instant 1 (T+1 when unrolled), and a pool pass ends
-  at k.
+  at k (k-T').
 
 Copy pd is the last one that differs, by induction on pd.  The operands of
 f have past depth below pd, so they repeat from copy pd-1 on.  f's loop
@@ -110,9 +113,10 @@ start i repeat its last T, the word is periodic from i-T, and its instants
 each bound-k lasso with loop start L unrolls to one with loop start L+T.
 The wrap is resolved once per (atom, instant), not once per entry.
 VarMap reports the bound k and `trace.decode` the loop start i-T, and a
-history's `**LOOP**` marker at L pins L_{L+T}.  The bi engine keeps its
-pool selectors on 1..k, and its pool passes hold the instants 0..k: the
-pool lies within them, and each of their ite neighbours needs its P_t.
+history's `**LOOP**` marker at L pins L_{L+T}.  The pool selectors stay
+clear of the T instants after k, and the pool passes hold the instants up
+to the last pool position: the pool lies within them, and each of their
+ite neighbours needs its P_t.
 
 Every loop position lies at T+1 or later, so a node read forward that has
 a look-back takes the same value on every loop pass and keeps no loop
@@ -133,6 +137,51 @@ without unrolling.  T depends only on the formulas, so it stays fixed as an
 encoding grows, and it is kept at every bound, also at a bound k <= T,
 where the T extra instants can cost more clauses than the passes they
 remove.
+
+Look-ahead unrolling is the same rule with its direction swapped, on the bi
+engine's pool passes.  A node with no until or release below it reads ahead
+a bounded number of instants, its look-ahead: 0 for an atom, one more than
+its operand's for next, the largest of its operands' for any other node (a
+past node reads only back).  Its value at instant n depends only on the
+word up to n plus its look-ahead.  T' is the largest look-ahead of a node
+read back that has one, and 0 where there is none.  The word is then
+unrolled T' instants before instant 0, over -T'..k+T: the pool selectors
+P_q run over 1-T'..k-T', the pool is -T'..q with q the predecessor of
+-T', and under P_q each atom x at an instant m in -T'..-1 is tied to its
+value one pool later, -P_q | -x(m) | x(m+p) and -P_q | x(m) | -x(m+p),
+with p = q+T'+1 the pool's length (T' * atoms * 2k clauses).  A pool's
+length does not depend on k, so these ties need no E_k: each pool selector
+writes its own as it enters.  So w(m) = w(m+p) for every m <= -1: the
+word's instants 0..k with pool start q+T' are a bound-k word of the bi
+engine, and conversely each bound-k word with pool start P unrolls to one
+with P_{P-T'}.  `trace.decode` reports the pool start q+T', and a
+history's `**POOL**` marker at P pins P_{P-T'}.
+
+Pool pass c holds at instant t of the pool the word's instant t-c*p.  A
+node read back with look-ahead h <= T' reads there only the word up to
+t+h <= q+T' = p-1, and w(j) = w(j+p) holds for every j <= -1, so its
+value at t-c*p is its value at t: it takes the same value on every pool
+pass and keeps no pool pass.  The other nodes count their pool pass depth
+in place of their future depth: 0 for a node with a look-ahead, else the
+largest pool pass depth of its operands, plus one for a future node.  The
+stabilization argument holds mirrored, with pool pass depth in place of
+future depth: a node of pool pass depth 0 repeats from copy 0 on, the
+operands of a future node of pool pass depth n > 0 have pool pass depth
+below n, so they repeat from copy n-1 on, and the step through G shows
+that copy n is its last distinct one.  The readers argument is unchanged:
+it decides which nodes keep their caps, whatever the caps are, and a read
+of a deeper pool pass of a node of pool pass depth 0 reads its primary
+row, whose values on the pool are those of every pass.  With T' = 0, and
+on the mono engine, which has no pool, pool pass depth and future depth
+agree on every node read back, and the encoding is the one without
+look-ahead unrolling.
+
+The rows hold the instants -T'..k+T, indexed from 0 at instant -T'; the
+code speaks of row indices, where the pool selectors run over 1..k (P_q
+at q+T', the user's pool start), the pool passes hold 0..k, and the loop
+selectors run over T'+T+1..k+T'+T, the positions the loop passes hold.
+`VarMap.lit` reads an instant through that offset, and VarMap keeps the
+selectors by row index.
 
 Every encoding grows, after Een & Sorensson, Temporal Induction by
 Incremental SAT Solving (BMC 2003) and Heljanko, Junttila & Latvala,
@@ -156,7 +205,7 @@ and behind E_k go exactly the parts that read k as the last instant:
 - one loop-end literal e per (operand g, copy c) that a deeper loop pass
   reads at its wrap, e <-> g(c, k), so the ite neighbours stay right as k
   grows;
-- the ties of the unrolled instants to the loop, where T > 0.
+- the ties of the unrolled instants after k to the loop, where T > 0.
 
 A pool pass's future entries at the last pool position k read one pool
 successor literal y per (operand g, copy c) and bound
@@ -210,8 +259,9 @@ alias's slot stays 0 until the table is filled in postorder (`_fill`), so
 every operand is resolved before its parents, with no recursion.  The
 closure order is: the registry atoms, the other atoms of the formulas, then
 their boolean, future and past nodes, each group in postorder; the loop
-that sorts it also computes each member's future depth, look-back and pass
-depth, and one pass back over it, parents first, its copy caps.  A block
+that sorts it also computes each member's future depth and, per family,
+its look-back or look-ahead and its pass depth (`_FAMILIES`), and one pass
+back over it, parents first, its copy caps.  A block
 allocates, in this order: the primary rows (its instants of each closure
 member in closure order), the copy rows (per member, its loop passes
 before its pool passes), its loop selectors, then its pool selectors, E_k,
@@ -379,7 +429,7 @@ _ALIASES = frozenset((Not, Iff, TrueF, FalseF, Next, Yesterday, Zeta))
 # number of instants
 _FAMILIES = {
     "r": (_FUTURE, _PAST, frozenset((Yesterday, Zeta))),
-    "l": (_PAST, _FUTURE, frozenset()),
+    "l": (_PAST, _FUTURE, frozenset((Next,))),
 }
 
 
@@ -439,7 +489,9 @@ class _Encoder:
         # first: a node is read forward (back) if it is a future (past) node,
         # a transition or an operand of a node so read.  The look-back T is
         # the furthest that a node read forward and free of since and
-        # trigger reads back; such a node keeps no loop pass.
+        # trigger reads back, and the look-ahead T' the furthest that a node
+        # read back and free of until and release reads ahead; such a node
+        # keeps no loop pass (no pool pass).
         self.caps: Dict[Formula, Tuple[int, int]] = dict.fromkeys(problem.atoms, (0, 0))
         readers = {family: set(problem.transitions) for family in _FAMILIES}
         self.unroll = dict.fromkeys(_FAMILIES, 0)
@@ -472,8 +524,8 @@ class _Encoder:
                 *(("l", c) for c in range(1, nl + 1)))
             for f, (nr, nl) in self.caps.items()
         }
-        # every row is indexed by instant; a loop pass starts at instant
-        # T+1, after placeholders
+        # every row is indexed by instant plus T'; a loop pass starts at
+        # T'+T+1, after placeholders
         rrows = {f: [[], *([0] * (self.unrolled + 1) for _ in range(self.caps[f][0]))]
                  for f in order}
         vm = self.vm = VarMap(
@@ -485,7 +537,8 @@ class _Encoder:
             assertion_instant=1 if engine == "mono" else 0, lookback=self.lookback,
             lookahead=self.lookahead,
         )
-        # no instant has entered yet: the bound k and the last instant k+T
+        # no instant has entered yet: the bound k and the last row index
+        # k+T'+T
         self.k = self.last = -1
         # per family, "r" for the loop passes and "l" for the pool passes:
         # the literal rows, the selectors of the loop and their chain,
@@ -511,18 +564,18 @@ class _Encoder:
         )
 
     def _positions(self, family: str, lo: int) -> range:
-        """The family's selector positions from instant lo on: a loop
-        starts at T+1 at the earliest, a pool ends at k at the latest; lo
-        is the first new instant of the word, so a pool's first new
-        position is T fewer."""
+        """The family's selector positions from row index lo on: a loop
+        starts at T'+T+1 at the earliest, a pool ends at k at the latest;
+        lo is the first new index of the rows, so a pool's first new
+        position is T'+T fewer."""
         if family == "r":
             return range(max(lo, self.unrolled + 1), self.last + 1)
         return range(max(lo - self.unrolled, 1), self.k + 1)
 
     def _span(self, family: str, c: int, lo: int) -> range:
-        """The instants from lo on that row (family, c) holds: a primary
-        row 0..k+T, a loop pass its loop's positions and a pool pass its
-        pool's, the positions and instant 0."""
+        """The row indices from lo on that row (family, c) holds: a
+        primary row 0..k+T'+T, a loop pass its loop's positions and a pool
+        pass its pool's, 0..k."""
         if not c:
             return range(lo, self.last + 1)
         if family == "r":
@@ -594,11 +647,11 @@ class _Encoder:
 
     def _successor(self, g: Formula, c: int, weak: bool) -> int:
         """One literal for g's copy c at the instant after the last one,
-        k+T, read by the future entries there.  Under E_k it is g's next pass
+        row index k+T'+T, read by the future entries there.  Under E_k it is g's next pass
         at the loop start (-E | -L_i | -y | g(c+1, i) and -E | -L_i | y |
         -g(c+1, i) for each selector L_i), beyond a loop-free window the
         finite-word constant (true for a weak reader); `_grow` ties it to
-        g(c, k+T+1) once that instant enters."""
+        g(c, k+T'+T+1) once that instant enters."""
         g, sign = _positive(g)
         weak ^= sign < 0  # a negation swaps the finite-word constants
         rows = self.rows["r"][g]
@@ -703,8 +756,8 @@ class _Encoder:
             yield row[t + 1] if s is None else gate("ite", [s, wrap, row[t + 1]])
 
     def _grow(self, k: int) -> None:
-        """The instants after the current last one up to k+T enter as one
-        block; append their clauses and close the encoding at bound k under
+        """The row indices after the current last one up to k+T'+T enter
+        as one block; append their clauses and close the encoding at bound k under
         E_k."""
         vm, sink, problem, U = self.vm, self.sink, self.problem, self.unrolled
         clause, rrows = sink.clause, vm.rrows
@@ -729,7 +782,7 @@ class _Encoder:
         edge = self.activation = sink.fresh()
 
         # exactly one selector: chain_t <-> chain_{t-1} | s_t, s_t ->
-        # -chain_{t-1}, and chain_k+T (chain_k on the pool) under E_k
+        # -chain_{t-1}, and chain_k+T'+T (chain_k on the pool) under E_k
         for family in self.looping:
             sel, chain = self.selectors[family], self.chains[family]
             for t in positions[family]:
@@ -779,9 +832,10 @@ class _Encoder:
             for t, atom, polarity in self.facts:
                 x = vm.lit(atom, t)
                 clause([x if polarity else -x])
-            for family, position in self.markers:  # the user's loop start L is L+T
+            # the user's loop start L is position L+T'+T, pool start P is P
+            for family, position in self.markers:
                 clause([self.selectors[family][position + (U if family == "r" else 0)]])
-        for (g, c), e in self.ends.items():  # the loop end is instant k+T
+        for (g, c), e in self.ends.items():  # the loop end is row index k+T'+T
             x = rrows[g][c][end]
             clause([-edge, -e, x])
             clause([-edge, e, -x])
@@ -793,10 +847,9 @@ class _Encoder:
 
     def _replicas(self, family: str, positions, *guard: int) -> None:
         """Tie each atom at the family's unrolled instants to itself one
-        loop earlier (the last T instants; where L_i holds the loop is
-        k+T+1-i instants long) or one pool later (the first T'; where P_p
-        holds the pool is p+1 instants long), for each position, with the
-        guard."""
+        loop earlier (the last T; where L_i holds the loop is k+T'+T+1-i
+        instants long) or one pool later (the first T'; where P_p holds the
+        pool is p+1 long), for each position, with the guard."""
         n, sel, clause = self.unroll[family], self.selectors[family], self.sink.clause
         if family == "r":
             unrolled, shift = range(self.last + 1 - n, self.last + 1), -self.last - 1
@@ -872,7 +925,7 @@ class _Encoder:
         sign = 1 if cls in _UNTIL_LIKE else -1
         top = self.caps[f][0 if own == "r" else 1]
         v, b = self._row(own, f, top), self._row(own, f.right, top)
-        # the loop's positions T+1..k+T, the pool's 0..k
+        # the loop's positions T'+T+1..k+T'+T, the pool's 0..k
         first, end = (self.unrolled + 1, self.last) if own == "r" else (0, k)
         lits = [-self.activation, -sign * v[end if own == "r" else 0]]
         for t in range(first, end + 1):

@@ -344,6 +344,46 @@ def test_copy_caps_reach_every_pass_a_shift_chain_reads(engine, n):
             _every_valuation_agrees(problem, root, pos, loop, pool)
 
 
+def _models(problem, atoms, loop, pool):
+    """The valuation indices (as `brute.trace_from_index` lays them out)
+    of the models of `problem` with the loop and pool pinned, found by
+    blocking each model's atom values at the instants 0..k in turn."""
+    k = problem.k
+    encoded = encode(replace(problem, facts=PartialHistory(loop_at=loop, pool_at=pool)))
+    inst = to_cnf(encoded)
+    lits = [encoded.varmap.lit(a, t) for a in atoms for t in range(k + 1)]
+    found = set()
+    while True:
+        result = solve_embedded(inst)
+        if result.verdict == "UNSAT":
+            return found
+        values = [result.model[x] for x in lits]
+        found.add(sum(1 << i for i, value in enumerate(values) if value))
+        inst.clauses.append([-x if value else x for x, value in zip(lits, values)])
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_a_next_chain_under_historically_keeps_no_pool_pass(n):
+    """H(X^n Q) reads Q at every instant up to n, so with !Q it has no
+    model.  The chain has no until or release, so it reads ahead n instants:
+    the word is unrolled by T' = n before instant 0 and the chain keeps no
+    pool pass, where a cap below its future depth once accepted words that
+    leave Q false off the pinned instants.  For k = 3..5, which includes
+    bounds at and below T', every loop and pool position gives exactly the
+    valuations that the enumeration accepts, with !Q and without it."""
+    chain = _nest(Next, n, Q)
+    for root in (Trigger(FalseF(), chain), And((Trigger(FalseF(), chain), Not(Q)))):
+        for k in range(3, 6):
+            problem = CheckProblem(k=k, engine="bi", root=root)
+            encoded = encode(problem)
+            assert encoded.varmap.lookahead == n and encoded.encoder.caps[chain] == (0, 0)
+            for loop in range(1, k + 1):
+                for pool in range(1, k + 1):
+                    hits = accepted(root, k, "bi", 0, loop, pool)
+                    want = {index for index, hit in enumerate(hits) if hit}
+                    assert _models(problem, [Q], loop, pool) == want, (n, k, loop, pool)
+
+
 Y3Q = _nest(Yesterday, 3, Q)
 # a past node free of since and trigger that reads 3 instants back, under
 # alw, in a transition, and under a since; (root, transitions, since)
@@ -421,13 +461,15 @@ def _copy_rows(f, engine="bi", **kw):
 def test_nesting_depths_set_the_copy_rows_and_the_lookahead():
     assert _depth(P) == 0
     assert _depth(Q, root=P) == 0  # a registry atom no formula mentions
-    # a transition holds on every pass, so its copy rows reach its future
-    # depth and its pass depth, which counts only since and trigger nesting
-    # and what lies above it: a past node free of them reads back a bounded
-    # number of instants, T, and takes the same value on every loop pass
+    # a transition holds on every pass, so its copy rows reach its pass
+    # depths, which count only since and trigger nesting (until and release
+    # on the pool side) and what lies above it: a past node free of them
+    # reads back a bounded number of instants, T, and takes the same value
+    # on every loop pass, and a future node free of them reads ahead T'
+    # instants and takes the same value on every pool pass
     for f, depth, rows, lookback in (
         (Until(P, Yesterday(Q)), 1, (1, 0), 1),
-        (Next(Next(Since(P, Q))), 2, (2, 1), 0),
+        (Next(Next(Since(P, Q))), 2, (0, 1), 0),
         (Yesterday(Since(P, Yesterday(Yesterday(Q)))), 0, (0, 2), 2),
     ):
         assert _depth(f) == depth
@@ -455,13 +497,16 @@ def test_copy_rows_follow_their_readers(engine, shift, reader):
     pass.  Under Release or as a transition it is read forward, and since
     it reads back 3 instants and holds no since or trigger, the word is
     unrolled by T = 3 instead of giving it a loop pass per link.  The bi
-    engine mirrors the readers rule for a future nest and its pool passes,
-    one per link."""
+    engine mirrors this for a future nest: read back, under Trigger or as a
+    transition, it reads ahead 3 instants and holds no until or release, so
+    the word is unrolled by T' = 3 before instant 0 instead of giving it a
+    pool pass per link."""
     f = _nest(shift, 3, Q)
-    if shift is Next:  # pool passes, and no look-back
-        assert _copy_rows(f, engine, root=f) == ((0, 0), 0)
-        assert _copy_rows(f, engine, root=reader(FalseF(), f)) == ((3, 0), 0)
-        assert _copy_rows(f, engine, transitions=(f,)) == ((3, 0), 0)
+    if shift is Next:  # the look-ahead T' in place of the look-back
+        for kw, ahead in ((dict(root=f), 0), (dict(root=reader(FalseF(), f)), 3),
+                          (dict(transitions=(f,)), 3)):
+            assert _copy_rows(f, engine, **kw) == ((0, 0), 0)
+            assert encode(CheckProblem(k=3, engine=engine, **kw)).varmap.lookahead == ahead
         return
     assert _copy_rows(f, engine, root=f) == ((0, 0), 0)
     assert _copy_rows(f, engine, root=reader(FalseF(), f)) == ((0, 0), 3)
@@ -551,12 +596,8 @@ def test_clauses_grow_linearly_in_k(data_dir, tmp_path, spec, engine, k):
     assert large <= 2.2 * small, (small, large)
 
 
-@pytest.mark.parametrize("t", [5, 8])
-def test_clauses_grow_linearly_in_t(tmp_path, t):
-    """Doubling the metric offset t at k = 20 at most a little more than
-    doubles the clauses of the metric probe on mono.  Its lasted chain
-    reads back t-1 instants, so the word runs t-1 instants further instead
-    of giving link d of the chain d loop passes, which grew with t^2."""
+def _metric_clauses(tmp_path, t, engine):
+    """The clauses of the metric probe at k = 20, at offsets t and 2t."""
     sizes = []
     for offset in (t, 2 * t):
         path = tmp_path / f"metric{offset}.zot"
@@ -564,7 +605,27 @@ def test_clauses_grow_linearly_in_t(tmp_path, t):
             "(declare a b)\n(property (alw (-> (-P- a) "
             f"(&& (lasted (-P- b) {offset}) (withinf (-P- a) {offset})))))\n"
         )
-        sizes.append(_clause_count(path, 20, "mono"))
+        sizes.append(_clause_count(path, 20, engine))
+    return sizes
+
+
+@pytest.mark.parametrize("t", [5, 8])
+def test_clauses_grow_linearly_in_t(tmp_path, t):
+    """Doubling the metric offset t at k = 20 at most a little more than
+    doubles the clauses of the metric probe on mono.  Its lasted chain
+    reads back t-1 instants, so the word runs t-1 instants further instead
+    of giving link d of the chain d loop passes, which grew with t^2."""
+    sizes = _metric_clauses(tmp_path, t, "mono")
+    assert sizes[1] <= 2.2 * sizes[0], sizes
+
+
+@pytest.mark.parametrize("t", [5, 8])
+def test_bi_clauses_grow_linearly_in_t(tmp_path, t):
+    """The same on the bi engine, where the withinf chain under alw's
+    historically part reads ahead t-1 instants: the word also runs t-1
+    instants before instant 0 instead of giving link d of the chain d pool
+    passes."""
+    sizes = _metric_clauses(tmp_path, t, "bi")
     assert sizes[1] <= 2.2 * sizes[0], sizes
 
 
@@ -759,12 +820,12 @@ PINNED = [
      "c15638346ffa3c8f72d42b9163751b2d495c15d73eb61fe75fb7e0224e7b2842"),
     ("mutex3.zot", 4, "mono", "bmc", 0, 642, 2329,
      "f92aba7b5d17871cb695e0f1c91338f9e0ff89ebd0298a333f1014c8fb9d3da3"),
-    ("mutex3.zot", 4, "bi", "bmc", 69, 1109, 4276,
-     "dff8245c3f453280a9c1b9a42c005ccc490dc5de444bc136029b2dd710eec63e"),
+    ("mutex3.zot", 4, "bi", "bmc", 13, 889, 3290,
+     "c6457d71c7edc4af00bb6040877cc778b6bf88817081ae06567fb03bec4acb61"),
     ("cycle3.zot", 3, "mono", "loop-free", 0, 49, 129,
      "904399810928206b3a7f3b10fa5e07ab2afbc641b9eac383a5a65c3b3fb43ea9"),
-    ("stutter.zot", 4, "bi", "bsc", 0, 34, 102,
-     "9db5f88046e7f3ac6aa04795fe435ddaf1d548d3358642a01e68b8255066c074"),
+    ("stutter.zot", 4, "bi", "bsc", 0, 28, 74,
+     "e4a82280672fff606e57145d4625299a8310d21369337f479a21b646049a4023"),
     ("lamp.zot", 10, "bi", "hcc", 0, 422, 1710,
      "ac313470ba07573c4c4ea766c6ecebb5fe777f05c3242451896a6cea3181302d"),
     ("mutex3.zot", 4, "mono", "loop-free", 0, 619, 2129,
@@ -792,7 +853,7 @@ def test_encoding_bytes_are_pinned(
 # about 2,000 encodings (the tests/data corpus over engines, modes and
 # bounds, seeded random formulas, and a few long-row probes).  A change to
 # the encoding re-pins it.
-DIGEST_TOTAL = "3c75adb9a17ec1c806927d361acd078a481bbb80321e900346a216fc15b80dd0"
+DIGEST_TOTAL = "1f2f9d049855c8cfb49710ee11fa17cdcc137e6003b3ebe5f91d7d9200243b08"
 
 
 def test_encoding_digest_is_pinned():

@@ -155,6 +155,34 @@ def test_hcc_loop_marker_pins_the_loop_start_of_the_bound(data_dir, out_dir, tmp
         assert check_trace_against_root(build_problem(doc, 10, engine, "hcc"), report.trace)
 
 
+METRIC3 = ("(declare a b)\n(property (alw (-> (-P- a) "
+           "(&& (lasted (-P- b) 3) (withinf (-P- a) 3)))))\n")
+
+
+def test_hcc_pool_marker_pins_the_pool_start_of_the_bound(out_dir, tmp_path):
+    """The metric probe at t = 3 reads 2 instants ahead under a past node,
+    so on the bi engine its rows run over the instants -2..k+2 and its pool
+    selectors over 1..k in row index.  A **POOL** marker at P, also at or
+    below T' = 2, selects the pool start P, and the model decodes and
+    renders with pool start P."""
+    spec = tmp_path / "metric3.zot"
+    spec.write_text(METRIC3)
+    doc = load_spec(spec)
+    vm = encode(build_problem(doc, 6, "bi", "bsc")).varmap
+    assert vm.lookahead == 2 and sorted(vm.pool_selectors) == list(range(1, 7))
+    for at in (1, 2, 6):
+        hist = tmp_path / f"pool{at}.txt"
+        hist.write_text(f"------ time {at} ------\n  **POOL**\n")
+        report = run(RunConfig(spec_path=str(spec), out_dir=out_dir, bound=6, engine="bi",
+                               mode="hcc", history_path=str(hist)))
+        assert report.verdict == "SAT", at
+        assert report.trace.k == 6 and report.trace.pool_start == at
+        block = report.history_text.split(f"------ time {at} ------\n")[1].split("------")[0]
+        assert "  **POOL**\n" in block
+        assert parse_history(report.history_text).pool_at == at
+        assert check_trace_against_root(build_problem(doc, 6, "bi", "hcc"), report.trace)
+
+
 def test_history_is_ignored_outside_hcc(data_dir, out_dir, tmp_path):
     hist = tmp_path / "partial.txt"
     hist.write_text("------ time 1 ------\n  ON\n")

@@ -105,8 +105,11 @@ def test_partitions_disjoint_and_cover():
 def test_selectors_allocated_after_blocks():
     # as a transition too, ROOT's copies are read on every pass
     vm = _varmap(3, "bi", transitions=(ROOT,))
-    # the loop positions start at T+1 = 2, the pool lies within 0..k
-    assert sorted(vm.loop_selectors) == [2, 3, 4]
+    # the rows run T' = 1 instant before instant 0 and T = 1 after k: the
+    # loop positions start at T'+T+1 = 3, the pool lies within 0..k of the
+    # rows
+    assert (vm.lookahead, vm.lookback) == (1, 1)
+    assert sorted(vm.loop_selectors) == [3, 4, 5]
     assert sorted(vm.pool_selectors) == [1, 2, 3]
     table = {
         abs(lit) for rows in (vm.rrows, vm.lrows) for f in vm.closure
@@ -115,7 +118,7 @@ def test_selectors_allocated_after_blocks():
     first = min(vm.loop_selectors.values())
     # the last member in closure order with copy ids, the root, takes the
     # last copy id: the last instant of its deepest pool pass
-    last = vm.lrows[ROOT][2][3]
+    last = vm.lrows[ROOT][1][3]
     assert last == max(i for i in table if i <= vm.max_var) == first - 1
     assert min(vm.pool_selectors.values()) == max(vm.loop_selectors.values()) + 1
     assert vm.max_var == max(vm.pool_selectors.values())
