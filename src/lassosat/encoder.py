@@ -512,10 +512,10 @@ class _Encoder:
                     self.unroll[family] = max(self.unroll[family], far)
                 caps.append(passes[family][f])
             self.caps[f] = tuple(caps)
-        self.lookback, self.lookahead = self.unroll["r"], self.unroll["l"]
-        # the instants a row runs beyond the bound's, before instant 0 and
-        # after instant k
-        self.unrolled = self.lookback + self.lookahead
+        self.lookback = self.unroll["r"]
+        # the instants a row runs beyond the bound's, after instant k and
+        # before instant 0
+        self.unrolled = self.lookback + self.unroll["l"]
         order = tuple(f for group in groups.values() for f in group)
         # the rows of each node, (family, copy): the primary row, its loop
         # passes, then its pool passes; lrows[f][0] is rrows[f][0]
@@ -535,7 +535,7 @@ class _Encoder:
             copy_base={}, loop_selectors={}, pool_selectors={}, max_var=0,
             partitions={name: tuple(groups[name]) for name in ("bool", "future", "past")},
             assertion_instant=1 if engine == "mono" else 0, lookback=self.lookback,
-            lookahead=self.lookahead,
+            lookahead=self.unroll["l"],
         )
         # no instant has entered yet: the bound k and the last row index
         # k+T'+T
@@ -825,7 +825,7 @@ class _Encoder:
                 for t in self._span(family, c, lo):
                     on = self._on_loop(family, t)
                     clause([row[t]] if on is None else [-on, row[t]])
-        if problem.root is not None and lo <= vm.assertion_instant + self.lookahead <= end:
+        if problem.root is not None and lo <= vm.assertion_instant + vm.lookahead <= end:
             vm.root_lit = vm.lit(problem.root, vm.assertion_instant)
             clause([vm.root_lit])
         if not lo:  # the history lies within the first bound

@@ -457,8 +457,7 @@ def parse_spec(forms) -> SpecDocument:
     and array definitions are read first, each group in source order, so a
     section may reference an item or array defined after it."""
     doc = SpecDocument()
-    forms = list(forms)
-    ordered = [f for f in forms if _defines(f)] + [f for f in forms if not _defines(f)]
+    ordered = sorted(forms, key=lambda form: not _defines(form))  # a stable sort
     _read(ordered, _SECTIONS, doc, _FormulaParser(doc.declarations), "section")
     return doc
 
