@@ -454,14 +454,16 @@ class _Encoder:
         # operands before their parents: the order the aliases are resolved in
         roots = (problem.root,) if problem.root is not None else ()
         self.postorder = closure((*roots, *problem.transitions))
-        # per node, its future nesting depth and its partition; per family,
-        # how many instants it reads the other way (None with an unbounded
-        # reader of that way below it: a since or trigger for the loop
-        # passes) and its pass depth, that way's nesting counted only above
-        # such nodes
+        # per node, its future nesting depth and its partition; per looping
+        # family, how many instants it reads the other way (None with an
+        # unbounded reader of that way below it: a since or trigger for the
+        # loop passes) and its pass depth, that way's nesting counted only
+        # above such nodes
+        looping = [(i, family, _FAMILIES[family])
+                   for i, family in enumerate(_FAMILIES) if family in self.looping]
         depth = self.depth = dict.fromkeys(problem.atoms, 0)
-        reach = {family: dict.fromkeys(problem.atoms, 0) for family in _FAMILIES}
-        passes = {family: dict.fromkeys(problem.atoms, 0) for family in _FAMILIES}
+        reach = {family: dict.fromkeys(problem.atoms, 0) for family in self.looping}
+        passes = {family: dict.fromkeys(problem.atoms, 0) for family in self.looping}
         groups = {"atom": dict.fromkeys(problem.atoms), "bool": {}, "future": {}, "past": {}}
         for f in self.postorder:
             subs = children(f)
@@ -474,7 +476,7 @@ class _Encoder:
                 kind = "atom" if cls is Atom else "bool"
             depth[f] = max((depth[g] for g in subs), default=0) + (kind == "future")
             groups[kind][f] = None
-            for family, (_, across, bounded) in _FAMILIES.items():
+            for _, family, (_, across, bounded) in looping:
                 far, deep = reach[family], passes[family]
                 step = cls in across
                 spans = [far[g] for g in subs]
@@ -493,24 +495,21 @@ class _Encoder:
         # read back and free of until and release reads ahead; such a node
         # keeps no loop pass (no pool pass).
         self.caps: Dict[Formula, Tuple[int, int]] = dict.fromkeys(problem.atoms, (0, 0))
-        readers = {family: set(problem.transitions) for family in _FAMILIES}
+        readers = {family: set(problem.transitions) for family in self.looping}
         self.unroll = dict.fromkeys(_FAMILIES, 0)
         for f in reversed(self.postorder):
             cls = type(f)
-            caps = []
-            for family, (wraps, _, _) in _FAMILIES.items():
+            caps = [0, 0]
+            for i, family, (wraps, _, _) in looping:
                 read = readers[family]
                 if cls in wraps:
                     read.add(f)
                 if f in read:
                     read.update(children(f))
-                if family not in self.looping or f not in read:
-                    caps.append(0)
-                    continue
-                far = reach[family][f]
-                if far:
-                    self.unroll[family] = max(self.unroll[family], far)
-                caps.append(passes[family][f])
+                    far = reach[family][f]
+                    if far:
+                        self.unroll[family] = max(self.unroll[family], far)
+                    caps[i] = passes[family][f]
             self.caps[f] = tuple(caps)
         self.lookback = self.unroll["r"]
         # the instants a row runs beyond the bound's, after instant k and
