@@ -7,7 +7,7 @@ path of a run with the embedded solver: their exports load on first use.
 
 from .cnf import CnfInstance, SatResult, emit_dimacs, to_cnf
 from .declarations import ArrayDecl, Declarations, ItemDecl, domain_constraints
-from .desugar import desugar, expand_case
+from .desugar import desugar
 from .encoder import CheckProblem, EncodedProblem, encode
 from .errors import (
     BoundSearchError,
@@ -24,7 +24,7 @@ from .errors import (
 from .pipeline import RunConfig, RunReport, build_problem, find_bound, run
 from .sat_embedded import solve_embedded
 from .sexpr import SAtom, SList, read_sexprs, to_text
-from .specfile import SpecDocument, load_spec, parse_formula, parse_spec, parse_spec_text
+from .specfile import SpecDocument, load_spec, parse_spec, parse_spec_text
 from .trace import (
     LassoTrace,
     PartialHistory,

@@ -30,6 +30,7 @@ from __future__ import annotations
 import warnings
 from functools import partial
 
+from .declarations import Declarations
 from .errors import FormulaError
 from .formula import (
     FALSE,
@@ -307,10 +308,13 @@ def expand_case(c) -> Formula:
 def desugar(f: Formula, declarations=None) -> Formula:
     """Expand every sugar node; the result is a core formula.
 
-    When `declarations` is given, ground item/array references are lowered to
-    their one-hot atoms as well; otherwise they pass through untouched.
-    Idempotent on core formulas.
+    Ground item/array references are lowered to their one-hot atoms through
+    `declarations` (lassosat.declarations.Declarations); a reference to an
+    item or array it does not declare, or with none given, raises
+    SpecFormatError.  Idempotent on core formulas.
     """
+    if declarations is None:
+        declarations = Declarations()
 
     def expand(task):
         g, env = task
@@ -332,13 +336,9 @@ def _leaf(f, env, decls) -> Formula:
     if isinstance(f, Atom):
         return Atom(f.name, tuple(_resolve(t, env) for t in f.args), f.kind) if env else f
     if isinstance(f, ItemRef):
-        value = _resolve(f.value, env)
-        return decls.lower_item(f.name, value) if decls is not None else ItemRef(f.name, value)
+        return decls.lower_item(f.name, _resolve(f.value, env))
     if isinstance(f, ArrayRef):
-        index, value = _resolve(f.index, env), _resolve(f.value, env)
-        if decls is not None:
-            return decls.lower_array(f.name, index, value)
-        return ArrayRef(f.name, index, value)
+        return decls.lower_array(f.name, _resolve(f.index, env), _resolve(f.value, env))
     if isinstance(f, Cond):
         return TRUE if eval_cond(f, env) else FALSE
     return f

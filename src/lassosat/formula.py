@@ -15,8 +15,8 @@ values up in one weak table and returns the node already there, so each
 structure has exactly one live object: equal subtrees are shared, and
 hashing and equality go by identity, O(1) however deep the formula.
 Construct nodes only through their constructors (`Next(f)`, `Atom("p")`,
-...); copy and pickle go through them as well, and see a formula as a flat
-postorder list of its nodes, so they work at any depth.
+...).  A node is its own copy: `copy.copy` and `copy.deepcopy` return it.
+Nodes do not pickle, since an unpickled node would not be the interned one.
 A node class declares its fields as annotations, which are never evaluated:
 `_fields` holds their names in order, and trailing fields may have a
 class-level default.  Nodes are immutable (assigning or deleting an
@@ -116,12 +116,16 @@ class Formula(metaclass=_Interned):
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
 
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     def __reduce__(self):
-        # a flat postorder node list, so copy and pickle do not recurse
-        # once per nesting level
-        nodes = list(_postorder(self, set(), _subnodes))
-        index = {node: i for i, node in enumerate(nodes)}
-        return _rebuild, ([(type(n), _refs(n._values(), index)) for n in nodes],)
+        # the default reduce would build a second node outside the intern
+        # table, equal in structure but not identical to the first
+        raise TypeError(f"{type(self).__name__}: interned formula nodes do not pickle")
 
     def __repr__(self):
         from .pretty import formula_text
@@ -517,78 +521,29 @@ def fold(root, expand):
             stack.append((iter(children), combine, []))
 
 
-def _subnodes(f: Formula) -> list:
-    """The nodes among f's field values, tuples searched, in field order
-    (sugar nodes included)."""
-    out = []
-    stack = [f._values()]
-    while stack:
-        value = stack.pop()
-        if isinstance(value, Formula):
-            out.append(value)
-        elif isinstance(value, tuple):
-            stack.extend(reversed(value))
-    return out
-
-
-# Field values are hashable, so they hold no lists: in a reduced formula a
-# one-element list [i] stands for the i-th node of its postorder list.
-def _refs(value, index):
-    if isinstance(value, Formula):
-        return [index[value]]
-    if isinstance(value, tuple):
-        return tuple(_refs(v, index) for v in value)
-    return value
-
-
-def _deref(value, built):
-    if isinstance(value, list):
-        return built[value[0]]
-    if isinstance(value, tuple):
-        return tuple(_deref(v, built) for v in value)
-    return value
-
-
-def _rebuild(table):
-    """The root of a reduced formula, every node built through its
-    (interning) constructor."""
-    built = []
-    for cls, values in table:
-        built.append(cls(*_deref(values, built)))
-    return built[-1]
-
-
-def _postorder(root: Formula, seen: set, subs=children):
-    """Nodes under root not yet in `seen`, children first and left to right.
-
-    `subs(node)` lists a node's children (by default core nodes only).  Each
-    node is added to `seen` as it is yielded.  The walk keeps its own stack,
-    so formula depth is not limited by Python's recursion limit.
-    """
-    if root in seen:
-        return
-    stack = [(root, iter(subs(root)))]
-    while stack:
-        node, pending = stack[-1]
-        for c in pending:
-            if c not in seen:
-                stack.append((c, iter(subs(c))))
-                break
-        else:
-            stack.pop()
-            seen.add(node)
-            yield node
-
-
 def closure(formulas) -> list:
     """Ordered, de-duplicated list of all subformulas, children first.
 
-    Core formulas only: a sugar node raises TypeError (`children`).
+    Core formulas only: a sugar node raises TypeError (`children`).  The
+    walk keeps its own stack, so formula depth is not limited by Python's
+    recursion limit.
     """
     out: list = []
     seen: set = set()
-    for f in formulas:
-        out.extend(_postorder(f, seen))
+    for root in formulas:
+        if root in seen:
+            continue
+        stack = [(root, iter(children(root)))]
+        while stack:
+            node, pending = stack[-1]
+            for c in pending:
+                if c not in seen:
+                    stack.append((c, iter(children(c))))
+                    break
+            else:
+                stack.pop()
+                seen.add(node)
+                out.append(node)
     return out
 
 

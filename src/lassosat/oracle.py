@@ -83,13 +83,13 @@ def _window(word: LassoWord, copies: int):
     return seq, 0
 
 
-def _eval_rows(word: LassoWord, formulas, copies: int, keep_all: bool = False):
-    """Rows (one int per window instant) of every closure member of
-    `formulas`.  A row is never changed once built, so rows may share.
+def _eval_rows(word: LassoWord, formulas, copies: int):
+    """Rows (one int per window instant) of the members of `formulas`.  A
+    row is never changed once built, so rows may share.
 
-    Unless keep_all is set, a child row is dropped as soon as its last parent
-    has consumed it, which keeps the live set proportional to the formula
-    depth rather than the closure size (the batch path cares).
+    Any other closure member's row is dropped once its last parent has
+    consumed it, which keeps the live set proportional to the formula depth
+    rather than the closure size (the batch path cares).
     """
     seq, query_base = _window(word, copies)
     L = len(seq)
@@ -148,11 +148,10 @@ def _eval_rows(word: LassoWord, formulas, copies: int, keep_all: bool = False):
             rows[f] = _past_fixpoint(f, rows, L, full, word.engine, ppast)
         else:
             raise EncodingError(f"oracle cannot evaluate {type(f).__name__}")
-        if not keep_all:
-            for c in children(f):
-                pending[c] -= 1
-                if pending[c] == 0 and c not in keep:
-                    del rows[c]
+        for c in children(f):
+            pending[c] -= 1
+            if pending[c] == 0 and c not in keep:
+                del rows[c]
     return rows, query_base
 
 
@@ -225,12 +224,3 @@ def eval_lasso_batch(word: LassoWord, f: Formula, position: int) -> int:
     copies = len(closure([f])) + 2
     rows, query_base = _eval_rows(word, [f], copies)
     return rows[f][query_base + position]
-
-
-def closure_table(trace: LassoTrace, f: Formula):
-    """Full window table (for stability diagnostics and tests)."""
-    word = LassoWord.from_trace(trace)
-    copies = len(closure([f])) + 2
-    rows, query_base = _eval_rows(word, [f], copies, keep_all=True)
-    seq, _ = _window(word, copies)
-    return rows, seq, query_base

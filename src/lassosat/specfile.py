@@ -423,7 +423,8 @@ _HISTORY_ENTRIES = {
 def _read(forms, table, target, parser: _FormulaParser, what: str) -> None:
     """Read `forms` into `target` through `table`, with one shape rule (a
     known keyword, a count of operands in range) and one rule that a form
-    with a field comes once."""
+    with a field comes once.  A SpecFormatError that a reader raises with
+    no location (a declaration's own check) is located at its form."""
     seen = set()
     for form in forms:
         if not isinstance(form, SList) or len(form) == 0:
@@ -437,7 +438,12 @@ def _read(forms, table, target, parser: _FormulaParser, what: str) -> None:
             raise _err(f"{usage} expected, got {len(args)} operand(s)", form)
         if name in seen:
             raise _err(f"duplicate {head.lower()} {what}", form)
-        value = reader(target, parser, args)
+        try:
+            value = reader(target, parser, args)
+        except SpecFormatError as exc:
+            if exc.line:
+                raise
+            raise _err(str(exc), form) from None
         if name is not None:
             seen.add(name)
             setattr(target, name, value)

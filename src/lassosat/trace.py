@@ -11,9 +11,10 @@ History file format (one block per instant, two-space indent):
     ------ end ------
 
 Marker lines name the loop selector positions (**LOOP** towards the future,
-**POOL** towards the past); a loop-free trace has neither.  Atom lines are
-the upper-cased atom names; items render as NAME = VALUE, array cells as
-NAME[IDX] = VALUE, predicate instances as NAME(ARG,...).  When a history
+**POOL** towards the past), each at most once; a loop-free trace has
+neither.  Atom lines are the upper-cased atom names; items render as NAME =
+VALUE, array cells as NAME[IDX] = VALUE, predicate instances as
+NAME(ARG,...).  When a history
 is used as an input constraint, a `!` prefix asserts the atom false at that
 instant; atoms that are not listed are unconstrained, never false.
 """
@@ -33,6 +34,8 @@ _ARRAY_RE = re.compile(r"^([^\s()\[\]=]+)\[([^\[\]\s]+)\]\s*=\s*(\S+)$")
 _ITEM_RE = re.compile(r"^([^\s()\[\]=]+)\s*=\s*(\S+)$")
 _PRED_RE = re.compile(r"^([^\s()\[\]=]+)\((.*)\)$")
 _PLAIN_RE = re.compile(r"^([^\s()\[\]=]+)$")
+# marker line -> the PartialHistory pin it sets
+_PINS = {"**LOOP**": "loop_at", "**POOL**": "pool_at"}
 
 
 @dataclass(frozen=True)
@@ -54,11 +57,14 @@ class PartialHistory:
             seen[key] = polarity
 
     def merged_with(self, other: "PartialHistory") -> "PartialHistory":
-        return PartialHistory(
-            self.facts + other.facts,
-            other.loop_at if other.loop_at is not None else self.loop_at,
-            other.pool_at if other.pool_at is not None else self.pool_at,
-        )
+        """The facts and pins of both; one they disagree on raises HistoryError."""
+        pins = {}
+        for marker, name in _PINS.items():
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine is not None and theirs is not None and mine != theirs:
+                raise HistoryError(f"contradictory {marker} markers: times {mine} and {theirs}")
+            pins[name] = mine if theirs is None else theirs
+        return PartialHistory(self.facts + other.facts, **pins)
 
 
 @dataclass
@@ -169,8 +175,7 @@ def _value(text: str):
 def parse_history(text: str) -> PartialHistory:
     """Parse the render format (possibly partial) into constraint facts."""
     facts: List[Tuple[int, Atom, bool]] = []
-    loop_at = None
-    pool_at = None
+    pins: Dict[str, int] = {}
     current: Optional[int] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -185,18 +190,20 @@ def parse_history(text: str) -> PartialHistory:
             continue
         if current is None:
             raise HistoryError(f"line {lineno}: fact outside any time block")
-        if line == "**LOOP**":
-            loop_at = current
-            continue
-        if line == "**POOL**":
-            pool_at = current
+        pin = _PINS.get(line)
+        if pin is not None:
+            if pin in pins:
+                raise HistoryError(
+                    f"line {lineno}: a second {line} marker (the first is at time {pins[pin]})"
+                )
+            pins[pin] = current
             continue
         polarity = True
         if line.startswith("!"):
             polarity = False
             line = line[1:].strip()
         facts.append((current, _parse_atom_line(line, lineno), polarity))
-    return PartialHistory(tuple(facts), loop_at=loop_at, pool_at=pool_at)
+    return PartialHistory(tuple(facts), **pins)
 
 
 def load_history(path) -> PartialHistory:

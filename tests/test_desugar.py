@@ -7,13 +7,16 @@ import pytest
 
 from gen import random_core, random_sugared, random_trace
 from lassosat.desugar import desugar, eval_cond, expand_case
-from lassosat.errors import FormulaError
+from lassosat.declarations import ArrayDecl, Declarations, ItemDecl
+from lassosat.errors import FormulaError, SpecFormatError
 from lassosat.formula import (
     And,
+    ArrayRef,
     Atom,
     BoundedUntil,
     Forall,
     Futr,
+    ItemRef,
     Lasts,
     Next,
     Not,
@@ -240,6 +243,21 @@ OR_CASE_EXPANDED = """
 """
 
 
+def test_references_lower_through_the_declarations():
+    decls = Declarations()
+    decls.add_item(ItemDecl("C", (1, 2)))
+    decls.add_array(ArrayDecl("R", (1, 2), ("X", "Y")))
+    f = Forall("V", (1, 2), And((ItemRef("C", "V"), ArrayRef("R", "V", "Y"))))
+    assert desugar(f, decls) == And(tuple(
+        And((Atom("C", (v,), "item"), Atom("R", (v, "Y"), "array"))) for v in (1, 2)
+    ))
+    # a reference to an undeclared item or array, or with no declarations
+    for ref in (ItemRef("D", 1), ArrayRef("S", 1, "Y")):
+        for given in ((decls,), ()):
+            with pytest.raises(SpecFormatError, match=f"{ref.name} is not declared"):
+                desugar(Next(ref), *given)
+
+
 def test_and_case_expansion_golden():
     got = expand_case(_f(AND_CASE))
     assert _norm(got) == _norm(_f(AND_CASE_EXPANDED))
@@ -330,18 +348,19 @@ def test_nodes_are_interned(data_dir):
     assert roots[0] is roots[1]
 
 
-def test_deep_formulas_copy_and_pickle_to_the_interned_node():
+def test_deep_formulas_copy_as_themselves_and_refuse_to_pickle():
     chain = P
     for _ in range(5000):
         chain = Next(chain)
-    assert copy.deepcopy(chain) is chain
-    assert pickle.loads(pickle.dumps(chain)) is chain
     # sugar nodes keep nodes inside tuples: branches, conditions, items
-    for text in (
-        "(-A- x (1 2) (-E- y (3 4) (EQUAL x y) (&& (-P- P x) (-P- Q y))))",
-        "(and-case (x (1 2)) ((-P- P x) (-P- Q x)) (else (-P- R x)))",
+    for f in (
+        chain,
+        _f("(-A- x (1 2) (-E- y (3 4) (EQUAL x y) (&& (-P- P x) (-P- Q y))))"),
+        _f("(and-case (x (1 2)) ((-P- P x) (-P- Q x)) (else (-P- R x)))"),
     ):
-        f = _f(text)
+        assert copy.copy(f) is f
         assert copy.deepcopy(f) is f
-        assert pickle.loads(pickle.dumps(f)) is f
+        assert copy.deepcopy([f, (f,)])[1][0] is f
+        with pytest.raises(TypeError, match="interned formula nodes do not pickle"):
+            pickle.dumps(f)
 

@@ -18,8 +18,8 @@ EXPORTS = (
     "RunConfig", "RunReport", "SAtom", "SList", "SatResult", "SexprSyntaxError",
     "SolverConfig", "SolverError", "SolverTimeout", "SpecDocument", "SpecFormatError",
     "VarMap", "build_problem", "decode", "desugar", "domain_constraints", "emit_dimacs",
-    "encode", "eval_lasso", "expand_case", "find_bound", "formula_text", "load_history",
-    "load_spec", "parse_formula", "parse_history", "parse_spec", "parse_spec_text",
+    "encode", "eval_lasso", "find_bound", "formula_text", "load_history", "load_spec",
+    "parse_history", "parse_spec", "parse_spec_text",
     "read_sexprs", "render_history", "run", "solve_embedded", "solve_external",
     "solver_available", "to_cnf", "to_sexpr", "to_text",
 )
@@ -79,7 +79,7 @@ def test_lazy_exports_load_their_module_on_first_use():
 def test_an_unknown_name_raises_attribute_error():
     out = _python(
         "import lassosat\n"
-        "for name in ('no_such_name', 'parse_dimacs'):\n"
+        "for name in ('no_such_name', 'parse_dimacs', 'expand_case', 'parse_formula'):\n"
         "    try:\n"
         "        getattr(lassosat, name)\n"
         "    except AttributeError as exc:\n"
@@ -92,6 +92,8 @@ def test_an_unknown_name_raises_attribute_error():
     assert out == (
         "module 'lassosat' has no attribute 'no_such_name'\n"
         "module 'lassosat' has no attribute 'parse_dimacs'\n"
+        "module 'lassosat' has no attribute 'expand_case'\n"
+        "module 'lassosat' has no attribute 'parse_formula'\n"
         "ImportError\n"
     )
 

@@ -15,8 +15,9 @@ from lassosat.formula import (
     Until,
     Yesterday,
     Zeta,
+    closure,
 )
-from lassosat.oracle import LassoWord, closure_table, eval_lasso, eval_lasso_batch
+from lassosat.oracle import LassoWord, _eval_rows, eval_lasso, eval_lasso_batch
 from lassosat.trace import LassoTrace
 
 A, B, P, Q = Atom("A"), Atom("B"), Atom("P"), Atom("Q")
@@ -117,9 +118,11 @@ def test_stability_rotating_the_loop_by_one_period():
         k = rng.randint(2, 4)
         f = random_core(rng, rng.randint(1, 3), ("P", "Q"))
         tr = random_trace(rng, k, engine, ("P", "Q"))
-        rows, seq, _ = closure_table(tr, f)
+        members = closure([f])
+        rows, _ = _eval_rows(LassoWord.from_trace(tr), members, len(members) + 2)
+        assert rows.keys() == set(members)
         period = tr.k - tr.loop_start + 1
-        length = len(seq)
+        length = len(rows[f])
         for g, row in rows.items():
             for q in (length - 2 * period, length - period - 1):
                 assert row[q] == row[q + period], (engine, f, g)

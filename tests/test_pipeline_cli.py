@@ -213,6 +213,32 @@ def test_hcc_rejects_a_fact_on_an_unknown_atom_from_a_section_or_a_file(
         assert not out.exists()
 
 
+def test_hcc_loop_marker_comes_once_and_agrees_with_the_section(data_dir, out_dir, tmp_path,
+                                                                 capsys):
+    # two **LOOP** lines, or a file's **LOOP** against the section's (loop
+    # N), fail the run instead of keeping the last one in silence
+    twice = tmp_path / "twice.txt"
+    twice.write_text("------ time 1 ------\n  **LOOP**\n------ time 3 ------\n  **LOOP**\n")
+    third = tmp_path / "third.txt"
+    third.write_text("------ time 3 ------\n  **LOOP**\n")
+    for section, hist, message in (
+        (None, twice, "line 4: a second **LOOP** marker (the first is at time 1)"),
+        ("(loop 2)", third, "contradictory **LOOP** markers: times 2 and 3"),
+    ):
+        spec = data_dir / "lamp.zot" if section is None else _lamp_with_history(
+            data_dir, tmp_path, section)
+        out = tmp_path / "out"
+        code = main(["check", "--mode", "hcc", "--history", str(hist), "--out", str(out),
+                     str(spec)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+    agreeing = _lamp_with_history(data_dir, tmp_path, "(loop 3)")
+    report = run(RunConfig(spec_path=str(agreeing), out_dir=out_dir, mode="hcc",
+                           history_path=str(third)))
+    assert report.verdict == "SAT" and report.trace.loop_start == 3
+
+
 def test_hcc_needs_some_history(data_dir, out_dir):
     with pytest.raises(SpecFormatError, match="history"):
         run(_cfg(data_dir, out_dir, "lamp.zot", mode="hcc"))

@@ -173,8 +173,9 @@ def test_history_facts_must_name_atoms():
         parse_spec_text("(history (at 1 (!! (next (-P- a)))))")
 
 
-# (spec text, message, the text at fault): every shape error of a section or
-# a history entry, located at the last copy of the text at fault.
+# (spec text, message, the text at fault): every shape error of a section, a
+# history entry, a declaration or a formula, located at the last copy of the
+# text at fault.
 SHAPE_ERRORS = [
     # a second copy of each section that sets one field
     ("(init (-P- a)) (init (-P- b))", "duplicate init section", "(init (-P- b))"),
@@ -217,6 +218,47 @@ SHAPE_ERRORS = [
     ("(history (at x a))", "expected an integer for history instant", "x"),
     ("(history (loop x))", "expected an integer for loop instant", "x"),
     ("(history (at 0 (next (-P- a))))", "history facts must be atoms", "(next"),
+    # a declaration's own checks, located at the section that runs them
+    ("(define-item c (range 3 1))", "item C: empty domain", "(define-item"),
+    ("(define-item c (1 1))", "item C: duplicate domain elements", "(define-item"),
+    ("(define-item c (1 2)) (define-item c (3 4))", "duplicate declaration of C",
+     "(define-item"),
+    ("(define-array r () (1))", "array R: empty domain", "(define-array"),
+    ("(define-array r (1 1) (2))", "array R: duplicate index elements", "(define-array"),
+    ("(define-array r (1) (2 2))", "array R: duplicate domain elements", "(define-array"),
+    ("(declare (-P- p 1)) (property (-P- p))",
+     "predicate P used with 0 argument(s), previously 1", "(property"),
+    ("(define-item c (1 2)) (declare c)", "C is already a declared item/array", "(declare c)"),
+    # formulas
+    ("(property (foo (-P- a)))", "unknown operator FOO", "foo"),
+    ("(property (next (-P- a) (-P- b)))", "NEXT expects 1 argument(s), got 2", "(next"),
+    ("(property ())", "empty list is not a formula", "()"),
+    ("(property ((-P- a)))", "formula must start with an operator, got (-P- A)", "(-P- a)"),
+    ("(property a)", "bare symbol A is not a formula", "a"),
+    ("(property (-P-))", "(-P- ...) needs a proposition name", "(-P-)"),
+    ("(property (futr (-P- a) (1)))", "expected a constant or variable, got (1)", "(1)"),
+    ("(property (-A- x (1 2)))", "quantifier expects (var domain [condition] body)", "(-A-"),
+    ("(property (-E- x 1 (-P- a)))", "expected a domain list, got 1", "1"),
+    ("(property (-A- x (1 2) x (-P- a)))", "expected a condition, got X", "x"),
+    ("(property (-A- x (1 2) (foo x 1) (-P- a)))", "unknown condition operator FOO", "foo"),
+    ("(property (-A- x (1 2) (eql x) (-P- a)))", "(EQL ...) expects 2 terms", "(eql x)"),
+    ("(property (-A- x (1 2) (not (eql x 1) (eql x 2)) (-P- a)))",
+     "(not ...) expects 1 condition", "(not"),
+    ("(define-item c (1 2)) (property (c= 1 2))", "(c= ...) expects one value", "(c="),
+    ("(define-array r (1 2) (3 4)) (property (r= 1))", "(r= ...) expects index and value",
+     "(r="),
+    ("(property (d= 1))", "reference to undeclared item/array D", "(d="),
+    ("(property (and-case x ((-P- a) (-P- b))))",
+     "case construct expects a bindings list first", "(and-case"),
+    ("(property (and-case (x) ((-P- a) (-P- b))))",
+     "case bindings must alternate variable and domain", "(x)"),
+    ("(property (or-case (x ()) ((-P- a) (-P- b))))", "case binding domain is empty", "()"),
+    ("(property (or-case (x (1 2)) ((-P- a))))",
+     "case branch must be (guard body) or (else body)", "((-P- a))"),
+    ("(property (and-case (x (1)) (else (-P- a)) (else (-P- b))))", "multiple else branches",
+     "(else"),
+    ("(property (and-case (x (1)) (else (-P- a)) ((-P- a) (-P- b))))",
+     "else branch must come last", "((-P- a) (-P- b))"),
 ]
 
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from lassosat.errors import EncodingError, HistoryError
@@ -93,6 +95,23 @@ def test_merged_histories_validate():
     assert merged.loop_at == 2 and merged.pool_at == 3
     with pytest.raises(HistoryError):
         a.merged_with(PartialHistory(((0, ON, False),)))
+
+
+def test_merged_histories_agree_on_their_markers():
+    a = PartialHistory(loop_at=2, pool_at=1)
+    assert a.merged_with(PartialHistory(loop_at=2, pool_at=1)) == a
+    with pytest.raises(HistoryError, match=re.escape("**LOOP** markers: times 2 and 3")):
+        a.merged_with(PartialHistory(loop_at=3, pool_at=1))
+    with pytest.raises(HistoryError, match=re.escape("**POOL** markers: times 1 and 4")):
+        a.merged_with(PartialHistory(pool_at=4))
+
+
+@pytest.mark.parametrize("marker", ["**LOOP**", "**POOL**"])
+def test_a_second_marker_line_is_an_error(marker):
+    text = f"------ time 1 ------\n  {marker}\n------ time 3 ------\n  ON\n  {marker}\n"
+    with pytest.raises(HistoryError, match=re.escape(
+            f"line 5: a second {marker} marker (the first is at time 1)")):
+        parse_history(text)
 
 
 def test_bi_trace_requires_pool():
