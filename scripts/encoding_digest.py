@@ -6,9 +6,12 @@ total before and after.  Each encoding is hashed as its DIMACS text (the
 problem at k with the unit E_k; a loop-free one without the distinctness
 pairs that the pipeline adds on demand), its max_var, its root literal and
 its number of copy blocks; an encoding that fails is hashed as its error
-message.  Under each group line the script prints one sub-digest per
-engine (mono, bi, loop-free) of that group's encodings on the engine; the
-total hashes the group digests only.
+message.  Under each group line the script prints two sub-digests per
+engine (mono, bi, loop-free) of that group's encodings on the engine: of
+those whose problem has transitions, and of the others (an encoding whose
+problem fails to build among them), so a change to how transitions are
+encoded shows which encodings kept their bytes; the total hashes the group
+digests only.
 
 - corpus: every `tests/data` spec x mono/bi x bsc/bmc/hcc/loop-free x
   k = 1, 2, 3, 5, 8; hcc reads the spec's history section and its
@@ -51,8 +54,10 @@ from lassosat.specfile import load_spec, parse_spec_text  # noqa: E402
 from lassosat.trace import load_history  # noqa: E402
 
 ATOMS = ("P", "Q", "R")
-# the sub-digests under each group line
+# the sub-digests under each group line: per engine, with and without
+# transitions
 ENGINES = ("mono", "bi", "loop-free")
+SHAPES = ("trans", "no-trans")
 
 METRIC_PROBE = (
     "(declare a b)\n"
@@ -88,15 +93,20 @@ NEST_PROBES = (
 )
 
 
-def _record(make) -> bytes:
-    """The bytes hashed for one encoding: `make()` builds its problem."""
+def _record(make):
+    """The bytes hashed for one encoding, `make()` building its problem,
+    and its shape: "trans" where the problem has transitions."""
+    problem = None
     try:
-        encoded = encode(make())
+        problem = make()
+        encoded = encode(problem)
     except LassosatError as exc:
-        return f"error {type(exc).__name__}: {exc}\n".encode()
-    vm = encoded.varmap
-    head = f"{vm.max_var} {vm.root_lit} {len(vm.copy_base)}\n"
-    return (head + dimacs_text(to_cnf(encoded))).encode()
+        data = f"error {type(exc).__name__}: {exc}\n".encode()
+    else:
+        vm = encoded.varmap
+        head = f"{vm.max_var} {vm.root_lit} {len(vm.copy_base)}\n"
+        data = (head + dimacs_text(to_cnf(encoded))).encode()
+    return data, SHAPES[not (problem is not None and problem.transitions)]
 
 
 def _facts(spec: Path, doc):
@@ -173,20 +183,23 @@ def main() -> int:
     total = hashlib.sha256()
     groups = (("corpus", corpus()), ("random", randoms(count, seed)), ("probe", probes()))
     for name, records in groups:
-        # the group's digest of every record in order, and one per engine of
-        # its records on that engine
+        # the group's digest of every record in order, and one per engine
+        # and shape of its records on that engine with that shape
         h = hashlib.sha256()
-        subs = {engine: hashlib.sha256() for engine in ENGINES}
-        counts = dict.fromkeys(ENGINES, 0)
+        keys = [(engine, shape) for engine in ENGINES for shape in SHAPES]
+        subs = {key: hashlib.sha256() for key in keys}
+        counts = dict.fromkeys(keys, 0)
         for engine, label, make in records:
-            data = label.encode() + (b"" if make is None else _record(make))
-            h.update(data)
+            data = label.encode()
             if make is not None:
-                subs[engine].update(data)
-                counts[engine] += 1
+                record, shape = _record(make)
+                data += record
+                subs[engine, shape].update(data)
+                counts[engine, shape] += 1
+            h.update(data)
         print(f"{name:10s} {sum(counts.values()):6d} encodings  {h.hexdigest()}")
-        for engine, sub in subs.items():
-            print(f"  {engine:9s} {counts[engine]:5d} encodings  {sub.hexdigest()}")
+        for key, sub in subs.items():
+            print(f"  {' '.join(key):18s} {counts[key]:5d} encodings  {sub.hexdigest()}")
         total.update(h.digest())
     print(f"{'total':10s} {'':18s}{total.hexdigest()}")
     return 0
