@@ -75,12 +75,13 @@ Only a reader makes a deeper pass count, so a node gets its copies only
 where one can reach them.  A deeper loop pass is entered only at a wrap: a
 future entry at k reads its operand's (or its own) next pass at the loop
 start.  A deeper pool pass is entered only where a bi past entry at instant
-0 reads the next pass at the pool start.  A transition holds on every pass
-of its copies.  Every other read stays on the reader's pass or goes to a
-shallower one.  So one parents-first pass over the closure marks a node
-"read forward" if it is a future node, a transition or an operand of a node
-so marked, and "read back" if it is a past node, a transition or an operand
-of a node so marked.  A node keeps its loop passes 1..pd only if it is read
+0 reads the next pass at the pool start.  A transition's clause holds on
+every pass of its literals' copies.  Every other read stays on the
+reader's pass or goes to a shallower one.  So one parents-first pass over
+the closure marks a node "read forward" if it is a future node, a literal
+of a transition's clause or an operand of a node so marked, and "read
+back" if it is a past node, such a literal or an operand of a node so
+marked.  A node keeps its loop passes 1..pd only if it is read
 forward, and on the bi engine its pool passes 1..fd only if it is read
 back; else that family's cap is 0.  Where a node keeps a cap its operands
 are marked too, so they keep theirs, and the stabilization argument above
@@ -222,8 +223,10 @@ variable that the solver's search feels.  The problem at k is the clauses
 plus the unit E_k (`cnf.to_cnf`); a live solver assumes E_k instead.
 
 Loop-free mode is the same growth with copy caps (0, 0) and no selectors.
-It asserts a transition at instant t once its lookahead, the future depth,
-fits the window (t + depth <= k).  A loop-free UNSAT means that the
+It asserts a transition's clauses at instant t once the transition's
+lookahead, its future depth, fits the window (t + depth <= k): the whole
+transition's, not each clause's own, so a window asserts all of a
+transition at t or none of it.  A loop-free UNSAT means that the
 completeness bound is reached only if all k+1 atom state vectors are
 pairwise distinct.  Eagerly that is O(k^2 * atoms) clauses, of which a
 search breaks few, so the pipeline adds it lazily, after Een & Sorensson
@@ -234,7 +237,20 @@ solved again.  That is exact, and a pair holds at every larger bound too.
 
 A transition holds at every instant (where its lookahead fits), on every
 pass of its copies; the one-hot domain constraints of items and arrays are
-transitions of future depth 0.
+transitions of future depth 0.  It is asserted as clauses over node
+literals, with no variable of its own (the top-level slice of Plaisted &
+Greenbaum, A Structure-preserving Clause Form Translation, J. Symb. Comput.
+1986; Jackson & Sheridan, Clause Form Conversions for Boolean Circuits,
+SAT 2004).  `_split` pushes its negations through and, or, -> and not, and
+each conjunct is then one clause: an or over its operands, -> a b as [-a,
+b], a negated and over its operands negated, any other node g the unit
+[g].  Only the clause literals enter the closure, so the and/or skeleton
+above them owns no row unless the root or another clause reads it, and a
+one-hot pair (!! (&& a b)) is the one clause [-a, -b].  A clause holds at
+the instants of its transition, on the passes 1..c of each family, c the
+largest cap among its literals, since every deeper pass reads the same
+rows; a transition holds at a (copy, instant) exactly where its clauses
+hold over its literals' values there, so the encoding has the same models.
 
 Each value is named once.  The literal table (VarMap) holds one literal per
 (subformula, copy, instant) entry, and an entry whose expansion folds to a
@@ -257,8 +273,10 @@ Ids come from one counter, the clause sink's (`ClauseSink.fresh`), and only
 the entries that are not aliases take one (`_owned` says which).  An
 alias's slot stays 0 until the table is filled in postorder (`_fill`), so
 every operand is resolved before its parents, with no recursion.  The
-closure order is: the registry atoms, the other atoms of the formulas, then
-their boolean, future and past nodes, each group in postorder; the loop
+closure order is: the registry atoms, the other atoms of the root and of
+the transitions' clause literals, then their boolean, future and past
+nodes, each group in postorder of the root, then the literals in clause
+order; the loop
 that sorts it also computes each member's future depth and, per family,
 its look-back or look-ahead and its pass depth (`_FAMILIES`), and one pass
 back over it, parents first, its copy caps.  A block
@@ -271,6 +289,15 @@ literals and the constant.  A fresh encoding is one block, so its rows are
 laid out row-major.  The iff gates of a distinctness pair take their ids
 when the pair is added.  Models decode through VarMap.lit, and the
 selectors, which never alias, by their ids.
+
+A block appends its clauses in this order: the unit -E of the previous
+bound, each family's chain links and its end under E_k, the previous
+bound's successor ties and the new pool positions' pool-start ties, the
+aliases' gates, the boolean definitions, the temporal definitions each
+with its discharge, the transitions' clauses (each transition in turn, its
+clauses in `_split` order, each clause at its primary instants and then on
+its deeper passes), the root unit, the history facts and markers, the
+loop-end ties and the replica ties.
 
 The predecessor of instant 0 on the bi engine is the pool start: one
 pool-start literal z per (operand g, copy c) that a past entry reads there
@@ -409,6 +436,37 @@ def _positive(g: Formula):
     return g, sign
 
 
+def _split(f: Formula) -> list:
+    """Transition f as clauses, each a tuple of literals (node, sign), the
+    node stripped of its negations (`_positive`): negations pushed through
+    and, or, -> and not, each conjunct one clause, an `or` over its
+    operands, `-> a b` as [-a, b] and a negated `and` over its operands
+    negated; any other conjunct g is the unit [g]."""
+    out, todo = [], [(f, 1)]
+    while todo:
+        g, sign = todo.pop()
+        cls = type(g)
+        if cls is Not:
+            todo.append((g.sub, -sign))
+            continue
+        if cls is Implies:  # -left | right
+            parts = [(g.left, -sign), (g.right, sign)]
+        elif cls is And or cls is Or:
+            parts = [(h, sign) for h in g.items]
+        else:
+            out.append(((g, sign),))
+            continue
+        if (cls is And) == (sign > 0):  # a conjunction: each part in turn
+            todo.extend(reversed(parts))
+            continue
+        clause = []  # a disjunction: one clause
+        for h, s in parts:
+            h, t = _positive(h)
+            clause.append((h, s * t))
+        out.append(tuple(clause))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the encoder: one expansion rule per operator, shared by every mode
 # ---------------------------------------------------------------------------
@@ -451,9 +509,12 @@ class _Encoder:
         self.engine = engine
         # the families whose loop has selectors: none in a loop-free window
         self.looping = () if self.loop_free else ("r", "l") if engine == "bi" else ("r",)
-        # operands before their parents: the order the aliases are resolved in
+        # each transition's clauses (`_split`); operands before their
+        # parents: the order the aliases are resolved in
+        split = [_split(tr) for tr in problem.transitions]
+        literals = [g for clauses in split for lits in clauses for g, _ in lits]
         roots = (problem.root,) if problem.root is not None else ()
-        self.postorder = closure((*roots, *problem.transitions))
+        self.postorder = closure((*roots, *literals))
         # per node, its future nesting depth and its partition; per looping
         # family, how many instants it reads the other way (None with an
         # unbounded reader of that way below it: a since or trigger for the
@@ -489,13 +550,13 @@ class _Encoder:
         # the top copy of each family (where traversal values start to
         # repeat) for the nodes whose deeper passes have a reader, parents
         # first: a node is read forward (back) if it is a future (past) node,
-        # a transition or an operand of a node so read.  The look-back T is
-        # the furthest that a node read forward and free of since and
-        # trigger reads back, and the look-ahead T' the furthest that a node
-        # read back and free of until and release reads ahead; such a node
-        # keeps no loop pass (no pool pass).
+        # a transition's clause literal or an operand of a node so read.  The
+        # look-back T is the furthest that a node read forward and free of
+        # since and trigger reads back, and the look-ahead T' the furthest
+        # that a node read back and free of until and release reads ahead;
+        # such a node keeps no loop pass (no pool pass).
         self.caps: Dict[Formula, Tuple[int, int]] = dict.fromkeys(problem.atoms, (0, 0))
-        readers = {family: set(problem.transitions) for family in self.looping}
+        readers = {family: set(literals) for family in self.looping}
         self.unroll = dict.fromkeys(_FAMILIES, 0)
         for f in reversed(self.postorder):
             cls = type(f)
@@ -512,6 +573,18 @@ class _Encoder:
                     caps[i] = passes[family][f]
             self.caps[f] = tuple(caps)
         self.lookback = self.unroll["r"]
+        # per transition clause: its literals, its whole transition's
+        # lookahead in a loop-free window (0 elsewhere), and its rows above
+        # the primary one, each family's up to the largest cap among its
+        # literals
+        self.assertions = []
+        for clauses in split:
+            ahead = max((depth[g] for lits in clauses for g, _ in lits), default=0)
+            for lits in clauses:
+                copies = tuple(
+                    (family, c) for i, family in enumerate(_FAMILIES)
+                    for c in range(1, max((self.caps[g][i] for g, _ in lits), default=0) + 1))
+                self.assertions.append((lits, ahead if self.loop_free else 0, copies))
         # the instants a row runs beyond the bound's, after instant k and
         # before instant 0
         self.unrolled = self.lookback + self.unroll["l"]
@@ -812,18 +885,18 @@ class _Encoder:
         for f in (*vm.partitions["future"], *vm.partitions["past"]):
             self._emit_temporal(f, lo)
 
-        for tr in problem.transitions:
+        for lits, ahead, copies in self.assertions:
             # a loop-free window asserts a transition once its lookahead fits
-            ahead = self.depth[tr] if self.loop_free else 0
-            row = rrows[tr][0]
+            signed = [(sign, rrows[g][0]) for g, sign in lits]
             for t in range(max(lo - ahead, 0), end - ahead + 1):
-                clause([row[t]])
+                clause([sign * row[t] for sign, row in signed])
             # constraints with past content must also hold on later passes
-            for family, c in self.copies[tr][1:]:
-                row = self.rows[family][tr][c]
+            for family, c in copies:
+                signed = [(sign, self._row(family, g, c)) for g, sign in lits]
                 for t in self._span(family, c, lo):
                     on = self._on_loop(family, t)
-                    clause([row[t]] if on is None else [-on, row[t]])
+                    lits_t = [sign * row[t] for sign, row in signed]
+                    clause(lits_t if on is None else [-on, *lits_t])
         if problem.root is not None and lo <= vm.assertion_instant + vm.lookahead <= end:
             vm.root_lit = vm.lit(problem.root, vm.assertion_instant)
             clause([vm.root_lit])

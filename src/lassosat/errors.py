@@ -24,11 +24,11 @@ class SpecFormatError(_LocatedError):
     """A spec file violates the section grammar or its validation rules."""
 
 
-class FormulaError(LassosatError):
+class FormulaError(_LocatedError):
     """A formula cannot be lowered to the core fragment (bad offset, unbound variable, ...)."""
 
 
-class DomainError(LassosatError):
+class DomainError(_LocatedError):
     """A finite-domain variable is used with a value outside its declared domain."""
 
 

@@ -34,7 +34,7 @@ from .cnf import CnfInstance, SatResult, emit_dimacs, to_cnf
 from .declarations import domain_constraints
 from .desugar import desugar
 from .encoder import CheckProblem, EncodedProblem, encode
-from .errors import BoundSearchError, SpecFormatError
+from .errors import BoundSearchError, DomainError, FormulaError, SpecFormatError
 from .formula import Atom, Not, Yesterday, conj
 from .sat_embedded import Solver, solve_embedded
 from .specfile import SpecDocument, load_spec
@@ -111,9 +111,17 @@ def build_problem(
     mode: str,
     facts: Optional[PartialHistory] = None,
 ) -> CheckProblem:
-    """Desugar and lower a document into an encodable problem."""
+    """Desugar and lower a document into an encodable problem.  An error
+    that desugaring a section's formula raises is located at its form."""
     decls = doc.declarations
-    ds = lambda f: desugar(f, decls)  # noqa: E731
+
+    def ds(f):
+        try:
+            return desugar(f, decls)
+        except (DomainError, FormulaError) as exc:
+            if exc.line or f not in doc.origins:
+                raise
+            raise type(exc)(str(exc), *doc.origins[f]) from None
 
     parts = []
     if doc.init is not None:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .declarations import ArrayDecl, Declarations, ItemDecl
 from .errors import SpecFormatError
@@ -150,6 +150,10 @@ class SpecDocument:
     init: Optional[Formula] = None
     transitions: List[Formula] = field(default_factory=list)
     property: Optional[Formula] = None
+    # per init, trans or property formula, the (line, column) of its form,
+    # where an error that desugaring it raises is located
+    origins: Dict[Formula, Tuple[int, int]] = field(
+        default_factory=dict, compare=False, repr=False)
     history: Optional[PartialHistory] = None
     bound: Optional[int] = None
     engine: Optional[str] = None
@@ -383,6 +387,13 @@ def _history(doc, parser: _FormulaParser, args) -> PartialHistory:
     return PartialHistory(tuple(hist.facts), hist.loop_at, hist.pool_at)
 
 
+def _formula(doc, parser: _FormulaParser, node: SExpr) -> Formula:
+    """A section's formula, its form's position kept in `doc.origins`."""
+    f = parser.parse(node)
+    doc.origins.setdefault(f, (node.line, node.col))
+    return f
+
+
 def _engine(doc, parser: _FormulaParser, args) -> str:
     engine = _symbol(args[0], "engine").lower()
     if engine not in ("mono", "bi"):
@@ -403,10 +414,11 @@ _SECTIONS = {
                          _symbol(a[0], "array name"), _domain(a[1]), _domain(a[2])))),
     "DECLARE": ("(declare ENTRY ...)", 0, _MANY, None,
                 lambda d, p, a: [_entry_atom(x, p, "declare entries") for x in a]),
-    "INIT": ("(init FORMULA)", 1, 1, "init", lambda d, p, a: p.parse(a[0])),
+    "INIT": ("(init FORMULA)", 1, 1, "init", lambda d, p, a: _formula(d, p, a[0])),
     "TRANS": ("(trans FORMULA ...)", 1, _MANY, None,
-              lambda d, p, a: d.transitions.extend(map(p.parse, a))),
-    "PROPERTY": ("(property FORMULA)", 1, 1, "property", lambda d, p, a: p.parse(a[0])),
+              lambda d, p, a: d.transitions.extend(_formula(d, p, x) for x in a)),
+    "PROPERTY": ("(property FORMULA)", 1, 1, "property",
+                 lambda d, p, a: _formula(d, p, a[0])),
     "HISTORY": ("(history ENTRY ...)", 0, _MANY, "history", _history),
     "BOUND": ("(bound N)", 1, 1, "bound", lambda d, p, a: _int(a[0], "bound", 1)),
     "ENGINE": ("(engine mono|bi)", 1, 1, "engine", _engine),

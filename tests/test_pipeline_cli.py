@@ -359,10 +359,10 @@ def test_find_bound_writes_the_files_of_the_last_k_once(
 # find_bound on an 8-state counter (the shape of perfbench's cycle16): its
 # solver calls, their summed search counters and the sha256 of its files
 COUNTER8_CALLS = 26
-COUNTER8_STATS = {"conflicts": 2, "decisions": 189, "propagations": 1565, "restarts": 0,
+COUNTER8_STATS = {"conflicts": 2, "decisions": 189, "propagations": 869, "restarts": 0,
                   "learnts": 0, "learnt_lits": 1, "minimized": 0}
 COUNTER8_FILES = {
-    "output.cnf.txt": "4d5378dbc61fcb8def529cf630b9ca6276ba68a6ada7f15c3da3290ede63e6a9",
+    "output.cnf.txt": "372761d472d0d1152cd745f7fa4d511b098bc2e3b9c43fac9077af45217226ce",
     "output.sat.txt": "8e47e39240b5b347f444074f97e7ab4b4c11d3f534469b5cb23f4b6d2f7390df",
 }
 
@@ -521,7 +521,7 @@ def test_mutex3_bmc_instance_size_regression(data_dir, out_dir):
     # selector-guarded row per loop position; aliases own no variable
     report = run(_cfg(data_dir, out_dir, "mutex3.zot", bound=10, engine="mono", mode="bmc"))
     assert report.verdict == "UNSAT"
-    assert (report.num_vars, report.num_clauses) == (1398, 5191)
+    assert (report.num_vars, report.num_clauses) == (1167, 4421)
 
 
 def test_lamp_is_satisfiable_on_mono_engine_too(data_dir, out_dir):
@@ -554,6 +554,23 @@ def test_cli_error_exit_code(tmp_path, capsys):
     code = main(["check", "--bound", "3", str(tmp_path / "missing.zot")])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("(define-item c (1 2))\n(property (c= 5))(bound 3)\n",
+     "(c= 5): value not in domain [1, 2] (line 2, column 11)"),
+    ("(declare a)\n(property (-P- a))(bound 3)\n(trans (-P- a)\n  (futr (-P- a) x))\n",
+     "futr: offset must be an integer literal, got 'X' (line 4, column 3)"),
+])
+def test_desugar_errors_are_located_at_their_section_formula(tmp_path, capsys, text, message):
+    # desugaring runs after parsing, on formulas that keep no position: the
+    # document keeps where each section's formula was read
+    spec = tmp_path / "spec.zot"
+    spec.write_text(text)
+    out = tmp_path / "out"
+    assert main(["check", "--out", str(out), str(spec)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("boom"), RecursionError("deep")])

@@ -182,13 +182,13 @@ def test_counters_match_the_reference_search(data_dir):
     result = solve_embedded(to_cnf(encode(problem)))
     assert result.verdict == "UNSAT"
     assert result.stats == {
-        "conflicts": 304,
-        "decisions": 863,
-        "propagations": 44185,
+        "conflicts": 303,
+        "decisions": 862,
+        "propagations": 43964,
         "restarts": 2,
-        "learnts": 282,
-        "learnt_lits": 2376,
-        "minimized": 717,
+        "learnts": 281,
+        "learnt_lits": 2367,
+        "minimized": 722,
     }
 
 
