@@ -100,25 +100,32 @@ class ClauseSink:
         if lits is not None:
             self.clauses.append(lits)
 
-    def define(self, v: int, op: str, lits: List[int]) -> None:
+    def define(self, v: int, op: str, lits: List[int], sides: int = 3) -> None:
         """Clauses for v <-> op(lits), op being "and" or "or"; a single
-        operand makes v <-> lits[0]."""
+        operand makes v <-> lits[0].  `sides` picks the directions as bits:
+        1 is v -> op(lits), all that a reader of v as it is needs, 2 is
+        op(lits) -> v, all that a reader of -v needs, and 3 is both."""
         if op == "or" and len(lits) != 1:
-            v, lits = -v, [-l for l in lits]  # v <-> or(ls)  is  -v <-> and(-ls)
+            # v <-> or(ls)  is  -v <-> and(-ls), its sides swapped
+            v, lits, sides = -v, [-l for l in lits], (sides >> 1) | (sides & 1) << 1
         if len(lits) == 2:  # most definitions; clean where no variable repeats
             a, b = lits
             x, y, z = abs(v), abs(a), abs(b)
             if x != y != z != x:
-                self.clauses += ([-v, a], [-v, b], [v, -a, -b])
+                if sides & 1:
+                    self.clauses += ([-v, a], [-v, b])
+                if sides & 2:
+                    self.clauses.append([v, -a, -b])
                 return
-        append, last = self.clauses.append, [v]
-        for l in lits:  # -v | l, and -l for the last clause
-            if l != v and l != -v:
-                append([-v, l])
-            elif l != v:  # l is -v: the unit -v; l = v makes a tautology
-                append([l])
-            last.append(-l)
-        self.clause(last)
+        if sides & 1:
+            append = self.clauses.append
+            for l in lits:  # -v | l
+                if l != v and l != -v:
+                    append([-v, l])
+                elif l != v:  # l is -v: the unit -v; l = v makes a tautology
+                    append([l])
+        if sides & 2:
+            self.clause([v, *(-l for l in lits)])
 
     def gate(self, op: str, lits: List[int]) -> int:
         """A literal equivalent to op(lits); one operand, or an ite whose

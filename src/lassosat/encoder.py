@@ -242,11 +242,13 @@ literals, with no variable of its own (the top-level slice of Plaisted &
 Greenbaum, A Structure-preserving Clause Form Translation, J. Symb. Comput.
 1986; Jackson & Sheridan, Clause Form Conversions for Boolean Circuits,
 SAT 2004).  `_split` pushes its negations through and, or, -> and not, and
-each conjunct is then one clause: an or over its operands, -> a b as [-a,
-b], a negated and over its operands negated, any other node g the unit
-[g].  Only the clause literals enter the closure, so the and/or skeleton
-above them owns no row unless the root or another clause reads it, and a
-one-hot pair (!! (&& a b)) is the one clause [-a, -b].  A clause holds at
+each conjunct is then one clause over its disjuncts, flattened: an or's
+operands, -> a b as -a and b, a negated and's operands negated, and so on
+down, any other node g the literal g.  Only the clause literals enter the
+closure, so the and/or skeleton above them owns no row unless the root or
+another clause reads it, a one-hot pair (!! (&& a b)) is the one clause
+[-a, -b], and an or-case, an or of ors over its cases, is one clause over
+the and of each case.  A clause holds at
 the instants of its transition, on the passes 1..c of each family, c the
 largest cap among its literals, since every deeper pass reads the same
 rows; a transition holds at a (copy, instant) exactly where its clauses
@@ -279,7 +281,7 @@ nodes, each group in postorder of the root, then the literals in clause
 order; the loop
 that sorts it also computes each member's future depth and, per family,
 its look-back or look-ahead and its pass depth (`_FAMILIES`), and one pass
-back over it, parents first, its copy caps.  A block
+back over it, parents first, its copy caps and its polarity.  A block
 allocates, in this order: the primary rows (its instants of each closure
 member in closure order), the copy rows (per member, its loop passes
 before its pool passes), its loop selectors, then its pool selectors, E_k,
@@ -305,10 +307,46 @@ has `-P_p | -z | g(c, p)` and `-P_p | z | -g(c, p)` for every pool selector
 P_p.  Instant 0 does not move as k grows, so z is fixed, and each new pool
 selector adds its two clauses.
 
-Every rule writes its clauses into one cnf.ClauseSink as it goes.  A
-subformula variable is defined by `var <-> and/or(...)` clauses, and no
+Every rule writes its clauses into one cnf.ClauseSink as it goes, and no
 definition is guarded: the selectors enter only through their chains, the
 ite neighbours and the successor and pool-start literals.
+
+A boolean and, or or -> entry is defined only in the direction that its
+readers need, after Plaisted & Greenbaum (J. Symb. Comput. 1986), as lasso
+BMC in negation normal form does (Latvala, Biere, Heljanko & Junttila,
+Simple Bounded LTL Model Checking, FMCAD 2004).  A node's polarity is the
+set of ways it is read: the root reads its node as it is, a clause reads
+each literal with its sign, a not and the left side of -> flip the
+polarity for their operand, an iff gives its operands both, and every
+other node, temporal ones included, passes its own to its operands; the
+parents-first pass that sets the caps sets it too.  A node read only as it
+is gets v -> op(...) ([-v, a_i] for an and, [-v, a...] for an or), one
+read only negated gets op(...) -> v, and one read both ways gets both.
+Every other definition keeps both sides: the temporal definitions and
+their discharges, every gate (iff, ite, the inner and/or of until and
+since, the chain links) and the successor, pool-start, loop-end and
+replica ties.
+
+The encoding keeps its models on the atoms and selectors.  Completeness:
+the values that a word gives every entry satisfy every clause, a one-sided
+definition being a part of the two-sided one, so every word of the problem
+is a model.  Soundness: in a model, an entry read as it is is true only
+where its subformula holds, and one read negated is false only where its
+subformula fails.  For a boolean entry this follows from its one side and
+the same fact of its operands, which are read the same way (the other way
+under a not or ->'s left side).  For a temporal entry it follows from its
+two-sided recurrence, by induction along its chain of neighbours to the
+finite edge or to the top copy's wrap, where the discharge clause keeps an
+until (since) read as it is from putting its right operand off forever
+around the loop (pool); read negated, the recurrence is a greatest
+fixpoint and needs no discharge.  The root and every clause hold in a
+model, so they hold on its word.  The stabilization argument speaks of the
+values a word gives, which satisfy every row, and holds as it is; the
+readers argument extends a model to the dropped rows by evaluating their
+definitions, which satisfies either side.  A literal's model value is thus
+its subformula's truth value only where both sides are written, and
+nothing outside the encoder reads one: decoding and the loop-free state
+vectors read atoms and selectors only.
 
 A rule is emitted one row at a time, a row being one (node, family, copy).
 What its instants share is resolved once per row: the node's own row and
@@ -428,42 +466,52 @@ def _history(problem: CheckProblem, vm: VarMap):
     return facts.facts, out
 
 
-def _positive(g: Formula):
-    """(g stripped of its negations, 1 or -1 after their count)."""
-    sign = 1
+def _positive(g: Formula, sign: int = 1):
+    """(g stripped of its negations, sign flipped once per negation)."""
     while type(g) is Not:
         g, sign = g.sub, -sign
     return g, sign
 
 
+def _junction(g: Formula, sign: int):
+    """(True for a disjunction, False for a conjunction, its parts (node,
+    sign)) of an and, or or -> g under sign, the negation pushed through;
+    None for any other node."""
+    cls = type(g)
+    if cls is Implies:  # -left | right
+        parts = [(g.left, -sign), (g.right, sign)]
+    elif cls is And or cls is Or:
+        parts = [(h, sign) for h in g.items]
+    else:
+        return None
+    return (cls is And) != (sign > 0), parts
+
+
 def _split(f: Formula) -> list:
     """Transition f as clauses, each a tuple of literals (node, sign), the
     node stripped of its negations (`_positive`): negations pushed through
-    and, or, -> and not, each conjunct one clause, an `or` over its
-    operands, `-> a b` as [-a, b] and a negated `and` over its operands
-    negated; any other conjunct g is the unit [g]."""
+    and, or, -> and not, each conjunct one clause over its disjuncts,
+    flattened (an `or`'s operands, `-> a b` as -a and b, a negated `and`'s
+    operands negated, and theirs in turn); any other disjunct g is the
+    literal g."""
     out, todo = [], [(f, 1)]
     while todo:
-        g, sign = todo.pop()
-        cls = type(g)
-        if cls is Not:
-            todo.append((g.sub, -sign))
-            continue
-        if cls is Implies:  # -left | right
-            parts = [(g.left, -sign), (g.right, sign)]
-        elif cls is And or cls is Or:
-            parts = [(h, sign) for h in g.items]
-        else:
+        g, sign = _positive(*todo.pop())
+        junction = _junction(g, sign)
+        if junction is None:
             out.append(((g, sign),))
-            continue
-        if (cls is And) == (sign > 0):  # a conjunction: each part in turn
-            todo.extend(reversed(parts))
-            continue
-        clause = []  # a disjunction: one clause
-        for h, s in parts:
-            h, t = _positive(h)
-            clause.append((h, s * t))
-        out.append(tuple(clause))
+        elif not junction[0]:  # a conjunction: each part in turn
+            todo.extend(reversed(junction[1]))
+        else:  # a disjunction: one clause, its inner disjunctions flattened
+            clause, stack = [], junction[1][::-1]
+            while stack:
+                g, sign = _positive(*stack.pop())
+                junction = _junction(g, sign)
+                if junction is not None and junction[0]:
+                    stack.extend(reversed(junction[1]))
+                else:
+                    clause.append((g, sign))
+            out.append(tuple(clause))
     return out
 
 
@@ -476,6 +524,10 @@ _SHIFT = frozenset((Next, Yesterday, Zeta))
 # weak duals: the neighbour beyond a finite edge is true (false otherwise)
 _WEAK = frozenset((Zeta, Release, Trigger))
 _UNTIL_LIKE = frozenset((Until, Since))
+# polarities, the sides of a definition as bits (`ClauseSink.define`): read
+# as it is, read negated, or both; _FLIP[p] is p seen through a negation
+_POS, _NEG, _BOTH = 1, 2, 3
+_FLIP = (0, _NEG, _POS, _BOTH)
 _FUTURE = frozenset((Next, Until, Release))
 _PAST = frozenset((Yesterday, Zeta, Since, Trigger))
 # nodes that are one literal of other entries, or a gate over them, at
@@ -555,18 +607,34 @@ class _Encoder:
         # since and trigger reads back, and the look-ahead T' the furthest
         # that a node read back and free of until and release reads ahead;
         # such a node keeps no loop pass (no pool pass).
+        # The same pass gives each node its polarity, the sides of its
+        # definition that its readers need (`ClauseSink.define`): _POS where
+        # the root or a clause reads it as it is, _NEG where a clause reads
+        # it negated; a not and the left side of -> flip it for their
+        # operands, an iff gives its operands both, and every other node
+        # passes its own.
         self.caps: Dict[Formula, Tuple[int, int]] = dict.fromkeys(problem.atoms, (0, 0))
         readers = {family: set(literals) for family in self.looping}
+        sides = self.sides = dict.fromkeys(roots, _POS)
+        for clauses in split:
+            for lits in clauses:
+                for g, sign in lits:
+                    sides[g] = sides.get(g, 0) | (_POS if sign > 0 else _NEG)
         self.unroll = dict.fromkeys(_FAMILIES, 0)
         for f in reversed(self.postorder):
-            cls = type(f)
+            cls, subs, side = type(f), children(f), sides[f]
+            if cls is Iff:
+                side = _BOTH
+            flip = _FLIP[side] if cls is Not or cls is Implies else side
+            for i, g in enumerate(subs):  # -> flips its left side only
+                sides[g] = sides.get(g, 0) | (flip if i == 0 else side)
             caps = [0, 0]
             for i, family, (wraps, _, _) in looping:
                 read = readers[family]
                 if cls in wraps:
                     read.add(f)
                 if f in read:
-                    read.update(children(f))
+                    read.update(subs)
                     far = reach[family][f]
                     if far:
                         self.unroll[family] = max(self.unroll[family], far)
@@ -962,14 +1030,14 @@ class _Encoder:
             op, subs = ("and" if cls is And else "or"), f.items
         else:  # a boolean node aliases everywhere or nowhere
             return
-        define = self.sink.define
+        define, sides = self.sink.define, self.sides[f]
         for family, c in self.copies[f]:
             lo_c = self._span(family, c, lo).start
             cols = [self._row(family, g, c)[lo_c:] for g in subs]
             if cls is Implies:  # -left | right
                 cols[0] = [-x for x in cols[0]]
             for v, *lits in zip(self.rows[family][f][c][lo_c:], *cols):
-                define(v, op, lits)
+                define(v, op, lits, sides)
 
     def _emit_temporal(self, f: Formula, lo: int):
         cls = type(f)

@@ -182,13 +182,13 @@ def test_counters_match_the_reference_search(data_dir):
     result = solve_embedded(to_cnf(encode(problem)))
     assert result.verdict == "UNSAT"
     assert result.stats == {
-        "conflicts": 303,
-        "decisions": 862,
-        "propagations": 43964,
-        "restarts": 2,
-        "learnts": 281,
-        "learnt_lits": 2367,
-        "minimized": 722,
+        "conflicts": 237,
+        "decisions": 660,
+        "propagations": 28283,
+        "restarts": 1,
+        "learnts": 221,
+        "learnt_lits": 1953,
+        "minimized": 639,
     }
 
 
