@@ -886,13 +886,12 @@ def _definition(cnf, v, operands):
             if len(c) > 1 and abs(v) in map(abs, c) and names.issuperset(map(abs, c))}
 
 
-def test_split_flattens_the_disjunctions_of_a_clause():
+def test_split_flattens_the_disjunctions_of_a_clause(data_dir):
     """Each of mutex3's or-case transitions is one clause over the and
     nodes of its cases: the || of ||s that the or-case expands to, and a
     -> or a negated && under a clause's ||, are flattened into the clause,
     so no literal is a disjunction that needs its own variable."""
-    problem = build_problem(load_spec(Path(__file__).parent / "data" / "mutex3.zot"),
-                            10, "mono", "bmc")
+    problem = build_problem(load_spec(data_dir / "mutex3.zot"), 10, "mono", "bmc")
     clauses = [c for tr in problem.transitions for c in encoder_module._split(tr)]
     assert sorted(len(c) for c in clauses if len(c) > 3) == [12, 12, 12, 21]
     for clause in clauses:
@@ -986,7 +985,7 @@ def test_a_one_sided_node_on_loop_passes_matches_brute_force(engine, case):
     _shapes_agree(root, transitions, engine, 3, random.Random(30))
 
 
-def test_decoding_reads_only_atoms_and_selectors():
+def test_decoding_reads_only_atoms_and_selectors(data_dir):
     """A one-sided definition leaves a subformula's model value free where
     no reader needs it, so nothing may read it as the subformula's truth
     value: `trace.decode` and the state key of `solve_window` read only
@@ -1000,10 +999,9 @@ def test_decoding_reads_only_atoms_and_selectors():
     def recorded(result):
         return replace(result, model=Recorded(result.model)) if result.model else result
 
-    data = Path(__file__).parent / "data"
     for spec, engine, mode in (("lamp.zot", "mono", "bsc"), ("lamp.zot", "bi", "bsc"),
                                ("lamp.zot", "mono", "loop-free")):
-        encoded = encode(build_problem(load_spec(data / spec), 4, engine, mode))
+        encoded = encode(build_problem(load_spec(data_dir / spec), 4, engine, mode))
         vm, read = encoded.varmap, set()
         if mode == "loop-free":
             live = window_solver()
