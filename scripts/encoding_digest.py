@@ -10,8 +10,10 @@ message.  Under each group line the script prints two sub-digests per
 engine (mono, bi, loop-free) of that group's encodings on the engine: of
 those whose problem has transitions, and of the others (an encoding whose
 problem fails to build among them), so a change to how transitions are
-encoded shows which encodings kept their bytes; the total hashes the group
-digests only.
+encoded shows which encodings kept their bytes.  The side probes (below)
+have one sub-digest per engine and read instead, so a change to one side
+of the temporal definitions shows which reads kept their bytes.  The total
+hashes the group digests only.
 
 - corpus: every `tests/data` spec x mono/bi x bsc/bmc/hcc/loop-free x
   k = 1, 2, 3, 5, 8; hcc reads the spec's history section and its
@@ -24,7 +26,9 @@ digests only.
   probe on mono at k = 40, and lamp hcc on bi at k = 10; then, at k = 5, a
   `next`^30 root on bi, a `yesterday`^30 root on mono, a bi transition
   with past content and a mono transition with `yesterday`^3 under a since
-  (`NEST_PROBES`).
+  (`NEST_PROBES`); and the side probes, each of until, release, since and
+  trigger read by the root as it is, negated and both ways, on mono and
+  bi at k = 5 (`READS`).
 
 The output does not depend on PYTHONHASHSEED.
 
@@ -47,7 +51,7 @@ from lassosat.cnf import dimacs_text, to_cnf  # noqa: E402
 from lassosat.encoder import CheckProblem, encode  # noqa: E402
 from lassosat.errors import LassosatError  # noqa: E402
 from lassosat.formula import (  # noqa: E402
-    Atom, Implies, Next, Not, Or, Since, Until, Yesterday,
+    Atom, Iff, Implies, Next, Not, Or, Release, Since, Trigger, Until, Yesterday,
 )
 from lassosat.pipeline import build_problem  # noqa: E402
 from lassosat.specfile import load_spec, parse_spec_text  # noqa: E402
@@ -68,7 +72,13 @@ PAST_PROBE = (
     "(property (alw (-> (-P- a) (since (-P- a) (yesterday (-P- b))))))\n"
 )
 
-P, Q = Atom("P"), Atom("Q")
+P, Q, R = Atom("P"), Atom("Q"), Atom("R")
+# how the root reads a side probe's temporal node: as it is, negated, or
+# both ways under an iff; each read is a sub-digest shape of its own
+READS = {"positive": lambda g: g, "negative": Not, "both": lambda g: Iff(g, R)}
+# a side probe's operator over P and a node of the other direction, so that
+# its row keeps deeper passes and its discharge sits on its top copy
+SIDE_OPERANDS = {Until: Since, Release: Since, Since: Until, Trigger: Until}
 
 
 def nest(op, n, f):
@@ -77,6 +87,12 @@ def nest(op, n, f):
     return f
 
 
+# name -> (read, problem) per side probe
+SIDE_PROBES = {
+    f"{op.__name__.lower()} {read} {engine} 5": (read, CheckProblem(
+        k=5, engine=engine, root=READS[read](op(P, SIDE_OPERANDS[op](P, Q)))))
+    for op in SIDE_OPERANDS for read in READS for engine in ("mono", "bi")
+}
 # (name, problem) per probe built from core formulas, not from a spec
 NEST_PROBES = (
     ("next30 bi root 5", CheckProblem(k=5, engine="bi", root=nest(Next, 30, P))),
@@ -90,7 +106,7 @@ NEST_PROBES = (
         k=5, engine="mono", root=Until(P, Q),
         transitions=(Implies(P, Since(Q, nest(Yesterday, 3, P))),),
     )),
-)
+) + tuple((name, problem) for name, (_, problem) in SIDE_PROBES.items())
 
 
 def _record(make):
@@ -123,7 +139,7 @@ def corpus():
         try:
             doc = load_spec(str(spec))
         except LassosatError as exc:
-            yield None, f"{spec.name} error {exc}\n", None
+            yield None, f"{spec.name} error {exc}\n", None, None
             continue
         for engine in ("mono", "bi"):
             for mode in ("bsc", "bmc", "hcc", "loop-free"):
@@ -131,7 +147,7 @@ def corpus():
                 for k in (1, 2, 3, 5, 8):
                     yield ("loop-free" if mode == "loop-free" else engine,
                            f"{spec.name} {engine} {mode} {k}\n",
-                           lambda: build_problem(doc, k, engine, mode, facts))
+                           lambda: build_problem(doc, k, engine, mode, facts), None)
 
 
 def randoms(count: int, seed: int):
@@ -149,7 +165,7 @@ def randoms(count: int, seed: int):
                     k=k, engine="mono" if engine == "loop-free" else engine,
                     root=root, transitions=transitions, loop_free=engine == "loop-free",
                 )
-                yield engine, f"{i} {engine} {len(transitions)}\n", lambda: problem
+                yield engine, f"{i} {engine} {len(transitions)}\n", lambda: problem, None
 
 
 def probe_cases():
@@ -174,7 +190,8 @@ def probe_cases():
 def probes():
     for name, make in probe_cases():
         problem = make()
-        yield "loop-free" if problem.loop_free else problem.engine, f"{name}\n", make
+        read = SIDE_PROBES[name][0] if name in SIDE_PROBES else None
+        yield "loop-free" if problem.loop_free else problem.engine, f"{name}\n", make, read
 
 
 def main() -> int:
@@ -184,22 +201,24 @@ def main() -> int:
     groups = (("corpus", corpus()), ("random", randoms(count, seed)), ("probe", probes()))
     for name, records in groups:
         # the group's digest of every record in order, and one per engine
-        # and shape of its records on that engine with that shape
+        # and shape of its records on that engine with that shape (a side
+        # probe's shape is its read); the reads' lines only where they occur
         h = hashlib.sha256()
-        keys = [(engine, shape) for engine in ENGINES for shape in SHAPES]
+        keys = [(engine, shape) for engine in ENGINES for shape in (*SHAPES, *READS)]
         subs = {key: hashlib.sha256() for key in keys}
         counts = dict.fromkeys(keys, 0)
-        for engine, label, make in records:
+        for engine, label, make, read in records:
             data = label.encode()
             if make is not None:
                 record, shape = _record(make)
                 data += record
-                subs[engine, shape].update(data)
-                counts[engine, shape] += 1
+                subs[engine, read or shape].update(data)
+                counts[engine, read or shape] += 1
             h.update(data)
         print(f"{name:10s} {sum(counts.values()):6d} encodings  {h.hexdigest()}")
         for key, sub in subs.items():
-            print(f"  {' '.join(key):18s} {counts[key]:5d} encodings  {sub.hexdigest()}")
+            if key[1] in SHAPES or counts[key]:
+                print(f"  {' '.join(key):18s} {counts[key]:5d} encodings  {sub.hexdigest()}")
         total.update(h.digest())
     print(f"{'total':10s} {'':18s}{total.hexdigest()}")
     return 0

@@ -30,9 +30,10 @@ Exactly one selector is chosen through the chain InLoop_t <-> InLoop_{t-1}
 holds exactly on the loop i..k.  The bi engine runs the same chain R_t over
 P_1..P_t, with R_k, and the pool 1..p is InPool_t = -R_{t-1} (InPool_1
 holds).  Until obligations alive at the end of the loop are discharged
-inside it, `-v | OR_t (InLoop_t & b_t)`, and Release is pinned by the dual
-`v | OR_t (InLoop_t & -b_t)`; Since and Trigger do the same around the past
-loop through InPool.
+inside it, `-v | OR_t (InLoop_t & b_t)`, and a negated Release is pinned by
+the dual `v | OR_t (InLoop_t & -b_t)`; Since and Trigger do the same around
+the past loop through InPool.  A discharge is written only where its
+node's polarity needs it (below).
 
 Past-dependent subformulas change value between traversals of the loop, so
 one variable per (subformula, instant) cannot be exact.  Such subformulas
@@ -285,18 +286,20 @@ back over it, parents first, its copy caps and its polarity.  A block
 allocates, in this order: the primary rows (its instants of each closure
 member in closure order), the copy rows (per member, its loop passes
 before its pool passes), its loop selectors, then its pool selectors, E_k,
-and, as the clauses are written, the Tseitin gates (and/or, iff, ite), the
-chain links, the successor, pool successor, pool-start and loop-end
-literals and the constant.  A fresh encoding is one block, so its rows are
-laid out row-major.  The iff gates of a distinctness pair take their ids
-when the pair is added.  Models decode through VarMap.lit, and the
-selectors, which never alias, by their ids.
+and, as the clauses are written, the Tseitin gates (iff, ite, the
+discharges' and), the chain links, the successor, pool successor,
+pool-start and loop-end literals and the constant.  A fresh encoding is
+one block, so its rows are laid out row-major.  The iff gates of a
+distinctness pair take their ids when the pair is added.  Models decode
+through VarMap.lit, and the selectors, which never alias, by their ids.
 
 A block appends its clauses in this order: the unit -E of the previous
 bound, each family's chain links and its end under E_k, the previous
 bound's successor ties and the new pool positions' pool-start ties, the
-aliases' gates, the boolean definitions, the temporal definitions each
-with its discharge, the transitions' clauses (each transition in turn, its
+aliases' gates, the boolean definitions, the temporal definitions (per
+row, each instant's [-u, B, A], [-u, B, N], [u, -B], [u, -A, -N] of the
+sides it writes, below), each node's rows followed by its discharge where
+it has one, the transitions' clauses (each transition in turn, its
 clauses in `_split` order, each clause at its primary instants and then on
 its deeper passes), the root unit, the history facts and markers, the
 loop-end ties and the replica ties.
@@ -322,10 +325,23 @@ other node, temporal ones included, passes its own to its operands; the
 parents-first pass that sets the caps sets it too.  A node read only as it
 is gets v -> op(...) ([-v, a_i] for an and, [-v, a...] for an or), one
 read only negated gets op(...) -> v, and one read both ways gets both.
-Every other definition keeps both sides: the temporal definitions and
-their discharges, every gate (iff, ite, the inner and/or of until and
-since, the chain links) and the successor, pool-start, loop-end and
-replica ties.
+
+A temporal entry is defined by the same rule, as clauses of its own with
+no inner gate.  Let u = +-v, A = +-a, B = +-b and N = +-nb, nb being its
+recurrence neighbour, with the sign + for until and since and - for
+release and trigger, which are negated untils and sinces (v <-> b & (a |
+nb) is -v <-> -b | (-a & -nb)).  The entry is then u <-> B | (A & N): the
+side u -> B | (A & N) is [-u, B, A] and [-u, B, N], and B | (A & N) -> u
+is [u, -B] and [u, -A, -N].  A release or trigger sees its polarity
+flipped, since u is its negation: the first side is written where u is
+read as it is, the second where u is read negated.  The discharge goes
+with the first side only, an obligation of u alive at the wrap of the
+top copy, -E_k | -u(e) | OR_t (InLoop_t & B_t), e the loop's last
+position (for since and trigger the pool's first, through InPool): an
+until or since read as it is needs it, and so does a release or trigger
+read negated.  Every other definition keeps both sides: every gate (iff,
+ite, the discharges' and, the chain links) and the successor, pool-start,
+loop-end and replica ties.
 
 The encoding keeps its models on the atoms and selectors.  Completeness:
 the values that a word gives every entry satisfy every clause, a one-sided
@@ -335,11 +351,19 @@ where its subformula holds, and one read negated is false only where its
 subformula fails.  For a boolean entry this follows from its one side and
 the same fact of its operands, which are read the same way (the other way
 under a not or ->'s left side).  For a temporal entry it follows from its
-two-sided recurrence, by induction along its chain of neighbours to the
-finite edge or to the top copy's wrap, where the discharge clause keeps an
-until (since) read as it is from putting its right operand off forever
-around the loop (pool); read negated, the recurrence is a greatest
-fixpoint and needs no discharge.  The root and every clause hold in a
+one side, by induction along its chain of neighbours, and the same fact
+of its operands, which u's polarity reads as A and B.  Where u is read as
+it is and holds, its side gives B, or A and N: so from a true u the chain
+of true neighbours, tied to u through the two-sided ites, successor and
+pool-start literals, meets B with A at every instant before it, unless it
+runs into a finite edge, where N is the finite-word constant, false for
+u (at the mono origin the entry is B itself), or cycles through the top
+copy's loop (pool) forever, which the discharge rules out, since it
+gives B at an instant of that cycle.  So the until (since) holds, and a
+release (trigger) read negated fails.  Where u is read negated and fails,
+its side gives -B, and -A or a failing neighbour: the until fails along
+that chain to an instant where -A holds, or forever, its greatest
+fixpoint, which needs no discharge.  The root and every clause hold in a
 model, so they hold on its word.  The stabilization argument speaks of the
 values a word gives, which satisfy every row, and holds as it is; the
 readers argument extends a model to the dropped rows by evaluating their
@@ -608,9 +632,10 @@ class _Encoder:
         # that a node read back and free of until and release reads ahead;
         # such a node keeps no loop pass (no pool pass).
         # The same pass gives each node its polarity, the sides of its
-        # definition that its readers need (`ClauseSink.define`): _POS where
-        # the root or a clause reads it as it is, _NEG where a clause reads
-        # it negated; a not and the left side of -> flip it for their
+        # definition that its readers need (`ClauseSink.define`, and
+        # `_emit_temporal`, which flips a release's and a trigger's): _POS
+        # where the root or a clause reads it as it is, _NEG where a clause
+        # reads it negated; a not and the left side of -> flip it for their
         # operands, an iff gives its operands both, and every other node
         # passes its own.
         self.caps: Dict[Formula, Tuple[int, int]] = dict.fromkeys(problem.atoms, (0, 0))
@@ -1043,26 +1068,35 @@ class _Encoder:
         cls = type(f)
         if cls in _SHIFT:  # an alias everywhere
             return
-        k, sink = self.k, self.sink
-        define, gate = sink.define, sink.gate
-        # v <-> b | (a & nb) for until and since, v <-> b & (a | nb) for
-        # release and trigger
-        op, inner = ("or", "and") if cls in _UNTIL_LIKE else ("and", "or")
+        # u <-> B | (A & N) over u = sign*v, A = sign*a, B = sign*b and N =
+        # sign*nb: sign 1 for until and since, -1 for release and trigger,
+        # negated untils and sinces, which see their readers' polarity
+        # flipped; only the sides that the polarity needs are written
+        sign = 1 if cls in _UNTIL_LIKE else -1
+        sides = self.sides[f] if sign > 0 else _FLIP[self.sides[f]]
+        clause = self.sink.clause
         for family, c in self.copies[f]:
             ts = self._owned(f, c, self._span(family, c, lo))
             if not ts:
                 continue
             v, a, b = (self._row(family, g, c) for g in (f, f.left, f.right))
             for t, nb in zip(ts, self._neighbours(f, family, c, ts)):
-                define(v[t], op, [b[t], gate(inner, [a[t], nb])])
+                u, A, B, N = sign * v[t], sign * a[t], sign * b[t], sign * nb
+                if sides & _POS:
+                    clause([-u, B, A])
+                    clause([-u, B, N])
+                if sides & _NEG:
+                    clause([u, -B])
+                    clause([u, -A, -N])
         own = "r" if cls in _FUTURE else "l"
-        if own not in self.looping:
+        if own not in self.looping or not sides & _POS:
             return
-        # under E_k, an obligation alive at the wrap of the top copy is
+        # under E_k, an obligation of u alive at the wrap of the top copy is
         # discharged inside the loop (its crossing is a self-cycle): some
-        # looping instant has the until's (since's) right operand, or one
-        # lacks the release's (trigger's)
-        sign = 1 if cls in _UNTIL_LIKE else -1
+        # looping instant has B, the until's (since's) right operand or the
+        # release's (trigger's) negated.  u read negated is a greatest
+        # fixpoint and needs none.
+        k, sink = self.k, self.sink
         top = self.caps[f][0 if own == "r" else 1]
         v, b = self._row(own, f, top), self._row(own, f.right, top)
         # the loop's positions T'+T+1..k+T'+T, the pool's 0..k
@@ -1070,5 +1104,5 @@ class _Encoder:
         lits = [-self.activation, -sign * v[end if own == "r" else 0]]
         for t in range(first, end + 1):
             bt, on = sign * b[t], self._on_loop(own, t)
-            lits.append(bt if on is None else gate("and", [on, bt]))
+            lits.append(bt if on is None else sink.gate("and", [on, bt]))
         sink.clause(lits)

@@ -13,6 +13,7 @@ import pytest
 
 from brute import (
     accepted,
+    formula_atoms,
     accepts_loop_free,
     brute_force_loop_free,
     brute_force_sat,
@@ -60,7 +61,7 @@ from lassosat.pipeline import (
     window_solver,
 )
 from lassosat.pretty import formula_text
-from lassosat.sat_embedded import solve_embedded
+from lassosat.sat_embedded import Solver, solve_embedded
 from lassosat.specfile import load_spec, parse_spec_text
 from lassosat.trace import PartialHistory, decode, load_history
 
@@ -985,6 +986,97 @@ def test_a_one_sided_node_on_loop_passes_matches_brute_force(engine, case):
     _shapes_agree(root, transitions, engine, 3, random.Random(30))
 
 
+# each temporal operator over P and a node of the other direction, with a
+# since or an until below it, so that its row keeps deeper passes: loop
+# passes for a future one, pool passes for a past one on the bi engine
+TEMPORAL_ROWS = {
+    "until": Until(P, Since(P, Q)),
+    "release": Release(P, Since(P, Q)),
+    "since": Since(P, Until(P, Q)),
+    "trigger": Trigger(P, Until(P, Q)),
+}
+# the root reads the row's node as it is, negated, or both ways
+READS = {"positive": lambda g: g, "negative": Not, "both": lambda g: Iff(g, P)}
+
+
+@pytest.mark.parametrize("engine", ["mono", "bi"])
+@pytest.mark.parametrize("read", sorted(READS))
+@pytest.mark.parametrize("op", sorted(TEMPORAL_ROWS))
+def test_a_one_sided_temporal_row_matches_brute_force(op, read, engine):
+    """A temporal row holds only the sides that its polarity needs, a
+    release's and a trigger's seen flipped, and a discharge only where an
+    until or since is read as it is (a release or trigger negated).
+    Induction along the chains keeps that exact: every loop and pool
+    position at k = 3 agrees with the enumeration (`_shapes_agree`), and
+    so does every valuation, assumed in full on one live solver per
+    shape, among them the words that put an until off forever around the
+    loop."""
+    f = TEMPORAL_ROWS[op]
+    root = READS[read](f)
+    problem = CheckProblem(k=3, engine=engine, root=root)
+    family = 0 if type(f) in (Until, Release) else 1
+    assert encode(problem).encoder.caps[f][family] == (1 if engine == "bi" or not family else 0)
+    _shapes_agree(root, (), engine, 3, random.Random(31))
+    pos, reference = _reference(root, (), engine)
+    atoms = formula_atoms(reference)  # in `trace_from_index`'s bit order
+    for loop in range(1, 4):
+        for pool in range(1, 4) if engine == "bi" else (None,):
+            encoded = encode(replace(problem, facts=PartialHistory(loop_at=loop, pool_at=pool)))
+            inst, live = to_cnf(encoded), Solver()
+            bits = [encoded.varmap.lit(x, t) for x in atoms for t in range(4)]
+            for index, want in enumerate(accepted(reference, 3, engine, pos, loop, pool)):
+                assumed = [x if index >> i & 1 else -x for i, x in enumerate(bits)]
+                result = solve_embedded(inst, assumptions=assumed, live=live)
+                assert (result.verdict == "SAT") == want, (loop, pool, index)
+
+
+# per (operator, read): the clauses over v, a, b and nb at an instant, nb
+# being the row one instant later, and the number of discharge clauses
+SIDES = {
+    ("until", "positive"): (lambda v, a, b, n: [(-v, b, a), (-v, b, n)], 1),
+    ("until", "negative"): (lambda v, a, b, n: [(v, -b), (v, -a, -n)], 0),
+    ("until", "both"): (lambda v, a, b, n: [(-v, b, a), (-v, b, n), (v, -b), (v, -a, -n)], 1),
+    ("release", "positive"): (lambda v, a, b, n: [(-v, b), (-v, a, n)], 0),
+    ("release", "negative"): (lambda v, a, b, n: [(v, -b, -a), (v, -b, -n)], 1),
+    ("release", "both"): (lambda v, a, b, n: [(-v, b), (-v, a, n), (v, -b, -a), (v, -b, -n)], 1),
+}
+
+
+@pytest.mark.parametrize("engine", ["mono", "bi"])
+@pytest.mark.parametrize("op,read", sorted(SIDES))
+def test_a_temporal_row_holds_only_the_sides_its_readers_need(op, read, engine):
+    """An until read as it is costs [-v, b, a] and [-v, b, nb] per
+    instant, v -> b | (a & nb), and its discharge; read negated, it costs
+    b | (a & nb) -> v and no discharge; read both ways, all four and the
+    discharge.  A release is the same with its polarity flipped: read as
+    it is, v -> b & (a | nb) and no discharge.  No entry takes a Tseitin
+    variable for its a & nb (a | nb): the only gates are the selector
+    chains' links and the discharge's."""
+    a, b, c = (Atom(x) for x in "abc")
+    f = {"until": Until, "release": Release}[op](a, b)
+    k = 4
+    encoded = encode(CheckProblem(k=k, engine=engine, root=READS[read](f)
+                                  if read != "both" else Iff(f, c), atoms=(a, b, c)))
+    vm, encoder = encoded.varmap, encoded.encoder
+    clauses, want = SIDES[op, read]
+    (successor,) = encoder.successors.values()
+    for t in range(k + 1):
+        v, at, bt = vm.lit(f, t), vm.lit(a, t), vm.lit(b, t)
+        nb = vm.lit(f, t + 1) if t < k else successor
+        assert _definition(encoded.cnf, v, (at, bt, nb)) == set(map(frozenset, clauses(
+            v, at, bt, nb))), t
+    selectors = {*vm.loop_selectors.values(), *vm.pool_selectors.values()}
+    links = {abs(x) for chain in encoder.chains.values() for x in chain.values()}
+    assert all(set(map(abs, lits)) & (selectors | links)
+               for op, lits in encoder.sink.memo if op in ("and", "or"))
+    # a discharge: -E, the row at k and no selector (a successor tie has one)
+    end = {vm.lit(f, k), -vm.lit(f, k)}
+    discharges = [cl for cl in encoded.cnf.clauses
+                  if -encoded.activation in cl and end & set(cl) and not selectors & {
+                      abs(x) for x in cl}]
+    assert len(discharges) == want
+
+
 def test_decoding_reads_only_atoms_and_selectors(data_dir):
     """A one-sided definition leaves a subformula's model value free where
     no reader needs it, so nothing may read it as the subformula's truth
@@ -1020,22 +1112,22 @@ def test_decoding_reads_only_atoms_and_selectors(data_dir):
 # to the encoding must update a row on purpose; a row's test id names only
 # its problem, so it stays the same when the row is re-pinned.
 PINNED = [
-    ("lamp.zot", 5, "mono", "bsc", 0, 257, 838,
-     "a90c453f55000b339cc6436bb8f33c5e061f27c2ad04fbcc7dbf4ddcd9a355cc"),
-    ("lamp.zot", 5, "bi", "bsc", 0, 282, 975,
-     "82ec843bbc5174fafa33af815a3bc009e5ae7de9a1ceb1b45bf2f3f5fb020005"),
-    ("mutex3.zot", 4, "mono", "bmc", 0, 477, 1379,
-     "82a83e80e2c7a736da3667dbf8dabea8ee686225b5983824994fd14ee6e3b9c0"),
-    ("mutex3.zot", 4, "bi", "bmc", 13, 691, 2090,
-     "0882d0781567546cdd3ff85a8c77d66a92eafcbdd23ad6c0fbdcff1f279453fa"),
+    ("lamp.zot", 5, "mono", "bsc", 0, 231, 738,
+     "6d16523f3c77af4ee0d83a5e994edbb099cf637a2266a9095b307d27d4ff7b29"),
+    ("lamp.zot", 5, "bi", "bsc", 0, 251, 858,
+     "389766c69ee14b36b7d3f336a9e0ad5589e44d635a5470b9f17db767daa74702"),
+    ("mutex3.zot", 4, "mono", "bmc", 0, 441, 1244,
+     "d717fdab447a0175ac153f05900c60fdd762e7345aa4e05ed9ccb917c978a24f"),
+    ("mutex3.zot", 4, "bi", "bmc", 13, 625, 1834,
+     "6a3ffa5b6f4d482a32fc6f10813d567fd2614dd16f0f91ed6fbaf12e28e7e2f9"),
     ("cycle3.zot", 3, "mono", "loop-free", 0, 17, 31,
      "ae39a6f721ae9a613367dd59cb31893fa1e749f96a1c28110d2415e6114a023c"),
     ("stutter.zot", 4, "bi", "bsc", 0, 28, 74,
      "e4a82280672fff606e57145d4625299a8310d21369337f479a21b646049a4023"),
-    ("lamp.zot", 10, "bi", "hcc", 0, 422, 1614,
-     "d531bfc8faa075ad7a7bf38e9984be8457a6e8a522b7c67a4d45225fbb49bdf8"),
-    ("mutex3.zot", 4, "mono", "loop-free", 0, 454, 1152,
-     "b7c8e9115154747d37f35038caa90a4b4be2ea4efbdc12e313f2dbdba0d6b87c"),
+    ("lamp.zot", 10, "bi", "hcc", 0, 371, 1427,
+     "8f0b40aa1ef8baa5e87cef62ba3a0209dec0f8a9391aebed9375ddad12715c06"),
+    ("mutex3.zot", 4, "mono", "loop-free", 0, 430, 1056,
+     "e9adadc39e3eb49c89508222bfb8db367fd141d76c7e0788c7a9f89c86eb0dea"),
 ]
 
 
@@ -1057,9 +1149,10 @@ def test_encoding_bytes_are_pinned(
 
 # The total that `scripts/encoding_digest.py` prints by default: it hashes
 # about 2,000 encodings (the tests/data corpus over engines, modes and
-# bounds, seeded random formulas, and a few long-row probes).  A change to
-# the encoding re-pins it.
-DIGEST_TOTAL = "5be04bddb47875688f771ee00e567ba4a27d3a2f5f4d7d18d821150cd63f411d"
+# bounds, seeded random formulas, a few long-row probes and the side
+# probes, each temporal operator read each way).  A change to the encoding
+# re-pins it.
+DIGEST_TOTAL = "f5bb61ebe01ae9437946ee08ef76fe027a2edd6b27aa7638e92fe7ac8aa06702"
 
 
 def test_encoding_digest_is_pinned():

@@ -182,13 +182,13 @@ def test_counters_match_the_reference_search(data_dir):
     result = solve_embedded(to_cnf(encode(problem)))
     assert result.verdict == "UNSAT"
     assert result.stats == {
-        "conflicts": 237,
-        "decisions": 660,
-        "propagations": 28283,
+        "conflicts": 198,
+        "decisions": 435,
+        "propagations": 20664,
         "restarts": 1,
-        "learnts": 221,
-        "learnt_lits": 1953,
-        "minimized": 639,
+        "learnts": 186,
+        "learnt_lits": 1603,
+        "minimized": 587,
     }
 
 
